@@ -1,19 +1,22 @@
-//! Criterion: run-coalesced replay bandwidth under both backing layouts —
-//! the `BENCH_layout.json` baselines the CI bench gate locks.
+//! Criterion: region replay bandwidth under both backing layouts — the
+//! `BENCH_layout.json` baselines the CI bench gate locks.
 //!
 //! Three groups:
 //!
 //! * `stream_copy` — STREAM-Copy (C = A) through whole-region copies on
 //!   the paper-style 16x512 vector layout, under the default bank-major
-//!   flat layout and the bank-interleaved alternative. This is the
-//!   ISSUE's headline number: the run-table replay must hold well above
-//!   the pre-coalescing 9.3 GiB/s baseline;
+//!   flat layout and the bank-interleaved alternative. Same-class copies
+//!   are `copy_within` per storage interval and must hold well above the
+//!   9.3 GiB/s element-loop replay they replaced;
 //! * `stream_triad` — STREAM-Triad (A = B + q*C) as two region gathers,
 //!   a fused multiply-add sweep and one region scatter, both layouts
-//!   (STREAM counting: 24 bytes per element);
-//! * `strided_worst` — the coalescing pass's worst case: a Col region
-//!   whose per-element address stride defeats block moves entirely, so
-//!   the fixed-width chunked strided loop carries the whole transfer.
+//!   (STREAM counting: 24 bytes per element). The gathers and the scatter
+//!   replay the plans' motif runs, one run per 512-element row;
+//!   `bench-gate` holds bank-major Triad's per-byte cost within
+//!   `gate::TRIAD_COPY_RATIO_LIMIT` times Copy's;
+//! * `strided_worst` — a Col region whose motif has no unit-stride piece
+//!   (every lane sits in its own stretch of storage): the per-lane floor
+//!   of the motif replay.
 //!
 //! Run with `CRITERION_JSON=BENCH_layout.json cargo bench -p polymem-bench
 //! --bench layout` to append machine-readable baselines.
@@ -85,9 +88,9 @@ fn bench_stream_triad(c: &mut Criterion) {
 }
 
 fn bench_strided_worst(c: &mut Criterion) {
-    // A full column under ReCo: consecutive elements step the flat address
-    // by cols/q (bank-major) or lanes*cols/q (interleaved) — zero
-    // unit-stride runs, so this pins the chunked strided-gather floor.
+    // A full column under ReCo: no two lanes of the column's motif sit in
+    // adjacent flat slots under either layout, so this pins the per-lane
+    // floor of the motif replay.
     let region = Region::new("col", 0, 3, RegionShape::Col { len: 64 });
     let mut g = c.benchmark_group("strided_worst");
     g.throughput(Throughput::Bytes((region.len() * 8) as u64));

@@ -430,12 +430,12 @@ impl PolyMemKernel {
     /// latency. The region engine shares port 0's datapath, so a region
     /// transfer and per-access reads on port 0 serialize against each other.
     ///
-    /// Host-side, the transfer replays the compiled plan's run table —
-    /// unit-stride segments as block moves, the rest through the chunked
-    /// strided gather — so wall-clock per modeled cycle tracks the
-    /// coalesced replay, not a per-element loop. The *cycle* model is
-    /// unchanged: coalescing is a host-bandwidth optimisation, the DFE
-    /// burst still costs one parallel access per `lanes` elements.
+    /// Host-side, the transfer replays the compiled plan's motif-run
+    /// table — each run moves whole `lanes`-wide groups through one lane
+    /// pattern at a constant step — so wall-clock per modeled cycle tracks
+    /// that replay, not a per-element loop. The *cycle* model is
+    /// unchanged: the replay kernel is a host-bandwidth optimisation, the
+    /// DFE burst still costs one parallel access per `lanes` elements.
     pub fn attach_region_port(
         &mut self,
         region_req: StreamRef<RegionRequest>,

@@ -8,13 +8,14 @@
 //! or persist it for replay — and it gives the repository a
 //! forward-compatible wire format exercised by round-trip tests.
 //!
-//! Both directions ride the run-coalesced whole-space replay:
+//! Both directions ride the whole-space region replay:
 //! [`PolyMem::dump_row_major`] gathers and [`PolyMem::load_row_major`]
-//! scatters through the compiled whole-region plan's run table (block
-//! moves for unit-stride segments), so imaging cost tracks memcpy rather
-//! than a per-element loop. The payload is row-major *logical* order —
-//! deliberately independent of the flat [`BankLayout`], so an image taken
-//! from an interleaved memory restores into any layout.
+//! scatters through the compiled whole-region plan's motif-run table
+//! (whole lane groups per step, typically one run per row), so imaging
+//! cost tracks the bulk replay rather than a per-element loop. The payload
+//! is row-major *logical* order — deliberately independent of the flat
+//! [`BankLayout`], so an image taken from an interleaved memory restores
+//! into any layout.
 //!
 //! [`BankLayout`]: crate::BankLayout
 //!

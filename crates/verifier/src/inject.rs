@@ -146,9 +146,9 @@ fn corrupt_region_plan() -> Mutation {
     )
 }
 
-/// Mutation 3b: mis-tile a compiled region plan's run table (stretch one
-/// coalesced run's stride) and feed it to the structural validator. The
-/// run-tiling proof must notice the run no longer expands to the fold
+/// Mutation 3b: mis-tile a compiled region plan's motif-run table (stretch
+/// one multi-group run's step) and feed it to the structural validator.
+/// The run-tiling proof must notice the run no longer expands to the fold
 /// offsets it claims.
 fn mistiled_run_table() -> Mutation {
     let (p, q) = (2usize, 4usize);
@@ -164,11 +164,11 @@ fn mistiled_run_table() -> Mutation {
     let base = afn.address(region.i, region.j) as isize;
     let mut bad = plan.clone();
     let victim = bad
-        .runs
+        .motif_runs
         .iter()
-        .position(|r| r.len >= 2)
-        .expect("a row region coalesces into at least one multi-element run");
-    bad.runs[victim].stride += 1;
+        .position(|r| r.reps >= 2)
+        .expect("a two-group row region compiles to one two-group motif run");
+    bad.motif_runs[victim].step += 1;
     let mut findings = Vec::new();
     if let Err(e) = bad.validate(base, depth) {
         findings.push(Finding::new(

@@ -56,6 +56,8 @@ const HOT: &[(&str, &[&str])] = &[
             "check_bounds",
             "gather_into",
             "scatter_from",
+            "gather_motifs",
+            "scatter_motifs",
             "copy_store_runs_within",
         ],
     ),

@@ -331,8 +331,8 @@ fn check_region_plans(
 
 /// The plan proof under the alternate backing layout: compile every region
 /// class of one geometry against `AddrInterleaved` storage and re-prove
-/// the full structural invariant set — including that the run table still
-/// exactly tiles the (re-segmented) fold map. The main sweep covers
+/// the full structural invariant set — including that the motif-run table
+/// still exactly tiles the (re-segmented) fold map. The main sweep covers
 /// `BankMajor`; this keeps the other layout's coalescing pass honest
 /// without doubling the lint's runtime across all geometries.
 fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) {
