@@ -17,6 +17,7 @@
 //! act (re-run the bench with `CRITERION_JSON` pointing at the baseline
 //! file).
 
+use polymem::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// Default allowed throughput drop before the gate fails: 30%.
@@ -78,41 +79,23 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Extract one f64 field from a flat single-line JSON object.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Extract one string field from a flat single-line JSON object.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
 /// Parse a `BENCH_*.json` baseline file (JSONL, one benchmark per line, as
 /// written by the vendored Criterion's `CRITERION_JSON` hook). Lines that
 /// are not benchmark records are ignored; a later record for the same ID
 /// wins (the hook appends, so re-runs accumulate).
 pub fn parse_baseline(text: &str) -> Vec<BenchEntry> {
     let mut by_id: BTreeMap<String, BenchEntry> = BTreeMap::new();
-    for line in text.lines() {
-        let (Some(group), Some(bench), Some(ns_per_iter)) = (
-            json_str(line, "group"),
-            json_str(line, "bench"),
-            json_f64(line, "ns_per_iter"),
-        ) else {
+    for record in text.lines().filter_map(|line| json::parse(line).ok()) {
+        let str_of = |key: &str| record.get(key).and_then(Json::as_str);
+        let f64_of = |key: &str| record.get(key).and_then(Json::as_f64);
+        let (Some(group), Some(bench), Some(ns_per_iter)) =
+            (str_of("group"), str_of("bench"), f64_of("ns_per_iter"))
+        else {
             continue;
         };
         let id = format!("{group}/{bench}");
-        let bytes_per_iter = (json_str(line, "throughput_kind") == Some("bytes"))
-            .then(|| json_f64(line, "throughput_per_iter"))
+        let bytes_per_iter = (str_of("throughput_kind") == Some("bytes"))
+            .then(|| f64_of("throughput_per_iter"))
             .flatten();
         by_id.insert(
             id.clone(),
@@ -287,6 +270,44 @@ mod tests {
         let entries = parse_baseline(text);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].ns_per_iter, 50.0);
+    }
+
+    #[test]
+    fn parses_every_committed_baseline() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap()
+            .to_path_buf();
+        let mut files = 0;
+        for dirent in std::fs::read_dir(&root).unwrap() {
+            let path = dirent.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut ids = std::collections::BTreeSet::new();
+            for line in text.lines().filter(|l| !l.trim().is_empty()) {
+                let record = json::parse(line).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let field = |key: &str| record.get(key).and_then(Json::as_str).unwrap();
+                ids.insert(format!("{}/{}", field("group"), field("bench")));
+            }
+            let parsed: Vec<String> = parse_baseline(&text).into_iter().map(|e| e.id).collect();
+            assert_eq!(parsed, ids.into_iter().collect::<Vec<_>>(), "{name}");
+            if name == "BENCH_layout.json" {
+                let first = text.lines().next().unwrap();
+                let entry = &parse_baseline(first)[0];
+                assert_eq!(entry.id, "stream_copy/bank_major/16x512");
+                assert_eq!(entry.ns_per_iter, 2632.227);
+                assert_eq!(entry.bytes_per_iter, Some(131_072.0));
+            }
+        }
+        assert!(
+            files >= 7,
+            "expected the committed BENCH_*.json set, found {files}"
+        );
     }
 
     fn entry(id: &str, ns: f64) -> BenchEntry {

@@ -15,8 +15,8 @@
 //! The server holds **pre-rendered bodies** behind a [`ScrapeState`]: the
 //! embedding tool publishes a snapshot whenever it likes (typically once
 //! per pass), and scrapes never touch the registry or the journal — a
-//! scrape can never perturb the measured system. Served by `polymem-scrape`
-//! and mountable from `polymem-top --serve`.
+//! scrape can never perturb the measured system. Served by
+//! `polymem-top --serve ADDR`.
 
 use polymem::telemetry::TelemetrySnapshot;
 use polymem::tracing::TraceSnapshot;
@@ -76,7 +76,7 @@ impl ScrapeState {
             "/" => (
                 200,
                 "text/plain",
-                "polymem-scrape\n\n/metrics\n/telemetry.json\n/trace.json\n".to_string(),
+                "polymem-top\n\n/metrics\n/telemetry.json\n/trace.json\n".to_string(),
             ),
             _ => (404, "text/plain", format!("no such route: {path}\n")),
         }
@@ -135,7 +135,7 @@ impl ScrapeServer {
     }
 
     /// Block the calling thread until the server stops (the foreground
-    /// mode of `polymem-scrape` and `polymem-top --serve`).
+    /// mode of `polymem-top --serve`).
     pub fn block(mut self) {
         if let Some(h) = self.handle.take() {
             let _ = h.join();

@@ -10,6 +10,7 @@
 //! may appear freely (they get added to the schema when they become load
 //! bearing), but nothing listed may vanish or change kind.
 
+use polymem::json::{self, Json};
 use polymem::telemetry::{SampleValue, TelemetrySnapshot};
 
 /// One required metric: its stable name and expected kind.
@@ -21,39 +22,32 @@ pub struct SchemaEntry {
     pub kind: String,
 }
 
-/// Extract one string field from a flat JSON object body, tolerating
-/// whitespace around the colon.
-fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let start = body.find(&pat)? + pat.len();
-    let rest = body[start..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Parse `TELEMETRY_schema.json`: a `required` array of
-/// `{"name": ..., "kind": ...}` objects. Parsing is structural on the
-/// object bodies (the same flat-JSON scanning the bench gate uses), so the
-/// file can carry extra documentation fields without breaking the gate.
+/// `{"name": ..., "kind": ...}` objects. Other top-level and per-entry
+/// fields are ignored, so the file can carry documentation.
 pub fn parse_schema(text: &str) -> Result<Vec<SchemaEntry>, String> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(open) = rest.find('{') {
-        let body = &rest[open + 1..];
-        let close = body.find('}').ok_or("unterminated object in schema")?;
-        let obj = &body[..close];
-        if let Some(name) = field(obj, "name") {
-            let kind = field(obj, "kind").ok_or_else(|| format!("{name}: missing kind"))?;
-            if !matches!(kind, "counter" | "gauge" | "histogram") {
-                return Err(format!("{name}: unknown kind {kind:?}"));
-            }
-            out.push(SchemaEntry {
-                name: name.to_string(),
-                kind: kind.to_string(),
-            });
+    let doc = json::parse(text)?;
+    let required = doc
+        .get("required")
+        .and_then(Json::as_arr)
+        .ok_or("schema has no `required` array")?;
+    let mut out = Vec::with_capacity(required.len());
+    for (n, entry) in required.iter().enumerate() {
+        let field = |key: &str| {
+            entry
+                .get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("required[{n}]: missing string `{key}`"))
+        };
+        let name = field("name")?;
+        let kind = field("kind")?;
+        if !matches!(kind, "counter" | "gauge" | "histogram") {
+            return Err(format!("{name}: unknown kind {kind:?}"));
         }
-        rest = &body[close + 1..];
+        out.push(SchemaEntry {
+            name: name.to_string(),
+            kind: kind.to_string(),
+        });
     }
     if out.is_empty() {
         return Err("schema lists no required metrics".to_string());
@@ -132,6 +126,8 @@ mod tests {
     fn rejects_unknown_kind_and_empty_schema() {
         assert!(parse_schema(r#"{"required":[{"name":"x","kind":"meter"}]}"#).is_err());
         assert!(parse_schema(r#"{"required":[]}"#).is_err());
+        // A truncated file must fail, not shrink the gate to what survived.
+        assert!(parse_schema(r#"{"required": [{"name": "a", "kind": "counter"}"#).is_err());
     }
 
     #[test]

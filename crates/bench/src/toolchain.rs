@@ -13,7 +13,6 @@ use polymem::PolyMemConfig;
 use scheduler::{
     best, multiport_speedup, solve_exact, sweep, AccessTrace, CoverInstance, SweepOptions,
 };
-use serde::{Deserialize, Serialize};
 
 /// Toolchain inputs.
 #[derive(Debug, Clone)]
@@ -27,7 +26,7 @@ pub struct Requirements {
 }
 
 /// The toolchain's recommendation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Recommendation {
     /// The configuration to instantiate.
     pub config: PolyMemConfig,

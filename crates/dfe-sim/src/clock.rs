@@ -1,9 +1,7 @@
 //! Simulation clock: cycle counting and cycle ↔ wall-time conversion.
 
-use serde::{Deserialize, Serialize};
-
 /// A clock domain with a fixed frequency, counting elapsed cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimClock {
     freq_mhz: f64,
     cycle: u64,

@@ -7,10 +7,8 @@
 //! provides cycle-accounted burst transfers so applications built on the
 //! simulator can quantify the benefit of the on-chip cache.
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM channel parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramParams {
     /// First-word latency in nanoseconds (row activate + CAS + controller).
     pub latency_ns: f64,

@@ -8,10 +8,8 @@
 //! 2. bulk transfers move at the link bandwidth (Vectis: PCIe gen2 x8,
 //!    ~2 GB/s effective), which bounds the Load/Offload stages.
 
-use serde::{Deserialize, Serialize};
-
 /// PCIe link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieLink {
     /// Fixed per-call host↔DFE signalling overhead, nanoseconds.
     pub call_overhead_ns: f64,
@@ -55,7 +53,7 @@ impl PcieLink {
 }
 
 /// Accumulating host-side activity record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostStats {
     /// Blocking calls issued.
     pub calls: u64,

@@ -9,14 +9,13 @@
 use crate::stream::StreamRef;
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{TraceJournal, TraceWriter};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Cycle at which the event occurred.
     pub cycle: u64,
@@ -229,7 +228,7 @@ impl Tracer {
 /// Aggregate of the burst traffic a kernel recorded through its tracer
 /// hook (`burst:<kind> len=<n>` events, see
 /// [`crate::polymem_kernel::PolyMemKernel::set_tracer`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BurstSummary {
     /// Region read bursts accepted.
     pub reads: u64,
@@ -276,7 +275,7 @@ pub fn burst_summary(tracer: &Tracer, source: &str) -> BurstSummary {
 }
 
 /// A point-in-time snapshot of one stream's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Elements pushed over the stream's lifetime.
     pub pushed: u64,

@@ -15,8 +15,9 @@
 //! * [`claims`] — the paper's qualitative conclusions (which scheme wins
 //!   where, the lane/port crossover, the 32-lane routability wall),
 //!   machine-checked against every sweep;
-//! * [`report`] — the committed `DSE_report.json` artifact, drift-gated in
-//!   CI exactly like `VERIFY_report.json`;
+//! * [`report`] — the committed `DSE_report.json` artifact, written through
+//!   the shared `polymem::json` codec and drift-gated in CI exactly like
+//!   `VERIFY_report.json`;
 //! * [`recommend`] — the auto-configurator:
 //!   [`recommend::recommend`]`(workload_trace) -> PolyMemConfig` picks
 //!   scheme + geometry for a described access mix.
@@ -29,7 +30,6 @@
 
 pub mod claims;
 pub mod engine;
-pub mod json;
 pub mod measure;
 pub mod pareto;
 pub mod recommend;

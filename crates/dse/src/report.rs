@@ -8,17 +8,17 @@
 
 use crate::claims::Claim;
 use crate::engine::{EvalPoint, SweepResult};
-use crate::json::Json;
 use crate::pareto;
+use polymem::json::Json;
 
 /// Report schema identifier (bump on layout changes).
 pub const SCHEMA: &str = "polymem-dse-report/v1";
 
 fn point_json(p: &EvalPoint) -> Json {
     let mut fields = vec![
-        ("size_kb".into(), Json::UInt(p.size_kb as u64)),
-        ("lanes".into(), Json::UInt(p.lanes as u64)),
-        ("read_ports".into(), Json::UInt(p.read_ports as u64)),
+        ("size_kb".into(), Json::Int(p.size_kb as i128)),
+        ("lanes".into(), Json::Int(p.lanes as i128)),
+        ("read_ports".into(), Json::Int(p.read_ports as i128)),
         ("scheme".into(), Json::s(p.scheme.name())),
         ("feasible".into(), Json::Bool(p.feasible())),
         ("fmax_mhz".into(), Json::num(p.synth.fmax_mhz, 2)),
@@ -44,8 +44,8 @@ fn point_json(p: &EvalPoint) -> Json {
             fields.push((
                 "sim".into(),
                 Json::Obj(vec![
-                    ("cycles".into(), Json::UInt(m.cycles)),
-                    ("ideal_cycles".into(), Json::UInt(m.ideal_cycles)),
+                    ("cycles".into(), Json::Int(m.cycles.into())),
+                    ("ideal_cycles".into(), Json::Int(m.ideal_cycles.into())),
                     ("efficiency".into(), Json::num(m.efficiency, 4)),
                     ("copy_gibps".into(), Json::num(m.copy_gibps, 3)),
                     ("read_gibps".into(), Json::num(m.read_gibps, 3)),
@@ -60,9 +60,9 @@ fn point_json(p: &EvalPoint) -> Json {
 fn front_entry(p: &EvalPoint) -> Json {
     let o = pareto::objectives(p).expect("front point has objectives");
     Json::Obj(vec![
-        ("size_kb".into(), Json::UInt(p.size_kb as u64)),
-        ("lanes".into(), Json::UInt(p.lanes as u64)),
-        ("read_ports".into(), Json::UInt(p.read_ports as u64)),
+        ("size_kb".into(), Json::Int(p.size_kb as i128)),
+        ("lanes".into(), Json::Int(p.lanes as i128)),
+        ("read_ports".into(), Json::Int(p.read_ports as i128)),
         ("scheme".into(), Json::s(p.scheme.name())),
         ("read_gibps".into(), Json::num(o.read_gibps, 3)),
         ("bram_blocks".into(), Json::num(o.bram_blocks, 1)),
@@ -83,7 +83,7 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
                     .grid
                     .sizes_kb
                     .iter()
-                    .map(|&s| Json::UInt(s as u64))
+                    .map(|&s| Json::Int(s as i128))
                     .collect(),
             ),
         ),
@@ -94,7 +94,7 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
                     .grid
                     .lanes
                     .iter()
-                    .map(|&l| Json::UInt(l as u64))
+                    .map(|&l| Json::Int(l as i128))
                     .collect(),
             ),
         ),
@@ -105,7 +105,7 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
                     .grid
                     .read_ports
                     .iter()
-                    .map(|&p| Json::UInt(p as u64))
+                    .map(|&p| Json::Int(p as i128))
                     .collect(),
             ),
         ),
@@ -120,7 +120,7 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
                     .collect(),
             ),
         ),
-        ("cells".into(), Json::UInt(result.grid.len() as u64)),
+        ("cells".into(), Json::Int(result.grid.len() as i128)),
     ]);
 
     let skipped = Json::Arr(
@@ -129,9 +129,9 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
             .iter()
             .map(|s| {
                 Json::Obj(vec![
-                    ("size_kb".into(), Json::UInt(s.size_kb as u64)),
-                    ("lanes".into(), Json::UInt(s.lanes as u64)),
-                    ("read_ports".into(), Json::UInt(s.read_ports as u64)),
+                    ("size_kb".into(), Json::Int(s.size_kb as i128)),
+                    ("lanes".into(), Json::Int(s.lanes as i128)),
+                    ("read_ports".into(), Json::Int(s.read_ports as i128)),
                     ("scheme".into(), Json::s(s.scheme.name())),
                     ("reason".into(), Json::s(&s.reason)),
                 ])
@@ -142,12 +142,12 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
     let scheduler = Json::Obj(vec![
         (
             "ticked_cycles".into(),
-            Json::UInt(result.sched.ticked_cycles),
+            Json::Int(result.sched.ticked_cycles.into()),
         ),
-        ("jumps".into(), Json::UInt(result.sched.jumps)),
+        ("jumps".into(), Json::Int(result.sched.jumps.into())),
         (
             "skipped_cycles".into(),
-            Json::UInt(result.sched.skipped_cycles),
+            Json::Int(result.sched.skipped_cycles.into()),
         ),
     ]);
 
@@ -169,12 +169,12 @@ pub fn render(result: &SweepResult, claims: &[Claim]) -> String {
         ("schema".into(), Json::s(SCHEMA)),
         ("device".into(), Json::s(result.device_name)),
         ("grid".into(), grid),
-        ("sim_chunks".into(), Json::UInt(result.sim_chunks as u64)),
+        ("sim_chunks".into(), Json::Int(result.sim_chunks as i128)),
         (
             "points_evaluated".into(),
-            Json::UInt(result.points.len() as u64),
+            Json::Int(result.points.len() as i128),
         ),
-        ("points_feasible".into(), Json::UInt(feasible as u64)),
+        ("points_feasible".into(), Json::Int(feasible as i128)),
         ("points_skipped".into(), skipped),
         ("scheduler".into(), scheduler),
         (

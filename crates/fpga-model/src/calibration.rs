@@ -8,7 +8,6 @@
 
 use crate::timing;
 use polymem::{AccessScheme, PolyMemConfig};
-use serde::{Deserialize, Serialize};
 
 /// One DSE grid point: `(size_kb, lanes, read_ports)`.
 pub type GridPoint = (usize, usize, usize);
@@ -94,7 +93,7 @@ pub fn config_for(kb: usize, lanes: usize, ports: usize, scheme: AccessScheme) -
 }
 
 /// Error statistics of the timing model vs Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitStats {
     /// Mean of |model - paper| / paper.
     pub mean_rel_err: f64,
@@ -107,7 +106,7 @@ pub struct FitStats {
 }
 
 /// Per-cell comparison record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellComparison {
     /// The scheme of the Table IV row.
     pub scheme: AccessScheme,

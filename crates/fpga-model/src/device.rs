@@ -4,10 +4,8 @@
 //! carries a **Xilinx Virtex-6 SX475T** (XC6VSX475T). The counts below come
 //! from the Virtex-6 family overview (DS150) that the paper cites.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of an FPGA part.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FpgaDevice {
     /// Marketing name.
     pub name: &'static str,

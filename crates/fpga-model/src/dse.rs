@@ -9,10 +9,9 @@ use crate::calibration::grid_for_lanes;
 use crate::device::FpgaDevice;
 use crate::synthesis::{synthesize, SynthesisReport};
 use polymem::{AccessScheme, PolyMemConfig};
-use serde::{Deserialize, Serialize};
 
 /// The DSE parameter grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DseGrid {
     /// Capacities to sweep, in KB.
     pub sizes_kb: Vec<usize>,
@@ -68,7 +67,7 @@ impl DseGrid {
 }
 
 /// One DSE result row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
     /// Capacity in KB.
     pub size_kb: usize,
@@ -85,7 +84,7 @@ pub struct DsePoint {
 /// A grid point that could not be evaluated, and why. `explore_all` returns
 /// these alongside the evaluated points so sweeps can account for every cell
 /// of the grid instead of silently shrinking.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedPoint {
     /// Capacity in KB.
     pub size_kb: usize,

@@ -21,10 +21,9 @@
 
 use crate::device::FpgaDevice;
 use polymem::{AccessScheme, PolyMemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-block resource breakdown (slices).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SliceBreakdown {
     /// Maxeler manager + PCIe + stream infrastructure.
     pub infrastructure: f64,
@@ -46,7 +45,7 @@ impl SliceBreakdown {
 }
 
 /// Complete resource estimate for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceEstimate {
     /// BRAM36 blocks required (data + infrastructure).
     pub bram_blocks: f64,
@@ -124,7 +123,7 @@ pub fn data_bram_blocks(cfg: &PolyMemConfig) -> f64 {
 }
 
 /// Implementation style of the MaxJ design (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignStyle {
     /// Single fused kernel (the paper's final, resource-efficient version).
     Fused,
@@ -206,7 +205,7 @@ pub fn estimate(cfg: &PolyMemConfig) -> ResourceEstimate {
 }
 
 /// Utilization percentages against a device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     /// Fig. 6: slice occupancy, percent.
     pub logic_pct: f64,

@@ -8,10 +8,9 @@ use crate::device::FpgaDevice;
 use crate::resources::{self, ResourceEstimate, Utilization};
 use crate::timing;
 use polymem::PolyMemConfig;
-use serde::{Deserialize, Serialize};
 
 /// Complete synthesis outcome for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisReport {
     /// The synthesized configuration.
     pub config: PolyMemConfig,

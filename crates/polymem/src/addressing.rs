@@ -13,10 +13,8 @@
 //! tile to each bank, so `(bank, A)` is a bijection from the logical space to
 //! the physical storage (machine-checked by `theory::addressing_injective`).
 
-use serde::{Deserialize, Serialize};
-
 /// The intra-bank addressing function for a fixed geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressingFunction {
     p: usize,
     q: usize,

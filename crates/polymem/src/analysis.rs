@@ -9,10 +9,9 @@
 
 use crate::maf::ModuleAssignment;
 use crate::scheme::AccessScheme;
-use serde::{Deserialize, Serialize};
 
 /// Result of analysing one group of coordinates against a MAF.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictReport {
     /// Elements analysed.
     pub elements: usize,

@@ -6,7 +6,6 @@
 //! bank's data cache-local while still modelling per-bank independence.
 
 use crate::error::{PolyMemError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How the flat backing store interleaves banks (Ferry et al.'s
 /// burst-friendly layouts, arXiv 2202.05933).
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 ///   sweep all banks at one address — exactly what a conflict-free
 ///   full-lane access does — become contiguous, so canonical-order region
 ///   replays of lane-dense schemes coalesce into maximal runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BankLayout {
     /// `flat[bank * depth + addr]` — bank slabs are contiguous.
     #[default]

@@ -4,14 +4,13 @@
 use crate::banks::BankLayout;
 use crate::error::{PolyMemError, Result};
 use crate::scheme::AccessScheme;
-use serde::{Deserialize, Serialize};
 
 /// Complete configuration of one PolyMem instance.
 ///
 /// The logical address space is `rows x cols` elements of `element_bytes`
 /// each, distributed over a `p x q` bank grid; `read_ports` independent read
 /// ports and one write port are available every cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PolyMemConfig {
     /// Logical rows.
     pub rows: usize,
@@ -29,8 +28,7 @@ pub struct PolyMemConfig {
     pub element_bytes: usize,
     /// Flat backing layout of the bank array (burst-friendliness knob;
     /// defaults to bank-major, the layout every release before this field
-    /// existed used — hence `serde(default)`).
-    #[serde(default)]
+    /// existed used).
     pub layout: BankLayout,
 }
 

@@ -62,6 +62,7 @@ pub mod concurrent;
 pub mod config;
 pub mod error;
 pub mod image;
+pub mod json;
 pub mod maf;
 pub mod matrix;
 pub mod mem;

@@ -13,13 +13,12 @@
 
 use crate::error::{PolyMemError, Result};
 use crate::scheme::AccessScheme;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one memory bank in the `p x q` grid.
 ///
 /// Banks are named by their grid coordinates `(v, h)`; `linear` gives the
 /// canonical flat index `v * q + h` used to address the physical bank array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BankId {
     /// Vertical (row) coordinate in the bank grid, `0 <= v < p`.
     pub v: usize,
@@ -39,7 +38,7 @@ impl BankId {
 ///
 /// `ModuleAssignment` is a pure value object: evaluating it allocates nothing
 /// and is branch-cheap, as it sits on the per-lane hot path of every access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModuleAssignment {
     scheme: AccessScheme,
     p: usize,

@@ -12,10 +12,9 @@
 
 use crate::error::{PolyMemError, Result};
 use crate::scheme::{AccessPattern, ParallelAccess};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a region in the logical address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionShape {
     /// `rows x cols` dense block.
     Block {
@@ -75,7 +74,7 @@ impl RegionShape {
 }
 
 /// A named region: Fig. 2's `R0`..`R9`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Region {
     /// Region label (e.g. `"R0"`).
     pub name: String,

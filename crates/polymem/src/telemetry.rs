@@ -35,12 +35,12 @@
 //!   atomic ops per access. Region ops add their exact per-bank element
 //!   counts on top.
 //!
-//! The vendored `serde` is an offline marker stub, so the exporters are
-//! hand-rolled: [`TelemetrySnapshot::to_json`] /
-//! [`TelemetrySnapshot::from_json`] round-trip a compact JSON document,
-//! and [`TelemetrySnapshot::to_prometheus`] renders the Prometheus text
-//! exposition format.
+//! [`TelemetrySnapshot::to_json`] / [`TelemetrySnapshot::from_json`]
+//! round-trip a compact one-metric-per-line JSON document through the
+//! shared [`crate::json`] codec, and [`TelemetrySnapshot::to_prometheus`]
+//! renders the Prometheus text exposition format.
 
+use crate::json::{self, Json};
 use crate::sync::{AtomicI64, AtomicU64, Ordering, RwLock};
 use std::sync::Arc;
 
@@ -619,29 +619,12 @@ pub struct MetricSample {
 
 /// A consistent point-in-time export of a [`TelemetryRegistry`].
 ///
-/// The workspace's `serde` is a marker-trait stub, so serialization is
-/// hand-rolled: [`Self::to_json`] / [`Self::from_json`] round-trip, and
+/// [`Self::to_json`] / [`Self::from_json`] round-trip, and
 /// [`Self::to_prometheus`] renders the text exposition format.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Every sampled metric, sorted by `(name, labels)`.
     pub metrics: Vec<MetricSample>,
-}
-
-pub(crate) fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 impl TelemetrySnapshot {
@@ -684,16 +667,16 @@ impl TelemetrySnapshot {
         let mut out = String::from("{\"metrics\":[\n");
         for (n, m) in self.metrics.iter().enumerate() {
             out.push_str("{\"name\":\"");
-            json_escape(&mut out, &m.name);
+            json::escape(&mut out, &m.name);
             out.push_str("\",\"labels\":{");
             for (k, (key, value)) in m.labels.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                json_escape(&mut out, key);
+                json::escape(&mut out, key);
                 out.push_str("\":\"");
-                json_escape(&mut out, value);
+                json::escape(&mut out, value);
                 out.push('"');
             }
             out.push_str("},");
@@ -733,21 +716,23 @@ impl TelemetrySnapshot {
     }
 
     /// Parse a document produced by [`Self::to_json`] (whitespace- and
-    /// ordering-tolerant). Integer-valued JSON only — the exporters never
-    /// emit floats.
+    /// ordering-tolerant). Metric values must be integers — the exporters
+    /// never emit floats.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_obj().ok_or("top level must be an object")?;
-        let metrics_val = json::field(obj, "metrics").ok_or("missing `metrics` array")?;
-        let arr = metrics_val.as_arr().ok_or("`metrics` must be an array")?;
+        let doc = json::parse(text)?;
+        let arr = doc
+            .get("metrics")
+            .ok_or("missing `metrics` array")?
+            .as_arr()
+            .ok_or("`metrics` must be an array")?;
         let mut metrics = Vec::with_capacity(arr.len());
-        for item in arr {
-            let m = item.as_obj().ok_or("metric must be an object")?;
-            let name = json::field(m, "name")
-                .and_then(json::JsonValue::as_str)
+        for m in arr {
+            let name = m
+                .get("name")
+                .and_then(Json::as_str)
                 .ok_or("metric missing `name`")?
                 .to_string();
-            let labels = match json::field(m, "labels") {
+            let labels = match m.get("labels") {
                 Some(l) => l
                     .as_obj()
                     .ok_or("`labels` must be an object")?
@@ -760,24 +745,26 @@ impl TelemetrySnapshot {
                     .collect::<Result<Vec<_>, _>>()?,
                 None => Vec::new(),
             };
-            let kind = json::field(m, "kind")
-                .and_then(json::JsonValue::as_str)
+            let kind = m
+                .get("kind")
+                .and_then(Json::as_str)
                 .ok_or("metric missing `kind`")?;
+            let u64_field = |key: &str| {
+                m.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("{kind} missing integer `{key}`"))
+            };
             let value = match kind {
-                "counter" => SampleValue::Counter(
-                    json::field(m, "value")
-                        .and_then(json::JsonValue::as_u64)
-                        .ok_or("counter missing `value`")?,
-                ),
+                "counter" => SampleValue::Counter(u64_field("value")?),
                 "gauge" => SampleValue::Gauge(
-                    json::field(m, "value")
-                        .and_then(json::JsonValue::as_i64)
-                        .ok_or("gauge missing `value`")?,
+                    m.get("value")
+                        .and_then(Json::as_i64)
+                        .ok_or("gauge missing integer `value`")?,
                 ),
                 "histogram" => {
                     let nums = |key: &str| -> Result<Vec<u64>, String> {
-                        json::field(m, key)
-                            .and_then(json::JsonValue::as_arr)
+                        m.get(key)
+                            .and_then(Json::as_arr)
                             .ok_or_else(|| format!("histogram missing `{key}`"))?
                             .iter()
                             .map(|v| v.as_u64().ok_or_else(|| format!("bad `{key}` entry")))
@@ -786,12 +773,8 @@ impl TelemetrySnapshot {
                     SampleValue::Histogram(HistogramSample {
                         bounds: nums("bounds")?,
                         buckets: nums("buckets")?,
-                        sum: json::field(m, "sum")
-                            .and_then(json::JsonValue::as_u64)
-                            .ok_or("histogram missing `sum`")?,
-                        count: json::field(m, "count")
-                            .and_then(json::JsonValue::as_u64)
-                            .ok_or("histogram missing `count`")?,
+                        sum: u64_field("sum")?,
+                        count: u64_field("count")?,
                     })
                 }
                 other => return Err(format!("unknown metric kind `{other}`")),
@@ -891,290 +874,6 @@ fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
     }
     out.push('}');
     out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (integers, strings, arrays, objects).
-// ---------------------------------------------------------------------------
-
-pub(crate) mod json {
-    //! A recursive-descent parser for the integer-valued JSON subset the
-    //! telemetry exporters emit (also reused by [`crate::tracing`]'s
-    //! Chrome trace-event importer). Hand-rolled because the vendored
-    //! `serde` is a marker stub with no real deserialization.
-
-    /// Parsed JSON value (integer-valued subset).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum JsonValue {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Integer (floats are rejected — the exporters never emit them).
-        Int(i128),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<JsonValue>),
-        /// Object (ordered key/value pairs).
-        Obj(Vec<(String, JsonValue)>),
-    }
-
-    impl JsonValue {
-        pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-            match self {
-                JsonValue::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[JsonValue]> {
-            match self {
-                JsonValue::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                JsonValue::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                JsonValue::Int(v) => u64::try_from(*v).ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_i64(&self) -> Option<i64> {
-            match self {
-                JsonValue::Int(v) => i64::try_from(*v).ok(),
-                _ => None,
-            }
-        }
-    }
-
-    /// Look up a field in an object.
-    pub fn field<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parse a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected `{}` at byte {}, found `{}`",
-                    b as char, self.pos, self.bytes[self.pos] as char
-                ))
-            }
-        }
-
-        fn value(&mut self) -> Result<JsonValue, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(JsonValue::Str(self.string()?)),
-                b't' => self.keyword("true", JsonValue::Bool(true)),
-                b'f' => self.keyword("false", JsonValue::Bool(false)),
-                b'n' => self.keyword("null", JsonValue::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                other => Err(format!(
-                    "unexpected `{}` at byte {}",
-                    other as char, self.pos
-                )),
-            }
-        }
-
-        fn keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("expected `{word}` at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<JsonValue, String> {
-            self.skip_ws();
-            let start = self.pos;
-            if self.bytes.get(self.pos) == Some(&b'-') {
-                self.pos += 1;
-            }
-            while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-                return Err(format!(
-                    "floats are not supported (byte {}): telemetry exports integers only",
-                    self.pos
-                ));
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid utf-8 in number".to_string())?;
-            text.parse::<i128>()
-                .map(JsonValue::Int)
-                .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = self
-                    .bytes
-                    .get(self.pos)
-                    .copied()
-                    .ok_or("unterminated string")?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = self
-                            .bytes
-                            .get(self.pos)
-                            .copied()
-                            .ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| "invalid \\u escape".to_string())?,
-                                    16,
-                                )
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                                self.pos += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "invalid \\u code point".to_string())?,
-                                );
-                            }
-                            other => return Err(format!("bad escape `\\{}`", other as char)),
-                        }
-                    }
-                    _ => {
-                        // Re-decode from the byte stream: multi-byte UTF-8
-                        // sequences pass through unchanged.
-                        let rest = &self.bytes[self.pos - 1..];
-                        let ch_len = utf8_len(b);
-                        let s = std::str::from_utf8(&rest[..ch_len.min(rest.len())])
-                            .map_err(|_| "invalid utf-8 in string".to_string())?;
-                        out.push_str(s);
-                        self.pos += ch_len - 1;
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    other => return Err(format!("expected `,` or `]`, found `{}`", other as char)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    other => {
-                        return Err(format!("expected `,` or `}}`, found `{}`", other as char))
-                    }
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7f => 1,
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            _ => 4,
-        }
-    }
 }
 
 #[cfg(test)]

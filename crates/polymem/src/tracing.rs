@@ -6,9 +6,10 @@
 //! the simulated cycle, linked by span ids and parent ids, and grouped onto
 //! named tracks (one track per kernel / port / subsystem). The journal
 //! exports two pinned formats — Chrome trace-event JSON (loadable in
-//! Perfetto / `chrome://tracing`) and folded-stack text (flamegraph input)
-//! — plus a validator that proves every span is balanced and nests within
-//! its parent.
+//! Perfetto / `chrome://tracing`; escaped and read back through the shared
+//! [`crate::json`] codec) and folded-stack text (flamegraph input) — plus a
+//! validator that proves every span is balanced and nests within its
+//! parent.
 //!
 //! ## Design
 //!
@@ -57,9 +58,9 @@
 //! every step), not wall-clock time: traces are deterministic and
 //! replayable, and event-driven fast-forwards appear as collapsed spans.
 
+use crate::json::{self, Json};
 #[cfg(not(feature = "tracing-off"))]
 use crate::sync::{AtomicU64, Ordering, RwLock};
-use crate::telemetry::{json, json_escape};
 use std::collections::BTreeMap;
 #[cfg(not(feature = "tracing-off"))]
 use std::sync::Arc;
@@ -603,7 +604,7 @@ impl TraceSnapshot {
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"",
                 i + 1
             ));
-            json_escape(&mut out, track);
+            json::escape(&mut out, track);
             out.push_str("\"}}");
         }
         for &i in &order {
@@ -620,7 +621,7 @@ impl TraceSnapshot {
                 tid(&e.track),
                 e.cycle
             ));
-            json_escape(&mut out, &e.name);
+            json::escape(&mut out, &e.name);
             out.push('"');
             if e.kind == TraceEventKind::Instant {
                 out.push_str(",\"s\":\"t\"");
@@ -638,64 +639,48 @@ impl TraceSnapshot {
     /// into a snapshot (events in file = timestamp order).
     pub fn from_chrome_json(text: &str) -> Result<TraceSnapshot, String> {
         let doc = json::parse(text)?;
-        let obj = doc.as_obj().ok_or("root is not an object")?;
-        let dropped = json::field(obj, "dropped")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        let torn = json::field(obj, "torn")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        let raw = json::field(obj, "traceEvents")
-            .and_then(|v| v.as_arr())
+        let count = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let raw = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
             .ok_or("missing traceEvents array")?;
+        if raw.iter().any(|ev| ev.as_obj().is_none()) {
+            return Err("traceEvent is not an object".into());
+        }
+        let str_of = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or("").to_string();
+        let u64_of = |v: Option<&Json>| v.and_then(Json::as_u64).unwrap_or(0);
         let mut track_by_tid: BTreeMap<u64, String> = BTreeMap::new();
         for ev in raw {
-            let eo = ev.as_obj().ok_or("traceEvent is not an object")?;
-            let ph = json::field(eo, "ph").and_then(|v| v.as_str()).unwrap_or("");
-            if ph == "M" {
-                let tid = json::field(eo, "tid").and_then(|v| v.as_u64()).unwrap_or(0);
-                let name = json::field(eo, "args")
-                    .and_then(|v| v.as_obj())
-                    .and_then(|a| json::field(a, "name"))
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_string();
-                track_by_tid.insert(tid, name);
+            if str_of(ev.get("ph")) == "M" {
+                let name = str_of(ev.get("args").and_then(|a| a.get("name")));
+                track_by_tid.insert(u64_of(ev.get("tid")), name);
             }
         }
         let mut events = Vec::new();
         for ev in raw {
-            let eo = ev.as_obj().ok_or("traceEvent is not an object")?;
-            let ph = json::field(eo, "ph").and_then(|v| v.as_str()).unwrap_or("");
-            let kind = match ph {
+            let kind = match str_of(ev.get("ph")).as_str() {
                 "B" => TraceEventKind::Begin,
                 "E" => TraceEventKind::End,
                 "i" => TraceEventKind::Instant,
                 _ => continue,
             };
-            let tid = json::field(eo, "tid").and_then(|v| v.as_u64()).unwrap_or(0);
-            let args = json::field(eo, "args").and_then(|v| v.as_obj());
-            let get = |key: &str| {
-                args.and_then(|a| json::field(a, key))
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0)
-            };
+            let arg = |key: &str| u64_of(ev.get("args").and_then(|a| a.get(key)));
             events.push(TraceEventRecord {
                 kind,
-                cycle: json::field(eo, "ts").and_then(|v| v.as_u64()).unwrap_or(0),
-                name: json::field(eo, "name")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_string(),
-                track: track_by_tid.get(&tid).cloned().unwrap_or_default(),
-                span: get("span"),
-                parent: get("parent"),
+                cycle: u64_of(ev.get("ts")),
+                name: str_of(ev.get("name")),
+                track: track_by_tid
+                    .get(&u64_of(ev.get("tid")))
+                    .cloned()
+                    .unwrap_or_default(),
+                span: arg("span"),
+                parent: arg("parent"),
             });
         }
         Ok(TraceSnapshot {
             events,
-            dropped,
-            torn,
+            dropped: count("dropped"),
+            torn: count("torn"),
         })
     }
 

@@ -84,8 +84,8 @@ fn prometheus_export_matches_committed_golden() {
 }
 
 /// The committed JSON golden parses back into the exact snapshot the
-/// fixed registry produces — serde round-trip against a file that has
-/// been at rest, not just an in-memory echo.
+/// fixed registry produces — a round trip against a file that has been
+/// at rest, not just an in-memory echo.
 #[test]
 fn golden_json_round_trips_to_the_same_snapshot() {
     let text = std::fs::read_to_string(golden_path("telemetry_golden.json")).unwrap();

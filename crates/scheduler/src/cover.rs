@@ -11,7 +11,6 @@
 use crate::bitset::BitSet;
 use crate::pattern::AccessTrace;
 use polymem::{AccessScheme, Agu, ParallelAccess};
-use serde::{Deserialize, Serialize};
 
 /// One candidate parallel access and the trace elements it covers.
 #[derive(Debug, Clone)]
@@ -38,7 +37,7 @@ pub struct CoverInstance {
 }
 
 /// A schedule: the chosen sequence of parallel accesses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Selected accesses, in selection order.
     pub accesses: Vec<ParallelAccess>,

@@ -11,10 +11,9 @@ use crate::cover::CoverInstance;
 use crate::metrics::{evaluate, ScheduleMetrics};
 use crate::pattern::AccessTrace;
 use polymem::AccessScheme;
-use serde::{Deserialize, Serialize};
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigResult {
     /// The scheme.
     pub scheme: AccessScheme,

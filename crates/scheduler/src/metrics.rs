@@ -7,10 +7,9 @@
 //! useful data.
 
 use crate::cover::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// Quality metrics of a schedule for a given trace and geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleMetrics {
     /// Trace size (scalar access count).
     pub trace_len: usize,

@@ -6,11 +6,10 @@
 //! optimal parallel access schedule."* An [`AccessTrace`] is that pattern.
 
 use polymem::{Region, RegionShape};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A set of logical coordinates an application accesses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessTrace {
     /// Deduplicated, sorted coordinates.
     coords: Vec<(usize, usize)>,

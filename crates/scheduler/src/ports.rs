@@ -9,10 +9,9 @@
 
 use crate::cover::Schedule;
 use polymem::ParallelAccess;
-use serde::{Deserialize, Serialize};
 
 /// A schedule packed into per-cycle issue slots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortSchedule {
     /// `cycles[c]` = accesses issued in cycle `c` (at most `read_ports`).
     pub cycles: Vec<Vec<ParallelAccess>>,
@@ -56,7 +55,7 @@ pub fn pack_reads(schedule: &Schedule, read_ports: usize) -> PortSchedule {
 
 /// A read/write program: each element is one parallel access tagged by
 /// direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortOp {
     /// Read through any free read port.
     Read(ParallelAccess),

@@ -11,10 +11,9 @@
 //! STREAM design).
 
 use polymem::{AccessScheme, BankLayout, ParallelAccess, PolyMemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Placement of one vector inside the 2D logical space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorLayout {
     /// First logical row of the vector's region.
     pub base_row: usize,
@@ -52,7 +51,7 @@ impl VectorLayout {
 }
 
 /// The three-vector STREAM memory: configuration plus A/B/C layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamLayout {
     /// PolyMem configuration.
     pub config: PolyMemConfig,

@@ -5,10 +5,8 @@
 //! synthesizes and measures **Copy**; Scale/Sum/Triad are listed as future
 //! work and implemented here as the extension.
 
-use serde::{Deserialize, Serialize};
-
 /// One STREAM kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamOp {
     /// `c(i) = a(i)` — one read, one write per element.
     Copy,

@@ -3,10 +3,9 @@
 use crate::app::{StageTiming, StreamApp, PAPER_STREAM_FREQ_MHZ};
 use crate::layout::StreamLayout;
 use crate::op::StreamOp;
-use serde::{Deserialize, Serialize};
 
 /// One row of the STREAM summary table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamRow {
     /// Operation name.
     pub function: String,
@@ -51,7 +50,7 @@ pub fn header() -> String {
 }
 
 /// One point of the Fig. 10 series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig10Point {
     /// Data copied per run, KB (the x-axis).
     pub copied_kb: f64,

@@ -1,11 +1,7 @@
-//! Findings, severities, and the hand-rolled JSON report writer.
-//!
-//! The workspace's `serde` is an offline marker-trait stub (no real
-//! serialization), so `VERIFY_report.json` is emitted by a tiny value
-//! tree and escaper here — the same approach the vendored `criterion`
-//! stub uses for `BENCH_*.json`.
+//! Findings, severities, and their rendering for `VERIFY_report.json`
+//! (a [`Json`] tree from the shared `polymem::json` codec).
 
-use std::fmt::Write as _;
+use polymem::json::Json;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,110 +71,6 @@ impl Finding {
     }
 }
 
-/// Minimal JSON value tree for the report writer.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// Null.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Unsigned integer.
-    UInt(u64),
-    /// Signed integer.
-    Int(i64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Ordered object.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience string constructor.
-    pub fn s(v: impl Into<String>) -> Json {
-        Json::Str(v.into())
-    }
-
-    /// Serialize with two-space indentation.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (n, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    item.write(out, indent + 1);
-                    if n + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (n, (key, value)) in fields.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    Json::Str(key.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                    if n + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
 /// Render a finding list as a JSON array.
 pub fn findings_json(findings: &[Finding]) -> Json {
     Json::Arr(
@@ -200,22 +92,6 @@ pub fn findings_json(findings: &[Finding]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_and_nests() {
-        let j = Json::Obj(vec![
-            ("a".into(), Json::s("x\"y\\z\n")),
-            ("b".into(), Json::Arr(vec![Json::UInt(1), Json::Int(-2)])),
-            ("c".into(), Json::Obj(vec![])),
-            ("d".into(), Json::Bool(true)),
-            ("e".into(), Json::Null),
-        ]);
-        let s = j.to_pretty();
-        assert!(s.contains("\\\"y\\\\z\\n"));
-        assert!(s.contains("-2"));
-        assert!(s.contains("\"c\": {}"));
-        assert!(s.ends_with("}\n"));
-    }
 
     #[test]
     fn severity_ordering_gates() {

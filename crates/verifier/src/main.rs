@@ -1,9 +1,10 @@
 //! `polymem-verify` CLI: run the static analyses, print findings, write
 //! `VERIFY_report.json`, gate CI via the exit code.
 
+use polymem::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use verifier::findings::{findings_json, Finding, Json, Severity};
+use verifier::findings::{findings_json, Finding, Severity};
 use verifier::{inject, lint, locks, plans, races, schemes, streams, telemetry};
 
 /// Analysis passes selectable as positional arguments.
@@ -102,17 +103,17 @@ fn pairs_json(pairs: &[schemes::PairResult]) -> Json {
                 Json::Obj(vec![
                     ("scheme".into(), Json::s(r.scheme.to_string())),
                     ("pattern".into(), Json::s(r.pattern.to_string())),
-                    ("p".into(), Json::UInt(r.p as u64)),
-                    ("q".into(), Json::UInt(r.q as u64)),
+                    ("p".into(), Json::Int(r.p as i128)),
+                    ("q".into(), Json::Int(r.q as i128)),
                     ("supported".into(), Json::Bool(r.supported)),
                     ("aligned_only".into(), Json::Bool(r.aligned_only)),
-                    ("classes".into(), Json::UInt(r.classes as u64)),
-                    ("admissible".into(), Json::UInt(r.admissible as u64)),
+                    ("classes".into(), Json::Int(r.classes as i128)),
+                    ("admissible".into(), Json::Int(r.admissible as i128)),
                     (
                         "conflict_classes".into(),
-                        Json::UInt(r.conflict_classes as u64),
+                        Json::Int(r.conflict_classes as i128),
                     ),
-                    ("worst_cycles".into(), Json::UInt(r.worst_cycles as u64)),
+                    ("worst_cycles".into(), Json::Int(r.worst_cycles as i128)),
                 ])
             })
             .collect(),
@@ -121,21 +122,24 @@ fn pairs_json(pairs: &[schemes::PairResult]) -> Json {
 
 fn plans_json(out: &plans::PlansOutput) -> Json {
     let mut fields = vec![
-        ("access_plans".into(), Json::UInt(out.access_plans)),
-        ("region_plans".into(), Json::UInt(out.region_plans)),
-        ("keys".into(), Json::UInt(out.keys)),
-        ("hash_collisions".into(), Json::UInt(out.hash_collisions)),
+        ("access_plans".into(), Json::Int(out.access_plans.into())),
+        ("region_plans".into(), Json::Int(out.region_plans.into())),
+        ("keys".into(), Json::Int(out.keys.into())),
+        (
+            "hash_collisions".into(),
+            Json::Int(out.hash_collisions.into()),
+        ),
     ];
     if let Some(lru) = &out.lru_stats {
         fields.push((
             "lru_exercise".into(),
             Json::Obj(vec![
-                ("capacity".into(), Json::UInt(lru.capacity as u64)),
-                ("entries".into(), Json::UInt(lru.entries as u64)),
-                ("hits".into(), Json::UInt(lru.hits)),
-                ("misses".into(), Json::UInt(lru.misses)),
-                ("evictions".into(), Json::UInt(lru.evictions)),
-                ("bytes".into(), Json::UInt(lru.bytes)),
+                ("capacity".into(), Json::Int(lru.capacity as i128)),
+                ("entries".into(), Json::Int(lru.entries as i128)),
+                ("hits".into(), Json::Int(lru.hits.into())),
+                ("misses".into(), Json::Int(lru.misses.into())),
+                ("evictions".into(), Json::Int(lru.evictions.into())),
+                ("bytes".into(), Json::Int(lru.bytes.into())),
             ]),
         ));
     }
@@ -144,12 +148,12 @@ fn plans_json(out: &plans::PlansOutput) -> Json {
 
 fn locks_json(graph: &locks::LockGraph) -> Json {
     Json::Obj(vec![
-        ("functions".into(), Json::UInt(graph.functions as u64)),
+        ("functions".into(), Json::Int(graph.functions as i128)),
         (
             "acquisitions".into(),
-            Json::UInt(graph.acquisitions.len() as u64),
+            Json::Int(graph.acquisitions.len() as i128),
         ),
-        ("spawns".into(), Json::UInt(graph.spawns as u64)),
+        ("spawns".into(), Json::Int(graph.spawns as i128)),
         (
             "writer_spawns".into(),
             Json::Arr(
@@ -186,9 +190,9 @@ fn streams_json(reports: &[streams::GraphReport]) -> Json {
             .map(|r| {
                 Json::Obj(vec![
                     ("design".into(), Json::s(r.label)),
-                    ("kernels".into(), Json::UInt(r.kernels as u64)),
-                    ("streams".into(), Json::UInt(r.streams as u64)),
-                    ("registered".into(), Json::UInt(r.registered as u64)),
+                    ("kernels".into(), Json::Int(r.kernels as i128)),
+                    ("streams".into(), Json::Int(r.streams as i128)),
+                    ("registered".into(), Json::Int(r.registered as i128)),
                     ("cyclic".into(), Json::Bool(r.cyclic)),
                 ])
             })
@@ -200,31 +204,31 @@ fn telemetry_json(out: &telemetry::TelemetryGuardReport) -> Json {
     Json::Obj(vec![
         (
             "bank_guard_scopes".into(),
-            Json::UInt(out.bank_guard_scopes as u64),
+            Json::Int(out.bank_guard_scopes as i128),
         ),
         (
             "telemetry_sites".into(),
-            Json::UInt(out.telemetry_sites as u64),
+            Json::Int(out.telemetry_sites as i128),
         ),
-        ("atomic_sites".into(), Json::UInt(out.atomic_sites as u64)),
-        ("locked_sites".into(), Json::UInt(out.locked_sites as u64)),
-        ("owned_ops".into(), Json::UInt(out.owned_ops as u64)),
-        ("trace_sites".into(), Json::UInt(out.trace_sites as u64)),
+        ("atomic_sites".into(), Json::Int(out.atomic_sites as i128)),
+        ("locked_sites".into(), Json::Int(out.locked_sites as i128)),
+        ("owned_ops".into(), Json::Int(out.owned_ops as i128)),
+        ("trace_sites".into(), Json::Int(out.trace_sites as i128)),
         (
             "trace_in_guard".into(),
-            Json::UInt(out.trace_in_guard as u64),
+            Json::Int(out.trace_in_guard as i128),
         ),
         (
             "trace_alloc_sites".into(),
-            Json::UInt(out.trace_alloc_sites as u64),
+            Json::Int(out.trace_alloc_sites as i128),
         ),
         (
             "spans_validated".into(),
-            Json::UInt(out.spans_validated as u64),
+            Json::Int(out.spans_validated as i128),
         ),
         (
             "unbalanced_spans".into(),
-            Json::UInt(out.unbalanced_spans as u64),
+            Json::Int(out.unbalanced_spans as i128),
         ),
     ])
 }
@@ -233,10 +237,10 @@ fn lint_json(out: &lint::LintOutput) -> Json {
     Json::Obj(vec![
         (
             "functions_checked".into(),
-            Json::UInt(out.functions_checked as u64),
+            Json::Int(out.functions_checked as i128),
         ),
-        ("tokens_found".into(), Json::UInt(out.tokens_found as u64)),
-        ("allowed".into(), Json::UInt(out.allowed as u64)),
+        ("tokens_found".into(), Json::Int(out.tokens_found as i128)),
+        ("allowed".into(), Json::Int(out.allowed as i128)),
     ])
 }
 
@@ -260,13 +264,13 @@ fn mutations_json(mutations: &[inject::Mutation]) -> Json {
 
 fn races_json(out: &races::RacesOutput) -> Json {
     Json::Obj(vec![
-        ("files".into(), Json::UInt(out.files as u64)),
-        ("atomic_sites".into(), Json::UInt(out.atomic_sites as u64)),
+        ("files".into(), Json::Int(out.files as i128)),
+        ("atomic_sites".into(), Json::Int(out.atomic_sites as i128)),
         (
             "contract_rules".into(),
-            Json::UInt(out.contract_rules as u64),
+            Json::Int(out.contract_rules as i128),
         ),
-        ("unsafe_blocks".into(), Json::UInt(out.unsafe_blocks as u64)),
+        ("unsafe_blocks".into(), Json::Int(out.unsafe_blocks as i128)),
         (
             "scenarios".into(),
             Json::Arr(
@@ -275,7 +279,7 @@ fn races_json(out: &races::RacesOutput) -> Json {
                     .map(|sc| {
                         Json::Obj(vec![
                             ("name".into(), Json::s(&sc.name)),
-                            ("schedules".into(), Json::UInt(sc.schedules)),
+                            ("schedules".into(), Json::Int(sc.schedules.into())),
                             ("complete".into(), Json::Bool(sc.complete)),
                             (
                                 "failures".into(),
@@ -481,9 +485,9 @@ fn main() -> ExitCode {
     sections.push((
         "summary".into(),
         Json::Obj(vec![
-            ("errors".into(), Json::UInt(errors as u64)),
-            ("warnings".into(), Json::UInt(warnings as u64)),
-            ("infos".into(), Json::UInt(infos as u64)),
+            ("errors".into(), Json::Int(errors as i128)),
+            ("warnings".into(), Json::Int(warnings as i128)),
+            ("infos".into(), Json::Int(infos as i128)),
             ("deny_warnings".into(), Json::Bool(opts.deny_warnings)),
             (
                 "verdict".into(),
