@@ -3,11 +3,12 @@
 //!
 //! Three groups:
 //!
-//! * `stream_copy` — STREAM-Copy (C = A) through whole-region copies on
-//!   the paper-style 16x512 vector layout, under the default bank-major
-//!   flat layout and the bank-interleaved alternative. Same-class copies
-//!   are `copy_within` per storage interval and must hold well above the
-//!   9.3 GiB/s element-loop replay they replaced;
+//! * `stream_copy` — STREAM-Copy (C = A) as one `PolyMem::copy_region`
+//!   between the A and C `Block` covers of the paper-style 16x512 vector
+//!   layout, under the default bank-major flat layout and the
+//!   bank-interleaved alternative. Same-class copies are `copy_within` per
+//!   storage interval and must hold well above the 9.3 GiB/s element-loop
+//!   replay they replaced;
 //! * `stream_triad` — STREAM-Triad (A = B + q*C) as two region gathers,
 //!   a fused multiply-add sweep and one region scatter, both layouts
 //!   (STREAM counting: 24 bytes per element). The gathers and the scatter
@@ -23,8 +24,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use polymem::{AccessScheme, BankLayout, PolyMem, PolyMemConfig, Region, RegionShape};
-use stream_bench::layout::StreamLayout;
-use stream_bench::region_copy::{vector_regions, RegionCopy};
+use stream_bench::layout::{vector_regions, StreamLayout};
 
 const LAYOUTS: [(&str, BankLayout); 2] = [
     ("bank_major", BankLayout::BankMajor),
@@ -41,12 +41,16 @@ fn bench_stream_copy(c: &mut Criterion) {
     let mut g = c.benchmark_group("stream_copy");
     for (name, layout) in LAYOUTS {
         let l = stream_layout(layout);
+        let p = l.config.p;
+        let (a, c_) = (vector_regions(&l.a, p, "A"), vector_regions(&l.c, p, "C"));
+        assert_eq!(a.len(), 1, "16 rows tile p=2: one Block per vector");
+        let mut m = PolyMem::<f64>::new(l.config).unwrap();
         let vals: Vec<f64> = (0..l.a.len).map(|k| k as f64 + 0.5).collect();
-        let mut rc = RegionCopy::new(l).unwrap();
-        rc.load_a(&vals).unwrap();
-        g.throughput(Throughput::Bytes(rc.bytes_per_pass() as u64));
+        m.write_region(&a[0], &vals).unwrap();
+        // STREAM counting for Copy: one read + one write per element.
+        g.throughput(Throughput::Bytes((2 * l.a.len * 8) as u64));
         g.bench_function(BenchmarkId::new(name, "16x512"), |b| {
-            b.iter(|| rc.copy_via_regions().unwrap())
+            b.iter(|| m.copy_region(0, &a[0], &c_[0]).unwrap())
         });
     }
     g.finish();

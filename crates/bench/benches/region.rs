@@ -8,9 +8,9 @@
 //!   Fig. 3 pipeline per chunk) — the ISSUE's >= 2x acceptance bar is
 //!   region-planned vs per-access-planned;
 //! * `region_copy` — the fused plan-to-plan copy vs the per-access copy;
-//! * `stream_copy` — STREAM-Copy (C = A) over the paper's vector layout,
-//!   whole-vector region copies vs the per-chunk baseline, in GB/s-equivalent
-//!   bytes/iteration.
+//! * `stream_copy` — STREAM-Copy (C = A) over the paper's vector layout:
+//!   one `copy_region` between the A and C `Block` covers vs the per-chunk
+//!   `read_into`/`write` loop, in GB/s-equivalent bytes/iteration.
 //!
 //! Run with `CRITERION_JSON=BENCH_region.json cargo bench -p polymem-bench
 //! --bench region` to append machine-readable baselines.
@@ -18,8 +18,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use polymem::{AccessScheme, PolyMem, PolyMemConfig, Region, RegionShape, TelemetryRegistry};
 use std::sync::OnceLock;
-use stream_bench::layout::StreamLayout;
-use stream_bench::region_copy::RegionCopy;
+use stream_bench::layout::{vector_regions, StreamLayout};
 
 /// Shared registry for the instrumented (`region_plan`) memories. Attach is
 /// an upsert, so the exported counters reflect the **last** instrumented
@@ -103,20 +102,28 @@ fn bench_region_copy(c: &mut Criterion) {
 fn bench_stream_copy(c: &mut Criterion) {
     // 16 rows x 512 cols per vector = 8192 elements; rows tile p = 2, so
     // each vector is one Block region.
-    let layout = StreamLayout::new(16 * 512, 512, 2, 4, AccessScheme::RoCo, 2).unwrap();
-    let vals: Vec<f64> = (0..layout.a.len).map(|k| k as f64 + 0.5).collect();
+    let l = StreamLayout::new(16 * 512, 512, 2, 4, AccessScheme::RoCo, 2).unwrap();
+    let p = l.config.p;
+    let (a, c_) = (vector_regions(&l.a, p, "A"), vector_regions(&l.c, p, "C"));
+    assert_eq!(a.len(), 1, "16 rows tile p=2: one Block per vector");
+    let vals: Vec<f64> = (0..l.a.len).map(|k| k as f64 + 0.5).collect();
+    let mut chunk = vec![0.0f64; l.config.lanes()];
     let mut g = c.benchmark_group("stream_copy");
+    // STREAM counting: read A + write C.
+    g.throughput(Throughput::Bytes((2 * l.a.len * 8) as u64));
     for via_regions in [true, false] {
-        let mut rc = RegionCopy::new(layout).unwrap();
-        rc.load_a(&vals).unwrap();
-        g.throughput(Throughput::Bytes(rc.bytes_per_pass() as u64));
+        let mut m = PolyMem::<f64>::new(l.config).unwrap();
+        m.write_region(&a[0], &vals).unwrap();
         let mode = if via_regions { "regions" } else { "per_access" };
         g.bench_function(BenchmarkId::new(mode, "16x512"), |b| {
             b.iter(|| {
                 if via_regions {
-                    rc.copy_via_regions().unwrap();
+                    m.copy_region(0, &a[0], &c_[0]).unwrap();
                 } else {
-                    rc.copy_per_access().unwrap();
+                    for k in 0..l.a.chunks() {
+                        m.read_into(0, l.a.access(k), &mut chunk).unwrap();
+                        m.write(l.c.access(k), &chunk).unwrap();
+                    }
                 }
             })
         });

@@ -1,12 +1,14 @@
 //! Criterion: the simulated STREAM-Copy pass, region-burst controller vs
 //! the per-chunk Fig. 9 FSM.
 //!
-//! Both modes simulate the *same* design at the same cycle accounting
-//! (`ceil(len/lanes)` access cycles per burst plus the 14-cycle latency),
-//! so the modelled FPGA bandwidth is identical; what this bench measures is
-//! the host-side cost of driving a pass — the per-chunk path pays a plan
-//! lookup, two FIFO hops and an 8-element allocation per chunk, the burst
-//! path compiles each vector's region cover once and streams it. This is
+//! On these `Block` covers a Copy burst costs `ceil(len/lanes)` access
+//! cycles plus the 14-cycle latency, so both modes model the same Copy
+//! bandwidth within a cycle (burst Triad reads its two operand bursts one
+//! after the other on the single region read port, about twice the
+//! per-chunk cycles). What this bench measures is the host-side cost of
+//! driving a pass — the per-chunk path pays a plan lookup, two FIFO hops
+//! and an 8-element allocation per chunk, the burst path compiles each
+//! vector's region cover once and streams it. This is
 //! the simulator-level counterpart of `BENCH_region.json`'s `stream_copy`
 //! comparison, and the gap `ROADMAP.md` tracks as "teach the simulated
 //! controller to issue whole-region bursts".

@@ -202,21 +202,15 @@ impl StreamApp {
 
     /// Build the **region-burst** design for `op` on `layout`: the compute
     /// stage issues whole-region bursts on the PolyMem kernel's region
-    /// ports instead of per-chunk requests (see [`crate::burst`]). Cycle
-    /// accounting is identical; the host-side modelling cost per pass is
-    /// not.
+    /// ports instead of per-chunk requests (see [`crate::burst`]), which
+    /// cuts the host-side modelling cost per pass. Copy and Scale on a
+    /// `Block` cover take the per-chunk cycle count within a few cycles.
+    /// Sum and Triad read their two operand bursts one after the other on
+    /// the single region read port, so they take about twice the per-chunk
+    /// count, and each burst of a ragged (`Row`) cover pays the read
+    /// latency again.
     pub fn new_burst(op: StreamOp, layout: StreamLayout, freq_mhz: f64) -> polymem::Result<Self> {
-        Self::with_latency_burst(op, layout, freq_mhz, PAPER_READ_LATENCY)
-    }
-
-    /// Build the region-burst design with an explicit read latency.
-    pub fn with_latency_burst(
-        op: StreamOp,
-        layout: StreamLayout,
-        freq_mhz: f64,
-        read_latency: u64,
-    ) -> polymem::Result<Self> {
-        Self::build(op, layout, freq_mhz, read_latency, true)
+        Self::build(op, layout, freq_mhz, PAPER_READ_LATENCY, true)
     }
 
     fn build(
@@ -359,12 +353,18 @@ impl StreamApp {
         self.host.stats()
     }
 
-    /// **Load stage**: fill A, B and C with the given values (lengths must
-    /// equal the layout's vector length). Returns the stage's host time in ns.
+    /// **Load stage**: fill A, B and C with the given values. Returns the
+    /// stage's host time in ns, or [`polymem::PolyMemError::WrongLaneCount`]
+    /// (with nothing written) when a vector's length is not the layout's.
     pub fn load(&mut self, a: &[f64], b: &[f64], c: &[f64]) -> polymem::Result<f64> {
         let n = self.layout.a.len;
+        if let Some(bad) = [a, b, c].iter().find(|v| v.len() != n) {
+            return Err(polymem::PolyMemError::WrongLaneCount {
+                got: bad.len(),
+                expected: n,
+            });
+        }
         for (vals, lay) in [(a, self.layout.a), (b, self.layout.b), (c, self.layout.c)] {
-            assert_eq!(vals.len(), n, "vector length mismatch");
             for (k, &v) in vals.iter().enumerate() {
                 let (i, j) = lay.coord(k);
                 self.polymem.mem().set(i, j, v.to_bits())?;
@@ -629,14 +629,24 @@ mod tests {
         run_burst(StreamOp::Scale(3.25), 256);
         run_burst(StreamOp::Sum, 256);
         run_burst(StreamOp::Triad(2.5), 512);
+        // Ragged covers: 1 and 3 rows of 64 over p = 2 are Row bursts.
+        for len in [64, 192] {
+            for op in [
+                StreamOp::Copy,
+                StreamOp::Scale(3.25),
+                StreamOp::Sum,
+                StreamOp::Triad(2.5),
+            ] {
+                run_burst(op, len);
+            }
+        }
     }
 
     #[test]
     fn burst_copy_cycle_count_matches_per_chunk_model() {
-        // The burst datapath charges the same ceil(len/lanes) access cycles
-        // plus one pipeline fill, so simulated bandwidth is preserved: a
-        // 512-element Copy is 64 access cycles + 14-cycle latency + a few
-        // handshake cycles in either mode.
+        // A Block-cover Copy burst charges the same ceil(len/lanes) access
+        // cycles plus one pipeline fill: a 512-element Copy is 64 access
+        // cycles + 14-cycle latency + a few handshake cycles in either mode.
         let (_, burst) = run_burst(StreamOp::Copy, 512);
         let (_, chunked) = run(StreamOp::Copy, 512);
         assert!(burst.cycles_per_run < 64 + 25, "{}", burst.cycles_per_run);
@@ -644,6 +654,17 @@ mod tests {
         assert!(
             delta <= 10,
             "burst {} vs per-chunk {} cycles",
+            burst.cycles_per_run,
+            chunked.cycles_per_run
+        );
+        // Triad reads its B and C bursts one after the other on the single
+        // region read port, so it takes about twice the per-chunk count.
+        let (_, burst) = run_burst(StreamOp::Triad(2.5), 512);
+        let (_, chunked) = run(StreamOp::Triad(2.5), 512);
+        let delta = burst.cycles_per_run.abs_diff(2 * chunked.cycles_per_run);
+        assert!(
+            delta <= 10,
+            "burst Triad {} vs twice per-chunk {} cycles",
             burst.cycles_per_run,
             chunked.cycles_per_run
         );

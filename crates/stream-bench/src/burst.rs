@@ -6,7 +6,7 @@
 //! controller does none of that in steady state: once the AGU is programmed
 //! it *streams the burst*. [`BurstController`] is that mode on the
 //! simulator: each vector is covered by a handful of [`Region`]s (usually
-//! one `Block`, see [`crate::region_copy::vector_regions`]), and the
+//! one `Block`, see [`crate::layout::vector_regions`]), and the
 //! controller issues whole-region bursts on the PolyMem kernel's region
 //! ports:
 //!
@@ -17,16 +17,18 @@
 //!   [region port](dfe_sim::polymem_kernel::PolyMemKernel::attach_region_port),
 //!   apply the op to the whole burst, and issue one region-write burst.
 //!
-//! Cycle accounting is unchanged — a burst of `len` elements still occupies
-//! the datapath for `ceil(len / lanes)` cycles plus the pipeline latency —
-//! so the *simulated* bandwidth matches the per-chunk design; what the
+//! A burst of `len` elements occupies the datapath for `ceil(len / lanes)`
+//! cycles plus the pipeline latency, so Copy and Scale on a `Block` cover
+//! match the per-chunk cycle count within a few cycles. Two-operand ops
+//! (Sum, Triad) read their operand bursts one after the other on the single
+//! region read port, so they take about twice the per-chunk count, and each
+//! burst of a ragged (`Row`) cover pays the read latency again. What the
 //! burst mode removes is the per-chunk modelling overhead on the host,
-//! which is exactly the gap `BENCH_stream_region.json` measures.
+//! which is the gap `BENCH_stream_region.json` measures.
 
 use crate::controller::StateRef;
-use crate::layout::StreamLayout;
+use crate::layout::{vector_regions, StreamLayout};
 use crate::op::StreamOp;
-use crate::region_copy::vector_regions;
 use dfe_sim::kernel::Kernel;
 use dfe_sim::polymem_kernel::{
     RegionCopyRequest, RegionCopyResponse, RegionRequest, RegionResponse, RegionWriteRequest,

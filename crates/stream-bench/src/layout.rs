@@ -9,8 +9,11 @@
 //! 512-column rows, 170 rows per vector region (170 x 512 x 8 B ≈ 700 KB per
 //! array, ~2 MB total — "the storage effectively available" for the 2-port
 //! STREAM design).
+//!
+//! [`vector_regions`] frames one vector as whole-region transfers, for the
+//! burst controller and for host-side region replay.
 
-use polymem::{AccessScheme, BankLayout, ParallelAccess, PolyMemConfig};
+use polymem::{AccessScheme, BankLayout, ParallelAccess, PolyMemConfig, Region, RegionShape};
 
 /// Placement of one vector inside the 2D logical space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +53,35 @@ impl VectorLayout {
     }
 }
 
+/// The regions covering one vector of a [`StreamLayout`], in element order.
+///
+/// A vector is row-major inside its region, so when its rows tile the bank
+/// grid (`rows_used % p == 0`) the whole vector is a single `Block` region
+/// whose canonical order *is* the vector order. Otherwise each occupied row
+/// becomes one `Row` region (layouts guarantee `cols % lanes == 0`, so every
+/// row strip is plannable).
+pub fn vector_regions(v: &VectorLayout, p: usize, tag: &str) -> Vec<Region> {
+    let rows = v.rows_used();
+    if rows.is_multiple_of(p) {
+        return vec![Region::new(
+            tag,
+            v.base_row,
+            0,
+            RegionShape::Block { rows, cols: v.cols },
+        )];
+    }
+    (0..rows)
+        .map(|r| {
+            Region::new(
+                format!("{tag}-row{r}"),
+                v.base_row + r,
+                0,
+                RegionShape::Row { len: v.cols },
+            )
+        })
+        .collect()
+}
+
 /// The three-vector STREAM memory: configuration plus A/B/C layouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamLayout {
@@ -67,8 +99,8 @@ impl StreamLayout {
     /// Build a layout for vectors of `len` elements each, on a memory with
     /// `cols` columns, `p x q` banks, `read_ports` ports.
     ///
-    /// `len` must be a multiple of `cols`, and `cols` a multiple of
-    /// `p*q`, so every chunk is one aligned row access.
+    /// `len` must be a multiple of `cols`, and `cols` a non-zero multiple
+    /// of `p*q`, so every chunk is one aligned row access.
     pub fn new(
         len: usize,
         cols: usize,
@@ -78,7 +110,7 @@ impl StreamLayout {
         read_ports: usize,
     ) -> polymem::Result<Self> {
         let lanes = p * q;
-        if !len.is_multiple_of(cols) || !cols.is_multiple_of(lanes) {
+        if cols == 0 || !len.is_multiple_of(cols) || !cols.is_multiple_of(lanes) {
             return Err(polymem::PolyMemError::InvalidGeometry {
                 reason: format!(
                     "vector length {len} must tile columns {cols}, columns must tile lanes {lanes}"
@@ -178,5 +210,32 @@ mod tests {
     fn oversize_rejected() {
         assert!(StreamLayout::paper_geometry(171 * 512).is_err());
         assert!(StreamLayout::new(100, 512, 2, 4, AccessScheme::RoCo, 1).is_err());
+        assert!(matches!(
+            StreamLayout::new(0, 0, 2, 4, AccessScheme::RoCo, 1),
+            Err(polymem::PolyMemError::InvalidGeometry { .. })
+        ));
+    }
+
+    #[test]
+    fn block_cover_when_rows_tile_banks() {
+        // 4 rows of 64, p = 2 -> one Block region.
+        let l = StreamLayout::new(4 * 64, 64, 2, 4, AccessScheme::RoCo, 1).unwrap();
+        let regions = vector_regions(&l.a, l.config.p, "A");
+        assert_eq!(regions.len(), 1);
+        assert!(matches!(
+            regions[0].shape,
+            RegionShape::Block { rows: 4, cols: 64 }
+        ));
+    }
+
+    #[test]
+    fn row_cover_when_rows_ragged() {
+        // 3 rows of 64, p = 2 -> three Row regions.
+        let l = StreamLayout::new(3 * 64, 64, 2, 4, AccessScheme::RoCo, 1).unwrap();
+        let regions = vector_regions(&l.a, l.config.p, "A");
+        assert_eq!(regions.len(), 3);
+        assert!(regions
+            .iter()
+            .all(|r| matches!(r.shape, RegionShape::Row { len: 64 })));
     }
 }

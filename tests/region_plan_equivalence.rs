@@ -8,16 +8,24 @@
 //! it on `PolyMem`; `ConcurrentPolyMem` region reads are checked against
 //! the single-threaded result.
 
-use polymem::{AccessScheme, ConcurrentPolyMem, PolyMem, PolyMemConfig, Region, RegionShape};
+use polymem::{
+    AccessScheme, BankLayout, ConcurrentPolyMem, PolyMem, PolyMemConfig, Region, RegionShape,
+};
 use proptest::prelude::*;
 
 /// Geometries with both orientations so tile addressing is exercised.
 const GEOMS: [(usize, usize); 3] = [(2, 4), (4, 2), (2, 2)];
 
 fn build(scheme: AccessScheme, p: usize, q: usize) -> PolyMem<u64> {
+    build_in(scheme, p, q, BankLayout::BankMajor)
+}
+
+fn build_in(scheme: AccessScheme, p: usize, q: usize, layout: BankLayout) -> PolyMem<u64> {
     let n = p * q;
     let (rows, cols) = (4 * n, 4 * n);
-    let cfg = PolyMemConfig::new(rows, cols, p, q, scheme, 2).unwrap();
+    let cfg = PolyMemConfig::new(rows, cols, p, q, scheme, 2)
+        .unwrap()
+        .with_layout(layout);
     let mut m = PolyMem::new(cfg).unwrap();
     let data: Vec<u64> = (0..(rows * cols) as u64)
         .map(|k| {
@@ -210,23 +218,27 @@ fn copy_region_planned_equals_per_access() {
             (0, 0),
         ),
     ];
-    for (ss, ds, (si, sj), (di, dj)) in shapes {
-        let mut a = build(AccessScheme::ReRo, 2, 4);
-        let mut b = build(AccessScheme::ReRo, 2, 4);
-        b.set_region_planning(false);
-        let src_a = Region::new("s", si, sj, ss);
-        let dst_a = Region::new("d", di, dj, ds);
-        let ra = a.copy_region(0, &src_a, &dst_a);
-        let rb = b.copy_region(0, &src_a, &dst_a);
-        assert_eq!(ra.is_ok(), rb.is_ok(), "{ss:?}->{ds:?}");
-        let (rows, cols) = (a.config().rows, a.config().cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                assert_eq!(
-                    a.get(i, j).unwrap(),
-                    b.get(i, j).unwrap(),
-                    "{ss:?}->{ds:?} ({i},{j})"
-                );
+    // The first case's source and destination share a residue class, so
+    // the planned copy takes the store-run `copy_within` path.
+    for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+        for (ss, ds, (si, sj), (di, dj)) in shapes {
+            let mut a = build_in(AccessScheme::ReRo, 2, 4, layout);
+            let mut b = build_in(AccessScheme::ReRo, 2, 4, layout);
+            b.set_region_planning(false);
+            let src_a = Region::new("s", si, sj, ss);
+            let dst_a = Region::new("d", di, dj, ds);
+            let ra = a.copy_region(0, &src_a, &dst_a);
+            let rb = b.copy_region(0, &src_a, &dst_a);
+            assert_eq!(ra.is_ok(), rb.is_ok(), "{layout:?} {ss:?}->{ds:?}");
+            let (rows, cols) = (a.config().rows, a.config().cols);
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(
+                        a.get(i, j).unwrap(),
+                        b.get(i, j).unwrap(),
+                        "{layout:?} {ss:?}->{ds:?} ({i},{j})"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! STREAM-on-PolyMem correctness and timing invariants across the suite.
 
-use polymem::AccessScheme;
+use polymem::{AccessScheme, PolyMemError};
 use stream_bench::{scalar_reference, StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
 fn vectors(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -117,7 +117,11 @@ fn wrong_vector_length_rejected() {
     let mut app = StreamApp::new(StreamOp::Copy, layout, 120.0).unwrap();
     let a = vec![0.0; 512];
     let short = vec![0.0; 100];
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.load(&a, &short, &a)));
-    assert!(result.is_err(), "length mismatch must be rejected");
+    assert_eq!(
+        app.load(&a, &short, &a),
+        Err(PolyMemError::WrongLaneCount {
+            got: 100,
+            expected: 512
+        })
+    );
 }
