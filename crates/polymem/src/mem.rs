@@ -594,18 +594,123 @@ impl<T: Copy + Default> PolyMem<T> {
     }
 
     /// Host-side scalar read of logical element `(i, j)` (bypasses the
-    /// parallel ports; used for fill/drain and validation, not benchmarked).
+    /// parallel ports; for validation and single-element probes — bulk
+    /// host transfers use [`Self::dump_rows_into`]).
     pub fn get(&self, i: usize, j: usize) -> Result<T> {
         self.check_coord(i, j)?;
         let bank = self.maf.assign_linear(i, j);
         Ok(self.banks.read(bank, self.afn.address(i, j)))
     }
 
-    /// Host-side scalar write of logical element `(i, j)`.
+    /// Host-side scalar write of logical element `(i, j)` (the write
+    /// mirror of [`Self::get`]; bulk host transfers use
+    /// [`Self::load_rows`]).
     pub fn set(&mut self, i: usize, j: usize, value: T) -> Result<()> {
         self.check_coord(i, j)?;
         let bank = self.maf.assign_linear(i, j);
         self.banks.write(bank, self.afn.address(i, j), value);
+        Ok(())
+    }
+
+    /// Check that `len` elements are whole rows lying inside the logical
+    /// space from `first_row` on, and split those rows at `(a, b, end)`:
+    /// rows `first_row..a` and `b..end` are the unaligned head and tail,
+    /// `a..b` whole `p`-row strips. With region planning off every row is
+    /// head, so the per-element path serves the whole call.
+    fn row_strips(&self, first_row: usize, len: usize) -> Result<(usize, usize, usize)> {
+        let (rows, cols, p) = (self.config.rows, self.config.cols, self.config.p);
+        if !len.is_multiple_of(cols) {
+            return Err(PolyMemError::WrongLaneCount {
+                got: len,
+                expected: len.next_multiple_of(cols),
+            });
+        }
+        if len == 0 {
+            return Ok((first_row, first_row, first_row));
+        }
+        let end = first_row.saturating_add(len / cols);
+        if end > rows {
+            return Err(PolyMemError::OutOfBounds {
+                i: end as i64 - 1,
+                j: cols as i64 - 1,
+                rows,
+                cols,
+            });
+        }
+        if !self.use_region_plan() {
+            return Ok((end, end, end));
+        }
+        let a = first_row.next_multiple_of(p).min(end);
+        Ok((a, a + (end - a) / p * p, end))
+    }
+
+    /// The `p`-row strip region starting at row `i`: a `Block` whose
+    /// canonical order is row-major, so one strip of host data replays
+    /// through one cached plan (strip origins fall in at most `q` residue
+    /// classes).
+    fn strip_region(&self, i: usize) -> Region {
+        Region::new(
+            "__strip",
+            i,
+            0,
+            RegionShape::Block {
+                rows: self.config.p,
+                cols: self.config.cols,
+            },
+        )
+    }
+
+    /// Host-side fill of whole logical rows: `data` holds rows
+    /// `first_row ..` in row-major order (`data.len()` a multiple of
+    /// `cols`). Each `p`-aligned strip of `p` rows replays one cached strip
+    /// region plan; unaligned head and tail rows, and every row when
+    /// region planning is off, take the [`Self::set`] path. Like `set` and
+    /// [`Self::load_row_major`] it stages host data outside the ports: no
+    /// port or region-traffic counters move and no spans are recorded.
+    ///
+    /// Returns [`PolyMemError::WrongLaneCount`] for a partial row and
+    /// [`PolyMemError::OutOfBounds`] for rows past the end, writing
+    /// nothing in either case. An empty slice is a no-op.
+    pub fn load_rows(&mut self, first_row: usize, data: &[T]) -> Result<()> {
+        let (a, b, end) = self.row_strips(first_row, data.len())?;
+        let cols = self.config.cols;
+        let at = |i: usize| (i - first_row) * cols;
+        for i in (first_row..a).chain(b..end) {
+            for (j, &v) in data[at(i)..at(i) + cols].iter().enumerate() {
+                self.set(i, j, v)?;
+            }
+        }
+        let mut strip = self.strip_region(a);
+        for rows in data[at(a)..at(b)].chunks_exact(self.config.p * cols) {
+            let plan = self.region_plan_for(&strip)?;
+            let base = self.afn.address(strip.i, 0) as isize;
+            plan.scatter_from(self.banks.flat_mut(), base, rows);
+            strip.i += self.config.p;
+        }
+        Ok(())
+    }
+
+    /// Host-side drain of whole logical rows into `out` (row-major, rows
+    /// `first_row ..`): the read mirror of [`Self::load_rows`], with the
+    /// same strip replay, per-element [`Self::get`] fallback, errors and
+    /// absence of port accounting. `&mut self` because a strip plan may
+    /// compile on first use.
+    pub fn dump_rows_into(&mut self, first_row: usize, out: &mut [T]) -> Result<()> {
+        let (a, b, end) = self.row_strips(first_row, out.len())?;
+        let cols = self.config.cols;
+        let at = |i: usize| (i - first_row) * cols;
+        for i in (first_row..a).chain(b..end) {
+            for (j, o) in out[at(i)..at(i) + cols].iter_mut().enumerate() {
+                *o = self.get(i, j)?;
+            }
+        }
+        let mut strip = self.strip_region(a);
+        for rows in out[at(a)..at(b)].chunks_exact_mut(self.config.p * cols) {
+            let plan = self.region_plan_for(&strip)?;
+            let base = self.afn.address(strip.i, 0) as isize;
+            plan.gather_into(self.banks.flat(), base, rows);
+            strip.i += self.config.p;
+        }
         Ok(())
     }
 
@@ -826,6 +931,90 @@ mod tests {
             let data: Vec<u64> = (0..8 * 16).collect();
             m.load_row_major(&data).unwrap();
             assert_eq!(m.dump_row_major(), data, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn row_fill_and_drain_match_per_element_oracle() {
+        use crate::banks::BankLayout;
+        for ((p, q), scheme, _) in crate::region_plan::replay_matrix() {
+            let n = 4 * p * q;
+            let base: Vec<u64> = (0..(n * n) as u64).map(|k| k * 31 + 7).collect();
+            for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+                let cfg = PolyMemConfig::new(n, n, p, q, scheme, 1)
+                    .unwrap()
+                    .with_layout(layout);
+                // First rows aligned and unaligned to p; k*p and k*p + 1 rows.
+                for first in [0, p, 1, p + 1] {
+                    for rows in [p, p + 1, 2 * p, 2 * p + 1] {
+                        let ctx = format!("{p}x{q} {scheme} {layout:?} rows {first}+{rows}");
+                        let data: Vec<u64> =
+                            (0..(rows * n) as u64).map(|k| (1 << 32) + k).collect();
+                        let mut oracle = PolyMem::<u64>::new(cfg).unwrap();
+                        oracle.load_row_major(&base).unwrap();
+                        for (k, &v) in data.iter().enumerate() {
+                            oracle.set(first + k / n, k % n, v).unwrap();
+                        }
+                        let want = oracle.dump_row_major();
+                        for planning in [true, false] {
+                            let mut m = PolyMem::<u64>::new(cfg).unwrap();
+                            m.set_region_planning(planning);
+                            m.load_row_major(&base).unwrap();
+                            m.load_rows(first, &data).unwrap();
+                            assert_eq!(m.dump_row_major(), want, "{ctx} fill {planning}");
+                            // Drain a span that straddles the filled rows.
+                            let from = first.saturating_sub(1);
+                            let mut out = vec![0u64; (rows + 1) * n];
+                            m.dump_rows_into(from, &mut out).unwrap();
+                            let gets: Vec<u64> = (0..out.len())
+                                .map(|k| m.get(from + k / n, k % n).unwrap())
+                                .collect();
+                            assert_eq!(out, gets, "{ctx} drain {planning}");
+                            assert_eq!(m.stats(), AccessStats::default(), "{ctx}");
+                            // Strip plans: at most q classes beside the
+                            // whole-space plan, none with planning off.
+                            let plans = m.region_plan_stats().entries;
+                            assert!(plans <= q + 1 && (planning || plans == 0), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_fill_and_drain_reject_bad_spans_untouched() {
+        for planning in [true, false] {
+            let mut m = mem(AccessScheme::RoCo);
+            m.set_region_planning(planning);
+            m.load_row_major(&(0..128).collect::<Vec<u64>>()).unwrap();
+            let before = m.dump_row_major();
+            // Row 7 exists but row 8 does not: nothing may be written.
+            assert!(matches!(
+                m.load_rows(7, &[1; 32]),
+                Err(PolyMemError::OutOfBounds { i: 8, .. })
+            ));
+            assert!(matches!(
+                m.dump_rows_into(7, &mut [0; 32]),
+                Err(PolyMemError::OutOfBounds { i: 8, .. })
+            ));
+            assert!(matches!(
+                m.load_rows(0, &[1; 20]),
+                Err(PolyMemError::WrongLaneCount {
+                    got: 20,
+                    expected: 32
+                })
+            ));
+            assert!(matches!(
+                m.dump_rows_into(2, &mut [0; 17]),
+                Err(PolyMemError::WrongLaneCount { got: 17, .. })
+            ));
+            // Empty spans are no-ops, wherever they start.
+            m.load_rows(3, &[]).unwrap();
+            m.load_rows(100, &[]).unwrap();
+            m.dump_rows_into(8, &mut []).unwrap();
+            assert_eq!(m.dump_row_major(), before, "planning {planning}");
+            assert_eq!(m.stats(), AccessStats::default());
         }
     }
 

@@ -354,8 +354,14 @@ impl StreamApp {
     }
 
     /// **Load stage**: fill A, B and C with the given values. Returns the
-    /// stage's host time in ns, or [`polymem::PolyMemError::WrongLaneCount`]
-    /// (with nothing written) when a vector's length is not the layout's.
+    /// stage's modelled PCIe time in ns (what the link would take for the
+    /// three vectors, not the host time this call spends), or
+    /// [`polymem::PolyMemError::WrongLaneCount`] (with nothing written)
+    /// when a vector's length is not the layout's.
+    ///
+    /// Staging is host-side: each vector's rows go into the memory through
+    /// [`polymem::PolyMem::load_rows`], outside the kernel's ports, so no
+    /// simulated cycle, port access or trace span is counted for it.
     pub fn load(&mut self, a: &[f64], b: &[f64], c: &[f64]) -> polymem::Result<f64> {
         let n = self.layout.a.len;
         if let Some(bad) = [a, b, c].iter().find(|v| v.len() != n) {
@@ -364,11 +370,11 @@ impl StreamApp {
                 expected: n,
             });
         }
+        let mut bits = Vec::with_capacity(n);
         for (vals, lay) in [(a, self.layout.a), (b, self.layout.b), (c, self.layout.c)] {
-            for (k, &v) in vals.iter().enumerate() {
-                let (i, j) = lay.coord(k);
-                self.polymem.mem().set(i, j, v.to_bits())?;
-            }
+            bits.clear();
+            bits.extend(vals.iter().map(|v| v.to_bits()));
+            self.polymem.mem().load_rows(lay.base_row, &bits)?;
         }
         Ok(self.host.send(3 * n * 8))
     }
@@ -480,19 +486,23 @@ impl StreamApp {
     }
 
     /// **Offload stage**: read back the op's destination vector. Returns
-    /// (values, host time ns).
+    /// (values, modelled PCIe time in ns — not the host time this call
+    /// spends). Like [`Self::load`], the drain is host-side
+    /// ([`polymem::PolyMem::dump_rows_into`]) and counts no simulated
+    /// cycle, port access or trace span.
     pub fn offload(&mut self) -> (Vec<f64>, f64) {
         let lay = match self.op {
             StreamOp::Copy => self.layout.c,
             _ => self.layout.a,
         };
         let n = lay.len;
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n {
-            let (i, j) = lay.coord(k);
-            let bits = self.polymem.mem().get(i, j).expect("in-bounds");
-            out.push(f64::from_bits(bits));
-        }
+        let mut bits = vec![0u64; n];
+        self.polymem
+            .mem()
+            .dump_rows_into(lay.base_row, &mut bits)
+            .expect("layout vectors are whole in-bounds rows");
+        // Same size and alignment: the collect reuses `bits`' allocation.
+        let out = bits.into_iter().map(f64::from_bits).collect();
         let t = self.host.receive(n * 8);
         (out, t)
     }
@@ -885,6 +895,93 @@ mod tests {
             Some(dropped)
         );
         assert_eq!(journal.snapshot().dropped, dropped);
+    }
+
+    #[test]
+    fn staging_is_not_port_traffic() {
+        use polymem::tracing::TraceJournal;
+        // Load and offload model PCIe transfers: the host stages data
+        // outside the kernel's ports, so no port, cycle or span count moves.
+        for burst in [false, true] {
+            let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+            let mut app = if burst {
+                StreamApp::new_burst(StreamOp::Triad(1.5), layout, 120.0).unwrap()
+            } else {
+                StreamApp::new(StreamOp::Triad(1.5), layout, 120.0).unwrap()
+            };
+            let reg = polymem::TelemetryRegistry::new();
+            app.attach_telemetry(&reg);
+            let journal = TraceJournal::new(1 << 14);
+            app.attach_tracing(&journal);
+            let (a, b, c) = vectors(512);
+            app.load(&a, &b, &c).unwrap();
+            app.run_pass();
+            let counts = |app: &mut StreamApp| {
+                // Every metric but the plan caches' own bookkeeping: cycle
+                // attribution, port and region-traffic counters included.
+                let mut metrics = reg.snapshot().metrics;
+                metrics.retain(|m| {
+                    !m.name.starts_with("polymem_plan_cache_")
+                        && m.name != "polymem_region_run_length"
+                });
+                (
+                    app.polymem.reads_served(),
+                    app.polymem.writes_served(),
+                    app.polymem.mem().stats(),
+                    metrics,
+                    journal.snapshot().events.len(),
+                    journal.recorded(),
+                )
+            };
+            let before = counts(&mut app);
+            app.load(&a, &b, &c).unwrap();
+            // No pass ran since the load: Triad's destination A reads back.
+            assert_eq!(app.offload().0, a, "burst={burst}");
+            assert_eq!(counts(&mut app), before, "burst={burst}");
+        }
+    }
+
+    #[test]
+    fn load_places_every_element_at_its_layout_coordinate() {
+        let layouts = [
+            // Paper size: one Block cover per vector, all whole strips.
+            StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap(),
+            // Ragged covers at 64 columns: a lone row and a strip plus a row.
+            StreamLayout::new(64, 64, 2, 4, AccessScheme::RoCo, 2).unwrap(),
+            StreamLayout::new(192, 64, 2, 4, AccessScheme::RoCo, 2).unwrap(),
+            // ReO serves no row accesses, so only load/offload run on it.
+            StreamLayout::new(512, 64, 2, 4, AccessScheme::ReO, 2).unwrap(),
+        ];
+        for layout in layouts {
+            let n = layout.a.len;
+            let mut app = StreamApp::new(StreamOp::Sum, layout, 120.0).unwrap();
+            let (a, b, c) = vectors(n);
+            app.load(&a, &b, &c).unwrap();
+            for (vals, lay) in [(&a, layout.a), (&b, layout.b), (&c, layout.c)] {
+                for (k, &v) in vals.iter().enumerate() {
+                    let (i, j) = lay.coord(k);
+                    assert_eq!(app.polymem.mem().get(i, j), Ok(v.to_bits()), "n={n} k={k}");
+                }
+            }
+            // Sum's destination is A: offload returns it untouched.
+            assert_eq!(app.offload().0, a, "n={n}");
+        }
+    }
+
+    #[test]
+    fn paper_size_staging_holds_at_most_q_small_plans() {
+        // Staging compiles one plan per p-row strip residue class; one
+        // whole-vector plan per vector would hold ~2.8 MB each.
+        let n = StreamLayout::PAPER_MAX_LEN;
+        let layout = StreamLayout::paper_geometry(n).unwrap();
+        let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
+        let (a, b, c) = vectors(n);
+        app.load(&a, &b, &c).unwrap();
+        app.run_pass();
+        assert_eq!(app.offload().0, a);
+        let s = app.polymem.region_plan_stats();
+        assert!((1..=layout.config.q).contains(&s.entries), "{s:?}");
+        assert!(s.bytes < 1 << 20, "{s:?}");
     }
 
     #[test]

@@ -25,7 +25,12 @@ use std::path::Path;
 const HOT: &[(&str, &[&str])] = &[
     (
         "crates/polymem/src/mem.rs",
-        &["read_planned", "write_planned"],
+        &[
+            "read_planned",
+            "write_planned",
+            "load_rows",
+            "dump_rows_into",
+        ],
     ),
     (
         "crates/polymem/src/concurrent.rs",
