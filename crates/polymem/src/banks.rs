@@ -16,8 +16,7 @@ use crate::error::{PolyMemError, Result};
 /// therefore which compiled region plans coalesce into long
 /// `copy_from_slice` runs:
 ///
-/// * [`BankLayout::BankMajor`] (the default, and the only layout the
-///   concurrent wrapper supports): bank `b` owns the contiguous slab
+/// * [`BankLayout::BankMajor`] (the default): bank `b` owns the contiguous slab
 ///   `data[b*depth .. (b+1)*depth]`. Walks that stay inside one bank
 ///   (strided intra-bank sweeps) are contiguous.
 /// * [`BankLayout::AddrInterleaved`]: address `a` of every bank sits in

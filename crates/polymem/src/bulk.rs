@@ -27,7 +27,7 @@ use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::mem::PolyMem;
 use crate::region::{Region, RegionShape};
-use crate::region_plan::RegionPlan;
+use crate::region_plan::{replay_copy, RegionPlan};
 use crate::scheme::ParallelAccess;
 use crate::tracing::SpanId;
 use crate::AccessScheme;
@@ -109,7 +109,7 @@ impl<T: Copy + Default> PolyMem<T> {
             self.stats.elements_read += plan.len() as u64;
             if let Some(t) = &self.tlm {
                 t.region_read(port, plan.accesses, plan.len());
-                let (c, s) = byte_split::<T>(&plan);
+                let (c, s) = plan.byte_split::<T>();
                 t.region_bytes(c, s);
             }
             return Ok(());
@@ -161,7 +161,7 @@ impl<T: Copy + Default> PolyMem<T> {
             self.stats.elements_written += plan.len() as u64;
             if let Some(t) = &self.tlm {
                 t.region_write(plan.accesses, plan.len());
-                let (c, s) = byte_split::<T>(&plan);
+                let (c, s) = plan.byte_split::<T>();
                 t.region_bytes(c, s);
             }
             return Ok(());
@@ -187,14 +187,12 @@ impl<T: Copy + Default> PolyMem<T> {
     /// destination access `t`, so overlapping regions behave exactly like
     /// the explicit per-access loop.
     ///
-    /// The planned path picks the cheapest replay that preserves those
-    /// semantics: disjoint same-residue-class copies are pure
-    /// `copy_within` block moves over the shared plan's store runs;
-    /// disjoint same-shape copies gather canonically through the source
-    /// motif-run table and scatter through the destination's (same-shape regions
-    /// decompose at fixed offsets from their origins, so canonical pairing
-    /// equals the positional per-access pairing); only overlapping or
-    /// cross-shape copies walk the exact access-interleaved loop.
+    /// The planned path replays through `region_plan::replay_copy`,
+    /// which picks the cheapest replay that preserves those semantics:
+    /// `copy_within` block moves for disjoint same-residue-class copies, a
+    /// canonical gather+scatter for other disjoint same-shape copies, and
+    /// the exact access-interleaved loop for overlapping or cross-shape
+    /// ones.
     pub fn copy_region(&mut self, port: usize, src: &Region, dst: &Region) -> Result<()> {
         if port >= self.config.read_ports {
             return Err(PolyMemError::InvalidPort {
@@ -214,47 +212,13 @@ impl<T: Copy + Default> PolyMem<T> {
                 .trc
                 .as_ref()
                 .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
-            let sbase = self.afn.address(src.i, src.j) as isize;
-            let dbase = self.afn.address(dst.i, dst.j) as isize;
-            let overlap = src.overlaps(dst);
-            let elem = std::mem::size_of::<T>() as u64;
-            let (coalesced, strided);
-            if !overlap && Arc::ptr_eq(&sp, &dp) {
-                // Same residue class, disjoint: both regions touch
-                // congruent storage images, so the copy is one
-                // `copy_within` per store run.
-                sp.copy_store_runs_within(self.banks.flat_mut(), sbase, dbase);
-                coalesced = 2 * sp.len() as u64 * elem;
-                strided = 0;
-            } else if !overlap && src.shape == dst.shape {
-                let mut buf = vec![T::default(); sp.len()];
-                sp.gather_into(self.banks.flat(), sbase, &mut buf);
-                dp.scatter_from(self.banks.flat_mut(), dbase, &buf);
-                let (sc, ss) = byte_split::<T>(&sp);
-                let (dc, ds) = byte_split::<T>(&dp);
-                coalesced = sc + dc;
-                strided = ss + ds;
-            } else {
-                // Overlap or cross-shape: exact per-access interleaving
-                // through the access-major maps.
-                let lanes = self.config.lanes();
-                let sfb = sp.flat_base(sbase);
-                let dfb = dp.flat_base(dbase);
-                let mut buf = vec![T::default(); lanes];
-                let flat = self.banks.flat_mut();
-                for t in 0..sp.accesses {
-                    let sa = &sp.afold[t * lanes..(t + 1) * lanes];
-                    let da = &dp.afold[t * lanes..(t + 1) * lanes];
-                    for (b, &f) in buf.iter_mut().zip(sa) {
-                        *b = flat[(sfb + f) as usize];
-                    }
-                    for (&f, &v) in da.iter().zip(&buf) {
-                        flat[(dfb + f) as usize] = v;
-                    }
-                }
-                coalesced = 0;
-                strided = 2 * sp.len() as u64 * elem;
-            }
+            let (coalesced, strided) = replay_copy(
+                self.banks.flat_mut(),
+                &self.afn,
+                (src, &sp),
+                (dst, &dp),
+                &mut Vec::new(),
+            );
             if let (Some(tr), Some(s)) = (&self.trc, span) {
                 tr.writer.end(tr.copy_replay, s);
             }
@@ -336,18 +300,9 @@ impl<T: Copy + Default> PolyMem<T> {
     }
 }
 
-/// Coalesced/strided byte attribution of one plan replay: bytes moved by
-/// block moves ([`RegionPlan::contiguous_elems`]) vs lane by lane.
-#[inline]
-fn byte_split<T>(plan: &RegionPlan) -> (u64, u64) {
-    let elem = std::mem::size_of::<T>() as u64;
-    (
-        plan.contiguous_elems as u64 * elem,
-        (plan.len() - plan.contiguous_elems) as u64 * elem,
-    )
-}
-
-fn copy_shape_mismatch(src: &Region, n: usize, dst: &Region, m: usize) -> PolyMemError {
+/// The error both façades return when `copy_region`'s regions decompose
+/// into different access counts.
+pub(crate) fn copy_shape_mismatch(src: &Region, n: usize, dst: &Region, m: usize) -> PolyMemError {
     PolyMemError::InvalidGeometry {
         reason: format!(
             "copy_region: {} decomposes into {n} accesses but {} into {m}",

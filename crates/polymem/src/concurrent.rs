@@ -1,82 +1,64 @@
-//! Thread-parallel multi-port PolyMem.
+//! Multi-port PolyMem driven from many threads through `&self`.
 //!
-//! Hardware PolyMem serves all read ports and the write port in the *same
-//! clock cycle* because each port has its own crossbar and the banks are
-//! replicated per read port. The software analogue maps each port to a
-//! thread. Conflict-freedom is what makes this cheap: within one parallel
-//! access every lane touches a *different* bank, so per-bank reader-writer
-//! locks are never contended by lanes of the same access — contention can
-//! only occur between ports, and read ports never block each other.
+//! Every parallel access of the paper's PolyMem touches each of its `p*q`
+//! banks exactly once (§III), so per-bank locks buy no parallelism in
+//! software. This façade therefore keeps the storage and replay core of
+//! [`crate::PolyMem`]: one flat [`BankArray`] laid out by the
+//! configuration's [`crate::BankLayout`], plan caches compiled against that
+//! layout, single accesses replayed through [`AccessPlan::fold`], and
+//! region operations replayed on the caller's thread through
+//! [`RegionPlan::gather_into`], [`RegionPlan::scatter_from`] and the copy
+//! selection [`crate::PolyMem::copy_region`] runs as well.
 //!
-//! The compiled-plan cache is sharded per access pattern (one
-//! `RwLock<PlanCache>` per [`AccessPattern`]): ports replaying different
-//! patterns never touch the same lock, so a cold compile of one pattern
-//! cannot stall the hot path of another — the single-`RwLock` bottleneck
-//! the roadmap flagged.
+//! **One guard per operation.** The bank array sits behind one `RwLock`.
+//! Every operation takes that guard exactly once — shared for reads,
+//! exclusive for writes and copies — and replays its whole access or
+//! region under it. Operations are therefore atomic at access level: a
+//! read racing a write sees all of the write or none of it.
 //!
-//! Region operations ([`ConcurrentPolyMem::read_region`] /
-//! [`ConcurrentPolyMem::write_region`]) replay compiled [`RegionPlan`]s
-//! through their *per-bank run tables*: every lock acquisition drains
-//! maximal constant-stride segments — `copy_from_slice` block moves when
-//! the intra-bank stride is 1, the fixed-width chunked strided loop
-//! otherwise — instead of one element per guard deref. Reads are
-//! two-phase: port threads shard the *banks* and gather each bank's share
-//! under one read lock into a disjoint stage slice, then a lock-free pass
-//! spreads the stage into canonical order.
-//! [`ConcurrentPolyMem::copy_region`] fuses gather and scatter into one
-//! burst: when source and destination share a plan (same residue class,
-//! disjoint) each bank's segments move internally with `copy_within`
-//! under a single guard; otherwise the staged gather feeds one merged
-//! write per destination bank — the spawned bank writers are the *one*
-//! sanctioned place a spawned thread takes a bank write lock (via
-//! [`scatter_range`](ConcurrentPolyMem), each writer owns exactly one
-//! bank, so writers never contend and never alias a read port's bank
-//! view mid-access). Overlapping regions fall back to the sequential
-//! access-interleaved order so results match [`crate::PolyMem::copy_region`].
+//! **Lock order.** The compiled-plan cache is sharded per access pattern
+//! (one `RwLock<PlanCache>` per [`AccessPattern`]), so a cold compile of
+//! one pattern never stalls lookups of another; a cold region compile
+//! takes its pattern shard before the region-plan cache. Cache locks are
+//! taken, and released, before the storage guard and never under it, and
+//! no operation takes a second storage guard while holding one (std's
+//! writer-preferring `RwLock` deadlocks a recursive read behind a waiting
+//! writer). Telemetry counters and trace spans are recorded outside the
+//! guard.
 //!
-//! Note: this façade keeps its per-bank `Vec` storage regardless of
-//! [`crate::BankLayout`] — the layout knob shapes the *flat* backing of
-//! [`crate::PolyMem`]; here every bank is already its own allocation.
-//!
-//! Granularity note: each element access locks its bank individually, so a
-//! concurrent reader may observe a simultaneous write partially applied
-//! (element-level atomicity, not access-level). Cycle-accurate port
-//! semantics — where a read in the same cycle as a write observes the old
-//! state — are provided by the `dfe-sim` crate; this type is the
-//! high-throughput CPU data structure.
+//! **Concurrency comes from the callers' threads.** Nothing here spawns a
+//! thread: [`ConcurrentPolyMem::read_ports`] serves its accesses in port
+//! order on the calling thread. Ports as per-cycle arbitration — a read in
+//! the same cycle as a write observing the old state — are what the
+//! `dfe-sim` crate's `PolyMemKernel` models in cycles; this type is the
+//! thread-safe CPU data structure.
 
 use crate::addressing::AddressingFunction;
 use crate::agu::Agu;
+use crate::banks::BankArray;
+use crate::bulk::copy_shape_mismatch;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
 use crate::plan::{AccessPlan, PlanCache, PlanCacheStats};
 use crate::region::Region;
-use crate::region_plan::{
-    gather_strided, scatter_strided, RegionPlan, RegionPlanCache, RegionPlanCacheStats,
-};
+use crate::region_plan::{replay_copy, RegionPlan, RegionPlanCache, RegionPlanCacheStats};
 use crate::scheme::{AccessPattern, ParallelAccess};
 use crate::sync::{AtomicBool, Ordering, RwLock};
 use crate::telemetry::{Counter, TelemetryRegistry};
 use crate::tracing::{NameId, SpanId, TraceJournal, TraceWriter};
 use std::sync::Arc;
 
-/// Below this many elements a region read is gathered serially: spawning
-/// port threads costs more than the gather itself.
-const PARALLEL_REGION_MIN: usize = 256;
-
 /// Telemetry handles for a [`ConcurrentPolyMem`] (attached via
 /// [`ConcurrentPolyMem::attach_telemetry`]).
 ///
-/// Counters are [`Counter`]s — plain `Relaxed` atomics — so any port
-/// thread may bump them through `&self`, including the spawned bank
-/// writers of a region burst while they hold their bank's write guard
-/// (an atomic add can never interact with the lock order). Per-bank
-/// element counts exploit the conflict-freedom theorem exactly like
-/// [`crate::mem::PolyMem`]'s: a single parallel access touches every
-/// bank once, so singles bump one shared `uniform` base that the
-/// registry folds into every bank's exported sample; only region bursts
-/// add per-bank extras (one add per bank per region, not per element).
+/// Counters are [`Counter`]s — plain `Relaxed` atomics — so any caller
+/// thread may bump them through `&self`. Per-bank element counts exploit
+/// the conflict-freedom theorem exactly like [`crate::mem::PolyMem`]'s:
+/// a single parallel access touches every bank once and every region plan
+/// gives each bank exactly `accesses` elements, so singles bump a shared
+/// `uniform` base and region operations a shared `region_accesses` base,
+/// both of which the registry folds into every bank's exported sample.
 #[derive(Debug)]
 struct ConcTelemetry {
     reads: Counter,
@@ -85,7 +67,7 @@ struct ConcTelemetry {
     elements_written: Counter,
     conflicts_avoided: Counter,
     uniform: Counter,
-    bank_elems: Vec<Counter>,
+    region_accesses: Counter,
     region_coalesced_bytes: Counter,
     region_strided_bytes: Counter,
 }
@@ -110,93 +92,53 @@ impl ConcTelemetry {
     }
 
     /// A region gather of `len` elements in `accesses` conflict-free
-    /// accesses. Each bank owns exactly `accesses` of the region's
-    /// elements (rectangular cover), so the per-bank adds are uniform.
+    /// accesses.
     fn region_read(&self, accesses: usize, len: usize) {
         self.reads.add(accesses as u64);
         self.elements_read.add(len as u64);
         self.conflicts_avoided.add((len - accesses) as u64);
-        for bank in &self.bank_elems {
-            bank.add(accesses as u64);
-        }
+        self.region_accesses.add(accesses as u64);
     }
 
-    /// Aggregate counters of a region scatter. Per-bank element counts are
-    /// *not* added here — the bank-guard scopes that actually drain each
-    /// bank call [`Self::bank_batch`] (or [`Self::region_write_banks`] on
-    /// the interleaved path, which has no batched guards).
+    /// A region scatter of `len` elements in `accesses` conflict-free
+    /// accesses.
     fn region_write(&self, accesses: usize, len: usize) {
         self.writes.add(accesses as u64);
         self.elements_written.add(len as u64);
         self.conflicts_avoided.add((len - accesses) as u64);
+        self.region_accesses.add(accesses as u64);
     }
 
-    /// Per-bank element adds for a region scatter that does not go through
-    /// batched bank guards (the overlap-interleaved copy path).
-    fn region_write_banks(&self, accesses: usize) {
-        for bank in &self.bank_elems {
-            bank.add(accesses as u64);
-        }
-    }
-
-    /// Count `n` elements drained into bank `b`. Called while the bank's
-    /// write guard is held: a single `Relaxed` atomic add, lock-free and
-    /// panic-free by construction (verified statically by polymem-verify).
+    /// Attribute one region replay's bytes to the coalesced (block moves)
+    /// vs strided (lane by lane) buckets.
     #[inline]
-    fn bank_batch(&self, b: usize, n: u64) {
-        self.bank_elems[b].add(n);
-    }
-
-    /// Attribute one region replay's bytes to the coalesced (per-bank
-    /// block moves) vs strided (chunked loop) buckets.
-    #[inline]
-    fn region_bytes(&self, coalesced: u64, strided: u64) {
+    fn region_bytes(&self, (coalesced, strided): (u64, u64)) {
         self.region_coalesced_bytes.add(coalesced);
         self.region_strided_bytes.add(strided);
     }
 }
 
-/// Coalesced/strided byte attribution of one per-bank-locked replay: the
-/// share moved by `d_stride == 1` bank runs vs the chunked strided loop.
 /// Trace-journal handles for a [`ConcurrentPolyMem`] (attached via
 /// [`ConcurrentPolyMem::attach_tracing`]). The writer and every name are
 /// resolved at attach time, so recording is a handful of `Relaxed`/
-/// `Release` stores — safe from any port thread through `&self`.
+/// `Release` stores — safe from any caller thread through `&self`.
 ///
-/// **Guard discipline:** journal writes are *never* issued while a bank
-/// guard is held. Phase spans begin before the first bank lock of a phase
-/// is taken and end after the last one is released, and the per-bank
-/// `bank-acquire` instants fire immediately *before* each guard
-/// acquisition. `polymem-verify`'s telemetry pass enforces this textually
-/// (no tracing site inside a held bank-guard scope).
+/// **Guard discipline:** journal writes are *never* issued while the
+/// storage guard is held. A replay span begins before the guard is
+/// acquired (so it includes the wait for it) and ends after the guard is
+/// released. `polymem-verify`'s telemetry pass enforces this textually (no
+/// tracing site inside a held storage-guard scope).
 #[derive(Debug)]
 struct ConcTracing {
     writer: TraceWriter,
-    /// Span: banded gather phase of `read_region` / `copy_region`.
-    gather: NameId,
-    /// Span: lock-free spread-to-canonical phase.
-    spread: NameId,
-    /// Span: banded scatter phase of `write_region` / `copy_region`.
-    scatter: NameId,
-    /// Span: same-residue-class `copy_within` fast path.
-    copy_runs: NameId,
-    /// Span: overlapping-region access-interleaved slow path.
-    copy_inter: NameId,
+    /// Span: one `read_region` / `write_region` replay.
+    replay: NameId,
+    /// Span: one `copy_region` replay.
+    copy_replay: NameId,
     /// Instant: region-plan cache hit.
     hit: NameId,
     /// Instant: region-plan cache miss (shard + region compile).
     miss: NameId,
-    /// Instant: a port/bank guard is about to be acquired.
-    acquire: NameId,
-}
-
-#[inline]
-fn bank_byte_split<T>(plan: &RegionPlan) -> (u64, u64) {
-    let elem = std::mem::size_of::<T>() as u64;
-    (
-        plan.bank_contiguous_elems as u64 * elem,
-        (plan.len() - plan.bank_contiguous_elems) as u64 * elem,
-    )
 }
 
 /// A PolyMem whose ports can be driven from multiple threads through `&self`.
@@ -206,10 +148,12 @@ pub struct ConcurrentPolyMem<T> {
     maf: ModuleAssignment,
     afn: AddressingFunction,
     agu: Agu,
-    banks: Vec<RwLock<Vec<T>>>,
+    /// The bank array, flat in `config.layout`: the one guard every
+    /// operation takes once.
+    storage: RwLock<BankArray<T>>,
     /// Per-pattern shards of the compiled-plan cache (indexed by
-    /// [`AccessPattern::index`]). Ports take a shard's read lock on the hot
-    /// path and its write lock only to install a newly compiled class.
+    /// [`AccessPattern::index`]). Lookups take a shard's read lock and a
+    /// compile its write lock, both before the storage guard.
     plans: [RwLock<PlanCache>; AccessPattern::COUNT],
     /// Compiled whole-region transfers. Lock order: a pattern shard is
     /// always taken *before* this lock (region compilation feeds per-access
@@ -227,18 +171,17 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// Build from a validated configuration.
     pub fn new(config: PolyMemConfig) -> Result<Self> {
         config.validate()?;
-        let depth = config.bank_depth();
-        let banks = (0..config.lanes())
-            .map(|_| RwLock::new(vec![T::default(); depth]))
-            .collect();
+        let (lanes, depth, layout) = (config.lanes(), config.bank_depth(), config.layout);
         Ok(Self {
             config,
             maf: ModuleAssignment::new(config.scheme, config.p, config.q),
             afn: AddressingFunction::new(config.p, config.q, config.rows, config.cols),
             agu: Agu::new(config.p, config.q, config.rows, config.cols),
-            banks,
-            plans: std::array::from_fn(|_| RwLock::new(PlanCache::new(config.lanes(), depth))),
-            region_plans: RwLock::new(RegionPlanCache::new(config.lanes())),
+            storage: RwLock::new(BankArray::with_layout(lanes, depth, layout)),
+            plans: std::array::from_fn(|_| {
+                RwLock::new(PlanCache::with_layout(lanes, depth, layout))
+            }),
+            region_plans: RwLock::new(RegionPlanCache::new(lanes)),
             planning: AtomicBool::new(true),
             tlm: None,
             trc: None,
@@ -251,20 +194,20 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// plus the plan-cache counters of every pattern shard
     /// (`cache="conc-<pattern>"`) and the region-plan cache
     /// (`cache="conc-region"`). Takes `&mut self`, so attachment happens
-    /// while no port threads are running; counting itself is `&self` and
-    /// thread-safe.
+    /// while no other thread uses the memory; counting itself is `&self`
+    /// and thread-safe.
     pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
-        let lanes = self.config.lanes();
         let uniform = registry.counter("polymem_conc_uniform_accesses_total", Vec::new());
-        let bank_elems = (0..lanes)
-            .map(|b| {
-                registry.counter_with_base(
-                    "polymem_conc_bank_elements_total",
-                    vec![("bank", b.to_string())],
-                    &uniform,
-                )
-            })
-            .collect();
+        let region_accesses = registry.counter("polymem_conc_region_accesses_total", Vec::new());
+        // Every bank's element count is base traffic only: the per-bank
+        // handle is dropped, nothing writes to it directly.
+        for b in 0..self.config.lanes() {
+            let _ = registry.counter_with_bases(
+                "polymem_conc_bank_elements_total",
+                vec![("bank", b.to_string())],
+                &[&uniform, &region_accesses],
+            );
+        }
         self.tlm = Some(ConcTelemetry {
             reads: registry.counter("polymem_conc_reads_total", Vec::new()),
             writes: registry.counter("polymem_conc_writes_total", Vec::new()),
@@ -272,7 +215,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             elements_written: registry.counter("polymem_conc_elements_written_total", Vec::new()),
             conflicts_avoided: registry.counter("polymem_conc_conflicts_avoided_total", Vec::new()),
             uniform,
-            bank_elems,
+            region_accesses,
             region_coalesced_bytes: registry
                 .counter("polymem_conc_region_coalesced_bytes_total", Vec::new()),
             region_strided_bytes: registry
@@ -294,24 +237,20 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Start recording causal spans into `journal` on the named track:
-    /// region-plan hit/miss instants, `bank-acquire` instants before every
-    /// port-guard acquisition, and phase spans for the two-phase banded
-    /// read (`gather-phase` → `spread-phase`), the banded write
-    /// (`scatter-phase`) and the three `copy_region` replay strategies.
-    /// Takes `&mut self` (attach while no port threads run); recording
-    /// itself is `&self` and thread-safe. Journal writes never happen
-    /// under a held bank guard — see [`ConcTracing`].
+    /// region-plan hit/miss instants, and one span per region replay
+    /// (`region-replay` for `read_region`/`write_region`, `copy-replay`
+    /// for `copy_region`), the same names [`crate::PolyMem`] records. A
+    /// span covers the wait for the storage guard and the replay under it.
+    /// Takes `&mut self` (attach while no other thread uses the memory);
+    /// recording itself is `&self` and thread-safe. Journal writes never
+    /// happen under the storage guard — see [`ConcTracing`].
     pub fn attach_tracing(&mut self, journal: &TraceJournal, track: &str) {
         self.trc = Some(ConcTracing {
             writer: journal.writer(track),
-            gather: journal.intern("gather-phase"),
-            spread: journal.intern("spread-phase"),
-            scatter: journal.intern("scatter-phase"),
-            copy_runs: journal.intern("copy-bank-runs"),
-            copy_inter: journal.intern("copy-interleaved"),
+            replay: journal.intern("region-replay"),
+            copy_replay: journal.intern("copy-replay"),
             hit: journal.intern("region-plan-hit"),
             miss: journal.intern("region-plan-miss"),
-            acquire: journal.intern("bank-acquire"),
         });
     }
 
@@ -414,6 +353,15 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         Ok(plan)
     }
 
+    /// The compiled plan of a bounds-checked `access`, plus the flat slot
+    /// its fold offsets are relative to (`A(origin)` scaled by the layout).
+    fn planned(&self, access: ParallelAccess) -> Result<(Arc<AccessPlan>, isize)> {
+        self.agu.check_bounds(access)?;
+        let plan = self.plan_for(access)?;
+        let scale = self.config.layout.base_scale(self.config.lanes());
+        Ok((plan, self.afn.address(access.i, access.j) as isize * scale))
+    }
+
     fn check_access(&self, access: ParallelAccess) -> Result<()> {
         self.config
             .scheme
@@ -421,28 +369,21 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Parallel read through any read port; callable concurrently from many
-    /// threads.
+    /// threads. The whole access is read under one shared guard.
     pub fn read(&self, access: ParallelAccess) -> Result<Vec<T>> {
         self.check_access(access)?;
+        let mut out = Vec::with_capacity(self.config.lanes());
         if self.planning() {
-            self.agu.check_bounds(access)?;
-            let plan = self.plan_for(access)?;
-            let base = self.afn.address(access.i, access.j) as isize;
-            let mut out = Vec::with_capacity(plan.lanes());
-            for (&bank, &delta) in plan.banks.iter().zip(&plan.deltas) {
-                out.push(self.banks[bank as usize].read()[(base + delta) as usize]);
+            let (plan, base) = self.planned(access)?;
+            let storage = self.storage.read();
+            let flat = storage.flat();
+            out.extend(plan.fold.iter().map(|&f| flat[(base + f) as usize]));
+        } else {
+            let coords = self.agu.expand(access)?;
+            let storage = self.storage.read();
+            for (i, j) in coords {
+                out.push(storage.read(self.maf.assign_linear(i, j), self.afn.address(i, j)));
             }
-            if let Some(t) = &self.tlm {
-                t.single_read(out.len());
-            }
-            return Ok(out);
-        }
-        let coords = self.agu.expand(access)?;
-        let mut out = Vec::with_capacity(coords.len());
-        for (i, j) in coords {
-            let bank = self.maf.assign_linear(i, j);
-            let addr = self.afn.address(i, j);
-            out.push(self.banks[bank].read()[addr]);
         }
         if let Some(t) = &self.tlm {
             t.single_read(out.len());
@@ -451,7 +392,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Parallel write through the write port; callable concurrently with
-    /// readers (element-level atomicity, see module docs).
+    /// readers, who see all of it or none of it (see module docs).
     pub fn write(&self, access: ParallelAccess, data: &[T]) -> Result<()> {
         let lanes = self.config.lanes();
         if data.len() != lanes {
@@ -462,22 +403,18 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
         self.check_access(access)?;
         if self.planning() {
-            self.agu.check_bounds(access)?;
-            let plan = self.plan_for(access)?;
-            let base = self.afn.address(access.i, access.j) as isize;
-            for ((&bank, &delta), &v) in plan.banks.iter().zip(&plan.deltas).zip(data) {
-                self.banks[bank as usize].write()[(base + delta) as usize] = v;
+            let (plan, base) = self.planned(access)?;
+            let mut storage = self.storage.write();
+            let flat = storage.flat_mut();
+            for (&f, &v) in plan.fold.iter().zip(data) {
+                flat[(base + f) as usize] = v;
             }
-            if let Some(t) = &self.tlm {
-                t.single_write(lanes);
+        } else {
+            let coords = self.agu.expand(access)?;
+            let mut storage = self.storage.write();
+            for ((i, j), &v) in coords.into_iter().zip(data) {
+                storage.write(self.maf.assign_linear(i, j), self.afn.address(i, j), v);
             }
-            return Ok(());
-        }
-        let coords = self.agu.expand(access)?;
-        for ((i, j), &v) in coords.into_iter().zip(data) {
-            let bank = self.maf.assign_linear(i, j);
-            let addr = self.afn.address(i, j);
-            self.banks[bank].write()[addr] = v;
         }
         if let Some(t) = &self.tlm {
             t.single_write(lanes);
@@ -485,120 +422,30 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         Ok(())
     }
 
-    /// Read a whole region in canonical element order. Two-phase
-    /// run-coalesced replay: port threads shard the *banks* (each port
-    /// drains a contiguous band of banks, one read lock per bank, moving
-    /// that bank's run segments into a disjoint slice of a bank-major
-    /// stage), then a lock-free pass spreads the stage into canonical
-    /// order through the same run table. Small regions run both phases
-    /// inline — thread launch would dominate.
+    /// Read a whole region in canonical element order: one motif-run
+    /// gather under one shared guard, on the calling thread.
     pub fn read_region(&self, region: &Region) -> Result<Vec<T>> {
         let plan = self.region_plan_traced(region)?;
         plan.check_bounds(region, self.config.rows, self.config.cols)?;
-        if let Some(t) = &self.tlm {
-            t.region_read(plan.accesses, plan.len());
-            let (c, s) = bank_byte_split::<T>(&plan);
-            t.region_bytes(c, s);
-        }
         let base = self.afn.address(region.i, region.j) as isize;
-        let len = plan.len();
-        let mut out = vec![T::default(); len];
-        if len == 0 {
-            return Ok(out);
-        }
-        let accesses = plan.accesses;
-        let mut stage = vec![T::default(); len];
-        let ports = self.config.read_ports.max(1);
+        let mut out = vec![T::default(); plan.len()];
         let span = self
             .trc
             .as_ref()
-            .map(|tr| tr.writer.begin(tr.gather, SpanId::NONE));
-        if ports == 1 || len < PARALLEL_REGION_MIN {
-            for (b, chunk) in stage.chunks_mut(accesses).enumerate() {
-                self.gather_range(&plan, base, b, chunk);
-            }
-        } else {
-            let banks_per_port = plan.lanes.div_ceil(ports);
-            let plan_ref = &plan;
-            crossbeam::scope(|s| {
-                for (ci, band) in stage.chunks_mut(banks_per_port * accesses).enumerate() {
-                    s.spawn(move |_| {
-                        for (k, chunk) in band.chunks_mut(accesses).enumerate() {
-                            self.gather_range(plan_ref, base, ci * banks_per_port + k, chunk);
-                        }
-                    });
-                }
-            })
-            .expect("region port thread panicked");
-        }
-        // All bank guards are released here: end the gather-phase span and
-        // open the lock-free spread phase.
-        let span = self.trc.as_ref().map(|tr| {
-            if let Some(s) = span {
-                tr.writer.end(tr.gather, s);
-            }
-            tr.writer.begin(tr.spread, SpanId::NONE)
-        });
-        for b in 0..plan.lanes {
-            self.spread_range(&plan, b, &stage[b * accesses..(b + 1) * accesses], &mut out);
-        }
+            .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
+        plan.gather_into(self.storage.read().flat(), base, &mut out);
         if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.spread, s);
+            tr.writer.end(tr.replay, s);
+        }
+        if let Some(t) = &self.tlm {
+            t.region_read(plan.accesses, plan.len());
+            t.region_bytes(plan.byte_split::<T>());
         }
         Ok(out)
     }
 
-    /// Gather bank `b`'s share of a region (in `bank_elems` order) into
-    /// `out` under a single bank read lock: one `copy_from_slice` per
-    /// unit-stride run segment, the chunked strided loop otherwise.
-    fn gather_range(&self, plan: &RegionPlan, base: isize, b: usize, out: &mut [T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
-        if let Some(tr) = &self.trc {
-            // Recorded *before* the guard acquisition, never under it.
-            tr.writer.instant(tr.acquire);
-        }
-        let guard = self.banks[b].read();
-        let bank = guard.as_slice();
-        let mut pos = 0usize;
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let a0 = base + run.d0;
-            let dst = &mut out[pos..pos + len];
-            if run.d_stride == 1 {
-                dst.copy_from_slice(&bank[a0 as usize..a0 as usize + len]);
-            } else {
-                gather_strided(bank, a0, run.d_stride, dst);
-            }
-            pos += len;
-        }
-    }
-
-    /// Spread bank `b`'s staged elements (gathered in `bank_elems` order)
-    /// into their canonical positions of `out`. Pure memory traffic — no
-    /// lock is held or taken.
-    fn spread_range(&self, plan: &RegionPlan, b: usize, stage: &[T], out: &mut [T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
-        let mut pos = 0usize;
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let src = &stage[pos..pos + len];
-            let c0 = run.c0 as usize;
-            if run.c_stride == 1 {
-                out[c0..c0 + len].copy_from_slice(src);
-            } else {
-                scatter_strided(out, c0 as isize, run.c_stride as isize, src);
-            }
-            pos += len;
-        }
-    }
-
-    /// Write a whole region (values in canonical order), taking each bank
-    /// lock exactly once and draining that bank's run segments in a batch —
-    /// `p*q` lock acquisitions per region instead of one per element, and
-    /// block moves instead of element stores wherever a segment is
-    /// unit-stride on both sides.
+    /// Write a whole region (values in canonical order): one motif-run
+    /// scatter under one exclusive guard.
     pub fn write_region(&self, region: &Region, values: &[T]) -> Result<()> {
         if values.len() != region.len() {
             return Err(PolyMemError::WrongLaneCount {
@@ -608,283 +455,73 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
         let plan = self.region_plan_traced(region)?;
         plan.check_bounds(region, self.config.rows, self.config.cols)?;
-        if let Some(t) = &self.tlm {
-            t.region_write(plan.accesses, plan.len());
-            let (c, s) = bank_byte_split::<T>(&plan);
-            t.region_bytes(c, s);
-        }
         let base = self.afn.address(region.i, region.j) as isize;
         let span = self
             .trc
             .as_ref()
-            .map(|tr| tr.writer.begin(tr.scatter, SpanId::NONE));
-        for b in 0..plan.lanes {
-            self.scatter_range(&plan, base, b, values);
-        }
+            .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
+        plan.scatter_from(self.storage.write().flat_mut(), base, values);
         if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.scatter, s);
+            tr.writer.end(tr.replay, s);
+        }
+        if let Some(t) = &self.tlm {
+            t.region_write(plan.accesses, plan.len());
+            t.region_bytes(plan.byte_split::<T>());
         }
         Ok(())
     }
 
-    /// Copy `src` into `dst` as a single burst (allocating variant of
+    /// Copy `src` into `dst` (allocating variant of
     /// [`Self::copy_region_with`]).
     pub fn copy_region(&self, src: &Region, dst: &Region) -> Result<()> {
         let mut scratch = Vec::new();
         self.copy_region_with(src, dst, &mut scratch)
     }
 
-    /// Copy `src` into `dst` as one fused operation. Disjoint regions that
-    /// share a plan (same residue class) never leave their banks: each
-    /// bank's run segments move internally with `copy_within` under a
-    /// single write guard. Other disjoint copies stage a port-sharded
-    /// run-coalesced gather, spread it to canonical order, then issue one
-    /// merged write per destination bank. `scratch` is reused across calls
-    /// so steady-state bursts are allocation-free. Overlapping regions
-    /// take the access-interleaved slow path, which matches the sequential
-    /// [`crate::PolyMem::copy_region`] element for element.
+    /// Copy `src` into `dst` under one exclusive guard, through the same
+    /// copy selection as [`crate::PolyMem::copy_region`]: `copy_within`
+    /// block moves for disjoint same-residue-class regions, a canonical
+    /// gather+scatter staged in `scratch` for other disjoint same-shape
+    /// regions, and the exact access-interleaved order for overlapping or
+    /// cross-shape ones, so results match the sequential memory element
+    /// for element. `scratch` is reused across calls, so steady-state
+    /// copies are allocation-free.
     pub fn copy_region_with(&self, src: &Region, dst: &Region, scratch: &mut Vec<T>) -> Result<()> {
         let sp = self.region_plan_traced(src)?;
         let dp = self.region_plan_traced(dst)?;
         if sp.accesses != dp.accesses {
-            return Err(PolyMemError::InvalidGeometry {
-                reason: format!(
-                    "copy_region: {} decomposes into {} accesses but {} into {}",
-                    src.name, sp.accesses, dst.name, dp.accesses
-                ),
-            });
+            return Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses));
         }
         sp.check_bounds(src, self.config.rows, self.config.cols)?;
         dp.check_bounds(dst, self.config.rows, self.config.cols)?;
-        let sbase = self.afn.address(src.i, src.j) as isize;
-        let dbase = self.afn.address(dst.i, dst.j) as isize;
-        if let Some(t) = &self.tlm {
-            t.region_read(sp.accesses, sp.len());
-            t.region_write(dp.accesses, dp.len());
-        }
-        if regions_overlap(src, dst) {
-            if let Some(t) = &self.tlm {
-                // No batched bank guards on this path: count the scatter's
-                // per-bank elements here (each access hits each bank once).
-                t.region_write_banks(dp.accesses);
-                t.region_bytes(0, 2 * sp.len() as u64 * std::mem::size_of::<T>() as u64);
-            }
-            let span = self
-                .trc
-                .as_ref()
-                .map(|tr| tr.writer.begin(tr.copy_inter, SpanId::NONE));
-            let res = self.copy_interleaved(&sp, sbase, &dp, dbase, scratch);
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.copy_inter, s);
-            }
-            return res;
-        }
-        let len = sp.len();
-        if len == 0 {
-            return Ok(());
-        }
-        if Arc::ptr_eq(&sp, &dp) {
-            if let Some(t) = &self.tlm {
-                let (c, s) = bank_byte_split::<T>(&sp);
-                t.region_bytes(2 * c, 2 * s);
-            }
-            let span = self
-                .trc
-                .as_ref()
-                .map(|tr| tr.writer.begin(tr.copy_runs, SpanId::NONE));
-            self.copy_bank_runs(&sp, sbase, dbase);
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.copy_runs, s);
-            }
-            return Ok(());
-        }
-        if let Some(t) = &self.tlm {
-            let (sc, ss) = bank_byte_split::<T>(&sp);
-            let (dc, ds) = bank_byte_split::<T>(&dp);
-            t.region_bytes(sc + dc, ss + ds);
-        }
-        let accesses = sp.accesses;
-        scratch.clear();
-        scratch.resize(2 * len, T::default());
-        let (stage, canonical) = scratch.split_at_mut(len);
-        let ports = self.config.read_ports.max(1);
         let span = self
             .trc
             .as_ref()
-            .map(|tr| tr.writer.begin(tr.gather, SpanId::NONE));
-        if ports == 1 || len < PARALLEL_REGION_MIN {
-            for (b, chunk) in stage.chunks_mut(accesses).enumerate() {
-                self.gather_range(&sp, sbase, b, chunk);
-            }
-        } else {
-            let banks_per_port = sp.lanes.div_ceil(ports);
-            let plan_ref = &sp;
-            crossbeam::scope(|s| {
-                for (ci, band) in stage.chunks_mut(banks_per_port * accesses).enumerate() {
-                    s.spawn(move |_| {
-                        for (k, chunk) in band.chunks_mut(accesses).enumerate() {
-                            self.gather_range(plan_ref, sbase, ci * banks_per_port + k, chunk);
-                        }
-                    });
-                }
-            })
-            .expect("region port thread panicked");
-        }
-        // Source bank guards released: gather phase over, spread begins.
-        let span = self.trc.as_ref().map(|tr| {
-            if let Some(s) = span {
-                tr.writer.end(tr.gather, s);
-            }
-            tr.writer.begin(tr.spread, SpanId::NONE)
-        });
-        for b in 0..sp.lanes {
-            self.spread_range(&sp, b, &stage[b * accesses..(b + 1) * accesses], canonical);
-        }
-        let span = self.trc.as_ref().map(|tr| {
-            if let Some(s) = span {
-                tr.writer.end(tr.spread, s);
-            }
-            tr.writer.begin(tr.scatter, SpanId::NONE)
-        });
-        let values: &[T] = canonical;
-        if ports == 1 || len < PARALLEL_REGION_MIN {
-            for b in 0..dp.lanes {
-                self.scatter_range(&dp, dbase, b, values);
-            }
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.scatter, s);
-            }
-            return Ok(());
-        }
-        let dplan = &dp;
-        crossbeam::scope(|s| {
-            for b in 0..dplan.lanes {
-                s.spawn(move |_| {
-                    self.scatter_range(dplan, dbase, b, values);
-                });
-            }
-        })
-        .expect("bank writer thread panicked");
+            .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
+        let bytes = {
+            let mut storage = self.storage.write();
+            replay_copy(
+                storage.flat_mut(),
+                &self.afn,
+                (src, &sp),
+                (dst, &dp),
+                scratch,
+            )
+        };
         if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.scatter, s);
-        }
-        Ok(())
-    }
-
-    /// Write bank `b`'s share of a region in one batch: a single bank
-    /// write-lock acquisition draining the bank's run segments out of
-    /// `values` (canonical order) — a `copy_from_slice` when a segment is
-    /// unit-stride on both sides, the chunked strided loop when one side
-    /// strides, a scalar loop for the rare dual-strided segment. Each
-    /// spawned burst writer owns exactly one bank, so writers are mutually
-    /// disjoint by construction.
-    fn scatter_range(&self, plan: &RegionPlan, base: isize, b: usize, values: &[T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
-        let mut drained = 0u64;
-        if let Some(tr) = &self.trc {
-            // Recorded *before* the guard acquisition, never under it.
-            tr.writer.instant(tr.acquire);
-        }
-        let mut guard = self.banks[b].write();
-        let bank = guard.as_mut_slice();
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let c0 = run.c0 as usize;
-            let a0 = base + run.d0;
-            if run.c_stride == 1 {
-                let src = &values[c0..c0 + len];
-                if run.d_stride == 1 {
-                    bank[a0 as usize..a0 as usize + len].copy_from_slice(src);
-                } else {
-                    scatter_strided(bank, a0, run.d_stride, src);
-                }
-            } else if run.d_stride == 1 {
-                gather_strided(
-                    values,
-                    c0 as isize,
-                    run.c_stride as isize,
-                    &mut bank[a0 as usize..a0 as usize + len],
-                );
-            } else {
-                for t in 0..len {
-                    bank[(a0 + t as isize * run.d_stride) as usize] =
-                        values[c0 + t * run.c_stride as usize];
-                }
-            }
-            drained += run.len as u64;
+            tr.writer.end(tr.copy_replay, s);
         }
         if let Some(t) = &self.tlm {
-            t.bank_batch(b, drained);
-        }
-    }
-
-    /// Same-plan disjoint copy: per bank, one write guard, then every run
-    /// segment moves *within* the bank — `copy_within` when the intra-bank
-    /// stride is 1, a strided self-copy otherwise (source and destination
-    /// address sets are disjoint, so iteration order cannot alias). Serial
-    /// by design: the spawned-writer pattern stays confined to
-    /// [`Self::scatter_range`].
-    fn copy_bank_runs(&self, plan: &RegionPlan, sbase: isize, dbase: isize) {
-        for b in 0..plan.lanes {
-            let lo = plan.bank_run_index[b] as usize;
-            let hi = plan.bank_run_index[b + 1] as usize;
-            let mut drained = 0u64;
-            let mut guard = self.banks[b].write();
-            let bank = guard.as_mut_slice();
-            for run in &plan.bank_runs[lo..hi] {
-                let len = run.len as usize;
-                let s0 = sbase + run.d0;
-                let d0 = dbase + run.d0;
-                if run.d_stride == 1 {
-                    bank.copy_within(s0 as usize..s0 as usize + len, d0 as usize);
-                } else {
-                    for t in 0..len {
-                        let off = t as isize * run.d_stride;
-                        bank[(d0 + off) as usize] = bank[(s0 + off) as usize];
-                    }
-                }
-                drained += run.len as u64;
-            }
-            if let Some(t) = &self.tlm {
-                t.bank_batch(b, drained);
-            }
-        }
-    }
-
-    /// Access-interleaved copy for overlapping regions: gather lanes of
-    /// source access `t`, scatter them to destination access `t`, in access
-    /// order — positionally identical to the sequential per-access loop.
-    fn copy_interleaved(
-        &self,
-        sp: &RegionPlan,
-        sbase: isize,
-        dp: &RegionPlan,
-        dbase: isize,
-        scratch: &mut Vec<T>,
-    ) -> Result<()> {
-        let lanes = sp.lanes;
-        let depth = self.config.bank_depth() as isize;
-        scratch.clear();
-        scratch.resize(lanes, T::default());
-        for t in 0..sp.accesses {
-            let sa = &sp.afold[t * lanes..(t + 1) * lanes];
-            for (o, &f) in scratch.iter_mut().zip(sa) {
-                let flat = sbase + f;
-                *o = self.banks[(flat / depth) as usize].read()[(flat % depth) as usize];
-            }
-            let da = &dp.afold[t * lanes..(t + 1) * lanes];
-            for (&f, &v) in da.iter().zip(scratch.iter()) {
-                let flat = dbase + f;
-                self.banks[(flat / depth) as usize].write()[(flat % depth) as usize] = v;
-            }
+            t.region_read(sp.accesses, sp.len());
+            t.region_write(dp.accesses, dp.len());
+            t.region_bytes(bytes);
         }
         Ok(())
     }
 
-    /// Issue one access per read port concurrently (one thread per port, as
-    /// the hardware issues one access per port per cycle) and collect the
-    /// results in port order.
+    /// Issue one access per read port and collect the results in port
+    /// order. The accesses are served one after another on the calling
+    /// thread; drive the memory from several threads for concurrency.
     pub fn read_ports(&self, accesses: &[ParallelAccess]) -> Vec<Result<Vec<T>>> {
         if accesses.len() > self.config.read_ports {
             return vec![
@@ -895,18 +532,10 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
                 accesses.len()
             ];
         }
-        crossbeam::scope(|s| {
-            let handles: Vec<_> = accesses
-                .iter()
-                .map(|&a| s.spawn(move |_| self.read(a)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("port thread panicked")
+        accesses.iter().map(|&a| self.read(a)).collect()
     }
 
-    /// Host-side scalar write.
-    pub fn set(&self, i: usize, j: usize, value: T) -> Result<()> {
+    fn check_coord(&self, i: usize, j: usize) -> Result<()> {
         if i >= self.config.rows || j >= self.config.cols {
             return Err(PolyMemError::OutOfBounds {
                 i: i as i64,
@@ -915,30 +544,23 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
                 cols: self.config.cols,
             });
         }
-        let bank = self.maf.assign_linear(i, j);
-        self.banks[bank].write()[self.afn.address(i, j)] = value;
+        Ok(())
+    }
+
+    /// Host-side scalar write.
+    pub fn set(&self, i: usize, j: usize, value: T) -> Result<()> {
+        self.check_coord(i, j)?;
+        let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
+        self.storage.write().write(bank, addr, value);
         Ok(())
     }
 
     /// Host-side scalar read.
     pub fn get(&self, i: usize, j: usize) -> Result<T> {
-        if i >= self.config.rows || j >= self.config.cols {
-            return Err(PolyMemError::OutOfBounds {
-                i: i as i64,
-                j: j as i64,
-                rows: self.config.rows,
-                cols: self.config.cols,
-            });
-        }
-        let bank = self.maf.assign_linear(i, j);
-        Ok(self.banks[bank].read()[self.afn.address(i, j)])
+        self.check_coord(i, j)?;
+        let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
+        Ok(self.storage.read().read(bank, addr))
     }
-}
-
-/// Conservative bounding-box overlap test (see [`Region::overlaps`]): a
-/// false positive only costs the interleaved slow path, never correctness.
-fn regions_overlap(a: &Region, b: &Region) -> bool {
-    a.overlaps(b)
 }
 
 #[cfg(test)]
@@ -946,7 +568,7 @@ mod tests {
     use super::*;
     use crate::region::RegionShape;
     use crate::scheme::{AccessScheme, ParallelAccess as PA};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     fn mem() -> ConcurrentPolyMem<u64> {
         ConcurrentPolyMem::new(PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 4).unwrap())
@@ -980,31 +602,34 @@ mod tests {
         let r = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
         let vals = m.read_region(&r).unwrap();
         m.write_region(&r, &vals).unwrap();
+        // (8, 8) is congruent to (0, 0) mod the period 8: one plan, so the
+        // copy replays as store-run block moves.
         let dst = Region::new("b2", 8, 8, RegionShape::Block { rows: 4, cols: 8 });
         m.copy_region(&r, &dst).unwrap();
         let s = journal.snapshot();
         assert!(s.validate_spans().is_empty(), "{:?}", s.validate_spans());
         let spans = s.spans();
         let count = |name: &str| spans.iter().filter(|sp| sp.name == name).count();
-        // read_region: gather + spread; copy (same residue class, disjoint
-        // at the same column offset modulo the period) replays one of the
-        // three strategies as exactly one span.
-        assert!(count("gather-phase") >= 1);
-        assert!(count("spread-phase") >= 1);
-        assert!(count("scatter-phase") >= 1);
-        assert!(count("copy-bank-runs") + count("copy-interleaved") + count("gather-phase") >= 2);
+        // One span per replay, each opened before the guard is taken and
+        // closed after it is released: the read and the write replay, then
+        // the copy.
+        assert_eq!(count("region-replay"), 2);
+        assert_eq!(count("copy-replay"), 1);
+        assert_eq!(spans.len(), 3, "{spans:?}");
         let instants = |name: &str| {
             s.events
                 .iter()
                 .filter(|e| e.kind == TraceEventKind::Instant && e.name == name)
                 .count()
         };
-        // Every banded phase announces each guard acquisition up front.
-        assert!(instants("bank-acquire") >= 2 * m.config().lanes());
-        assert!(instants("region-plan-miss") >= 1);
-        assert!(instants("region-plan-hit") >= 1);
+        // The first lookup compiles the block class; the write and both
+        // sides of the copy hit it.
+        assert_eq!(instants("region-plan-miss"), 1);
+        assert_eq!(instants("region-plan-hit"), 3);
         m.detach_tracing();
         m.read_region(&r).unwrap();
+        m.write_region(&r, &vals).unwrap();
+        m.copy_region(&r, &dst).unwrap();
         assert_eq!(journal.snapshot().events.len(), s.events.len());
     }
 
@@ -1033,35 +658,28 @@ mod tests {
 
     #[test]
     fn concurrent_reader_writer_element_atomicity() {
-        // Readers racing a writer must always see per-element values that are
-        // either the old or the new value, never garbage.
-        let m = std::sync::Arc::new(mem());
-        let old: Vec<u64> = vec![7; 8];
-        let new: Vec<u64> = vec![13; 8];
+        // One guard per access makes reads access-atomic: a reader racing
+        // a writer sees every lane old or every lane new, never a mix.
+        let m = mem();
+        let (old, new) = (vec![7u64; 8], vec![13u64; 8]);
         m.write(PA::row(0, 0), &old).unwrap();
         let bad = AtomicU64::new(0);
-        crossbeam::scope(|s| {
-            let mr = &m;
-            let badr = &bad;
-            let newr = &new;
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for _ in 0..500 {
-                    let got = mr.read(PA::row(0, 0)).unwrap();
-                    for &v in &got {
-                        if v != 7 && v != 13 {
-                            badr.fetch_add(1, Ordering::Relaxed);
-                        }
+                    let got = m.read(PA::row(0, 0)).unwrap();
+                    if got != old && got != new {
+                        bad.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             });
-            s.spawn(move |_| {
+            s.spawn(|| {
                 for k in 0..500 {
-                    let d = if k % 2 == 0 { newr.clone() } else { vec![7; 8] };
-                    mr.write(PA::row(0, 0), &d).unwrap();
+                    m.write(PA::row(0, 0), if k % 2 == 0 { &new } else { &old })
+                        .unwrap();
                 }
             });
-        })
-        .unwrap();
+        });
         assert_eq!(bad.load(Ordering::Relaxed), 0);
     }
 
@@ -1160,9 +778,9 @@ mod tests {
     }
 
     #[test]
-    fn large_region_read_shards_across_ports() {
-        // 64x64 -> a 64x64 block region of 4096 elements, well above the
-        // serial threshold, so the crossbeam sharding path runs.
+    fn large_region_read_runs_inline() {
+        // A 64x64 block region of 4096 elements replays on the caller's
+        // thread like any other.
         let m = ConcurrentPolyMem::<u64>::new(
             PolyMemConfig::new(64, 64, 2, 4, AccessScheme::RoCo, 4).unwrap(),
         )
@@ -1239,9 +857,9 @@ mod tests {
     }
 
     #[test]
-    fn large_secondary_diag_region_shards_across_ports_at_boundary() {
-        // len 256 >= PARALLEL_REGION_MIN, so the crossbeam sharding path
-        // replays the plan right up to the (255, 0) corner.
+    fn large_secondary_diag_region_runs_inline_at_boundary() {
+        // A 256-element anti-diagonal replays right up to the (255, 0)
+        // corner.
         let n = 256usize;
         let m = rero(n, n);
         let r = Region::new("sd", 0, n - 1, RegionShape::SecondaryDiag { len: n });
@@ -1273,11 +891,11 @@ mod tests {
     }
 
     /// copy_region parity under racing writers: a writer hammers a third
-    /// disjoint region while bursts copy src into a same-class destination
-    /// (the `copy_within` bank-run path) and a cross-class one (the staged
-    /// gather + spawned per-bank scatter path). Afterwards both
-    /// destinations hold exactly src's content, src is untouched, and the
-    /// hammered region holds the writer's final values.
+    /// disjoint region while copies move src into a same-class destination
+    /// (the store-run `copy_within` path) and a cross-class one (the
+    /// canonical gather + scatter path). Afterwards both destinations hold
+    /// exactly src's content, src is untouched, and the hammered region
+    /// holds the writer's final values.
     #[test]
     fn copy_region_parity_under_racing_writers() {
         let cfg = PolyMemConfig::new(32, 64, 2, 4, AccessScheme::RoCo, 4).unwrap();
@@ -1294,21 +912,26 @@ mod tests {
         let dst_same = Region::new("d0", 16, 0, shape);
         // (24, 4) is a different residue class: staged gather + scatter.
         let dst_cross = Region::new("d1", 24, 4, shape);
-        let stop = AtomicBool::new(false);
+        let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
         let writer_vals: Vec<u64> = (0..hot.len() as u64).map(|k| 0xdead_0000 + k).collect();
-        crossbeam::scope(|s| {
-            s.spawn(|_| {
-                while !stop.load(Ordering::Relaxed) {
-                    m.write_region(&hot, &writer_vals).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| loop {
+                m.write_region(&hot, &writer_vals).unwrap();
+                started.store(true, Ordering::Relaxed);
+                if stop.load(Ordering::Relaxed) {
+                    break;
                 }
             });
+            // Copy only once the writer is running, so the two race.
+            while !started.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
             for _ in 0..50 {
                 m.copy_region(&src, &dst_same).unwrap();
                 m.copy_region(&src, &dst_cross).unwrap();
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .unwrap();
+        });
         for i in 0..8usize {
             for j in 0..32usize {
                 let want = (i * 64 + j) as u64;

@@ -46,61 +46,6 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-/// Fixed width of the strided-replay inner loop of the per-bank run tables
-/// ([`BankRun`], replayed by [`crate::concurrent::ConcurrentPolyMem`]).
-/// Segments whose stride is not 1 are replayed in chunks of this many
-/// elements with a fully unrolled body of independent loads/stores — a
-/// shape LLVM's autovectorizer turns into gather/scatter vector code on
-/// every release target we build. The `chunk_shape` golden test pins the
-/// decomposition so the loop shape cannot silently drift back to
-/// one-element-at-a-time.
-pub const STRIDE_CHUNK: usize = 4;
-
-/// How a strided run of `len` elements decomposes into the fixed-width
-/// replay loop: `(full_chunks, tail_elems)`.
-#[inline]
-pub const fn chunk_shape(len: usize) -> (usize, usize) {
-    (len / STRIDE_CHUNK, len % STRIDE_CHUNK)
-}
-
-/// Strided gather inner loop: `out[t] = flat[src0 + t * stride]`,
-/// executed as [`STRIDE_CHUNK`]-wide chunks with an unrolled body of
-/// independent loads (the autovectorizable shape) plus a scalar tail.
-#[inline]
-pub(crate) fn gather_strided<T: Copy>(flat: &[T], src0: isize, stride: isize, out: &mut [T]) {
-    let (chunks, _tail) = chunk_shape(out.len());
-    let mut src = src0;
-    let step = stride * STRIDE_CHUNK as isize;
-    for chunk in out.chunks_exact_mut(STRIDE_CHUNK) {
-        chunk[0] = flat[src as usize];
-        chunk[1] = flat[(src + stride) as usize];
-        chunk[2] = flat[(src + 2 * stride) as usize];
-        chunk[3] = flat[(src + 3 * stride) as usize];
-        src += step;
-    }
-    for (t, o) in out[chunks * STRIDE_CHUNK..].iter_mut().enumerate() {
-        *o = flat[(src + t as isize * stride) as usize];
-    }
-}
-
-/// Strided scatter inner loop: the write mirror of [`gather_strided`].
-#[inline]
-pub(crate) fn scatter_strided<T: Copy>(flat: &mut [T], dst0: isize, stride: isize, values: &[T]) {
-    let (chunks, _tail) = chunk_shape(values.len());
-    let mut dst = dst0;
-    let step = stride * STRIDE_CHUNK as isize;
-    for chunk in values.chunks_exact(STRIDE_CHUNK) {
-        flat[dst as usize] = chunk[0];
-        flat[(dst + stride) as usize] = chunk[1];
-        flat[(dst + 2 * stride) as usize] = chunk[2];
-        flat[(dst + 3 * stride) as usize] = chunk[3];
-        dst += step;
-    }
-    for (t, &v) in values[chunks * STRIDE_CHUNK..].iter().enumerate() {
-        flat[(dst + t as isize * stride) as usize] = v;
-    }
-}
-
 /// One lane-wide motif run of the canonical gather map: `reps` consecutive
 /// groups of `lanes` canonical elements from `start` on, where lane `k` of
 /// group `t` sits at flat offset `offset + t * step + m[k]`, `m` being
@@ -140,27 +85,6 @@ pub struct StoreRun {
     pub offset: isize,
     /// Contiguous flat slots covered (>= 1).
     pub len: u32,
-}
-
-/// One maximal dual-constant-stride segment of a bank's element list
-/// (bank-major view, independent of the flat layout): for `t < len`, the
-/// segment covers canonical element `c0 + t * c_stride` at intra-bank
-/// address delta `d0 + t * d_stride`. Lets per-bank-locked replay move a
-/// whole segment under one guard, as a block move when both strides are 1
-/// and as the chunked strided loop otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankRun {
-    /// First canonical element of the segment.
-    pub c0: u32,
-    /// Elements covered (>= 1).
-    pub len: u32,
-    /// Intra-bank address delta of the first element.
-    pub d0: isize,
-    /// Canonical-index distance between consecutive elements (bank
-    /// element lists ascend, so this is positive).
-    pub c_stride: u32,
-    /// Intra-bank address distance between consecutive elements.
-    pub d_stride: isize,
 }
 
 /// One cached plan plus its recency stamp. The stamp is atomic so shared
@@ -222,25 +146,15 @@ pub struct RegionPlan {
     /// Per canonical element `c`: flat storage offset
     /// (`layout.fold(bank, addr_delta)`) relative to the scaled origin
     /// address. The gather map of reads and, read right-to-left, the
-    /// scatter map of writes.
+    /// scatter map of writes. The owning bank and intra-bank address of a
+    /// slot decode through [`BankLayout::bank_of`]/[`BankLayout::addr_of`].
     pub fold: Vec<isize>,
-    /// Per canonical element: owning bank (for per-bank-locked storage that
-    /// has no flat view, i.e. [`crate::concurrent::ConcurrentPolyMem`]).
-    pub banks: Vec<u32>,
-    /// Per canonical element: signed intra-bank address delta relative to
-    /// `A(origin)` (companion of [`Self::banks`]).
-    pub deltas: Vec<isize>,
     /// Access-major mirror of [`Self::fold`]: slot `a * lanes + k` is the
     /// flat offset of lane `k` of access `a`, in AGU lane order. `copy_region`
     /// pairs source and destination slots positionally through this, which
     /// preserves the per-access interleaved overlap semantics of the naive
     /// read-one-access/write-one-access loop.
     pub afold: Vec<isize>,
-    /// Canonical element indices grouped by bank: bank `b` owns
-    /// `bank_elems[b * accesses .. (b + 1) * accesses]` (every conflict-free
-    /// access touches each bank exactly once, so the grouping is rectangular).
-    /// Lets a concurrent write take each bank lock once per region.
-    pub bank_elems: Vec<u32>,
     /// Motif-run table of [`Self::fold`], in canonical order, tiling
     /// `0..len` exactly (proven by [`Self::validate`]): what
     /// [`Self::gather_into`] and [`Self::scatter_from`] replay.
@@ -253,20 +167,11 @@ pub struct RegionPlan {
     /// flat slots the region touches, merged). Same-plan copies replay
     /// these as pure block moves.
     pub store_runs: Vec<StoreRun>,
-    /// Per-bank run table over [`Self::bank_elems`]: bank `b` owns
-    /// `bank_runs[bank_run_index[b] .. bank_run_index[b + 1]]`.
-    pub bank_runs: Vec<BankRun>,
-    /// CSR index into [`Self::bank_runs`], `lanes + 1` entries.
-    pub bank_run_index: Vec<u32>,
     /// Elements covered by block-move motif runs
     /// ([`MotifRun::is_block_move`]); the remaining `len - contiguous_elems`
     /// replay lane by lane. Cached for the coalesced-bytes telemetry
     /// counters.
     pub contiguous_elems: usize,
-    /// Elements covered by bank runs whose intra-bank stride is 1 — the
-    /// per-bank-locked replay's block-move share (the concurrent façade's
-    /// counterpart of [`Self::contiguous_elems`]).
-    pub bank_contiguous_elems: usize,
     /// Number of parallel accesses the region decomposes into.
     pub accesses: usize,
     /// Lanes per access (`p * q`).
@@ -351,56 +256,6 @@ fn build_store_runs(fold: &[isize]) -> Vec<StoreRun> {
     runs
 }
 
-/// Greedy maximal dual-stride segmentation of each bank's element list.
-/// Returns the flat run table plus its `lanes + 1`-entry CSR index.
-fn build_bank_runs(
-    bank_elems: &[u32],
-    deltas: &[isize],
-    lanes: usize,
-    accesses: usize,
-) -> (Vec<BankRun>, Vec<u32>) {
-    let mut runs = Vec::new();
-    let mut index = Vec::with_capacity(lanes + 1);
-    index.push(0u32);
-    for b in 0..lanes {
-        let elems = &bank_elems[b * accesses..(b + 1) * accesses];
-        let mut t = 0usize;
-        while t < elems.len() {
-            let c0 = elems[t];
-            let d0 = deltas[c0 as usize];
-            if t + 1 == elems.len() {
-                runs.push(BankRun {
-                    c0,
-                    len: 1,
-                    d0,
-                    c_stride: 1,
-                    d_stride: 1,
-                });
-                break;
-            }
-            let c_stride = elems[t + 1] - elems[t];
-            let d_stride = deltas[elems[t + 1] as usize] - d0;
-            let mut last = t + 1;
-            while last + 1 < elems.len()
-                && elems[last + 1] - elems[last] == c_stride
-                && deltas[elems[last + 1] as usize] - deltas[elems[last] as usize] == d_stride
-            {
-                last += 1;
-            }
-            runs.push(BankRun {
-                c0,
-                len: (last - t + 1) as u32,
-                d0,
-                c_stride,
-                d_stride,
-            });
-            t = last + 1;
-        }
-        index.push(runs.len() as u32);
-    }
-    (runs, index)
-}
-
 impl RegionPlan {
     /// Compile the plan for `region`'s residue class.
     ///
@@ -428,8 +283,6 @@ impl RegionPlan {
         let scale = layout.base_scale(lanes);
 
         let mut fold = vec![0isize; len];
-        let mut banks = vec![0u32; len];
-        let mut deltas = vec![0isize; len];
         let mut afold = vec![0isize; len];
         let mut seen = vec![false; len];
         let mut coords = Vec::with_capacity(lanes);
@@ -462,8 +315,6 @@ impl RegionPlan {
                 }
                 seen[c] = true;
                 fold[c] = plan.fold[k] + abase * scale;
-                banks[c] = plan.banks[k];
-                deltas[c] = plan.deltas[k] + abase;
                 afold[a * lanes + k] = plan.fold[k] + abase * scale;
             }
         }
@@ -476,30 +327,14 @@ impl RegionPlan {
             });
         }
 
-        // CSR-by-bank grouping for merged per-bank writes.
-        let n_acc = accesses.len();
-        let mut bank_elems = vec![0u32; len];
-        let mut filled = vec![0usize; lanes.max(1)];
-        for (c, &b) in banks.iter().enumerate() {
-            let b = b as usize;
-            bank_elems[b * n_acc + filled[b]] = c as u32;
-            filled[b] += 1;
-        }
-
         // The layout/coalescing pass: segment the gather map into motif
         // runs once, so every replay moves whole lane groups.
         let (motif_runs, motifs) = build_motif_runs(&fold, lanes);
         let store_runs = build_store_runs(&fold);
-        let (bank_runs, bank_run_index) = build_bank_runs(&bank_elems, &deltas, lanes, n_acc);
         let contiguous_elems = motif_runs
             .iter()
             .filter(|r| r.is_block_move(lanes))
             .map(|r| r.reps as usize * lanes)
-            .sum();
-        let bank_contiguous_elems = bank_runs
-            .iter()
-            .filter(|r| r.d_stride == 1)
-            .map(|r| r.len as usize)
             .sum();
 
         let (max_down, max_right, max_left) = region.extents();
@@ -507,18 +342,12 @@ impl RegionPlan {
             shape: region.shape,
             layout,
             fold,
-            banks,
-            deltas,
             afold,
-            bank_elems,
             motif_runs,
             motifs,
             store_runs,
-            bank_runs,
-            bank_run_index,
             contiguous_elems,
-            bank_contiguous_elems,
-            accesses: n_acc,
+            accesses: accesses.len(),
             lanes,
             max_down,
             max_right,
@@ -671,29 +500,36 @@ impl RegionPlan {
         }
     }
 
+    /// Bytes of `T` one replay of this plan moves by block moves
+    /// ([`Self::contiguous_elems`]) vs lane by lane: the coalesced/strided
+    /// telemetry split.
+    #[inline]
+    pub fn byte_split<T>(&self) -> (u64, u64) {
+        let elem = size_of::<T>() as u64;
+        let coalesced = self.contiguous_elems as u64;
+        (coalesced * elem, (self.len() as u64 - coalesced) * elem)
+    }
+
     /// Structural soundness check: prove this plan is a true permutation of
     /// the region for a replay at flat base address `base` (`A(origin)`)
     /// into banks of `depth` elements.
     ///
     /// Verifies, without touching any memory:
-    /// * every canonical element's gather slot `base + fold[c]` is in bounds
-    ///   and lands inside the bank recorded in `banks[c]`, at the intra-bank
-    ///   address `base + deltas[c]` (gather and per-bank views agree);
+    /// * every canonical element's gather slot `base + fold[c]` is in
+    ///   bounds;
     /// * `fold` is injective (the gather is a permutation, so a scatter
     ///   through it can never lose a write);
     /// * `afold` is a bijective rearrangement of `fold` whose `lanes` slots
     ///   are bank-disjoint within every access — each replayed cycle still
-    ///   hits `p*q` distinct banks;
-    /// * `bank_elems` partitions the canonical range rectangularly by bank;
+    ///   hits `p*q` distinct banks (so every bank serves exactly
+    ///   `accesses` elements of the region);
     /// * the motif-run table exactly tiles the fold map — `motif_runs`
     ///   covers `0..len` contiguously with no overlap and no gap, every run
     ///   names a pooled motif, and every run expands to precisely the fold
     ///   offsets it claims; the pool's motif 0 is the identity (the
     ///   block-move replay relies on it) and every motif has a lane at 0;
     /// * `store_runs` exactly tiles the sorted storage image (maximal
-    ///   intervals: adjacent intervals never merge);
-    /// * `bank_runs` (+ its CSR index) expands positionally to exactly
-    ///   each bank's `bank_elems` list with matching address deltas.
+    ///   intervals: adjacent intervals never merge).
     ///
     /// Compiled plans satisfy this by construction; the `polymem-verify`
     /// static analyzer re-proves it per cached class and trips it on
@@ -702,38 +538,18 @@ impl RegionPlan {
         let len = self.len();
         let structural = |reason: String| PolyMemError::InvalidGeometry { reason };
         let nm = |what: &str| format!("region plan for {:?}: {what}", self.shape);
-        if self.banks.len() != len
-            || self.deltas.len() != len
-            || self.afold.len() != len
-            || self.bank_elems.len() != len
-            || self.accesses * self.lanes != len
-            || self.lanes == 0
-        {
+        if self.afold.len() != len || self.accesses * self.lanes != len || self.lanes == 0 {
             return Err(structural(nm(
                 "array lengths disagree with the region size",
             )));
         }
         let total = (self.lanes * depth) as isize;
         let fbase = self.flat_base(base);
-        for c in 0..len {
-            let abs = fbase + self.fold[c];
+        for (c, &f) in self.fold.iter().enumerate() {
+            let abs = fbase + f;
             if abs < 0 || abs >= total {
                 return Err(structural(nm(&format!(
                     "element {c} gathers from flat slot {abs} outside storage of {total}"
-                ))));
-            }
-            let bank = self.layout.bank_of(abs as usize, self.lanes, depth);
-            if bank != self.banks[c] as usize {
-                return Err(structural(nm(&format!(
-                    "element {c} gathers from bank {bank} but records bank {}",
-                    self.banks[c]
-                ))));
-            }
-            let addr = self.layout.addr_of(abs as usize, self.lanes, depth) as isize;
-            if addr != base + self.deltas[c] {
-                return Err(structural(nm(&format!(
-                    "element {c}: intra-bank address {addr} disagrees with delta view {}",
-                    base + self.deltas[c]
                 ))));
             }
         }
@@ -769,26 +585,6 @@ impl RegionPlan {
                     });
                 }
                 seen[bank] = true;
-            }
-        }
-        // bank_elems: rectangular grouping covering every element once, each
-        // group owned by its bank.
-        let mut covered = vec![false; len];
-        for b in 0..self.lanes {
-            for &c in &self.bank_elems[b * self.accesses..(b + 1) * self.accesses] {
-                let c = c as usize;
-                if c >= len || covered[c] {
-                    return Err(structural(nm(&format!(
-                        "bank_elems group {b} repeats or overruns element {c}"
-                    ))));
-                }
-                covered[c] = true;
-                if self.banks[c] as usize != b {
-                    return Err(structural(nm(&format!(
-                        "bank_elems group {b} claims element {c} owned by bank {}",
-                        self.banks[c]
-                    ))));
-                }
             }
         }
         // Motif-run table tiles the fold map: identity motif first, every
@@ -881,66 +677,77 @@ impl RegionPlan {
                 "storage intervals cover {expanded} of {len} touched slots"
             ))));
         }
-        // bank_runs expand positionally to each bank's element list with
-        // matching deltas.
-        if self.bank_run_index.len() != self.lanes + 1
-            || self.bank_run_index.first() != Some(&0)
-            || self.bank_run_index.last().copied() != Some(self.bank_runs.len() as u32)
-        {
-            return Err(structural(nm("bank run index is not a CSR over the banks")));
-        }
-        for b in 0..self.lanes {
-            let (lo, hi) = (
-                self.bank_run_index[b] as usize,
-                self.bank_run_index[b + 1] as usize,
-            );
-            if lo > hi || hi > self.bank_runs.len() {
-                return Err(structural(nm(&format!(
-                    "bank run index for bank {b} is out of order"
-                ))));
-            }
-            let elems = &self.bank_elems[b * self.accesses..(b + 1) * self.accesses];
-            let mut pos = 0usize;
-            for run in &self.bank_runs[lo..hi] {
-                if run.len == 0 {
-                    return Err(structural(nm(&format!("bank {b} has an empty run"))));
-                }
-                for t in 0..run.len as usize {
-                    let c = run.c0 as usize + t * run.c_stride as usize;
-                    let d = run.d0 + t as isize * run.d_stride;
-                    if pos + t >= elems.len() || elems[pos + t] as usize != c || self.deltas[c] != d
-                    {
-                        return Err(structural(nm(&format!(
-                            "bank {b} run expands to element {c} delta {d}, disagreeing \
-                             with the bank element list"
-                        ))));
-                    }
-                }
-                pos += run.len as usize;
-            }
-            if pos != elems.len() {
-                return Err(structural(nm(&format!(
-                    "bank {b} runs cover {pos} of {} elements",
-                    elems.len()
-                ))));
-            }
-        }
         Ok(())
     }
 
     /// Approximate heap footprint of the precomputed arrays, in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.fold.len() * size_of::<isize>()
-            + self.banks.len() * size_of::<u32>()
-            + self.deltas.len() * size_of::<isize>()
             + self.afold.len() * size_of::<isize>()
-            + self.bank_elems.len() * size_of::<u32>()
             + self.motif_runs.len() * size_of::<MotifRun>()
             + self.motifs.len() * size_of::<usize>()
             + self.store_runs.len() * size_of::<StoreRun>()
-            + self.bank_runs.len() * size_of::<BankRun>()
-            + self.bank_run_index.len() * size_of::<u32>()
     }
+}
+
+/// Replay `copy_region(src, dst)` over one flat store through the two
+/// compiled plans: the copy selection both [`crate::PolyMem`] and
+/// [`crate::ConcurrentPolyMem`] run. Lane `k` of source access `t` lands in
+/// lane `k` of destination access `t`; the cheapest replay that keeps
+/// those semantics wins:
+///
+/// * disjoint regions sharing one plan (same residue class) touch
+///   congruent storage images: one `copy_within` per store run;
+/// * other disjoint same-shape pairs gather canonically through the
+///   source's motif runs into `scratch` and scatter through the
+///   destination's (same-shape regions decompose at fixed offsets from
+///   their origins, so canonical pairing is the per-access pairing);
+/// * overlapping or cross-shape pairs walk the access-interleaved
+///   [`RegionPlan::afold`] order, element for element the per-access loop.
+///
+/// Callers check that both plans have the same access count and both
+/// origins are in bounds. Returns the coalesced/strided byte split.
+pub(crate) fn replay_copy<T: Copy + Default>(
+    flat: &mut [T],
+    afn: &AddressingFunction,
+    (src, sp): (&Region, &RegionPlan),
+    (dst, dp): (&Region, &RegionPlan),
+    scratch: &mut Vec<T>,
+) -> (u64, u64) {
+    let sbase = afn.address(src.i, src.j) as isize;
+    let dbase = afn.address(dst.i, dst.j) as isize;
+    // Both directions of the whole region, as block moves or lane by lane.
+    let both = 2 * sp.len() as u64 * size_of::<T>() as u64;
+    let overlap = src.overlaps(dst);
+    if !overlap && std::ptr::eq(sp, dp) {
+        sp.copy_store_runs_within(flat, sbase, dbase);
+        return (both, 0);
+    }
+    if !overlap && src.shape == dst.shape {
+        scratch.clear();
+        scratch.resize(sp.len(), T::default());
+        sp.gather_into(flat, sbase, scratch);
+        dp.scatter_from(flat, dbase, scratch);
+        let ((sc, ss), (dc, ds)) = (sp.byte_split::<T>(), dp.byte_split::<T>());
+        return (sc + dc, ss + ds);
+    }
+    let lanes = sp.lanes;
+    let (sfb, dfb) = (sp.flat_base(sbase), dp.flat_base(dbase));
+    scratch.clear();
+    scratch.resize(lanes, T::default());
+    for (sa, da) in sp
+        .afold
+        .chunks_exact(lanes)
+        .zip(dp.afold.chunks_exact(lanes))
+    {
+        for (v, &f) in scratch.iter_mut().zip(sa) {
+            *v = flat[(sfb + f) as usize];
+        }
+        for (&f, &v) in da.iter().zip(scratch.iter()) {
+            flat[(dfb + f) as usize] = v;
+        }
+    }
+    (0, both)
 }
 
 /// Observe each motif run's length in elements (`reps * lanes`).
@@ -1275,20 +1082,30 @@ mod tests {
 
     #[test]
     fn block_plan_matches_interpreted_addressing() {
-        let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReO, 2, 4, 16, 16);
-        let depth = (16 / 2) * (16 / 4);
+        // Every gather slot decodes, through the layout, to exactly the
+        // MAF's bank and the addressing function's intra-bank address.
         let r = Region::new("b", 2, 4, RegionShape::Block { rows: 4, cols: 8 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReO, &agu, &maf, &afn, &mut cache).unwrap();
-        assert_eq!(plan.len(), 32);
-        assert_eq!(plan.accesses, 4);
-        let base0 = afn.address(2, 4) as isize;
-        for (c, (i, j)) in r.coords_iter().unwrap().enumerate() {
-            let bank = maf.assign_linear(i, j);
-            let addr = afn.address(i, j) as isize;
-            assert_eq!(plan.banks[c] as usize, bank);
-            assert_eq!(base0 + plan.deltas[c], addr);
-            assert_eq!(plan.fold[c], bank as isize * depth as isize + addr - base0);
+        let maf = ModuleAssignment::new(AccessScheme::ReO, 2, 4);
+        let afn = AddressingFunction::new(2, 4, 16, 16);
+        for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+            let (plan, base, depth) =
+                compile_in((2, 4), 16, AccessScheme::ReO, layout, &r).unwrap();
+            assert_eq!(plan.len(), 32);
+            assert_eq!(plan.accesses, 4);
+            let fbase = plan.flat_base(base);
+            for (c, (i, j)) in r.coords_iter().unwrap().enumerate() {
+                let slot = (fbase + plan.fold[c]) as usize;
+                assert_eq!(
+                    layout.bank_of(slot, 8, depth),
+                    maf.assign_linear(i, j),
+                    "{layout:?}"
+                );
+                assert_eq!(
+                    layout.addr_of(slot, 8, depth),
+                    afn.address(i, j),
+                    "{layout:?}"
+                );
+            }
         }
     }
 
@@ -1300,24 +1117,23 @@ mod tests {
         let pa = RegionPlan::compile(&a, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
         let pb = RegionPlan::compile(&b, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
         assert_eq!(pa.fold, pb.fold);
-        assert_eq!(pa.deltas, pb.deltas);
         assert_eq!(pa.afold, pb.afold);
     }
 
     #[test]
     fn bank_elems_is_a_rectangular_cover() {
-        let (agu, maf, afn, mut cache) = blocks(AccessScheme::RoCo, 2, 4, 16, 16);
+        // Decoding every fold slot through the layout groups the region's
+        // elements by bank: each bank owns exactly `accesses` of them.
         let r = Region::new("b", 2, 0, RegionShape::Block { rows: 4, cols: 8 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::RoCo, &agu, &maf, &afn, &mut cache).unwrap();
-        let mut all: Vec<u32> = plan.bank_elems.clone();
-        all.sort_unstable();
-        let want: Vec<u32> = (0..plan.len() as u32).collect();
-        assert_eq!(all, want, "every canonical element appears exactly once");
-        for b in 0..plan.lanes {
-            for &c in &plan.bank_elems[b * plan.accesses..(b + 1) * plan.accesses] {
-                assert_eq!(plan.banks[c as usize] as usize, b);
+        for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+            let (plan, base, depth) =
+                compile_in((2, 4), 16, AccessScheme::RoCo, layout, &r).unwrap();
+            let fbase = plan.flat_base(base);
+            let mut per_bank = vec![0usize; plan.lanes];
+            for &f in &plan.fold {
+                per_bank[layout.bank_of((fbase + f) as usize, plan.lanes, depth)] += 1;
             }
+            assert_eq!(per_bank, vec![plan.accesses; plan.lanes], "{layout:?}");
         }
     }
 
@@ -1411,17 +1227,27 @@ mod tests {
         dup.fold[1] = dup.fold[0];
         assert!(dup.validate(base, depth).is_err());
 
-        let mut skew = plan.clone();
-        skew.banks[3] = (skew.banks[3] + 1) % skew.lanes as u32;
-        assert!(skew.validate(base, depth).is_err());
+        let mut outside = plan.clone();
+        outside.fold[3] += (plan.lanes * depth) as isize;
+        assert!(outside.validate(base, depth).is_err());
 
         let mut bad_afold = plan.clone();
         bad_afold.afold[0] += 1;
         assert!(bad_afold.validate(base, depth).is_err());
 
-        let mut bad_groups = plan.clone();
-        bad_groups.bank_elems[1] = bad_groups.bank_elems[0];
-        assert!(bad_groups.validate(base, depth).is_err());
+        // Swapping lanes across two accesses keeps afold a permutation of
+        // fold but puts two slots of one bank into the same cycle.
+        let mut clash = plan.clone();
+        let (lanes, fbase) = (plan.lanes, plan.flat_base(base));
+        let bank = |f: isize| plan.layout.bank_of((fbase + f) as usize, lanes, depth);
+        let k = (0..lanes)
+            .find(|&k| bank(plan.afold[lanes + k]) != bank(plan.afold[0]))
+            .unwrap();
+        clash.afold.swap(0, lanes + k);
+        assert!(matches!(
+            clash.validate(base, depth),
+            Err(PolyMemError::BankConflict { .. })
+        ));
     }
 
     #[test]
@@ -1498,27 +1324,10 @@ mod tests {
             "identity only"
         );
         assert!(plan.store_runs.is_empty());
-        assert!(plan.bank_runs.is_empty());
-        assert_eq!(plan.bank_run_index, vec![0u32; plan.lanes + 1]);
         // An empty region is in bounds anywhere (no access is issued).
         assert!(plan
             .check_bounds(&Region::new("e", 999, 999, r.shape), 16, 16)
             .is_ok());
-    }
-
-    #[test]
-    fn strided_chunk_shape_golden() {
-        // The vectorization contract: strided runs replay as 4-wide
-        // chunks with an unrolled body plus a scalar tail. Changing the
-        // width or the decomposition breaks this golden on purpose.
-        assert_eq!(STRIDE_CHUNK, 4);
-        assert_eq!(chunk_shape(0), (0, 0));
-        assert_eq!(chunk_shape(1), (0, 1));
-        assert_eq!(chunk_shape(3), (0, 3));
-        assert_eq!(chunk_shape(4), (1, 0));
-        assert_eq!(chunk_shape(7), (1, 3));
-        assert_eq!(chunk_shape(64), (16, 0));
-        assert_eq!(chunk_shape(1023), (255, 3));
     }
 
     fn compile_in(
@@ -1744,16 +1553,5 @@ mod tests {
             },
         );
         assert!(split.validate(base, depth).is_err());
-
-        // A bank run expanding to the wrong delta.
-        let mut bad_bank = plan.clone();
-        let wide = bad_bank.bank_runs.iter().position(|r| r.len >= 2).unwrap();
-        bad_bank.bank_runs[wide].d_stride += 1;
-        assert!(bad_bank.validate(base, depth).is_err());
-
-        // A broken CSR index over the bank runs.
-        let mut bad_index = plan.clone();
-        bad_index.bank_run_index[1] = bad_index.bank_run_index[plan.lanes];
-        assert!(bad_index.validate(base, depth).is_err());
     }
 }

@@ -1,20 +1,30 @@
 //! Parity and race tests for `ConcurrentPolyMem::copy_region`.
 //!
-//! The concurrent burst copy (port-sharded gather + per-bank merged
-//! writes, or the access-interleaved fallback for overlap) must be
-//! observationally identical to the sequential `PolyMem::copy_region`
-//! for every scheme and every supported region pair — including the
-//! error cases — and must never expose torn values to racing readers.
+//! The concurrent copy (one exclusive guard around the copy selection
+//! `PolyMem::copy_region` runs too) must be observationally identical to
+//! the sequential `PolyMem::copy_region` for every scheme, both bank
+//! layouts and every supported region pair — including the error cases —
+//! and must never expose a partly copied region to racing readers.
 
 use polymem::{
-    AccessScheme, ConcurrentPolyMem, PolyMem, PolyMemConfig, Region, RegionShape, TelemetryRegistry,
+    AccessScheme, BankLayout, ConcurrentPolyMem, PolyMem, PolyMemConfig, Region, RegionShape,
+    TelemetryRegistry,
 };
 
 const ROWS: usize = 16;
 const COLS: usize = 16;
 
 fn filled_pair(scheme: AccessScheme) -> (PolyMem<u64>, ConcurrentPolyMem<u64>) {
-    let cfg = PolyMemConfig::new(ROWS, COLS, 2, 4, scheme, 4).unwrap();
+    filled_pair_in(scheme, BankLayout::BankMajor)
+}
+
+fn filled_pair_in(
+    scheme: AccessScheme,
+    layout: BankLayout,
+) -> (PolyMem<u64>, ConcurrentPolyMem<u64>) {
+    let cfg = PolyMemConfig::new(ROWS, COLS, 2, 4, scheme, 4)
+        .unwrap()
+        .with_layout(layout);
     let mut seq = PolyMem::new(cfg).unwrap();
     let conc = ConcurrentPolyMem::new(cfg).unwrap();
     for r in 0..ROWS {
@@ -60,49 +70,56 @@ fn candidate_pairs() -> Vec<(Region, Region)> {
             Region::new("s", 1, 0, RegionShape::Row { len: 8 }),
             Region::new("d", 0, 11, RegionShape::Col { len: 8 }),
         ),
+        // Cross-shape, disjoint, same access count: a 2x8 block into a
+        // 16-element row pairs lanes by access, not by canonical order.
+        (
+            b("s", 0, 0, 2, 8),
+            Region::new("d", 8, 0, RegionShape::Row { len: 16 }),
+        ),
         // Self-copy: degenerate full overlap must be an identity.
         (b("s", 2, 4, 4, 8), b("d", 2, 4, 4, 8)),
     ]
 }
 
-/// For every scheme and every candidate pair, the concurrent burst copy
-/// agrees with the sequential planned copy — on success *and* on error.
+/// For every scheme, both layouts and every candidate pair, the
+/// concurrent copy agrees with the sequential planned copy — on success
+/// *and* on error.
 #[test]
 fn parity_with_sequential_copy_region_across_schemes() {
-    let mut successes = 0usize;
-    for scheme in AccessScheme::ALL {
-        for (src, dst) in candidate_pairs() {
-            let (mut seq, conc) = filled_pair(scheme);
-            let seq_res = seq.copy_region(0, &src, &dst);
-            let conc_res = conc.copy_region(&src, &dst);
-            match seq_res {
-                Ok(()) => {
-                    assert!(
-                        conc_res.is_ok(),
-                        "{scheme:?} {src:?}->{dst:?}: sequential ok, concurrent {conc_res:?}"
-                    );
-                    for r in 0..ROWS {
-                        for c in 0..COLS {
-                            assert_eq!(
-                                seq.get(r, c).unwrap(),
-                                conc.get(r, c).unwrap(),
-                                "{scheme:?} {src:?}->{dst:?} at ({r},{c})"
-                            );
+    for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+        let mut successes = 0usize;
+        for scheme in AccessScheme::ALL {
+            for (src, dst) in candidate_pairs() {
+                let ctx = format!("{layout:?} {scheme:?} {src:?}->{dst:?}");
+                let (mut seq, conc) = filled_pair_in(scheme, layout);
+                let seq_res = seq.copy_region(0, &src, &dst);
+                let conc_res = conc.copy_region(&src, &dst);
+                match seq_res {
+                    Ok(()) => {
+                        assert!(
+                            conc_res.is_ok(),
+                            "{ctx}: sequential ok, concurrent {conc_res:?}"
+                        );
+                        for r in 0..ROWS {
+                            for c in 0..COLS {
+                                assert_eq!(
+                                    seq.get(r, c).unwrap(),
+                                    conc.get(r, c).unwrap(),
+                                    "{ctx} at ({r},{c})"
+                                );
+                            }
                         }
+                        successes += 1;
                     }
-                    successes += 1;
+                    Err(_) => assert!(conc_res.is_err(), "{ctx}: sequential err, concurrent ok"),
                 }
-                Err(_) => assert!(
-                    conc_res.is_err(),
-                    "{scheme:?} {src:?}->{dst:?}: sequential err, concurrent ok"
-                ),
             }
         }
+        assert!(
+            successes >= 20,
+            "{layout:?}: too few supported pairs actually exercised: {successes}"
+        );
     }
-    assert!(
-        successes >= 20,
-        "too few supported pairs actually exercised: {successes}"
-    );
 }
 
 /// A shape-count mismatch is rejected identically to the sequential path.
@@ -118,10 +135,10 @@ fn shape_mismatch_rejected() {
     );
 }
 
-/// A region big enough to take the port-sharded gather and the spawned
-/// per-bank scatter path still matches the sequential copy.
+/// A 2048-element copy replays inline on the caller's thread and matches
+/// the sequential copy.
 #[test]
-fn large_copy_takes_sharded_path_and_matches() {
+fn large_copy_runs_inline_and_matches() {
     let n = 64usize;
     let cfg = PolyMemConfig::new(n, n, 2, 4, AccessScheme::RoCo, 4).unwrap();
     let mut seq = PolyMem::<u64>::new(cfg).unwrap();
@@ -147,9 +164,9 @@ fn large_copy_takes_sharded_path_and_matches() {
     }
 }
 
-/// Readers racing a burst copy must only ever observe whole element
-/// values — the pre-copy value or one of the two source fills, never a
-/// torn mix.
+/// Readers racing a copy observe whole copies: every `read_region(dst)`
+/// is uniform — the pre-copy zeros or one of the two source fills, never a
+/// mix of them.
 #[test]
 fn racing_reader_sees_no_torn_writes() {
     let cfg = PolyMemConfig::new(ROWS, COLS, 2, 4, AccessScheme::RoCo, 4).unwrap();
@@ -164,27 +181,22 @@ fn racing_reader_sees_no_torn_writes() {
         }
     }
     let bad = std::sync::atomic::AtomicU64::new(0);
-    crossbeam::scope(|s| {
-        let m = &conc;
-        let badr = &bad;
-        let dref = &dst;
-        s.spawn(move |_| {
+    std::thread::scope(|s| {
+        s.spawn(|| {
             for k in 0..300 {
                 let from = if k % 2 == 0 { &src1 } else { &src2 };
-                m.copy_region(from, dref).unwrap();
+                conc.copy_region(from, &dst).unwrap();
             }
         });
-        s.spawn(move |_| {
+        s.spawn(|| {
             for _ in 0..300 {
-                for v in m.read_region(dref).unwrap() {
-                    if v != 0 && v != 7 && v != 13 {
-                        badr.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
+                let got = conc.read_region(&dst).unwrap();
+                if ![0, 7, 13].contains(&got[0]) || got.iter().any(|&v| v != got[0]) {
+                    bad.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             }
         });
-    })
-    .unwrap();
+    });
     assert_eq!(bad.load(std::sync::atomic::Ordering::Relaxed), 0);
     // The writer finished last on an alternating fill: dst is uniform.
     let last = conc.read_region(&dst).unwrap();
@@ -207,21 +219,19 @@ fn concurrent_copies_produce_exact_deterministic_counts() {
     let d1 = Region::new("d1", 8, 0, RegionShape::Block { rows: 4, cols: 8 });
     let d2 = Region::new("d2", 12, 8, RegionShape::Block { rows: 4, cols: 8 });
     const ITERS: u64 = 50;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let m = &conc;
-        let (sr, d1r, d2r) = (&src, &d1, &d2);
-        s.spawn(move |_| {
+        s.spawn(|| {
             for _ in 0..ITERS {
-                m.copy_region(sr, d1r).unwrap();
+                m.copy_region(&src, &d1).unwrap();
             }
         });
-        s.spawn(move |_| {
+        s.spawn(|| {
             for _ in 0..ITERS {
-                m.copy_region(sr, d2r).unwrap();
+                m.copy_region(&src, &d2).unwrap();
             }
         });
-    })
-    .unwrap();
+    });
     let snap = registry.snapshot();
     let count = |name: &str| snap.counter_value(name, &[]).unwrap();
     // Each copy moves a 32-element region in 4 conflict-free accesses
@@ -259,13 +269,10 @@ fn concurrent_disjoint_copies_match_sequential() {
     let d2 = Region::new("d2", 12, 8, RegionShape::Block { rows: 4, cols: 8 });
     seq.copy_region(0, &src, &d1).unwrap();
     seq.copy_region(0, &src, &d2).unwrap();
-    crossbeam::scope(|s| {
-        let m = &conc;
-        let (sr, d1r, d2r) = (&src, &d1, &d2);
-        s.spawn(move |_| m.copy_region(sr, d1r).unwrap());
-        s.spawn(move |_| m.copy_region(sr, d2r).unwrap());
-    })
-    .unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| conc.copy_region(&src, &d1).unwrap());
+        s.spawn(|| conc.copy_region(&src, &d2).unwrap());
+    });
     for r in 0..ROWS {
         for c in 0..COLS {
             assert_eq!(seq.get(r, c).unwrap(), conc.get(r, c).unwrap(), "({r},{c})");

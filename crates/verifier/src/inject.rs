@@ -4,11 +4,11 @@
 //! proves things. This module seeds one representative violation per
 //! hazard class — a false support claim, a corrupted access plan, a
 //! corrupted region plan, a mis-tiled run table, a reversed lock nesting,
-//! a writing read-port thread, a locked telemetry call under a bank
+//! a spawned port thread, a locked telemetry call under the storage
 //! guard, a panicking hot path, a deregistered stream feedback loop, a
-//! downgraded Acquire ordering, a bank guard dropped before the spread
-//! phase, a base skipped at snapshot fold-in, and a trace span begun but
-//! never ended — and checks that the
+//! downgraded Acquire ordering, a write that drops its guard between its
+//! two stores, a base skipped at snapshot fold-in, and a trace span begun
+//! but never ended — and checks that the
 //! corresponding analysis reports the expected finding code. The real
 //! sources on disk are never modified; source mutations run on in-memory
 //! copies, and the concurrency mutations run on the `races` pass's
@@ -208,18 +208,18 @@ fn reversed_lock_order(concurrent_src: &str) -> Mutation {
     )
 }
 
-/// Mutation 5: append a read-port spawn whose closure writes a bank; the
-/// port-aliasing pass must flag it.
-fn writing_read_port(concurrent_src: &str) -> Mutation {
+/// Mutation 5: append a port thread spawned to write the storage; the
+/// locks pass must flag the spawn.
+fn spawned_port_thread(concurrent_src: &str) -> Mutation {
     let injected = format!(
-        "{concurrent_src}\nimpl<T: Copy> ConcurrentPolyMem<T> {{\n    fn injected_bad_port\
-         (&self, v: T) {{\n        crossbeam::scope(|s| {{\n            s.spawn(move |_| {{ \
-         self.banks[0].write()[0] = v; }});\n        }})\n        .unwrap();\n    }}\n}}\n"
+        "{concurrent_src}\nimpl<T: Copy + Send + Sync> ConcurrentPolyMem<T> {{\n    fn \
+         injected_bad_port(&self, v: T) {{\n        std::thread::scope(|s| {{\n            \
+         s.spawn(|| self.storage.write().write(0, 0, v));\n        }});\n    }}\n}}\n"
     );
     let mut findings = Vec::new();
     let _ = locks::analyze_source(&injected, "concurrent.rs[injected]", &mut findings);
     record(
-        "writing-read-port",
+        "spawned-port-thread",
         "port-aliasing",
         "locks",
         "port-aliasing",
@@ -228,13 +228,13 @@ fn writing_read_port(concurrent_src: &str) -> Mutation {
 }
 
 /// Mutation 6: append a function that snapshots the telemetry registry
-/// while holding a bank write guard; the guard-scope scan must flag the
-/// registry lock taken under a bank lock.
+/// while holding the storage write guard; the guard-scope scan must flag
+/// the registry lock taken under the storage lock.
 fn locked_telemetry_in_guard(concurrent_src: &str) -> Mutation {
     let injected = format!(
         "{concurrent_src}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn injected_locked_telemetry\
          (&self, registry: &TelemetryRegistry) {{\n        let mut guard = \
-         self.banks[0].write();\n        let snap = registry.snapshot();\n        \
+         self.storage.write();\n        let snap = registry.snapshot();\n        \
          let _ = (&mut guard, snap);\n    }}\n}}\n"
     );
     let mut findings = Vec::new();
@@ -313,16 +313,16 @@ fn relaxed_acquire_downgrade(root: &Path) -> Mutation {
     )
 }
 
-/// Mutation 11: the banded-read model's writer drops its bank guard
-/// before the spread-phase store — the interleaving explorer must find
-/// the happens-before race against the guarded reader.
-fn dropped_bank_guard() -> Mutation {
-    let report = races::explore_banded_read(races::BandedMode::DropGuardBeforeSpread);
+/// Mutation 11: the one-guard model's writer drops the storage guard
+/// between its two stores — the interleaving explorer must find the
+/// happens-before race against the guarded reader.
+fn split_storage_write() -> Mutation {
+    let report = races::explore_guarded_read(races::GuardMode::DroppedBetweenStores);
     let mut findings = Vec::new();
     let _ = races::digest_report(&report, "oracle-violation", &mut findings);
     record(
-        "dropped-bank-guard",
-        "unguarded-spread-store",
+        "split-storage-write",
+        "unguarded-second-store",
         "races",
         "hb-race",
         &findings,
@@ -375,12 +375,12 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
         corrupt_region_plan(),
         mistiled_run_table(),
         reversed_lock_order(&concurrent_src),
-        writing_read_port(&concurrent_src),
+        spawned_port_thread(&concurrent_src),
         locked_telemetry_in_guard(&concurrent_src),
         panicking_hot_path(),
         cyclic_stream_wait(),
         relaxed_acquire_downgrade(root),
-        dropped_bank_guard(),
+        split_storage_write(),
         skipped_fold_in_base(),
     ];
     // With the journal compiled out there is nothing to record into, so

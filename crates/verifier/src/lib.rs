@@ -18,17 +18,18 @@
 //!   LRU cap;
 //! * [`locks`] — extracts the lock-acquisition structure of
 //!   `ConcurrentPolyMem` from source, proves the lock-order graph acyclic
-//!   with no same-class nesting, and flags read-port threads that could
-//!   reach a bank write (same-cycle port aliasing);
+//!   with no same-class nesting and no lock taken under the storage guard,
+//!   and flags any thread the datapath spawns (port aliasing);
 //! * [`streams`] — proves the declared STREAM wiring graphs deadlock-free:
 //!   no wait-cycle over unregistered (non-delay-line) stream edges, the
 //!   static-graph complement to the event scheduler's runtime `Stuck`
 //!   detection;
 //! * [`lint`] — rejects panicking constructs in plan-replay hot paths,
 //!   modulo a tracked allowlist;
-//! * [`telemetry`] — proves instrumentation inside held bank-guard scopes
-//!   uses only lock-free atomic counter handles (no registry calls under
-//!   a bank lock, no single-writer `*_owned` ops in multi-writer code);
+//! * [`telemetry`] — proves instrumentation inside held storage-guard
+//!   scopes uses only lock-free atomic counter handles (no registry calls
+//!   or journal writes under the storage lock, no single-writer `*_owned`
+//!   ops in multi-writer code);
 //! * [`races`] — checks every atomic operation in the lock-free datapath
 //!   against a declared memory-ordering contract table, audits `unsafe`
 //!   blocks for held-guard scoping, and exhaustively explores the

@@ -39,14 +39,9 @@ const HOT: &[(&str, &[&str])] = &[
             "write",
             "read_region",
             "write_region",
-            "gather_range",
-            "spread_range",
             "read_ports",
             "copy_region",
             "copy_region_with",
-            "copy_interleaved",
-            "copy_bank_runs",
-            "scatter_range",
         ],
     ),
     (
@@ -64,6 +59,7 @@ const HOT: &[(&str, &[&str])] = &[
             "gather_motifs",
             "scatter_motifs",
             "copy_store_runs_within",
+            "replay_copy",
         ],
     ),
 ];
@@ -223,8 +219,8 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> LintOutput {
             Severity::Warning,
             "allowlist-missing",
             allow_path.display().to_string(),
-            "lint_allow.txt is missing or empty; known thread-join panics in \
-             concurrent.rs will be flagged as errors",
+            "lint_allow.txt is missing or empty; deliberate exceptions it would \
+             list will be flagged as errors",
         ));
     }
     let mut allow = parse_allowlist(&allow_text, findings);

@@ -155,16 +155,6 @@ fn locks_json(graph: &locks::LockGraph) -> Json {
         ),
         ("spawns".into(), Json::Int(graph.spawns as i128)),
         (
-            "writer_spawns".into(),
-            Json::Arr(
-                graph
-                    .writer_spawns
-                    .iter()
-                    .map(|w| Json::s(w.as_str()))
-                    .collect(),
-            ),
-        ),
-        (
             "edges".into(),
             Json::Arr(
                 graph
@@ -203,8 +193,8 @@ fn streams_json(reports: &[streams::GraphReport]) -> Json {
 fn telemetry_json(out: &telemetry::TelemetryGuardReport) -> Json {
     Json::Obj(vec![
         (
-            "bank_guard_scopes".into(),
-            Json::Int(out.bank_guard_scopes as i128),
+            "storage_guard_scopes".into(),
+            Json::Int(out.storage_guard_scopes as i128),
         ),
         (
             "telemetry_sites".into(),
@@ -374,7 +364,7 @@ fn main() -> ExitCode {
             let graph = locks::run(&opts.root, &mut findings);
             println!(
                 "  locks:   {} acquisitions in {} functions, {} nesting edge(s), graph acyclic, \
-                 {} spawn site(s) checked for port aliasing",
+                 {} spawn site(s) in the datapath",
                 graph.acquisitions.len(),
                 graph.functions,
                 graph.edges.len(),
@@ -407,9 +397,9 @@ fn main() -> ExitCode {
             let graph = graph.as_ref().expect("lock graph built above");
             let tlm_out = telemetry::run(&opts.root, graph, &mut findings);
             println!(
-                "  telemetry: {} bank-guard scope(s) scanned, {} atomic counter site(s) verified \
-                 lock-free, {} registry call(s) under a guard, {} owned op(s)",
-                tlm_out.bank_guard_scopes,
+                "  telemetry: {} storage-guard scope(s) scanned, {} atomic counter site(s) \
+                 verified lock-free, {} registry call(s) under a guard, {} owned op(s)",
+                tlm_out.storage_guard_scopes,
                 tlm_out.atomic_sites,
                 tlm_out.locked_sites,
                 tlm_out.owned_ops

@@ -8,11 +8,12 @@
 //!
 //! * re-proves the permutation structure via [`AccessPlan::validate`] /
 //!   [`RegionPlan::validate`] (in-bounds gather/scatter slots, bank-disjoint
-//!   lanes per cycle, `afold` bijective onto the canonical order,
-//!   rectangular `bank_elems` cover);
+//!   lanes per cycle, `afold` bijective onto the canonical order, run
+//!   tables tiling the fold map);
 //! * cross-checks every cached lane against the ground-truth model (MAF
-//!   bank + addressing function), so a corrupted cache entry cannot hide
-//!   behind self-consistency;
+//!   bank + addressing function), decoding each fold slot through the
+//!   plan's layout, so a corrupted cache entry cannot hide behind
+//!   self-consistency;
 //! * asserts cache keys stay collision-free (distinct classes map to
 //!   distinct keys) and reports raw 64-bit hash collisions of the
 //!   fast-path hasher as info;
@@ -26,7 +27,7 @@ use crate::schemes::GEOMETRIES;
 use polymem::plan::PlanKeyHasher;
 use polymem::{
     AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
-    ParallelAccess, PlanCache, PlanKey, PolyMemError, Region, RegionPlanCache,
+    ParallelAccess, PlanCache, PlanKey, PolyMemError, Region, RegionPlan, RegionPlanCache,
     RegionPlanCacheStats, RegionShape,
 };
 use std::collections::HashMap;
@@ -80,6 +81,34 @@ fn shapes_for(pattern: AccessPattern, p: usize, q: usize) -> Vec<RegionShape> {
         ],
         AccessPattern::TransposedRectangle => Vec::new(),
     }
+}
+
+/// Ground-truth cross-check of one compiled region replayed at `region`:
+/// canonical element `c` must gather from exactly the MAF's bank and the
+/// addressing function's intra-bank address, both decoded from its fold
+/// slot through the plan's layout. Returns the first divergence.
+fn model_divergence(
+    plan: &RegionPlan,
+    region: &Region,
+    maf: &ModuleAssignment,
+    afn: &AddressingFunction,
+    depth: usize,
+) -> Option<String> {
+    let fbase = plan.flat_base(afn.address(region.i, region.j) as isize);
+    let coords = region.coords_iter().expect("validated region");
+    for ((c, (i, j)), &f) in coords.enumerate().zip(&plan.fold) {
+        let slot = (fbase + f) as usize;
+        let bank = plan.layout.bank_of(slot, plan.lanes, depth);
+        let addr = plan.layout.addr_of(slot, plan.lanes, depth);
+        let (want_bank, want_addr) = (maf.assign_linear(i, j), afn.address(i, j));
+        if bank != want_bank || addr != want_addr {
+            return Some(format!(
+                "element {c} at ({i},{j}) gathers from bank {bank} addr {addr}, model \
+                 wants bank {want_bank} addr {want_addr}"
+            ));
+        }
+    }
+    None
 }
 
 /// Verify every access-plan class of one (scheme, geometry).
@@ -288,26 +317,14 @@ fn check_region_plans(
                         ));
                         continue;
                     }
-                    // Ground-truth cross-check: canonical element c must
-                    // gather from exactly (MAF bank, addressing address).
-                    for (c, (i, j)) in region.coords_iter().expect("validated region").enumerate() {
-                        let want_bank = maf.assign_linear(i, j) as u32;
-                        let want_addr = afn.address(i, j) as isize;
-                        if plan.banks[c] != want_bank || base + plan.deltas[c] != want_addr {
-                            findings.push(Finding::new(
-                                "plans",
-                                Severity::Error,
-                                "plan-model-divergence",
-                                at.clone(),
-                                format!(
-                                    "element {c} at ({i},{j}) cached as bank {} addr {}, model \
-                                     wants bank {want_bank} addr {want_addr}",
-                                    plan.banks[c],
-                                    base + plan.deltas[c]
-                                ),
-                            ));
-                            break;
-                        }
+                    if let Some(why) = model_divergence(&plan, &region, maf, afn, depth) {
+                        findings.push(Finding::new(
+                            "plans",
+                            Severity::Error,
+                            "plan-model-divergence",
+                            at,
+                            why,
+                        ));
                     }
                 }
             }
@@ -330,9 +347,10 @@ fn check_region_plans(
 }
 
 /// The plan proof under the alternate backing layout: compile every region
-/// class of one geometry against `AddrInterleaved` storage and re-prove
-/// the full structural invariant set — including that the motif-run table
-/// still exactly tiles the (re-segmented) fold map. The main sweep covers
+/// class of one geometry against `AddrInterleaved` storage, re-prove the
+/// full structural invariant set — including that the motif-run table
+/// still exactly tiles the (re-segmented) fold map — and cross-check every
+/// element against the ground-truth model. The main sweep covers
 /// `BankMajor`; this keeps the other layout's coalescing pass honest
 /// without doubling the lint's runtime across all geometries.
 fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) {
@@ -385,6 +403,16 @@ fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) 
                                             "interleaved-layout plan failed structural \
                                              validation: {e}"
                                         ),
+                                    ));
+                                } else if let Some(why) =
+                                    model_divergence(&plan, &region, &maf, &afn, depth)
+                                {
+                                    findings.push(Finding::new(
+                                        "plans",
+                                        Severity::Error,
+                                        "plan-model-divergence",
+                                        at,
+                                        why,
                                     ));
                                 }
                             }
@@ -554,14 +582,10 @@ mod tests {
                 .unwrap();
         let base = afn.address(region.i, region.j) as isize;
         plan.validate(base, depth).unwrap();
+        // A pure swap keeps fold's multiset, but the motif-run table no
+        // longer expands to it.
         let mut bad = plan.clone();
         bad.fold.swap(0, 1);
-        assert!(
-            bad.validate(base, depth).is_err() || {
-                // A pure swap keeps the multiset; banks/deltas now disagree.
-                bad.banks.swap(0, 1);
-                false
-            }
-        );
+        assert!(bad.validate(base, depth).is_err());
     }
 }

@@ -23,8 +23,8 @@
 //! * **Interleaving exploration** — the three hazard scenarios from the
 //!   design's taxonomy are modelled on the vendored [`interleave`]
 //!   checker (vector-clock happens-before over exhaustively enumerated
-//!   bounded schedules): a two-phase banded read racing a per-bank
-//!   writer, two overlapping `copy_region`s, and a telemetry snapshot
+//!   bounded schedules): a one-guard read racing a one-guard two-element
+//!   write, two overlapping `copy_region`s, and a telemetry snapshot
 //!   folding a shared base during a racing add. Every explored schedule
 //!   must be free of happens-before races, lost updates and deadlocks,
 //!   and the serializability oracles must hold. The same scenarios run
@@ -443,7 +443,7 @@ pub fn check_contract(sites: &[AtomicSite], findings: &mut Vec<Finding>) {
 
 /// Every `unsafe` block in `concurrent.rs` must sit inside a held
 /// lock-guard scope: raw aliasing is only sound while the protecting
-/// guard pins the bank. Returns the number of unsafe blocks seen.
+/// guard pins the storage. Returns the number of unsafe blocks seen.
 pub fn check_unsafe_scopes(src: &str, label: &str, findings: &mut Vec<Finding>) -> usize {
     let mut masked = mask_source(src);
     strip_test_mods(&mut masked, src);
@@ -471,7 +471,7 @@ pub fn check_unsafe_scopes(src: &str, label: &str, findings: &mut Vec<Finding>) 
                 Severity::Error,
                 "unsafe-outside-guard",
                 format!("{label}:{}", line_of(src, at)),
-                "`unsafe` outside any held lock-guard scope: raw bank aliasing is only \
+                "`unsafe` outside any held lock-guard scope: raw storage aliasing is only \
                  sound while the protecting guard is held",
             ));
         }
@@ -483,57 +483,51 @@ pub fn check_unsafe_scopes(src: &str, label: &str, findings: &mut Vec<Finding>) 
 // Interleaving exploration: the three hazard-model scenarios.
 // ---------------------------------------------------------------------------
 
-/// Whether the banded-read model's writer holds its bank guard across the
-/// spread-phase store (the sound protocol) or drops it first (inject
-/// mutation 11).
+/// Whether the one-guard model's writer holds the storage guard across
+/// both of its stores (the sound protocol) or drops it between them
+/// (inject mutation 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BandedMode {
-    /// Stores happen under the per-bank write guard.
-    Guarded,
-    /// The guard is released before the store — a happens-before race the
-    /// explorer must detect.
-    DropGuardBeforeSpread,
+pub enum GuardMode {
+    /// Both stores happen under one write guard.
+    Held,
+    /// The guard is released after the first store — the second is a
+    /// happens-before race the explorer must detect.
+    DroppedBetweenStores,
 }
 
-/// Two-phase banded read racing a per-bank writer: the reader gathers
-/// bank 0 then bank 1 under read guards while the writer updates both
-/// under write guards. Oracle: each gathered element is the old or the
-/// new value of its own bank — never anything else.
-pub fn explore_banded_read(mode: BandedMode) -> Report {
-    Explorer::new().explore("banded-read-vs-writer", move || {
-        let banks: Arc<Vec<(RwLock<()>, RaceCell<u64>)>> = Arc::new(
-            (0..2u64)
-                .map(|b| (RwLock::new(()), RaceCell::new("bank-data", b)))
-                .collect(),
-        );
-        let w = Arc::clone(&banks);
+/// One-guard read racing a one-guard two-element write, the protocol of
+/// every `ConcurrentPolyMem` operation: the reader loads both elements of
+/// an access under one read guard while the writer stores both under one
+/// write guard. Oracle: the read is the whole old access or the whole new
+/// one — never a mix.
+pub fn explore_guarded_read(mode: GuardMode) -> Report {
+    Explorer::new().explore("one-guard-read-vs-writer", move || {
+        let storage = Arc::new((
+            RwLock::new(()),
+            [RaceCell::new("storage", 0), RaceCell::new("storage", 1)],
+        ));
+        let w = Arc::clone(&storage);
         let writer = spawn(move || {
-            for (b, (lock, cell)) in w.iter().enumerate() {
-                match mode {
-                    BandedMode::Guarded => {
-                        let _g = lock.write();
-                        cell.set(100 + b as u64);
-                    }
-                    BandedMode::DropGuardBeforeSpread => {
-                        drop(lock.write());
-                        cell.set(100 + b as u64);
-                    }
-                }
+            let (lock, cells) = &*w;
+            let g = lock.write();
+            cells[0].set(100);
+            if mode == GuardMode::DroppedBetweenStores {
+                drop(g);
+                cells[1].set(101);
+            } else {
+                cells[1].set(101);
             }
         });
-        let mut got = [0u64; 2];
-        for (b, (lock, cell)) in banks.iter().enumerate() {
+        let got = {
+            let (lock, cells) = &*storage;
             let _g = lock.read();
-            got[b] = cell.get();
-        }
+            [cells[0].get(), cells[1].get()]
+        };
         writer.join();
-        for (b, v) in got.iter().enumerate() {
-            let (old, new) = (b as u64, 100 + b as u64);
-            assert!(
-                *v == old || *v == new,
-                "bank {b} read torn value {v} (expected {old} or {new})"
-            );
-        }
+        assert!(
+            got == [0, 1] || got == [100, 101],
+            "read observed a torn access {got:?} (expected [0, 1] or [100, 101])"
+        );
     })
 }
 
@@ -753,7 +747,7 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> RacesOutput {
     }
 
     out.scenarios.push(digest_report(
-        &explore_banded_read(BandedMode::Guarded),
+        &explore_guarded_read(GuardMode::Held),
         "oracle-violation",
         findings,
     ));
@@ -862,7 +856,7 @@ mod tests {
 
         let inside = format!(
             "{CONCURRENT}\nimpl<T: Copy> ConcurrentPolyMem<T> {{\n    fn injected_guarded(&self) \
-             {{\n        let guard = self.banks[0].read();\n        \
+             {{\n        let guard = self.storage.read();\n        \
              let p = guard.as_ptr();\n        let _ = unsafe {{ *p }};\n    }}\n}}\n"
         );
         let mut findings = Vec::new();
@@ -874,7 +868,7 @@ mod tests {
     #[test]
     fn clean_models_pass_and_branch() {
         for (report, code) in [
-            (explore_banded_read(BandedMode::Guarded), "oracle-violation"),
+            (explore_guarded_read(GuardMode::Held), "oracle-violation"),
             (explore_overlapping_copy(), "oracle-violation"),
             (explore_snapshot_fold_in(FoldMode::FoldAll), "torn-snapshot"),
         ] {
@@ -888,7 +882,7 @@ mod tests {
 
     #[test]
     fn dropped_guard_model_races() {
-        let report = explore_banded_read(BandedMode::DropGuardBeforeSpread);
+        let report = explore_guarded_read(GuardMode::DroppedBetweenStores);
         let mut findings = Vec::new();
         let row = digest_report(&report, "oracle-violation", &mut findings);
         assert!(

@@ -1,40 +1,38 @@
-//! Telemetry guard-scope analysis: instrumentation inside bank guards
-//! must be lock-free.
+//! Telemetry guard-scope analysis: instrumentation inside the storage
+//! guard must be lock-free.
 //!
 //! The unified telemetry layer promises that counting never perturbs the
-//! datapath's locking protocol. Concretely, `ConcurrentPolyMem` bumps
-//! per-bank counters *while holding that bank's write guard* (the batched
-//! `bank_batch` adds in `write_region` / `scatter_range`); if any such
-//! call ever reached back into the registry — registration, snapshotting,
-//! anything that takes the registry's `RwLock` — the bank guard would
-//! nest under a foreign lock, invisible to the bank-lock protocol the
-//! lock analyzer proves. This pass re-derives the promise from source on
-//! every run:
+//! datapath's locking protocol. `ConcurrentPolyMem` bumps its counters
+//! after the storage guard is released; if a counting call under the guard
+//! ever reached back into the registry — registration, snapshotting,
+//! anything that takes the registry's `RwLock` — the storage guard would
+//! nest under a foreign lock, invisible to the protocol the lock analyzer
+//! proves. This pass re-derives the promise from source on every run:
 //!
-//! * every *held* bank-guard scope found by [`crate::locks`] is scanned
+//! * every *held* storage-guard scope found by [`crate::locks`] is scanned
 //!   for telemetry call sites; sites using the atomic handle methods
-//!   (`bank_batch`, `inc`, `add`, `observe` on pre-resolved handles) are
-//!   recorded as verified, while any registry-surface token inside the
-//!   scope (`registry.`, `.snapshot(`, `register_*`, `attach_telemetry`)
-//!   is an error — those paths take the registry lock;
+//!   (`inc`, `add`, `observe` on pre-resolved handles) are recorded as
+//!   verified, while any registry-surface token inside the scope
+//!   (`registry.`, `.snapshot(`, `register_*`, `attach_telemetry`) is an
+//!   error — those paths take the registry lock;
 //! * the whole file is additionally screened for the single-writer
 //!   `*_owned` counter fast path: sound under `PolyMem`'s `&mut self`,
 //!   but a lost-update bug in the multi-writer concurrent memory, so its
 //!   appearance in `concurrent.rs` is an error regardless of scope;
 //! * like every scanner here, the pass hard-fails towards a warning if it
-//!   finds no bank guards or no telemetry sites at all — a refactor must
-//!   not silently blind it.
+//!   finds no held storage-guard scope at all — a refactor must not
+//!   silently blind it.
 //!
 //! The span-tracing layer added its own contract and this pass audits it
 //! the same way:
 //!
-//! * **no journal writes inside held bank-guard scopes** — journal
+//! * **no journal writes inside held storage-guard scopes** — journal
 //!   recording is wait-free, but a record under a guard stretches the
 //!   guard's critical section and orders the seqlock publication inside a
 //!   foreign lock; the instrumentation convention is "record before
-//!   acquire / after release" (see `gather_range`), and any
-//!   `tr.writer.*` emission token inside a held bank guard (read *or*
-//!   write) is an error;
+//!   acquire / after release" (see `read_region`), and any `tr.writer.*`
+//!   emission token inside a held storage guard (read *or* write) is an
+//!   error;
 //! * **no allocation in hot trace calls** — trace emission on replay hot
 //!   paths must move pre-interned ids only; a `format!`, `.to_string(`,
 //!   `.intern(` or writer construction in the same statement as an
@@ -57,7 +55,6 @@ use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 /// safe inside any guard scope. (`t` is the conventional binding for the
 /// attached telemetry struct in `polymem`.)
 const ATOMIC_SITES: &[&str] = &[
-    "t.bank_batch(",
     "t.inc(",
     "t.add(",
     "t.observe(",
@@ -65,12 +62,12 @@ const ATOMIC_SITES: &[&str] = &[
     "t.single_write(",
     "t.region_read(",
     "t.region_write(",
-    "t.region_write_banks(",
+    "t.region_bytes(",
 ];
 
 /// Registry-surface tokens: each of these acquires the registry's
 /// internal `RwLock` (registration upserts, snapshot reads) and must
-/// never appear while a bank guard is held.
+/// never appear while the storage guard is held.
 const LOCKED_SITES: &[&str] = &[
     "registry.",
     ".snapshot(",
@@ -84,8 +81,8 @@ const LOCKED_SITES: &[&str] = &[
 ];
 
 /// Trace-journal emission tokens (`tr` is the conventional binding for
-/// the attached tracing struct). Wait-free, but banned inside held bank
-/// guards and audited for allocation in their statement.
+/// the attached tracing struct). Wait-free, but banned inside a held
+/// storage guard and audited for allocation in their statement.
 const TRACE_SITES: &[&str] = &[
     "tr.writer.begin(",
     "tr.writer.end(",
@@ -109,8 +106,8 @@ const TRACE_ALLOC_TOKENS: &[&str] = &[
 /// What the guard-scope scan found (the report section).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryGuardReport {
-    /// Held bank-guard scopes examined.
-    pub bank_guard_scopes: usize,
+    /// Held storage write-guard scopes examined.
+    pub storage_guard_scopes: usize,
     /// Telemetry call sites found inside those scopes.
     pub telemetry_sites: usize,
     /// Of those, sites using only atomic handle methods.
@@ -121,7 +118,7 @@ pub struct TelemetryGuardReport {
     pub owned_ops: usize,
     /// Trace-journal emission sites found in the scanned sources.
     pub trace_sites: usize,
-    /// Of those, emissions inside a held bank-guard scope: must be 0.
+    /// Of those, emissions inside a held storage-guard scope: must be 0.
     pub trace_in_guard: usize,
     /// Trace emissions allocating in their own statement: must be 0.
     pub trace_alloc_sites: usize,
@@ -144,13 +141,13 @@ pub fn analyze_source(
     for acq in graph
         .acquisitions
         .iter()
-        .filter(|a| a.class == LockClass::Bank && a.mode == LockMode::Write && a.held)
+        .filter(|a| a.class == LockClass::Storage && a.mode == LockMode::Write && a.held)
     {
         let (start, end) = acq.held_scope();
         if start >= end {
             continue;
         }
-        report.bank_guard_scopes += 1;
+        report.storage_guard_scopes += 1;
         let scope = &masked[start..end];
         for pat in ATOMIC_SITES {
             let mut s = 0;
@@ -172,8 +169,8 @@ pub fn analyze_source(
                     "telemetry-lock-in-guard",
                     format!("{label}:{} in {}", line_of(src, at), acq.function),
                     format!(
-                        "`{pat}` inside a held bank write guard ({}:{}): registry calls \
-                         take the registry RwLock under a bank lock",
+                        "`{pat}` inside a held storage write guard ({}:{}): registry \
+                         calls take the registry RwLock under the storage lock",
                         acq.function, acq.line
                     ),
                 ));
@@ -182,14 +179,14 @@ pub fn analyze_source(
         }
     }
 
-    // Trace-journal emissions must never happen under a held bank guard,
-    // read or write: the convention is "record before acquire / after
+    // Trace-journal emissions must never happen under a held storage
+    // guard, read or write: the convention is "record before acquire / after
     // release" so guards stay minimal and the seqlock publication never
     // nests inside a foreign lock.
     for acq in graph
         .acquisitions
         .iter()
-        .filter(|a| a.class == LockClass::Bank && a.held)
+        .filter(|a| a.class == LockClass::Storage && a.held)
     {
         let (start, end) = acq.held_scope();
         if start >= end {
@@ -207,8 +204,8 @@ pub fn analyze_source(
                     "trace-in-guard",
                     format!("{label}:{} in {}", line_of(src, at), acq.function),
                     format!(
-                        "`{pat}` journal write inside a held bank guard ({}:{}): record \
-                         before acquiring / after releasing, never under the guard",
+                        "`{pat}` journal write inside a held storage guard ({}:{}): \
+                         record before acquiring / after releasing, never under the guard",
                         acq.function, acq.line
                     ),
                 ));
@@ -250,7 +247,7 @@ pub fn analyze_source(
     }
 
     // Single-writer counter ops are forbidden in the concurrent memory
-    // wholesale: two port threads racing a load+store pair lose updates.
+    // wholesale: two caller threads racing a load+store pair lose updates.
     let mut s = 0;
     while let Some(found) = masked[s..].find("_owned(") {
         let at = s + found;
@@ -261,23 +258,20 @@ pub fn analyze_source(
             "owned-counter-in-concurrent",
             format!("{label}:{}", line_of(src, at)),
             "single-writer `*_owned` counter op in multi-writer code: updates from \
-             racing port threads would be lost; use the RMW `inc`/`add`"
+             racing caller threads would be lost; use the RMW `inc`/`add`"
                 .to_string(),
         ));
         s = at + "_owned(".len();
     }
 
-    if report.bank_guard_scopes == 0 || report.atomic_sites == 0 {
+    if report.storage_guard_scopes == 0 {
         findings.push(Finding::new(
             "telemetry",
             Severity::Warning,
             "telemetry-scan-blind",
             label.to_string(),
-            format!(
-                "found {} bank-guard scope(s) and {} atomic telemetry site(s); the batched \
-                 per-bank counting this pass exists to audit has moved or been renamed",
-                report.bank_guard_scopes, report.atomic_sites
-            ),
+            "found no held storage write-guard scope; the guarded writes this pass \
+             exists to audit have moved or been renamed",
         ));
     }
     report
@@ -393,13 +387,14 @@ mod tests {
         findings.clear();
         let report = analyze_source(REAL, &graph, "concurrent.rs", &mut findings);
         assert!(findings.is_empty(), "{findings:#?}");
-        assert!(report.bank_guard_scopes >= 2, "{report:?}");
-        assert!(report.atomic_sites >= 2, "{report:?}");
+        // Both `write` paths hold the exclusive guard across their stores;
+        // counters are bumped after it is released.
+        assert!(report.storage_guard_scopes >= 2, "{report:?}");
+        assert_eq!(report.atomic_sites, 0, "{report:?}");
         assert_eq!(report.locked_sites, 0);
         assert_eq!(report.owned_ops, 0);
-        // The gather/spread instrumentation keeps the trace checks
-        // nonvacuous: emission sites exist, none under a guard or
-        // allocating.
+        // The replay spans keep the trace checks nonvacuous: emission
+        // sites exist, none under a guard or allocating.
         assert!(report.trace_sites >= 2, "{report:?}");
         assert_eq!(report.trace_in_guard, 0);
         assert_eq!(report.trace_alloc_sites, 0);
@@ -409,8 +404,8 @@ mod tests {
     fn trace_emission_under_bank_guard_is_flagged() {
         let injected = format!(
             "{REAL}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn injected_trace_in_guard(&self) {{\n        \
-             let mut guard = self.banks[0].write();\n        \
-             if let Some(tr) = &self.trc {{ tr.writer.instant(tr.acquire); }}\n        \
+             let mut guard = self.storage.write();\n        \
+             if let Some(tr) = &self.trc {{ tr.writer.instant(tr.hit); }}\n        \
              let _ = &mut guard;\n    }}\n}}\n"
         );
         let mut findings = Vec::new();
@@ -498,7 +493,7 @@ mod tests {
     fn registry_call_under_bank_guard_is_flagged() {
         let injected = format!(
             "{REAL}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn injected_locked_telemetry(&self, \
-             registry: &TelemetryRegistry) {{\n        let mut guard = self.banks[0].write();\n        \
+             registry: &TelemetryRegistry) {{\n        let mut guard = self.storage.write();\n        \
              let snap = registry.snapshot();\n        let _ = (&mut guard, snap);\n    }}\n}}\n"
         );
         let mut findings = Vec::new();
@@ -538,7 +533,7 @@ mod tests {
         let graph = locks::analyze_source(src, "x", &mut findings);
         findings.clear();
         let report = analyze_source(src, &graph, "x", &mut findings);
-        assert_eq!(report.bank_guard_scopes, 0);
+        assert_eq!(report.storage_guard_scopes, 0);
         assert!(
             findings.iter().any(|f| f.code == "telemetry-scan-blind"),
             "{findings:#?}"

@@ -133,14 +133,20 @@ fn each_residue_class_compiles_exactly_once() {
     assert_eq!(m.region_plan_stats().misses - base.misses, 64);
 }
 
-/// ConcurrentPolyMem's port-sharded region reads agree with the
-/// single-threaded planned path, shape by shape.
+/// ConcurrentPolyMem's region reads agree with the single-threaded
+/// planned path, shape by shape, under both bank layouts.
 #[test]
 fn concurrent_region_reads_match_single_threaded() {
-    for scheme in [AccessScheme::ReRo, AccessScheme::RoCo] {
-        let mut single = build(scheme, 2, 4);
+    let layouts = [BankLayout::BankMajor, BankLayout::AddrInterleaved];
+    for (scheme, layout) in [AccessScheme::ReRo, AccessScheme::RoCo]
+        .into_iter()
+        .flat_map(|s| layouts.map(|l| (s, l)))
+    {
+        let mut single = build_in(scheme, 2, 4, layout);
         let (rows, cols) = (single.config().rows, single.config().cols);
-        let cfg = PolyMemConfig::new(rows, cols, 2, 4, scheme, 4).unwrap();
+        let cfg = PolyMemConfig::new(rows, cols, 2, 4, scheme, 4)
+            .unwrap()
+            .with_layout(layout);
         let conc = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
         for i in 0..rows {
             for j in 0..cols {
@@ -159,36 +165,41 @@ fn concurrent_region_reads_match_single_threaded() {
             let a = single.read_region(0, &r);
             let b = conc.read_region(&r);
             match (&a, &b) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y, "{scheme} {}", r.name),
+                (Ok(x), Ok(y)) => assert_eq!(x, y, "{scheme} {layout:?} {}", r.name),
                 (Err(ea), Err(eb)) => assert_eq!(
                     std::mem::discriminant(ea),
                     std::mem::discriminant(eb),
-                    "{scheme} {}: {ea:?} vs {eb:?}",
+                    "{scheme} {layout:?} {}: {ea:?} vs {eb:?}",
                     r.name
                 ),
-                _ => panic!("{scheme} {}: {a:?} vs {b:?}", r.name),
+                _ => panic!("{scheme} {layout:?} {}: {a:?} vs {b:?}", r.name),
             }
         }
     }
 }
 
-/// Concurrent region writes land identically to single-threaded ones.
+/// Concurrent region writes land identically to single-threaded ones,
+/// under both bank layouts.
 #[test]
 fn concurrent_region_writes_match_single_threaded() {
-    let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 2).unwrap();
-    let mut single = PolyMem::<u64>::new(cfg).unwrap();
-    let conc = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
-    let r = Region::new("b", 4, 0, RegionShape::Block { rows: 4, cols: 16 });
-    let vals: Vec<u64> = (0..r.len() as u64).map(|k| k * 7 + 3).collect();
-    single.write_region(&r, &vals).unwrap();
-    conc.write_region(&r, &vals).unwrap();
-    for i in 0..16 {
-        for j in 0..16 {
-            assert_eq!(
-                single.get(i, j).unwrap(),
-                conc.get(i, j).unwrap(),
-                "({i},{j})"
-            );
+    for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+        let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 2)
+            .unwrap()
+            .with_layout(layout);
+        let mut single = PolyMem::<u64>::new(cfg).unwrap();
+        let conc = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
+        let r = Region::new("b", 4, 0, RegionShape::Block { rows: 4, cols: 16 });
+        let vals: Vec<u64> = (0..r.len() as u64).map(|k| k * 7 + 3).collect();
+        single.write_region(&r, &vals).unwrap();
+        conc.write_region(&r, &vals).unwrap();
+        for i in 0..16 {
+            for j in 0..16 {
+                assert_eq!(
+                    single.get(i, j).unwrap(),
+                    conc.get(i, j).unwrap(),
+                    "{layout:?} ({i},{j})"
+                );
+            }
         }
     }
 }
