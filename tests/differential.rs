@@ -2,10 +2,24 @@
 //! single-threaded façade, the thread-parallel port wrapper, and the
 //! cycle-level pipelined kernel — must agree on every observable result for
 //! every (deterministically generated) operation sequence.
+//!
+//! Two oracles:
+//!
+//! * per-access programs (single reads and writes) run on all three
+//!   implementations and are compared with each other;
+//! * whole-API programs — single reads and writes, region reads and writes
+//!   on all five shapes (the secondary diagonal's column-0 edge included),
+//!   `copy_region` with overlap in both directions and across shapes, and
+//!   whole-row fills and drains — run on `PolyMem` (compiled region plans,
+//!   the per-access path and the interpreted pipeline) and on
+//!   `ConcurrentPolyMem` (planned and interpreted), under both
+//!   `BankLayout`s on a 2x4 and a 4x2 bank grid, and every result is
+//!   checked against a naive row-major `Vec<u64>`.
 
 use dfe_sim::Kernel as _;
 use polymem::{
-    AccessPattern, AccessScheme, ConcurrentPolyMem, ParallelAccess, PolyMem, PolyMemConfig,
+    AccessPattern, AccessScheme, BankLayout, ConcurrentPolyMem, ParallelAccess, PolyMem,
+    PolyMemConfig, Region, RegionShape,
 };
 use proptest::prelude::*;
 
@@ -177,5 +191,526 @@ fn deterministic_case_all_schemes() {
         assert_eq!(r1, r3, "{scheme}");
         assert_eq!(d1, d2, "{scheme}");
         assert_eq!(d1, d3, "{scheme}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-API programs against a naive row-major model.
+// ---------------------------------------------------------------------------
+
+/// Logical space of the whole-API programs: room for two-access regions
+/// and overlapping copies of every shape on an 8-lane grid.
+const SPACE: usize = 32;
+
+/// The two bank grids: the 2x4 grid and its non-square transpose.
+const GRIDS: [(usize, usize); 2] = [(2, 4), (4, 2)];
+
+const LAYOUTS: [BankLayout; 2] = [BankLayout::BankMajor, BankLayout::AddrInterleaved];
+
+/// One operation of a whole-API program.
+#[derive(Debug, Clone)]
+enum Op {
+    Read(ParallelAccess),
+    Write(ParallelAccess, Vec<u64>),
+    ReadRegion(Region),
+    WriteRegion(Region, Vec<u64>),
+    Copy(Region, Region),
+    /// `load_rows(first, data)`: whole rows from `first` on.
+    LoadRows(usize, Vec<u64>),
+    /// `dump_rows_into(first, ..)` of `rows` whole rows.
+    DumpRows(usize, usize),
+}
+
+/// Deterministic LCG (the same construction as `op_sequence`).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 11
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// Coordinates of one parallel access in lane order, computed from the
+/// pattern definitions (Fig. 2), independently of the library's AGU.
+fn access_coords(a: ParallelAccess, p: usize, q: usize) -> Vec<(usize, usize)> {
+    let n = p * q;
+    let (i, j) = (a.i, a.j);
+    match a.pattern {
+        AccessPattern::Rectangle => (0..p)
+            .flat_map(|r| (0..q).map(move |c| (i + r, j + c)))
+            .collect(),
+        AccessPattern::TransposedRectangle => (0..q)
+            .flat_map(|r| (0..p).map(move |c| (i + r, j + c)))
+            .collect(),
+        AccessPattern::Row => (0..n).map(|k| (i, j + k)).collect(),
+        AccessPattern::Column => (0..n).map(|k| (i + k, j)).collect(),
+        AccessPattern::MainDiagonal => (0..n).map(|k| (i + k, j + k)).collect(),
+        AccessPattern::SecondaryDiagonal => (0..n).map(|k| (i + k, j - k)).collect(),
+    }
+}
+
+/// A region's elements in canonical order (row-major for blocks; from
+/// the origin along the strip otherwise).
+fn region_coords(r: &Region) -> Vec<(usize, usize)> {
+    let (i, j) = (r.i, r.j);
+    match r.shape {
+        RegionShape::Block { rows, cols } => (0..rows)
+            .flat_map(|a| (0..cols).map(move |b| (i + a, j + b)))
+            .collect(),
+        RegionShape::Row { len } => (0..len).map(|k| (i, j + k)).collect(),
+        RegionShape::Col { len } => (0..len).map(|k| (i + k, j)).collect(),
+        RegionShape::MainDiag { len } => (0..len).map(|k| (i + k, j + k)).collect(),
+        RegionShape::SecondaryDiag { len } => (0..len).map(|k| (i + k, j - k)).collect(),
+    }
+}
+
+/// A region's decomposition into parallel accesses, each in lane order:
+/// `p x q` tiles row by row for blocks, consecutive `p*q`-element pieces
+/// for strips. `copy_region` pairs these chunks positionally.
+fn region_chunks(r: &Region, p: usize, q: usize) -> Vec<Vec<(usize, usize)>> {
+    let n = p * q;
+    match r.shape {
+        RegionShape::Block { rows, cols } => (0..rows)
+            .step_by(p)
+            .flat_map(|a| {
+                (0..cols)
+                    .step_by(q)
+                    .map(move |b| access_coords(ParallelAccess::rect(r.i + a, r.j + b), p, q))
+            })
+            .collect(),
+        _ => region_coords(r).chunks(n).map(<[_]>::to_vec).collect(),
+    }
+}
+
+/// Whether every element of `r` lies in the `SPACE x SPACE` square.
+fn fits(r: &Region) -> bool {
+    let (down, right, left) = r.extents();
+    r.i + down < SPACE && r.j + right < SPACE && r.j >= left
+}
+
+/// The naive memory: a row-major `Vec<u64>`.
+struct Model(Vec<u64>);
+
+impl Model {
+    fn at(&self, (i, j): (usize, usize)) -> u64 {
+        self.0[i * SPACE + j]
+    }
+
+    fn put(&mut self, (i, j): (usize, usize), v: u64) {
+        self.0[i * SPACE + j] = v;
+    }
+
+    fn gather(&self, coords: &[(usize, usize)]) -> Vec<u64> {
+        coords.iter().map(|&c| self.at(c)).collect()
+    }
+
+    fn scatter(&mut self, coords: &[(usize, usize)], values: &[u64]) {
+        for (&c, &v) in coords.iter().zip(values) {
+            self.put(c, v);
+        }
+    }
+
+    /// The per-access copy: chunk `t` of `src` is read, then written to
+    /// chunk `t` of `dst`, so overlapping copies see earlier chunks' writes.
+    fn copy(&mut self, src: &Region, dst: &Region, p: usize, q: usize) {
+        for (s, d) in region_chunks(src, p, q)
+            .iter()
+            .zip(region_chunks(dst, p, q))
+        {
+            let v = self.gather(s);
+            self.scatter(&d, &v);
+        }
+    }
+}
+
+/// Generator of whole-API programs for one scheme and grid.
+struct ProgramGen {
+    scheme: AccessScheme,
+    p: usize,
+    q: usize,
+    rng: Lcg,
+    stamp: u64,
+}
+
+impl ProgramGen {
+    fn lanes(&self) -> usize {
+        self.p * self.q
+    }
+
+    /// Fresh values that name the op that wrote them.
+    fn values(&mut self, len: usize) -> Vec<u64> {
+        self.stamp += 1;
+        (0..len as u64).map(|k| self.stamp << 16 | k).collect()
+    }
+
+    /// Pull an origin onto the `p x q` tile grid when the scheme serves
+    /// the pattern only aligned (RoCo rectangles).
+    fn align(&self, pattern: AccessPattern, i: usize, j: usize) -> (usize, usize) {
+        if self.scheme.requires_alignment(pattern) {
+            (i / self.p * self.p, j / self.q * self.q)
+        } else {
+            (i, j)
+        }
+    }
+
+    fn access(&mut self) -> ParallelAccess {
+        let patterns = self.scheme.supported_patterns(self.p, self.q);
+        let pattern = patterns[self.rng.below(patterns.len())];
+        let (di, dj) = pattern.extent(self.p, self.q);
+        let i = self.rng.below(SPACE - di + 1);
+        let j = if pattern == AccessPattern::SecondaryDiagonal {
+            dj - 1 + self.rng.below(SPACE - dj + 1)
+        } else {
+            self.rng.below(SPACE - dj + 1)
+        };
+        let (i, j) = self.align(pattern, i, j);
+        ParallelAccess::new(i, j, pattern)
+    }
+
+    /// A supported shape of `k` accesses.
+    fn shape(&mut self, k: usize) -> Option<RegionShape> {
+        let n = self.lanes();
+        let (p, q) = (self.p, self.q);
+        let mut shapes = vec![
+            RegionShape::Row { len: k * n },
+            RegionShape::Col { len: k * n },
+            RegionShape::MainDiag { len: k * n },
+            RegionShape::SecondaryDiag { len: k * n },
+            RegionShape::Block {
+                rows: p,
+                cols: k * q,
+            },
+        ];
+        if k.is_multiple_of(2) {
+            shapes.push(RegionShape::Block {
+                rows: 2 * p,
+                cols: k / 2 * q,
+            });
+        }
+        shapes.retain(|s| self.scheme.supports(s.pattern(), p, q));
+        (!shapes.is_empty()).then(|| shapes[self.rng.below(shapes.len())])
+    }
+
+    /// An in-bounds region of `shape`; secondary diagonals end on column 0
+    /// one time in three.
+    fn region(&mut self, shape: RegionShape) -> Region {
+        loop {
+            let mut i = self.rng.below(SPACE);
+            let mut j = self.rng.below(SPACE);
+            if let RegionShape::SecondaryDiag { len } = shape {
+                if self.rng.below(3) == 0 {
+                    j = len - 1;
+                }
+            }
+            (i, j) = self.align(shape.pattern(), i, j);
+            let r = Region::new("r", i, j, shape);
+            if fits(&r) {
+                return r;
+            }
+        }
+    }
+
+    /// A copy whose destination overlaps its source: the region shifted
+    /// along itself by one tile (or one access for strips), in either
+    /// direction.
+    fn overlapping_copy(&mut self) -> Option<Op> {
+        let shape = self.shape(2)?;
+        let (p, q) = (self.p as isize, self.q as isize);
+        let (di, dj) = match shape {
+            RegionShape::Block { .. } => [(p, 0), (0, q), (p, q)][self.rng.below(3)],
+            RegionShape::Row { .. } => (0, q),
+            RegionShape::Col { .. } => (p, 0),
+            RegionShape::MainDiag { .. } => (p, p),
+            RegionShape::SecondaryDiag { .. } => (p, -p),
+        };
+        for _ in 0..64 {
+            let src = self.region(shape);
+            let (Some(i), Some(j)) = (src.i.checked_add_signed(di), src.j.checked_add_signed(dj))
+            else {
+                continue;
+            };
+            let dst = Region::new("d", i, j, shape);
+            if fits(&dst) {
+                // Forward (dst after src) or backward (dst before src).
+                return Some(if self.rng.below(2) == 0 {
+                    Op::Copy(src, dst)
+                } else {
+                    Op::Copy(dst, src)
+                });
+            }
+        }
+        None
+    }
+
+    fn op(&mut self) -> Option<Op> {
+        let n = self.lanes();
+        Some(match self.rng.below(10) {
+            0 => Op::Read(self.access()),
+            1 => {
+                let a = self.access();
+                Op::Write(a, self.values(n))
+            }
+            2 => {
+                let k = 1 + self.rng.below(2);
+                let shape = self.shape(k)?;
+                Op::ReadRegion(self.region(shape))
+            }
+            3 => {
+                let k = 1 + self.rng.below(2);
+                let shape = self.shape(k)?;
+                let r = self.region(shape);
+                let len = r.len();
+                Op::WriteRegion(r, self.values(len))
+            }
+            4 | 5 => self.overlapping_copy()?,
+            6 => {
+                // Two shapes of the same access count: cross-shape when
+                // they differ, and same-shape disjoint or overlapping
+                // otherwise.
+                let k = 1 + self.rng.below(2);
+                let (a, b) = (self.shape(k)?, self.shape(k)?);
+                Op::Copy(self.region(a), self.region(b))
+            }
+            7 => {
+                // Same shape, origins a whole period apart: one plan.
+                let shape = self.shape(1)?;
+                let src = self.region(shape);
+                let dst = Region::new("d", src.i + n, src.j, shape);
+                if !fits(&dst) {
+                    return None;
+                }
+                Op::Copy(src, dst)
+            }
+            8 => {
+                let rows = 1 + self.rng.below(2 * self.p + 1);
+                let first = self.rng.below(SPACE - rows + 1);
+                Op::LoadRows(first, self.values(rows * SPACE))
+            }
+            _ => {
+                let rows = 1 + self.rng.below(2 * self.p + 1);
+                Op::DumpRows(self.rng.below(SPACE - rows + 1), rows)
+            }
+        })
+    }
+}
+
+/// A deterministic whole-API program of about `len` ops.
+fn program(scheme: AccessScheme, (p, q): (usize, usize), seed: u64, len: usize) -> Vec<Op> {
+    let mut gen = ProgramGen {
+        scheme,
+        p,
+        q,
+        rng: Lcg(seed | 1),
+        stamp: 0,
+    };
+    (0..len).filter_map(|_| gen.op()).collect()
+}
+
+fn space_cfg(scheme: AccessScheme, (p, q): (usize, usize), layout: BankLayout) -> PolyMemConfig {
+    PolyMemConfig::new(SPACE, SPACE, p, q, scheme, 2)
+        .unwrap()
+        .with_layout(layout)
+}
+
+/// The starting content: every cell holds its own row-major index.
+fn initial() -> Vec<u64> {
+    (0..(SPACE * SPACE) as u64).collect()
+}
+
+/// Run `ops` on the model, returning every read's result in order.
+fn run_model(ops: &[Op], (p, q): (usize, usize)) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let mut m = Model(initial());
+    let mut reads = Vec::new();
+    for op in ops {
+        match op {
+            Op::Read(a) => reads.push(m.gather(&access_coords(*a, p, q))),
+            Op::Write(a, v) => m.scatter(&access_coords(*a, p, q), v),
+            Op::ReadRegion(r) => reads.push(m.gather(&region_coords(r))),
+            Op::WriteRegion(r, v) => m.scatter(&region_coords(r), v),
+            Op::Copy(s, d) => m.copy(s, d, p, q),
+            Op::LoadRows(first, data) => {
+                m.0[first * SPACE..first * SPACE + data.len()].copy_from_slice(data)
+            }
+            Op::DumpRows(first, rows) => {
+                reads.push(m.0[first * SPACE..(first + rows) * SPACE].to_vec())
+            }
+        }
+    }
+    (reads, m.0)
+}
+
+/// Run `ops` on `PolyMem` with the given plan switches.
+fn run_polymem(ops: &[Op], cfg: PolyMemConfig, planning: bool, regions: bool) -> Vec<Vec<u64>> {
+    let mut mem = PolyMem::<u64>::new(cfg).unwrap();
+    mem.set_planning(planning);
+    mem.set_region_planning(regions);
+    mem.load_row_major(&initial()).unwrap();
+    let mut reads = Vec::new();
+    for op in ops {
+        let ctx = format!("{op:?}");
+        match op {
+            Op::Read(a) => reads.push(mem.read(1, *a).expect(&ctx)),
+            Op::Write(a, v) => mem.write(*a, v).expect(&ctx),
+            Op::ReadRegion(r) => reads.push(mem.read_region(0, r).expect(&ctx)),
+            Op::WriteRegion(r, v) => mem.write_region(r, v).expect(&ctx),
+            Op::Copy(s, d) => mem.copy_region(1, s, d).expect(&ctx),
+            Op::LoadRows(first, data) => mem.load_rows(*first, data).expect(&ctx),
+            Op::DumpRows(first, rows) => {
+                let mut out = vec![0; rows * SPACE];
+                mem.dump_rows_into(*first, &mut out).expect(&ctx);
+                reads.push(out);
+            }
+        }
+    }
+    reads.push(mem.dump_row_major());
+    reads
+}
+
+/// Run `ops` on `ConcurrentPolyMem`; row fills and drains go through the
+/// host-side scalar ports it offers for them.
+fn run_concurrent_mem(ops: &[Op], cfg: PolyMemConfig, planning: bool) -> Vec<Vec<u64>> {
+    let mem = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
+    mem.set_planning(planning);
+    let cell = |k: usize| (k / SPACE, k % SPACE);
+    for (k, v) in initial().into_iter().enumerate() {
+        let (i, j) = cell(k);
+        mem.set(i, j, v).unwrap();
+    }
+    let mut reads = Vec::new();
+    for op in ops {
+        let ctx = format!("{op:?}");
+        match op {
+            Op::Read(a) => reads.push(mem.read(*a).expect(&ctx)),
+            Op::Write(a, v) => mem.write(*a, v).expect(&ctx),
+            Op::ReadRegion(r) => reads.push(mem.read_region(r).expect(&ctx)),
+            Op::WriteRegion(r, v) => mem.write_region(r, v).expect(&ctx),
+            Op::Copy(s, d) => mem.copy_region(s, d).expect(&ctx),
+            Op::LoadRows(first, data) => {
+                for (k, &v) in data.iter().enumerate() {
+                    let (i, j) = cell(first * SPACE + k);
+                    mem.set(i, j, v).expect(&ctx);
+                }
+            }
+            Op::DumpRows(first, rows) => reads.push(
+                (first * SPACE..(first + rows) * SPACE)
+                    .map(|k| mem.get(k / SPACE, k % SPACE).expect(&ctx))
+                    .collect(),
+            ),
+        }
+    }
+    reads.push(
+        (0..SPACE * SPACE)
+            .map(|k| mem.get(k / SPACE, k % SPACE).unwrap())
+            .collect(),
+    );
+    reads
+}
+
+/// Run one program on every datapath and compare each against the model.
+fn check_program(scheme: AccessScheme, grid: (usize, usize), layout: BankLayout, seed: u64) {
+    let ops = program(scheme, grid, seed, 48);
+    let kinds = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
+    assert!(
+        kinds(|op| matches!(op, Op::Copy(..))) > 0
+            && kinds(|op| matches!(op, Op::ReadRegion(_))) > 0,
+        "{scheme} {grid:?} seed {seed}: program lacks region ops"
+    );
+    let (mut want, dump) = run_model(&ops, grid);
+    want.push(dump);
+    let cfg = space_cfg(scheme, grid, layout);
+    let ctx = format!("{scheme} {grid:?} {layout:?} seed {seed}");
+    for (planning, regions) in [(true, true), (true, false), (false, false)] {
+        let got = run_polymem(&ops, cfg, planning, regions);
+        assert!(
+            got == want,
+            "{ctx}: PolyMem (planning {planning}, region planning {regions}) diverges from \
+             the model at result {:?}",
+            got.iter().zip(&want).position(|(a, b)| a != b)
+        );
+    }
+    for planning in [true, false] {
+        let got = run_concurrent_mem(&ops, cfg, planning);
+        assert!(
+            got == want,
+            "{ctx}: ConcurrentPolyMem (planning {planning}) diverges from the model at \
+             result {:?}",
+            got.iter().zip(&want).position(|(a, b)| a != b)
+        );
+    }
+}
+
+/// The generated programs exercise every operation the oracle claims.
+#[test]
+fn whole_api_programs_cover_every_operation() {
+    let mut seen = [false; 7];
+    let mut edge = false;
+    let mut overlap = [false; 2];
+    for scheme in AccessScheme::ALL {
+        for grid in GRIDS {
+            for op in program(scheme, grid, 7, 48) {
+                let kind = match &op {
+                    Op::Read(_) => 0,
+                    Op::Write(..) => 1,
+                    Op::ReadRegion(_) => 2,
+                    Op::WriteRegion(..) => 3,
+                    Op::Copy(s, d) => {
+                        if s.overlaps(d) && s.shape == d.shape {
+                            overlap[usize::from((d.i, d.j) > (s.i, s.j))] = true;
+                        }
+                        4
+                    }
+                    Op::LoadRows(..) => 5,
+                    Op::DumpRows(..) => 6,
+                };
+                seen[kind] = true;
+                if let Op::ReadRegion(r) | Op::WriteRegion(r, _) = &op {
+                    edge |= matches!(r.shape, RegionShape::SecondaryDiag { len } if r.j + 1 == len);
+                }
+            }
+        }
+    }
+    assert_eq!(seen, [true; 7], "operation kinds generated");
+    assert!(edge, "no secondary diagonal ends on column 0");
+    assert_eq!(overlap, [true; 2], "overlapping copies in both directions");
+}
+
+/// Every scheme x grid x layout, two fixed programs each.
+#[test]
+fn whole_api_programs_match_naive_model() {
+    for scheme in AccessScheme::ALL {
+        for grid in GRIDS {
+            for layout in LAYOUTS {
+                for seed in [11, 12] {
+                    check_program(scheme, grid, layout, seed);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn random_whole_api_programs_match_naive_model(
+        scheme_idx in 0..5usize,
+        grid_idx in 0..2usize,
+        layout_idx in 0..2usize,
+        seed in any::<u64>(),
+    ) {
+        check_program(
+            AccessScheme::ALL[scheme_idx],
+            GRIDS[grid_idx],
+            LAYOUTS[layout_idx],
+            seed,
+        );
     }
 }
