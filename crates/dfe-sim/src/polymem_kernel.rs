@@ -420,7 +420,7 @@ impl PolyMemKernel {
     }
 
     /// Region-plan-cache activity of the wrapped memory.
-    pub fn region_plan_stats(&self) -> polymem::RegionPlanCacheStats {
+    pub fn region_plan_stats(&self) -> polymem::PlanCacheStats {
         self.mem.region_plan_stats()
     }
 

@@ -59,15 +59,15 @@ impl Agu {
             AccessPattern::MainDiagonal => self.check_extent(i0, j0, n, n),
             AccessPattern::SecondaryDiagonal => {
                 // Origin is the top-right element; lanes walk down-left.
-                if j0 + 1 < n {
+                let Some(left) = j0.checked_sub(n - 1) else {
                     return Err(PolyMemError::OutOfBounds {
-                        i: i0 as i64,
-                        j: j0 as i64 - (n as i64 - 1),
+                        i: coord(i0),
+                        j: coord(j0) - (n as i64 - 1),
                         rows: self.rows,
                         cols: self.cols,
                     });
-                }
-                self.check_extent(i0, j0 + 1 - n, n, n)
+                };
+                self.check_extent(i0, left, n, n)
             }
         }
     }
@@ -128,17 +128,25 @@ impl Agu {
         Ok(v)
     }
 
+    /// Check that the `di x dj` box at `(i0, j0)` fits the logical space;
+    /// a box whose far corner overflows `usize` does not.
     fn check_extent(&self, i0: usize, j0: usize, di: usize, dj: usize) -> Result<()> {
-        if i0 + di > self.rows || j0 + dj > self.cols {
+        let (last_i, last_j) = (i0.checked_add(di - 1), j0.checked_add(dj - 1));
+        if last_i.is_none_or(|i| i >= self.rows) || last_j.is_none_or(|j| j >= self.cols) {
             return Err(PolyMemError::OutOfBounds {
-                i: (i0 + di - 1) as i64,
-                j: (j0 + dj - 1) as i64,
+                i: last_i.map_or(i64::MAX, coord),
+                j: last_j.map_or(i64::MAX, coord),
                 rows: self.rows,
                 cols: self.cols,
             });
         }
         Ok(())
     }
+}
+
+/// A coordinate for an error report, saturating at `i64::MAX`.
+fn coord(x: usize) -> i64 {
+    i64::try_from(x).unwrap_or(i64::MAX)
 }
 
 #[cfg(test)]
@@ -239,6 +247,20 @@ mod tests {
                         "{pattern} at ({i},{j})"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn origins_near_usize_max_are_out_of_bounds() {
+        // The far corner overflows: no wrap-around back into the space.
+        for pattern in AccessPattern::ALL {
+            for (i, j) in [(usize::MAX - 3, 0), (0, usize::MAX), (5, usize::MAX - 2)] {
+                let err = agu().check_bounds(PA::new(i, j, pattern));
+                assert!(
+                    matches!(err, Err(PolyMemError::OutOfBounds { .. })),
+                    "{pattern}"
+                );
             }
         }
     }

@@ -23,57 +23,73 @@
 //! [`PolyMem::set_region_planning`] as the differential-testing oracle and
 //! the tracing path.
 
+use crate::banks::BankArray;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::mem::PolyMem;
+use crate::plan::{PlanKey, PlanTarget};
 use crate::region::{Region, RegionShape};
 use crate::region_plan::{replay_copy, RegionPlan};
 use crate::scheme::ParallelAccess;
 use crate::tracing::SpanId;
 use crate::AccessScheme;
-use std::sync::Arc;
 
 impl<T: Copy + Default> PolyMem<T> {
-    /// The compiled region plan for `region`'s residue class (compiling on
-    /// first use). Returned by `Arc` so callers can release the cache borrow
-    /// before touching bank storage.
-    pub(crate) fn region_plan_for(&mut self, region: &Region) -> Result<Arc<RegionPlan>> {
+    /// The planned path of a region read (`port` is `Some`) or write
+    /// (`None`): look the plan of `region` up (compiling it on a miss),
+    /// check the concrete origin, run `replay` on it at the origin's base
+    /// address inside a `region-replay` span, and count the traffic.
+    fn replay_region(
+        &mut self,
+        region: &Region,
+        port: Option<usize>,
+        replay: impl FnOnce(&RegionPlan, &mut BankArray<T>, isize),
+    ) -> Result<()> {
         let Self {
-            region_plans,
-            plans,
+            config,
             agu,
             maf,
             afn,
-            config,
+            banks,
+            plans,
+            stats,
+            tlm,
+            trc,
             ..
         } = self;
-        region_plans.get_or_compile(region, config.scheme, agu, maf, afn, plans)
-    }
-
-    /// [`Self::region_plan_for`] plus cache observability: when tracing is
-    /// attached, emits a `region-plan-hit` / `region-plan-miss` instant
-    /// and, on a miss, a `region-plan-compile` span. The library runs
-    /// between simulator ticks, so the journal clock does not advance
-    /// inside this call and the compile span is a zero-width retroactive
-    /// marker — emitted *after* the compile, which also keeps the
-    /// miss/hit classification exact (it reads the cache's own miss
-    /// counter rather than re-deriving the keying logic).
-    pub(crate) fn region_plan_traced(&mut self, region: &Region) -> Result<Arc<RegionPlan>> {
-        if self.trc.is_none() {
-            return self.region_plan_for(region);
+        // A hit takes one probe; only a miss goes through the compile path.
+        let target = PlanTarget::Region(region);
+        let (plan, compiled) = match plans.get(&PlanKey::of(target, config.lanes())) {
+            Some(plan) => (plan, false),
+            None => plans.get_or_compile(target, agu, maf, afn)?,
+        };
+        if let Some(tr) = trc.as_ref() {
+            tr.lookup(compiled);
         }
-        let misses = self.region_plans.stats().misses;
-        let plan = self.region_plan_for(region)?;
-        if let Some(tr) = &self.trc {
-            if self.region_plans.stats().misses > misses {
-                tr.writer.instant(tr.miss);
-                let s = tr.writer.begin(tr.compile, SpanId::NONE);
-                tr.writer.end(tr.compile, s);
-            } else {
-                tr.writer.instant(tr.hit);
+        plan.check_bounds(region, config.rows, config.cols)?;
+        let base = afn.address(region.i, region.j) as isize;
+        let span = trc
+            .as_ref()
+            .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
+        replay(plan, banks, base);
+        if let (Some(tr), Some(s)) = (trc.as_ref(), span) {
+            tr.writer.end(tr.replay, s);
+        }
+        let (ops, elems) = match port {
+            Some(_) => (&mut stats.reads, &mut stats.elements_read),
+            None => (&mut stats.writes, &mut stats.elements_written),
+        };
+        *ops += plan.accesses as u64;
+        *elems += plan.len() as u64;
+        if let Some(t) = tlm.as_ref() {
+            match port {
+                Some(port) => t.region_read(port, plan.accesses, plan.len()),
+                None => t.region_write(plan.accesses, plan.len()),
             }
+            let (c, s) = plan.byte_split::<T>();
+            t.region_bytes(c, s);
         }
-        Ok(plan)
+        Ok(())
     }
 
     /// Read a whole region through parallel accesses, in the region's
@@ -94,25 +110,10 @@ impl<T: Copy + Default> PolyMem<T> {
             });
         }
         if self.use_region_plan() {
-            let plan = self.region_plan_traced(region)?;
-            plan.check_bounds(region, self.config.rows, self.config.cols)?;
-            let base = self.afn.address(region.i, region.j) as isize;
-            let span = self
-                .trc
-                .as_ref()
-                .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
-            plan.gather_into(self.banks.flat(), base, out);
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.replay, s);
-            }
-            self.stats.reads += plan.accesses as u64;
-            self.stats.elements_read += plan.len() as u64;
-            if let Some(t) = &self.tlm {
-                t.region_read(port, plan.accesses, plan.len());
-                let (c, s) = plan.byte_split::<T>();
-                t.region_bytes(c, s);
-            }
-            return Ok(());
+            let gather = |plan: &RegionPlan, banks: &mut BankArray<T>, base| {
+                plan.gather_into(banks.flat(), base, out)
+            };
+            return self.replay_region(region, Some(port), gather);
         }
         // Per-access oracle path: one parallel read per access, lanes
         // splayed to canonical positions through the closed-form index.
@@ -146,25 +147,10 @@ impl<T: Copy + Default> PolyMem<T> {
             });
         }
         if self.use_region_plan() {
-            let plan = self.region_plan_traced(region)?;
-            plan.check_bounds(region, self.config.rows, self.config.cols)?;
-            let base = self.afn.address(region.i, region.j) as isize;
-            let span = self
-                .trc
-                .as_ref()
-                .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
-            plan.scatter_from(self.banks.flat_mut(), base, values);
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.replay, s);
-            }
-            self.stats.writes += plan.accesses as u64;
-            self.stats.elements_written += plan.len() as u64;
-            if let Some(t) = &self.tlm {
-                t.region_write(plan.accesses, plan.len());
-                let (c, s) = plan.byte_split::<T>();
-                t.region_bytes(c, s);
-            }
-            return Ok(());
+            let scatter = |plan: &RegionPlan, banks: &mut BankArray<T>, base| {
+                plan.scatter_from(banks.flat_mut(), base, values)
+            };
+            return self.replay_region(region, None, scatter);
         }
         let cfg = *self.config();
         let accesses = region.plan_accesses(cfg.p, cfg.q)?;
@@ -201,32 +187,42 @@ impl<T: Copy + Default> PolyMem<T> {
             });
         }
         if self.use_region_plan() {
-            let sp = self.region_plan_traced(src)?;
-            let dp = self.region_plan_traced(dst)?;
+            let Self {
+                config,
+                agu,
+                maf,
+                afn,
+                banks,
+                plans,
+                stats,
+                tlm,
+                trc,
+                ..
+            } = self;
+            let [(sp, s_compiled), (dp, d_compiled)] =
+                plans.get_or_compile_pair([src, dst], agu, maf, afn)?;
+            if let Some(tr) = trc.as_ref() {
+                tr.lookup(s_compiled);
+                tr.lookup(d_compiled);
+            }
             if sp.accesses != dp.accesses {
                 return Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses));
             }
-            sp.check_bounds(src, self.config.rows, self.config.cols)?;
-            dp.check_bounds(dst, self.config.rows, self.config.cols)?;
-            let span = self
-                .trc
+            sp.check_bounds(src, config.rows, config.cols)?;
+            dp.check_bounds(dst, config.rows, config.cols)?;
+            let span = trc
                 .as_ref()
                 .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
-            let (coalesced, strided) = replay_copy(
-                self.banks.flat_mut(),
-                &self.afn,
-                (src, &sp),
-                (dst, &dp),
-                &mut Vec::new(),
-            );
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
+            let (coalesced, strided) =
+                replay_copy(banks.flat_mut(), afn, (src, sp), (dst, dp), &mut Vec::new());
+            if let (Some(tr), Some(s)) = (trc.as_ref(), span) {
                 tr.writer.end(tr.copy_replay, s);
             }
-            self.stats.reads += sp.accesses as u64;
-            self.stats.writes += dp.accesses as u64;
-            self.stats.elements_read += sp.len() as u64;
-            self.stats.elements_written += dp.len() as u64;
-            if let Some(t) = &self.tlm {
+            stats.reads += sp.accesses as u64;
+            stats.writes += dp.accesses as u64;
+            stats.elements_read += sp.len() as u64;
+            stats.elements_written += dp.len() as u64;
+            if let Some(t) = tlm.as_ref() {
                 t.region_read(port, sp.accesses, sp.len());
                 t.region_write(dp.accesses, dp.len());
                 t.region_bytes(coalesced, strided);
@@ -275,17 +271,20 @@ impl<T: Copy + Default> PolyMem<T> {
                     cols: cfg.cols,
                 },
             );
-            let sp = self.region_plan_for(&whole)?;
-            let dp = out.region_plan_for(&whole)?;
-            let sbase = self.afn.address(0, 0) as isize;
-            let dbase = out.afn.address(0, 0) as isize;
-            let mut buf = vec![T::default(); sp.len()];
-            sp.gather_into(self.banks.flat(), sbase, &mut buf);
-            dp.scatter_from(out.banks.flat_mut(), dbase, &buf);
-            self.stats.reads += sp.accesses as u64;
-            self.stats.elements_read += sp.len() as u64;
-            out.stats.writes += dp.accesses as u64;
-            out.stats.elements_written += dp.len() as u64;
+            let target = PlanTarget::Region(&whole);
+            let mut buf = vec![T::default(); whole.len()];
+            let accesses = self.with_plan(target, |sp, banks| {
+                sp.gather_into(banks.flat(), 0, &mut buf);
+                sp.accesses as u64
+            })?;
+            out.with_plan(target, |dp, banks| {
+                dp.scatter_from(banks.flat_mut(), 0, &buf)
+            })?;
+            let len = buf.len() as u64;
+            self.stats.reads += accesses;
+            self.stats.elements_read += len;
+            out.stats.writes += accesses;
+            out.stats.elements_written += len;
             return Ok(out);
         }
         let mut buf = vec![T::default(); cfg.lanes()];
@@ -320,7 +319,7 @@ fn region_order_indices(
     p: usize,
     q: usize,
 ) -> Vec<usize> {
-    let agu = crate::agu::Agu::new(p, q, usize::MAX / 2, usize::MAX / 2);
+    let agu = crate::agu::Agu::new(p, q, usize::MAX, usize::MAX);
     let mut out = Vec::with_capacity(accesses.len() * p * q);
     for access in accesses {
         for (i, j) in agu.expand(*access).expect("planned access expands") {

@@ -4,27 +4,23 @@
 //! banks exactly once (§III), so per-bank locks buy no parallelism in
 //! software. This façade therefore keeps the storage and replay core of
 //! [`crate::PolyMem`]: one flat [`BankArray`] laid out by the
-//! configuration's [`crate::BankLayout`], plan caches compiled against that
-//! layout, single accesses replayed through [`AccessPlan::fold`], and
-//! region operations replayed on the caller's thread through
-//! [`RegionPlan::gather_into`], [`RegionPlan::scatter_from`] and the copy
-//! selection [`crate::PolyMem::copy_region`] runs as well.
+//! configuration's [`crate::BankLayout`], one [`PlanCache`] compiled against
+//! that layout, single accesses replayed through their one-access plan's
+//! [`RegionPlan::fold`], and region operations replayed on the caller's
+//! thread through [`RegionPlan::gather_into`], [`RegionPlan::scatter_from`]
+//! and the copy selection [`crate::PolyMem::copy_region`] runs as well.
 //!
-//! **One guard per operation.** The bank array sits behind one `RwLock`.
-//! Every operation takes that guard exactly once — shared for reads,
-//! exclusive for writes and copies — and replays its whole access or
-//! region under it. Operations are therefore atomic at access level: a
-//! read racing a write sees all of the write or none of it.
-//!
-//! **Lock order.** The compiled-plan cache is sharded per access pattern
-//! (one `RwLock<PlanCache>` per [`AccessPattern`]), so a cold compile of
-//! one pattern never stalls lookups of another; a cold region compile
-//! takes its pattern shard before the region-plan cache. Cache locks are
-//! taken, and released, before the storage guard and never under it, and
-//! no operation takes a second storage guard while holding one (std's
-//! writer-preferring `RwLock` deadlocks a recursive read behind a waiting
-//! writer). Telemetry counters and trace spans are recorded outside the
-//! guard.
+//! **One lock.** The bank array and the plan cache sit together behind one
+//! `RwLock`, and no operation holds two guards at once. A read takes the
+//! shared guard, looks its plan up and replays it under that guard; only
+//! when the plan is not cached yet does it let go and replay under the
+//! exclusive guard, where the miss compiles. Writes and copies take the
+//! exclusive guard once, compile under it if they miss, and replay their
+//! whole access or region under it. Operations are therefore atomic at
+//! access level: a read racing a write sees all of the write or none of
+//! it. A plan-cache hit borrows its plan under the guard and writes nothing
+//! shared but its hit counter, which it bumps after the guard is released
+//! (through [`PlanHits`]), as it does telemetry counters and trace spans.
 //!
 //! **Concurrency comes from the callers' threads.** Nothing here spawns a
 //! thread: [`ConcurrentPolyMem::read_ports`] serves its accesses in port
@@ -40,14 +36,14 @@ use crate::bulk::copy_shape_mismatch;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{AccessPlan, PlanCache, PlanCacheStats};
+use crate::mem::MemTracing;
+use crate::plan::{PlanCache, PlanCacheStats, PlanHits, PlanKey, PlanTarget};
 use crate::region::Region;
-use crate::region_plan::{replay_copy, RegionPlan, RegionPlanCache, RegionPlanCacheStats};
-use crate::scheme::{AccessPattern, ParallelAccess};
+use crate::region_plan::{replay_copy, RegionPlan};
+use crate::scheme::ParallelAccess;
 use crate::sync::{AtomicBool, Ordering, RwLock};
 use crate::telemetry::{Counter, TelemetryRegistry};
-use crate::tracing::{NameId, SpanId, TraceJournal, TraceWriter};
-use std::sync::Arc;
+use crate::tracing::{NameId, SpanId, TraceJournal};
 
 /// Telemetry handles for a [`ConcurrentPolyMem`] (attached via
 /// [`ConcurrentPolyMem::attach_telemetry`]).
@@ -118,27 +114,12 @@ impl ConcTelemetry {
     }
 }
 
-/// Trace-journal handles for a [`ConcurrentPolyMem`] (attached via
-/// [`ConcurrentPolyMem::attach_tracing`]). The writer and every name are
-/// resolved at attach time, so recording is a handful of `Relaxed`/
-/// `Release` stores — safe from any caller thread through `&self`.
-///
-/// **Guard discipline:** journal writes are *never* issued while the
-/// storage guard is held. A replay span begins before the guard is
-/// acquired (so it includes the wait for it) and ends after the guard is
-/// released. `polymem-verify`'s telemetry pass enforces this textually (no
-/// tracing site inside a held storage-guard scope).
+/// What the one storage guard covers: the bank array and the plans
+/// compiled against it.
 #[derive(Debug)]
-struct ConcTracing {
-    writer: TraceWriter,
-    /// Span: one `read_region` / `write_region` replay.
-    replay: NameId,
-    /// Span: one `copy_region` replay.
-    copy_replay: NameId,
-    /// Instant: region-plan cache hit.
-    hit: NameId,
-    /// Instant: region-plan cache miss (shard + region compile).
-    miss: NameId,
+struct Store<T> {
+    banks: BankArray<T>,
+    plans: PlanCache,
 }
 
 /// A PolyMem whose ports can be driven from multiple threads through `&self`.
@@ -148,23 +129,23 @@ pub struct ConcurrentPolyMem<T> {
     maf: ModuleAssignment,
     afn: AddressingFunction,
     agu: Agu,
-    /// The bank array, flat in `config.layout`: the one guard every
-    /// operation takes once.
-    storage: RwLock<BankArray<T>>,
-    /// Per-pattern shards of the compiled-plan cache (indexed by
-    /// [`AccessPattern::index`]). Lookups take a shard's read lock and a
-    /// compile its write lock, both before the storage guard.
-    plans: [RwLock<PlanCache>; AccessPattern::COUNT],
-    /// Compiled whole-region transfers. Lock order: a pattern shard is
-    /// always taken *before* this lock (region compilation feeds per-access
-    /// plans through the pattern shard).
-    region_plans: RwLock<RegionPlanCache>,
+    /// The bank array, flat in `config.layout`, and its plan cache: the one
+    /// lock every operation takes.
+    storage: RwLock<Store<T>>,
+    /// The plan cache's hit counters, bumped after the guard is released.
+    hits: PlanHits,
     planning: AtomicBool,
     /// Telemetry handles, when attached. `None` costs one branch per
     /// operation and nothing else.
     tlm: Option<ConcTelemetry>,
     /// Trace-journal handles, when attached (same cost model as `tlm`).
-    trc: Option<ConcTracing>,
+    /// Journal writes are *never* issued while the storage guard is held:
+    /// a replay span begins before the guard is acquired (so it includes
+    /// the wait for it) and ends after the guard is released, and the
+    /// plan-cache instant follows it. `polymem-verify`'s telemetry pass
+    /// enforces this textually (no tracing site inside a held
+    /// storage-guard scope).
+    trc: Option<MemTracing>,
 }
 
 impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
@@ -172,16 +153,17 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     pub fn new(config: PolyMemConfig) -> Result<Self> {
         config.validate()?;
         let (lanes, depth, layout) = (config.lanes(), config.bank_depth(), config.layout);
+        let plans = PlanCache::new(lanes, depth, layout);
         Ok(Self {
             config,
             maf: ModuleAssignment::new(config.scheme, config.p, config.q),
             afn: AddressingFunction::new(config.p, config.q, config.rows, config.cols),
             agu: Agu::new(config.p, config.q, config.rows, config.cols),
-            storage: RwLock::new(BankArray::with_layout(lanes, depth, layout)),
-            plans: std::array::from_fn(|_| {
-                RwLock::new(PlanCache::with_layout(lanes, depth, layout))
+            hits: plans.hits(),
+            storage: RwLock::new(Store {
+                banks: BankArray::with_layout(lanes, depth, layout),
+                plans,
             }),
-            region_plans: RwLock::new(RegionPlanCache::new(lanes)),
             planning: AtomicBool::new(true),
             tlm: None,
             trc: None,
@@ -191,8 +173,8 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// Register this memory's datapath counters with `registry` and start
     /// counting. Exported metrics are prefixed `polymem_conc_` (aggregate
     /// reads/writes/elements/conflicts-avoided, per-bank element counts)
-    /// plus the plan-cache counters of every pattern shard
-    /// (`cache="conc-<pattern>"`) and the region-plan cache
+    /// plus the plan-cache counters of every access pattern
+    /// (`cache="conc-<pattern>"`) and of region plans
     /// (`cache="conc-region"`). Takes `&mut self`, so attachment happens
     /// while no other thread uses the memory; counting itself is `&self`
     /// and thread-safe.
@@ -221,13 +203,11 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             region_strided_bytes: registry
                 .counter("polymem_conc_region_strided_bytes_total", Vec::new()),
         });
-        for (i, shard) in self.plans.iter_mut().enumerate() {
-            let label = vec![("cache", format!("conc-{}", AccessPattern::ALL[i].name()))];
-            shard.get_mut().register_telemetry(registry, label);
-        }
-        self.region_plans
-            .get_mut()
-            .register_telemetry(registry, vec![("cache", "conc-region".to_string())]);
+        self.storage.get_mut().plans.register_telemetry(
+            registry,
+            |pattern| format!("conc-{}", pattern.name()),
+            "conc-region",
+        );
     }
 
     /// Stop counting into a previously attached registry (already exported
@@ -243,15 +223,9 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// span covers the wait for the storage guard and the replay under it.
     /// Takes `&mut self` (attach while no other thread uses the memory);
     /// recording itself is `&self` and thread-safe. Journal writes never
-    /// happen under the storage guard — see [`ConcTracing`].
+    /// happen under the storage guard (see the `trc` field).
     pub fn attach_tracing(&mut self, journal: &TraceJournal, track: &str) {
-        self.trc = Some(ConcTracing {
-            writer: journal.writer(track),
-            replay: journal.intern("region-replay"),
-            copy_replay: journal.intern("copy-replay"),
-            hit: journal.intern("region-plan-hit"),
-            miss: journal.intern("region-plan-miss"),
-        });
+        self.trc = Some(MemTracing::new(journal, track));
     }
 
     /// Stop recording spans (already-recorded journal events remain).
@@ -277,89 +251,76 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         self.planning.load(Ordering::Relaxed)
     }
 
-    /// Aggregated activity counters across all per-pattern cache shards.
+    /// Single-access plan activity, summed over the access patterns.
     pub fn plan_stats(&self) -> PlanCacheStats {
-        let mut total = PlanCacheStats::default();
-        for shard in &self.plans {
-            let s = shard.read().stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
+        self.storage.read().plans.access_stats()
+    }
+
+    /// Region-plan activity.
+    pub fn region_plan_stats(&self) -> PlanCacheStats {
+        self.storage.read().plans.region_stats()
+    }
+
+    /// Replay `f` on the plan of `target` under the shared guard when the
+    /// plan is cached; otherwise let go and replay under the exclusive
+    /// guard, under which the miss compiles. Returns `f`'s result and
+    /// whether this call compiled the plan. A hit is counted after the
+    /// guard is released.
+    fn replay<R>(
+        &self,
+        target: PlanTarget<'_>,
+        f: impl FnOnce(&RegionPlan, &[T]) -> R,
+    ) -> Result<(R, bool)> {
+        let key = PlanKey::of(target, self.config.lanes());
+        {
+            let store = self.storage.read();
+            if let Some(plan) = store.plans.peek(&key) {
+                let r = f(plan, store.banks.flat());
+                drop(store);
+                self.hits.count(&key);
+                return Ok((r, false));
+            }
         }
-        total
+        let mut store = self.storage.write();
+        let Store { banks, plans } = &mut *store;
+        let (plan, compiled) = plans.get_or_compile(target, &self.agu, &self.maf, &self.afn)?;
+        Ok((f(plan, banks.flat()), compiled))
     }
 
-    /// Activity counters of the region-plan cache.
-    pub fn region_plan_stats(&self) -> RegionPlanCacheStats {
-        self.region_plans.read().stats()
-    }
-
-    /// The compiled plan for `access`'s residue class: read-lock lookup on
-    /// the pattern's shard first, write-lock compile on miss. Callers
-    /// bounds-check separately.
-    fn plan_for(&self, access: ParallelAccess) -> Result<Arc<AccessPlan>> {
-        let shard = &self.plans[access.pattern.index()];
-        if let Some(plan) = shard.read().lookup(access) {
-            return Ok(plan);
-        }
-        shard
-            .write()
-            .get_or_compile(access, &self.agu, &self.maf, &self.afn)
-            .map(Arc::clone)
-    }
-
-    /// The compiled region plan for `region`'s residue class. A region's
-    /// shape maps to exactly one access pattern, so a cold compile
-    /// write-locks one pattern shard plus the region cache (in that order).
-    fn region_plan_for(&self, region: &Region) -> Result<Arc<RegionPlan>> {
-        if let Some(plan) = self.region_plans.read().lookup(region) {
-            return Ok(plan);
-        }
-        let shard = &self.plans[region.shape.pattern().index()];
-        let mut acc_cache = shard.write();
-        let mut regions = self.region_plans.write();
-        regions.get_or_compile(
-            region,
-            self.config.scheme,
-            &self.agu,
-            &self.maf,
-            &self.afn,
-            &mut acc_cache,
-        )
-    }
-
-    /// The region cache's cumulative miss count. The read guard is a
-    /// statement temporary, released before this returns.
-    fn region_cache_misses(&self) -> u64 {
-        self.region_plans.read().stats().misses
-    }
-
-    /// [`Self::region_plan_for`] plus cache observability: emits a
-    /// `region-plan-hit` / `region-plan-miss` instant when tracing is
-    /// attached. Classification reads the cache's own miss counter (after
-    /// the lock guards are back down), so it stays exact under racing
-    /// compilers of *different* classes and never records under a lock.
-    fn region_plan_traced(&self, region: &Region) -> Result<Arc<RegionPlan>> {
-        let Some(tr) = &self.trc else {
-            return self.region_plan_for(region);
+    /// Replay `f` on the plan of `target` under the exclusive guard,
+    /// compiling it there on a miss. Returns `f`'s result and whether this
+    /// call compiled the plan. A hit is counted after the guard is
+    /// released.
+    fn replay_mut<R>(
+        &self,
+        target: PlanTarget<'_>,
+        f: impl FnOnce(&RegionPlan, &mut [T]) -> R,
+    ) -> Result<(R, bool)> {
+        let key = PlanKey::of(target, self.config.lanes());
+        let (r, looked_up) = {
+            let mut store = self.storage.write();
+            let Store { banks, plans } = &mut *store;
+            match plans.peek(&key) {
+                Some(plan) => (f(plan, banks.flat_mut()), None),
+                None => {
+                    let (plan, compiled) =
+                        plans.get_or_compile(target, &self.agu, &self.maf, &self.afn)?;
+                    (f(plan, banks.flat_mut()), Some(compiled))
+                }
+            }
         };
-        let misses = self.region_cache_misses();
-        let plan = self.region_plan_for(region)?;
-        if self.region_cache_misses() > misses {
-            tr.writer.instant(tr.miss);
-        } else {
-            tr.writer.instant(tr.hit);
+        if looked_up.is_none() {
+            self.hits.count(&key);
         }
-        Ok(plan)
+        Ok((r, looked_up.unwrap_or(false)))
     }
 
-    /// The compiled plan of a bounds-checked `access`, plus the flat slot
-    /// its fold offsets are relative to (`A(origin)` scaled by the layout).
-    fn planned(&self, access: ParallelAccess) -> Result<(Arc<AccessPlan>, isize)> {
+    /// The flat slot a bounds-checked `access`'s fold offsets are relative
+    /// to (`A(origin)` scaled by the layout).
+    fn access_base(&self, access: ParallelAccess) -> Result<isize> {
         self.agu.check_bounds(access)?;
-        let plan = self.plan_for(access)?;
         let scale = self.config.layout.base_scale(self.config.lanes());
-        Ok((plan, self.afn.address(access.i, access.j) as isize * scale))
+        Ok(self.afn.address(access.i, access.j) as isize * scale)
     }
 
     fn check_access(&self, access: ParallelAccess) -> Result<()> {
@@ -369,20 +330,22 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Parallel read through any read port; callable concurrently from many
-    /// threads. The whole access is read under one shared guard.
+    /// threads. The whole access is read under one guard.
     pub fn read(&self, access: ParallelAccess) -> Result<Vec<T>> {
         self.check_access(access)?;
         let mut out = Vec::with_capacity(self.config.lanes());
         if self.planning() {
-            let (plan, base) = self.planned(access)?;
-            let storage = self.storage.read();
-            let flat = storage.flat();
-            out.extend(plan.fold.iter().map(|&f| flat[(base + f) as usize]));
+            let base = self.access_base(access)?;
+            let gather = |plan: &RegionPlan, flat: &[T]| {
+                out.extend(plan.fold.iter().map(|&f| flat[(base + f) as usize]));
+            };
+            self.replay(PlanTarget::Access(access), gather)?;
         } else {
             let coords = self.agu.expand(access)?;
-            let storage = self.storage.read();
+            let store = self.storage.read();
             for (i, j) in coords {
-                out.push(storage.read(self.maf.assign_linear(i, j), self.afn.address(i, j)));
+                let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
+                out.push(store.banks.read(bank, addr));
             }
         }
         if let Some(t) = &self.tlm {
@@ -403,17 +366,19 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
         self.check_access(access)?;
         if self.planning() {
-            let (plan, base) = self.planned(access)?;
-            let mut storage = self.storage.write();
-            let flat = storage.flat_mut();
-            for (&f, &v) in plan.fold.iter().zip(data) {
-                flat[(base + f) as usize] = v;
-            }
+            let base = self.access_base(access)?;
+            let scatter = |plan: &RegionPlan, flat: &mut [T]| {
+                for (&f, &v) in plan.fold.iter().zip(data) {
+                    flat[(base + f) as usize] = v;
+                }
+            };
+            self.replay_mut(PlanTarget::Access(access), scatter)?;
         } else {
             let coords = self.agu.expand(access)?;
-            let mut storage = self.storage.write();
+            let mut store = self.storage.write();
             for ((i, j), &v) in coords.into_iter().zip(data) {
-                storage.write(self.maf.assign_linear(i, j), self.afn.address(i, j), v);
+                let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
+                store.banks.write(bank, addr, v);
             }
         }
         if let Some(t) = &self.tlm {
@@ -423,23 +388,26 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Read a whole region in canonical element order: one motif-run
-    /// gather under one shared guard, on the calling thread.
+    /// gather under one guard, on the calling thread.
     pub fn read_region(&self, region: &Region) -> Result<Vec<T>> {
-        let plan = self.region_plan_traced(region)?;
-        plan.check_bounds(region, self.config.rows, self.config.cols)?;
-        let base = self.afn.address(region.i, region.j) as isize;
-        let mut out = vec![T::default(); plan.len()];
-        let span = self
-            .trc
-            .as_ref()
-            .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
-        plan.gather_into(self.storage.read().flat(), base, &mut out);
-        if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.replay, s);
-        }
+        let (rows, cols) = (self.config.rows, self.config.cols);
+        // An in-bounds region holds at most `capacity` cells, so the output
+        // is allocated before the guard is taken, never larger than that.
+        let mut out = vec![T::default(); region.len().min(self.config.capacity_elems())];
+        let gather = |plan: &RegionPlan, flat: &[T]| {
+            plan.check_bounds(region, rows, cols)?;
+            let base = self.afn.address(region.i, region.j) as isize;
+            plan.gather_into(flat, base, &mut out);
+            Ok((plan.accesses, plan.byte_split::<T>()))
+        };
+        let replay = || {
+            self.replay(PlanTarget::Region(region), gather)
+                .map(|(r, c)| (r, [c]))
+        };
+        let (accesses, bytes) = self.traced(|tr| tr.replay, replay)?;
         if let Some(t) = &self.tlm {
-            t.region_read(plan.accesses, plan.len());
-            t.region_bytes(plan.byte_split::<T>());
+            t.region_read(accesses, out.len());
+            t.region_bytes(bytes);
         }
         Ok(out)
     }
@@ -453,22 +421,49 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
                 expected: region.len(),
             });
         }
-        let plan = self.region_plan_traced(region)?;
-        plan.check_bounds(region, self.config.rows, self.config.cols)?;
-        let base = self.afn.address(region.i, region.j) as isize;
-        let span = self
-            .trc
-            .as_ref()
-            .map(|tr| tr.writer.begin(tr.replay, SpanId::NONE));
-        plan.scatter_from(self.storage.write().flat_mut(), base, values);
-        if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.replay, s);
-        }
+        let (rows, cols) = (self.config.rows, self.config.cols);
+        let scatter = |plan: &RegionPlan, flat: &mut [T]| {
+            plan.check_bounds(region, rows, cols)?;
+            let base = self.afn.address(region.i, region.j) as isize;
+            plan.scatter_from(flat, base, values);
+            Ok((plan.accesses, plan.byte_split::<T>()))
+        };
+        let replay = || {
+            self.replay_mut(PlanTarget::Region(region), scatter)
+                .map(|(r, c)| (r, [c]))
+        };
+        let (accesses, bytes) = self.traced(|tr| tr.replay, replay)?;
         if let Some(t) = &self.tlm {
-            t.region_write(plan.accesses, plan.len());
-            t.region_bytes(plan.byte_split::<T>());
+            t.region_write(accesses, values.len());
+            t.region_bytes(bytes);
         }
         Ok(())
+    }
+
+    /// Run `replay` (which takes the storage guard) inside the `span`
+    /// trace span, begun before the guard is taken and ended after it is
+    /// released; then record one plan-cache instant per lookup — a miss
+    /// where it compiled, else a hit — and unwrap the replay's result.
+    fn traced<R, const N: usize>(
+        &self,
+        span: fn(&MemTracing) -> NameId,
+        replay: impl FnOnce() -> Result<(Result<R>, [bool; N])>,
+    ) -> Result<R> {
+        let s = self
+            .trc
+            .as_ref()
+            .map(|tr| tr.writer.begin(span(tr), SpanId::NONE));
+        let replayed = replay();
+        if let (Some(tr), Some(s)) = (&self.trc, s) {
+            tr.writer.end(span(tr), s);
+        }
+        let (result, compiled) = replayed?;
+        if let Some(tr) = &self.trc {
+            for c in compiled {
+                tr.writer.instant(if c { tr.miss } else { tr.hit });
+            }
+        }
+        result
     }
 
     /// Copy `src` into `dst` (allocating variant of
@@ -487,33 +482,32 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// for element. `scratch` is reused across calls, so steady-state
     /// copies are allocation-free.
     pub fn copy_region_with(&self, src: &Region, dst: &Region, scratch: &mut Vec<T>) -> Result<()> {
-        let sp = self.region_plan_traced(src)?;
-        let dp = self.region_plan_traced(dst)?;
-        if sp.accesses != dp.accesses {
-            return Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses));
-        }
-        sp.check_bounds(src, self.config.rows, self.config.cols)?;
-        dp.check_bounds(dst, self.config.rows, self.config.cols)?;
-        let span = self
-            .trc
-            .as_ref()
-            .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
-        let bytes = {
-            let mut storage = self.storage.write();
-            replay_copy(
-                storage.flat_mut(),
-                &self.afn,
-                (src, &sp),
-                (dst, &dp),
-                scratch,
-            )
+        let (rows, cols) = (self.config.rows, self.config.cols);
+        let replay = || {
+            let mut store = self.storage.write();
+            let Store { banks, plans } = &mut *store;
+            plans
+                .get_or_compile_pair([src, dst], &self.agu, &self.maf, &self.afn)
+                .map(|[(sp, s_compiled), (dp, d_compiled)]| {
+                    let copied = if sp.accesses != dp.accesses {
+                        Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses))
+                    } else {
+                        sp.check_bounds(src, rows, cols)
+                            .and_then(|()| dp.check_bounds(dst, rows, cols))
+                            .map(|()| {
+                                let flat = banks.flat_mut();
+                                let bytes =
+                                    replay_copy(flat, &self.afn, (src, sp), (dst, dp), scratch);
+                                (sp.accesses, sp.len(), bytes)
+                            })
+                    };
+                    (copied, [s_compiled, d_compiled])
+                })
         };
-        if let (Some(tr), Some(s)) = (&self.trc, span) {
-            tr.writer.end(tr.copy_replay, s);
-        }
+        let (accesses, len, bytes) = self.traced(|tr| tr.copy_replay, replay)?;
         if let Some(t) = &self.tlm {
-            t.region_read(sp.accesses, sp.len());
-            t.region_write(dp.accesses, dp.len());
+            t.region_read(accesses, len);
+            t.region_write(accesses, len);
             t.region_bytes(bytes);
         }
         Ok(())
@@ -551,7 +545,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     pub fn set(&self, i: usize, j: usize, value: T) -> Result<()> {
         self.check_coord(i, j)?;
         let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
-        self.storage.write().write(bank, addr, value);
+        self.storage.write().banks.write(bank, addr, value);
         Ok(())
     }
 
@@ -559,7 +553,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     pub fn get(&self, i: usize, j: usize) -> Result<T> {
         self.check_coord(i, j)?;
         let (bank, addr) = (self.maf.assign_linear(i, j), self.afn.address(i, j));
-        Ok(self.storage.read().read(bank, addr))
+        Ok(self.storage.read().banks.read(bank, addr))
     }
 }
 
@@ -714,13 +708,15 @@ mod tests {
     }
 
     #[test]
-    fn pattern_shards_isolate_cache_traffic() {
+    fn plan_stats_count_single_access_classes() {
         let m = mem();
         fill(&m);
         let _ = m.read(PA::row(0, 0)).unwrap();
         let _ = m.read(PA::row(0, 0)).unwrap();
         let _ = m.read(PA::col(0, 0)).unwrap();
-        // One miss per pattern class, one hit on the repeated row.
+        // One miss per pattern class, one hit on the repeated row; region
+        // plans count apart.
+        assert_eq!(m.region_plan_stats().misses, 0);
         let s = m.plan_stats();
         assert_eq!(s.misses, 2, "{s:?}");
         assert_eq!(s.hits, 1, "{s:?}");
@@ -869,6 +865,50 @@ mod tests {
         let vals: Vec<u64> = (0..n as u64).map(|v| v + 9000).collect();
         m.write_region(&r, &vals).unwrap();
         assert_eq!(m.read_region(&r).unwrap(), vals);
+    }
+
+    #[test]
+    fn origins_near_usize_max_return_out_of_bounds() {
+        // Origin arithmetic must not wrap past the bounds checks: on both
+        // façades and every path, each access and region whose reach
+        // overflows `usize` is out of bounds and all 256 cells stay put.
+        let col = |i| Region::new("c", i, 0, RegionShape::Col { len: 8 });
+        let block = Region::new(
+            "b",
+            usize::MAX - 2,
+            0,
+            RegionShape::Block { rows: 4, cols: 8 },
+        );
+        let oob = |r: Result<()>| matches!(r, Err(PolyMemError::OutOfBounds { .. }));
+        let cells: Vec<u64> = (0..256).collect();
+        for (planning, regions) in [(true, true), (true, false), (false, false)] {
+            let (mut seq, conc) = (crate::PolyMem::new(*mem().config()).unwrap(), mem());
+            seq.set_planning(planning);
+            seq.set_region_planning(regions);
+            seq.load_row_major(&cells).unwrap();
+            conc.set_planning(planning);
+            fill(&conc);
+            assert!(oob(seq.write(PA::col(usize::MAX - 3, 0), &[7; 8])));
+            assert!(oob(conc.write(PA::col(usize::MAX - 3, 0), &[7; 8])));
+            assert!(oob(seq.read(0, PA::row(usize::MAX, 0)).map(drop)));
+            assert!(oob(conc.read(PA::row(usize::MAX, 0)).map(drop)));
+            // A hit on the class compiled at row 7, then a first compile.
+            seq.read_region(0, &col(7)).unwrap();
+            conc.read_region(&col(7)).unwrap();
+            for r in [col(usize::MAX), block.clone()] {
+                let vals = vec![7; r.len()];
+                assert!(oob(seq.read_region(0, &r).map(drop)));
+                assert!(oob(conc.read_region(&r).map(drop)));
+                assert!(oob(seq.write_region(&r, &vals)));
+                assert!(oob(conc.write_region(&r, &vals)));
+            }
+            assert!(oob(seq.copy_region(0, &col(7), &col(usize::MAX))));
+            assert!(oob(conc.copy_region(&col(7), &col(usize::MAX))));
+            let dump: Vec<u64> = (0..256)
+                .map(|k| conc.get(k / 16, k % 16).unwrap())
+                .collect();
+            assert_eq!((seq.dump_row_major(), dump), (cells.clone(), cells.clone()));
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! | Shuffles (crossbars) | [`shuffle`] |
 //! | Memory banks | [`banks`] |
 //! | ports / façade | [`mem`], [`concurrent`] |
-//! | compiled access plans (routing cache) | [`plan`] |
-//! | compiled region plans (bulk gather/scatter) | [`region_plan`] |
+//! | the plan cache (one-access and region plans per residue class) | [`plan`] |
+//! | compiled plans (gather/scatter replay) | [`region_plan`] |
 //! | access schemes & patterns (Table I, Fig. 2) | [`scheme`], [`region`] |
 //! | conflict-freedom theorems | [`theory`] |
 //!
@@ -88,9 +88,9 @@ pub use image::{from_image, to_image};
 pub use maf::{BankId, ModuleAssignment};
 pub use matrix::PolyMatrix;
 pub use mem::{AccessStats, PolyMem};
-pub use plan::{AccessPlan, PlanCache, PlanCacheStats, PlanKey};
+pub use plan::{PlanCache, PlanCacheStats, PlanKey, PlanShape, PlanTarget};
 pub use region::{Region, RegionShape};
-pub use region_plan::{RegionPlan, RegionPlanCache, RegionPlanCacheStats, RegionPlanKey};
+pub use region_plan::RegionPlan;
 pub use scheme::{AccessPattern, AccessScheme, ParallelAccess};
 pub use shuffle::Crossbar;
 pub use telemetry::{

@@ -19,13 +19,13 @@ use crate::banks::BankArray;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{PlanCache, PlanCacheStats};
+use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanTarget};
 use crate::region::{Region, RegionShape};
-use crate::region_plan::{RegionPlanCache, RegionPlanCacheStats};
+use crate::region_plan::RegionPlan;
 use crate::scheme::{AccessPattern, ParallelAccess};
 use crate::shuffle::Crossbar;
 use crate::telemetry::{Counter, TelemetryRegistry};
-use crate::tracing::{NameId, TraceJournal, TraceWriter};
+use crate::tracing::{NameId, SpanId, TraceJournal, TraceWriter};
 
 /// Running counters of memory activity, for benchmarks and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,11 +129,12 @@ impl MemTelemetry {
     }
 }
 
-/// Trace-journal handles for one [`PolyMem`], populated by
-/// [`PolyMem::attach_tracing`]. The writer and every event name are
-/// resolved at attach time, so the instrumented region paths record only
-/// fixed-width integers — no allocation, no locks, no panicking construct
-/// (the same hot-path discipline as [`MemTelemetry`]).
+/// Trace-journal handles for one [`PolyMem`] or
+/// [`crate::ConcurrentPolyMem`], populated by their `attach_tracing`. The
+/// writer and every event name are resolved at attach time, so the
+/// instrumented region paths record only fixed-width integers — no
+/// allocation, no locks, no panicking construct (the same hot-path
+/// discipline as [`MemTelemetry`]), safe from any caller thread.
 #[derive(Debug, Clone)]
 pub(crate) struct MemTracing {
     /// Journal writer bound to this memory's track.
@@ -148,6 +149,35 @@ pub(crate) struct MemTracing {
     pub(crate) hit: NameId,
     /// Instant: region-plan cache miss.
     pub(crate) miss: NameId,
+}
+
+impl MemTracing {
+    /// Handles writing onto `journal`'s track `track`.
+    pub(crate) fn new(journal: &TraceJournal, track: &str) -> Self {
+        Self {
+            writer: journal.writer(track),
+            replay: journal.intern("region-replay"),
+            copy_replay: journal.intern("copy-replay"),
+            compile: journal.intern("region-plan-compile"),
+            hit: journal.intern("region-plan-hit"),
+            miss: journal.intern("region-plan-miss"),
+        }
+    }
+
+    /// Record one region-plan lookup: a hit instant, or a miss instant plus
+    /// a `region-plan-compile` span. The library runs between simulator
+    /// ticks, so the journal clock does not advance inside a call and the
+    /// compile span is a zero-width retroactive marker, emitted *after* the
+    /// compile.
+    pub(crate) fn lookup(&self, compiled: bool) {
+        if compiled {
+            self.writer.instant(self.miss);
+            let s = self.writer.begin(self.compile, SpanId::NONE);
+            self.writer.end(self.compile, s);
+        } else {
+            self.writer.instant(self.hit);
+        }
+    }
 }
 
 /// A polymorphic parallel memory instance.
@@ -176,14 +206,13 @@ pub struct PolyMem<T> {
     /// for the scheduler's application analysis). Tracing needs the
     /// expanded coordinates, so it forces the interpreted pipeline.
     trace_log: Option<Vec<(usize, usize)>>,
-    /// Compiled routing per residue class (see [`crate::plan`]).
+    /// Compiled single-access and region plans per residue class (see
+    /// [`crate::plan`]).
     pub(crate) plans: PlanCache,
     /// When `true` (the default), reads and writes replay compiled plans;
     /// when `false`, every access walks the full interpreted Fig. 3
     /// pipeline (the oracle the plans are verified against).
     planning: bool,
-    /// Compiled whole-region transfers (see [`crate::region_plan`]).
-    pub(crate) region_plans: RegionPlanCache,
     /// When `true` (the default), bulk region operations replay compiled
     /// region plans; when `false`, they fall back to the per-access loop
     /// (which itself honours [`Self::planning`]). The two switches are
@@ -223,9 +252,8 @@ impl<T: Copy + Default> PolyMem<T> {
             banked: vec![T::default(); lanes],
             stats: AccessStats::default(),
             trace_log: None,
-            plans: PlanCache::with_layout(lanes, config.bank_depth(), config.layout),
+            plans: PlanCache::new(lanes, config.bank_depth(), config.layout),
             planning: true,
-            region_plans: RegionPlanCache::new(lanes),
             region_planning: true,
             tlm: None,
             trc: None,
@@ -271,12 +299,13 @@ impl<T: Copy + Default> PolyMem<T> {
         self.planning
     }
 
-    /// Plan-cache activity: hits, misses (= compilations), entries.
+    /// Single-access plan activity: hits, misses (= compilations), entries.
     pub fn plan_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+        self.plans.access_stats()
     }
 
-    /// Drop all compiled plans (they recompile lazily on next use).
+    /// Drop all compiled plans, single-access and region (they recompile
+    /// lazily on next use).
     pub fn clear_plans(&mut self) {
         self.plans.clear();
     }
@@ -296,14 +325,14 @@ impl<T: Copy + Default> PolyMem<T> {
         self.region_planning
     }
 
-    /// Region-plan cache activity: hits, misses, entries, heap bytes.
-    pub fn region_plan_stats(&self) -> RegionPlanCacheStats {
-        self.region_plans.stats()
+    /// Region-plan activity: hits, misses, entries, heap bytes.
+    pub fn region_plan_stats(&self) -> PlanCacheStats {
+        self.plans.region_stats()
     }
 
     /// Drop all compiled region plans (they recompile lazily on next use).
     pub fn clear_region_plans(&mut self) {
-        self.region_plans.clear();
+        self.plans.clear_regions();
     }
 
     /// Register this memory's datapath metrics in `registry` and start
@@ -348,9 +377,7 @@ impl<T: Copy + Default> PolyMem<T> {
             );
         }
         self.plans
-            .register_telemetry(registry, vec![("cache", "access".into())]);
-        self.region_plans
-            .register_telemetry(registry, vec![("cache", "region".into())]);
+            .register_telemetry(registry, |_| "access".into(), "region");
         self.tlm = Some(t);
     }
 
@@ -371,14 +398,7 @@ impl<T: Copy + Default> PolyMem<T> {
     /// record per access would dominate the work being measured. Region
     /// replay — where the bulk of the cycles go — carries the spans.
     pub fn attach_tracing(&mut self, journal: &TraceJournal, track: &str) {
-        self.trc = Some(MemTracing {
-            writer: journal.writer(track),
-            replay: journal.intern("region-replay"),
-            copy_replay: journal.intern("copy-replay"),
-            compile: journal.intern("region-plan-compile"),
-            hit: journal.intern("region-plan-hit"),
-            miss: journal.intern("region-plan-miss"),
-        });
+        self.trc = Some(MemTracing::new(journal, track));
     }
 
     /// Stop recording spans (already-recorded journal events remain).
@@ -432,20 +452,12 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.afn.address(access.i, access.j) as isize
             * self.config.layout.base_scale(self.config.lanes());
-        let Self {
-            plans,
-            agu,
-            maf,
-            afn,
-            banks,
-            ..
-        } = self;
-        let plan = plans.get_or_compile(access, agu, maf, afn)?;
-        let flat = banks.flat();
-        for (o, &f) in out.iter_mut().zip(&plan.fold) {
-            *o = flat[(base + f) as usize];
-        }
-        Ok(())
+        self.with_plan(PlanTarget::Access(access), |plan, banks| {
+            let flat = banks.flat();
+            for (o, &f) in out.iter_mut().zip(&plan.fold) {
+                *o = flat[(base + f) as usize];
+            }
+        })
     }
 
     /// Planned parallel write: the scatter mirror of [`Self::read_planned`].
@@ -454,20 +466,12 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.afn.address(access.i, access.j) as isize
             * self.config.layout.base_scale(self.config.lanes());
-        let Self {
-            plans,
-            agu,
-            maf,
-            afn,
-            banks,
-            ..
-        } = self;
-        let plan = plans.get_or_compile(access, agu, maf, afn)?;
-        let flat = banks.flat_mut();
-        for (&f, &v) in plan.fold.iter().zip(data) {
-            flat[(base + f) as usize] = v;
-        }
-        Ok(())
+        self.with_plan(PlanTarget::Access(access), |plan, banks| {
+            let flat = banks.flat_mut();
+            for (&f, &v) in plan.fold.iter().zip(data) {
+                flat[(base + f) as usize] = v;
+            }
+        })
     }
 
     /// Expand an access and compute the shuffle steering signal (`route`)
@@ -682,9 +686,11 @@ impl<T: Copy + Default> PolyMem<T> {
         }
         let mut strip = self.strip_region(a);
         for rows in data[at(a)..at(b)].chunks_exact(self.config.p * cols) {
-            let plan = self.region_plan_for(&strip)?;
             let base = self.afn.address(strip.i, 0) as isize;
-            plan.scatter_from(self.banks.flat_mut(), base, rows);
+            let scatter = |plan: &RegionPlan, banks: &mut BankArray<T>| {
+                plan.scatter_from(banks.flat_mut(), base, rows)
+            };
+            self.with_plan(PlanTarget::Region(&strip), scatter)?;
             strip.i += self.config.p;
         }
         Ok(())
@@ -706,12 +712,39 @@ impl<T: Copy + Default> PolyMem<T> {
         }
         let mut strip = self.strip_region(a);
         for rows in out[at(a)..at(b)].chunks_exact_mut(self.config.p * cols) {
-            let plan = self.region_plan_for(&strip)?;
             let base = self.afn.address(strip.i, 0) as isize;
-            plan.gather_into(self.banks.flat(), base, rows);
+            let gather = |plan: &RegionPlan, banks: &mut BankArray<T>| {
+                plan.gather_into(banks.flat(), base, rows)
+            };
+            self.with_plan(PlanTarget::Region(&strip), gather)?;
             strip.i += self.config.p;
         }
         Ok(())
+    }
+
+    /// Run `f` on the compiled plan of `target`'s residue class (compiled
+    /// on a miss) and the bank array. A hit takes one probe. `target`'s
+    /// origin must be bounds-checked first if it is a single access.
+    #[inline]
+    pub(crate) fn with_plan<R>(
+        &mut self,
+        target: PlanTarget<'_>,
+        f: impl FnOnce(&RegionPlan, &mut BankArray<T>) -> R,
+    ) -> Result<R> {
+        let key = PlanKey::of(target, self.config.lanes());
+        let Self {
+            plans,
+            agu,
+            maf,
+            afn,
+            banks,
+            ..
+        } = self;
+        let plan = match plans.get(&key) {
+            Some(plan) => plan,
+            None => plans.get_or_compile(target, agu, maf, afn)?.0,
+        };
+        Ok(f(plan, banks))
     }
 
     /// The whole logical space as one Block region (always a legal region:
@@ -746,9 +779,10 @@ impl<T: Copy + Default> PolyMem<T> {
         }
         if self.use_region_plan() {
             let whole = self.whole_region();
-            let plan = self.region_plan_for(&whole)?;
-            plan.scatter_from(self.banks.flat_mut(), 0, data);
-            return Ok(());
+            let scatter = |plan: &RegionPlan, banks: &mut BankArray<T>| {
+                plan.scatter_from(banks.flat_mut(), 0, data)
+            };
+            return self.with_plan(PlanTarget::Region(&whole), scatter);
         }
         for i in 0..self.config.rows {
             for j in 0..self.config.cols {
@@ -769,7 +803,8 @@ impl<T: Copy + Default> PolyMem<T> {
     pub fn dump_row_major(&self) -> Vec<T> {
         let n = self.config.capacity_elems();
         if self.use_region_plan() {
-            if let Some(plan) = self.region_plans.lookup(&self.whole_region()) {
+            let key = PlanKey::of(PlanTarget::Region(&self.whole_region()), self.lanes());
+            if let Some(plan) = self.plans.get(&key) {
                 let mut out = vec![T::default(); n];
                 plan.gather_into(self.banks.flat(), 0, &mut out);
                 return out;

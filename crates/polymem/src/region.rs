@@ -233,6 +233,17 @@ impl Region {
     /// [`PolyMemError::OutOfBounds`] instead of underflowing.
     pub fn plan_accesses(&self, p: usize, q: usize) -> Result<Vec<ParallelAccess>> {
         let n = p * q;
+        // A far corner past `usize::MAX` is out of any space; checking it
+        // here keeps every origin offset below from overflowing.
+        let (down, right, _) = self.extents();
+        if self.i.checked_add(down).is_none() || self.j.checked_add(right).is_none() {
+            return Err(PolyMemError::OutOfBounds {
+                i: i64::MAX,
+                j: i64::MAX,
+                rows: 0,
+                cols: 0,
+            });
+        }
         let ragged = |what: &str| {
             Err(PolyMemError::InvalidGeometry {
                 reason: format!(

@@ -1,19 +1,20 @@
-//! Compiled region plans: whole-region transfers as one flat gather/scatter.
+//! Compiled plans: whole-region transfers as one flat gather/scatter.
 //!
-//! [`crate::plan`] made single parallel accesses cheap (per-residue-class
-//! routing compiled once). Real workloads move [`Region`]s — many accesses
-//! plus a canonical-order permutation — and the naive bulk path still paid a
-//! per-access plan lookup, a per-access `Vec`, and a coordinate `HashMap`
-//! rebuilt per call. A [`RegionPlan`] compiles all of that once per
-//! *(region shape, origin residue class)*:
+//! A [`RegionPlan`] compiles everything a transfer needs once per *(shape,
+//! origin residue class)* (see [`crate::plan`] for the periodicity
+//! argument). A single parallel access is the one-access case
+//! ([`RegionPlan::compile_access`]): its canonical order is its AGU lane
+//! order. Real workloads move [`Region`]s — many accesses plus a
+//! canonical-order permutation — and [`RegionPlan::compile`] folds those in
+//! too:
 //!
 //! * the access decomposition ([`Region::plan_accesses`]) is shape+residue
 //!   periodic: access origins sit at fixed offsets from the region origin
 //!   that are multiples of `p`/`q`/`p*q`, so each access's aligned-tile
 //!   address `A(acc) - A(origin)` telescopes exactly (the same argument as
 //!   the single-access plan, lifted to whole regions);
-//! * each access's per-lane routing comes from the existing
-//!   [`PlanCache`] (crossbar-verified at compile);
+//! * each access's per-lane routing comes from its cached one-access plan
+//!   in the [`PlanCache`] (crossbar-verified at compile);
 //! * the canonical-order permutation is folded in at compile time via
 //!   [`Region::canonical_index`] (closed form, no `HashMap`): `fold[c]` is
 //!   the flat-storage offset of canonical element `c` relative to
@@ -29,22 +30,20 @@
 //! table with one kernel, instantiated at a fixed 8 lanes for the 2x4 grid
 //! and as a runtime-width loop for every other grid; an identity motif
 //! stepping by `lanes` is a single `copy_from_slice`.
-//! [`RegionPlanCache`] memoises plans with hit/miss/bytes counters,
-//! mirroring [`PlanCache`].
 
 use crate::addressing::AddressingFunction;
 use crate::agu::Agu;
 use crate::banks::BankLayout;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{PlanCache, PlanKeyHasher};
-use crate::region::{Region, RegionShape};
-use crate::scheme::AccessScheme;
-use crate::sync::{AtomicU64, Ordering};
-use crate::telemetry::{Histogram, Label, StatCounter, TelemetryRegistry};
+use crate::plan::{PlanCache, PlanShape, PlanTarget};
+use crate::region::Region;
+use crate::scheme::ParallelAccess;
+use crate::shuffle::Crossbar;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+
+#[cfg(test)]
+use crate::{region::RegionShape, scheme::AccessScheme};
 
 /// One lane-wide motif run of the canonical gather map: `reps` consecutive
 /// groups of `lanes` canonical elements from `start` on, where lane `k` of
@@ -87,59 +86,15 @@ pub struct StoreRun {
     pub len: u32,
 }
 
-/// One cached plan plus its recency stamp. The stamp is atomic so shared
-/// `&self` lookups can refresh it without a write lock on the map.
-#[derive(Debug)]
-struct CacheSlot {
-    plan: Arc<RegionPlan>,
-    last_used: AtomicU64,
-}
-
-impl Clone for CacheSlot {
-    fn clone(&self) -> Self {
-        Self {
-            plan: Arc::clone(&self.plan),
-            last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-type RegionPlanMap = HashMap<RegionPlanKey, CacheSlot, BuildHasherDefault<PlanKeyHasher>>;
-
-/// Identity of one residue class of regions: same shape (including sizes)
-/// and origins congruent mod `p*q` in both coordinates share identical
-/// decomposition and routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RegionPlanKey {
-    /// The region shape, sizes included.
-    pub shape: RegionShape,
-    /// `i0 mod (p*q)`.
-    pub ri: u32,
-    /// `j0 mod (p*q)`.
-    pub rj: u32,
-}
-
-impl RegionPlanKey {
-    /// The residue class of `region` for a memory with `period = p*q`.
-    #[inline]
-    pub fn of(region: &Region, period: usize) -> Self {
-        Self {
-            shape: region.shape,
-            ri: (region.i % period) as u32,
-            rj: (region.j % period) as u32,
-        }
-    }
-}
-
-/// A compiled region transfer: every index a `read_region`/`write_region`/
-/// `copy_region` needs, in flat precomputed arrays.
+/// A compiled transfer: every index a single access, `read_region`,
+/// `write_region` or `copy_region` needs, in flat precomputed arrays.
 ///
 /// All offsets are relative to `A(i0, j0)` of the *region origin*; a replay
 /// computes that one address and gathers/scatters through [`Self::fold`].
 #[derive(Debug, Clone)]
 pub struct RegionPlan {
-    /// The shape this plan serves (for diagnostics).
-    pub shape: RegionShape,
+    /// What this plan moves (for diagnostics).
+    pub shape: PlanShape,
     /// The flat backing layout `fold`/`afold` were compiled against. All
     /// flat offsets below are relative to `A(origin) * layout.base_scale`.
     pub layout: BankLayout,
@@ -176,9 +131,6 @@ pub struct RegionPlan {
     pub accesses: usize,
     /// Lanes per access (`p * q`).
     pub lanes: usize,
-    max_down: usize,
-    max_right: usize,
-    max_left: usize,
 }
 
 /// Greedy segmentation of the canonical gather map into motif runs: a
@@ -257,16 +209,79 @@ fn build_store_runs(fold: &[isize]) -> Vec<StoreRun> {
 }
 
 impl RegionPlan {
+    /// Compile the one-access plan for `access`'s residue class by running
+    /// the interpreted blocks once: canonical order is the AGU lane order,
+    /// and `fold[k] = layout.fold(bank_k, A(lane k) - A(origin))`.
+    ///
+    /// `depth` is the bank depth of the backing storage. The routing is
+    /// cross-checked against the Address Shuffle before the plan is
+    /// admitted: scattering the lane addresses through a [`Crossbar`] must
+    /// hand every bank exactly the address its lane's fold slot decodes to.
+    pub fn compile_access(
+        access: ParallelAccess,
+        agu: &Agu,
+        maf: &ModuleAssignment,
+        afn: &AddressingFunction,
+        depth: usize,
+        layout: BankLayout,
+    ) -> Result<Self> {
+        let coords = agu.expand(access)?;
+        let lanes = coords.len();
+        let base = afn.address(access.i, access.j);
+        let mut route = Vec::with_capacity(lanes);
+        let mut lane_addrs = Vec::with_capacity(lanes);
+        let mut fold = Vec::with_capacity(lanes);
+        let mut owner = vec![usize::MAX; lanes];
+        for (k, &(i, j)) in coords.iter().enumerate() {
+            let (bank, addr) = (maf.assign_linear(i, j), afn.address(i, j));
+            if owner[bank] != usize::MAX {
+                return Err(PolyMemError::BankConflict {
+                    bank,
+                    lane_a: owner[bank],
+                    lane_b: k,
+                });
+            }
+            owner[bank] = k;
+            route.push(bank);
+            lane_addrs.push(addr);
+            fold.push(layout.fold(bank as isize, addr as isize - base as isize, lanes, depth));
+        }
+        let mut bank_addrs = vec![0usize; lanes];
+        Crossbar::new(lanes).scatter(&lane_addrs, &route, &mut bank_addrs)?;
+        let fbase = base as isize * layout.base_scale(lanes);
+        for (bank, &addr) in bank_addrs.iter().enumerate() {
+            let slot = usize::try_from(fbase + fold[owner[bank]]).unwrap_or(usize::MAX);
+            if layout.bank_of(slot, lanes, depth) != bank
+                || layout.addr_of(slot, lanes, depth) != addr
+            {
+                return Err(PolyMemError::InvalidGeometry {
+                    reason: format!(
+                        "plan verification failed for {:?} at ({}, {}): bank {bank} expects \
+                         address {addr}, plan folds to slot {slot}",
+                        access.pattern, access.i, access.j
+                    ),
+                });
+            }
+        }
+        let afold = fold.clone();
+        Ok(Self::assemble(
+            PlanShape::Access(access.pattern),
+            layout,
+            lanes,
+            (fold, afold),
+            1,
+        ))
+    }
+
     /// Compile the plan for `region`'s residue class.
     ///
     /// Runs the full checked pipeline once per access — scheme/alignment
-    /// check, AGU bounds check, per-access plan compile through `cache`
-    /// (crossbar-verified) — then splices every lane into canonical order.
-    /// Errors surface in the same order the naive per-access loop would hit
-    /// them. Failed compiles are not cached.
+    /// check, AGU bounds check, the access's one-access plan through `cache`
+    /// (compiled and crossbar-verified on first use) — then splices every
+    /// lane into canonical order. Errors surface in the same order the
+    /// naive per-access loop would hit them.
     pub fn compile(
         region: &Region,
-        scheme: AccessScheme,
         agu: &Agu,
         maf: &ModuleAssignment,
         afn: &AddressingFunction,
@@ -287,12 +302,11 @@ impl RegionPlan {
         let mut seen = vec![false; len];
         let mut coords = Vec::with_capacity(lanes);
         for (a, &acc) in accesses.iter().enumerate() {
-            scheme.check_access(acc, p, q)?;
+            maf.scheme().check_access(acc, p, q)?;
             agu.check_bounds(acc)?;
-            let abase = afn.address(acc.i, acc.j) as isize - base0;
-            // Borrow the plan out of the cache, then expand coordinates
-            // (compile-time only; replays never expand).
-            let plan = cache.get_or_compile(acc, agu, maf, afn)?.clone();
+            let abase = (afn.address(acc.i, acc.j) as isize - base0) * scale;
+            // Expand coordinates (compile-time only; replays never expand).
+            let (plan, _) = cache.get_or_compile(PlanTarget::Access(acc), agu, maf, afn)?;
             agu.expand_into(acc, &mut coords)?;
             for (k, &(i, j)) in coords.iter().enumerate() {
                 let c =
@@ -314,8 +328,8 @@ impl RegionPlan {
                     });
                 }
                 seen[c] = true;
-                fold[c] = plan.fold[k] + abase * scale;
-                afold[a * lanes + k] = plan.fold[k] + abase * scale;
+                fold[c] = plan.fold[k] + abase;
+                afold[a * lanes + k] = plan.fold[k] + abase;
             }
         }
         if let Some(c) = seen.iter().position(|&s| !s) {
@@ -326,9 +340,25 @@ impl RegionPlan {
                 ),
             });
         }
+        Ok(Self::assemble(
+            PlanShape::Region(region.shape),
+            layout,
+            lanes,
+            (fold, afold),
+            accesses.len(),
+        ))
+    }
 
-        // The layout/coalescing pass: segment the gather map into motif
-        // runs once, so every replay moves whole lane groups.
+    /// The layout/coalescing pass both compilers end with: segment the
+    /// gather map into motif runs once, so every replay moves whole lane
+    /// groups, and merge the storage image into block-move intervals.
+    fn assemble(
+        shape: PlanShape,
+        layout: BankLayout,
+        lanes: usize,
+        (fold, afold): (Vec<isize>, Vec<isize>),
+        accesses: usize,
+    ) -> Self {
         let (motif_runs, motifs) = build_motif_runs(&fold, lanes);
         let store_runs = build_store_runs(&fold);
         let contiguous_elems = motif_runs
@@ -336,10 +366,8 @@ impl RegionPlan {
             .filter(|r| r.is_block_move(lanes))
             .map(|r| r.reps as usize * lanes)
             .sum();
-
-        let (max_down, max_right, max_left) = region.extents();
-        Ok(Self {
-            shape: region.shape,
+        Self {
+            shape,
             layout,
             fold,
             afold,
@@ -347,12 +375,9 @@ impl RegionPlan {
             motifs,
             store_runs,
             contiguous_elems,
-            accesses: accesses.len(),
+            accesses,
             lanes,
-            max_down,
-            max_right,
-            max_left,
-        })
+        }
     }
 
     /// Elements the plan moves (the region length).
@@ -367,27 +392,30 @@ impl RegionPlan {
         self.fold.is_empty()
     }
 
-    /// Bounds-check a concrete origin against the logical space. Plans are
-    /// shared across a residue class, so the actual origin must be re-checked
-    /// on every replay, exactly like the single-access plan's
-    /// [`Agu::check_bounds`]. Empty regions are always in bounds (the naive
-    /// path issues no access for them).
+    /// Bounds-check the concrete origin of `region`, whose residue class
+    /// this plan serves, against the logical space. Plans are shared across
+    /// a residue class, so the actual origin must be re-checked on every
+    /// replay, exactly like the single-access plan's [`Agu::check_bounds`].
+    /// Empty regions are always in bounds (the naive path issues no access
+    /// for them). Origins whose reach overflows `usize` are out of bounds
+    /// too.
     pub fn check_bounds(&self, region: &Region, rows: usize, cols: usize) -> Result<()> {
         if self.is_empty() {
             return Ok(());
         }
+        let (max_down, max_right, max_left) = region.extents();
+        let coord = |x: Option<usize>| x.map_or(i64::MAX, |x| i64::try_from(x).unwrap_or(i64::MAX));
         let oob = |i: i64, j: i64| Err(PolyMemError::OutOfBounds { i, j, rows, cols });
-        if region.i + self.max_down >= rows {
-            return oob((region.i + self.max_down) as i64, region.j as i64);
+        let down = region.i.checked_add(max_down);
+        if down.is_none_or(|d| d >= rows) {
+            return oob(coord(down), coord(Some(region.j)));
         }
-        if region.j + self.max_right >= cols {
-            return oob(region.i as i64, (region.j + self.max_right) as i64);
+        let right = region.j.checked_add(max_right);
+        if right.is_none_or(|r| r >= cols) {
+            return oob(coord(Some(region.i)), coord(right));
         }
-        if region.j < self.max_left {
-            return oob(
-                (region.i + self.max_down) as i64,
-                region.j as i64 - self.max_left as i64,
-            );
+        if region.j < max_left {
+            return oob(coord(down), coord(Some(region.j)) - max_left as i64);
         }
         Ok(())
     }
@@ -750,271 +778,6 @@ pub(crate) fn replay_copy<T: Copy + Default>(
     (0, both)
 }
 
-/// Observe each motif run's length in elements (`reps * lanes`).
-fn observe_run_lengths(hist: &Histogram, plan: &RegionPlan) {
-    for run in &plan.motif_runs {
-        hist.observe(run.reps as u64 * plan.lanes as u64);
-    }
-}
-
-/// Snapshot of a [`RegionPlanCache`]'s activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegionPlanCacheStats {
-    /// Region operations served by an already-compiled plan.
-    pub hits: u64,
-    /// Region operations that triggered a compilation.
-    pub misses: u64,
-    /// Plans evicted to stay under the capacity cap.
-    pub evictions: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-    /// Maximum number of plans the cache will hold.
-    pub capacity: usize,
-    /// Total heap bytes held by cached plans' index arrays.
-    pub bytes: u64,
-}
-
-/// Lazy cache of [`RegionPlan`]s, keyed per (shape, origin-residue) class.
-///
-/// Unlike [`PlanCache`] the key space is unbounded (shapes carry sizes), so
-/// the cache is capacity-bounded: once `capacity` classes are resident, the
-/// least-recently-used plan is evicted to make room (applications use a
-/// small fixed set of region shapes, so the default cap of
-/// [`Self::DEFAULT_CAPACITY`] is effectively "never evict" — the cap exists
-/// so adversarially varied shapes cannot grow the cache without bound).
-/// Counters and recency stamps are atomic so shared-`&self` users can count
-/// and touch lookups.
-#[derive(Debug)]
-pub struct RegionPlanCache {
-    period: usize,
-    capacity: usize,
-    map: RegionPlanMap,
-    tick: AtomicU64,
-    hits: StatCounter,
-    misses: StatCounter,
-    evictions: StatCounter,
-    bytes: AtomicU64,
-    /// When telemetry is attached: the length of every motif run the
-    /// coalescing pass emits, observed once per compilation (plans are immutable, so
-    /// compile time is the one place run shapes are decided).
-    run_hist: Option<Histogram>,
-}
-
-impl RegionPlanCache {
-    /// Default capacity cap: far above any realistic working set of region
-    /// shape classes, but finite.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Histogram bucket bounds for motif-run lengths in elements (powers of
-    /// two up to a full STREAM-sized row; the overflow bucket catches the
-    /// rest).
-    pub const RUN_LENGTH_BOUNDS: &'static [u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-
-    /// Empty cache for a memory with `p*q == period` lanes, holding at most
-    /// [`Self::DEFAULT_CAPACITY`] plans.
-    pub fn new(period: usize) -> Self {
-        Self::with_capacity(period, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Empty cache bounded to `capacity` plans (minimum 1: the current plan
-    /// must be resident to replay).
-    pub fn with_capacity(period: usize, capacity: usize) -> Self {
-        Self {
-            period,
-            capacity: capacity.max(1),
-            map: RegionPlanMap::default(),
-            tick: AtomicU64::new(0),
-            hits: StatCounter::new(),
-            misses: StatCounter::new(),
-            evictions: StatCounter::new(),
-            bytes: AtomicU64::new(0),
-            run_hist: None,
-        }
-    }
-
-    /// Record a freshly compiled plan's run lengths, if telemetry is on.
-    fn observe_runs(&self, plan: &RegionPlan) {
-        if let Some(h) = &self.run_hist {
-            observe_run_lengths(h, plan);
-        }
-    }
-
-    /// The residue period (`p*q`).
-    #[inline]
-    pub fn period(&self) -> usize {
-        self.period
-    }
-
-    /// Maximum number of plans the cache will hold before evicting.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Next recency stamp (monotonic; shared lookups may interleave, which
-    /// only perturbs LRU order between concurrent touches — harmless).
-    #[inline]
-    fn stamp(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Look up the plan for `region`'s residue class without compiling.
-    /// Counts a hit and refreshes recency when present (misses are counted
-    /// by the compile path).
-    pub fn lookup(&self, region: &Region) -> Option<Arc<RegionPlan>> {
-        let found = self.map.get(&RegionPlanKey::of(region, self.period));
-        if let Some(slot) = found {
-            slot.last_used.store(self.stamp(), Ordering::Relaxed);
-            self.hits.inc();
-        }
-        found.map(|slot| Arc::clone(&slot.plan))
-    }
-
-    /// Evict least-recently-used plans until an insert fits under the cap.
-    fn make_room(&mut self) {
-        while self.map.len() >= self.capacity {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(key, _)| *key)
-            else {
-                return;
-            };
-            if let Some(slot) = self.map.remove(&oldest) {
-                self.bytes
-                    .fetch_sub(slot.plan.heap_bytes() as u64, Ordering::Relaxed);
-                self.evictions.inc();
-            }
-        }
-    }
-
-    /// The plan for `region`'s residue class, compiling through `cache` on
-    /// first use (evicting the least-recently-used plan when full). The
-    /// caller still bounds-checks the concrete origin via
-    /// [`RegionPlan::check_bounds`] (compilation checks the representative;
-    /// cache hits do not).
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_compile(
-        &mut self,
-        region: &Region,
-        scheme: AccessScheme,
-        agu: &Agu,
-        maf: &ModuleAssignment,
-        afn: &AddressingFunction,
-        cache: &mut PlanCache,
-    ) -> Result<Arc<RegionPlan>> {
-        let key = RegionPlanKey::of(region, self.period);
-        if let Some(slot) = self.map.get(&key) {
-            slot.last_used.store(self.stamp(), Ordering::Relaxed);
-            self.hits.inc();
-            return Ok(Arc::clone(&slot.plan));
-        }
-        self.misses.inc();
-        let plan = Arc::new(RegionPlan::compile(region, scheme, agu, maf, afn, cache)?);
-        self.observe_runs(&plan);
-        self.make_room();
-        self.bytes
-            .fetch_add(plan.heap_bytes() as u64, Ordering::Relaxed);
-        self.map.insert(
-            key,
-            CacheSlot {
-                plan: Arc::clone(&plan),
-                last_used: AtomicU64::new(self.stamp()),
-            },
-        );
-        Ok(plan)
-    }
-
-    /// Insert a pre-compiled plan (used by shared-cache wrappers that
-    /// compile outside the map borrow), evicting the least-recently-used
-    /// plan when full.
-    pub fn insert(&mut self, key: RegionPlanKey, plan: Arc<RegionPlan>) {
-        self.misses.inc();
-        self.observe_runs(&plan);
-        self.make_room();
-        self.bytes
-            .fetch_add(plan.heap_bytes() as u64, Ordering::Relaxed);
-        let slot = CacheSlot {
-            plan,
-            last_used: AtomicU64::new(self.stamp()),
-        };
-        if let Some(old) = self.map.insert(key, slot) {
-            // Re-insert over an existing class: the old plan leaves.
-            self.bytes
-                .fetch_sub(old.plan.heap_bytes() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Drop every cached plan (counters keep running, bytes resets).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-
-    /// Activity counters, current size/capacity, and heap footprint.
-    pub fn stats(&self) -> RegionPlanCacheStats {
-        RegionPlanCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            entries: self.map.len(),
-            capacity: self.capacity,
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Export the hit/miss/eviction counters through `registry` as
-    /// `polymem_plan_cache_{hits,misses,evictions}_total` with the given
-    /// labels, and start recording the motif-run lengths (`reps * lanes`
-    /// elements) into `polymem_region_run_length`. The registry holds live handles to
-    /// the same atomics [`Self::stats`] reads, so exported values track
-    /// lookups with no extra work on the lookup path; the histogram costs
-    /// one observation per run per *compilation* (never per replay).
-    pub fn register_telemetry(&mut self, registry: &TelemetryRegistry, labels: Vec<Label>) {
-        registry.register_stat("polymem_plan_cache_hits_total", labels.clone(), &self.hits);
-        registry.register_stat(
-            "polymem_plan_cache_misses_total",
-            labels.clone(),
-            &self.misses,
-        );
-        registry.register_stat(
-            "polymem_plan_cache_evictions_total",
-            labels.clone(),
-            &self.evictions,
-        );
-        let hist = registry.histogram("polymem_region_run_length", labels, Self::RUN_LENGTH_BOUNDS);
-        // Plans compiled before attachment are already resident; record
-        // them so the histogram reflects the cache, not just future
-        // compiles.
-        for slot in self.map.values() {
-            observe_run_lengths(&hist, &slot.plan);
-        }
-        self.run_hist = Some(hist);
-    }
-}
-
-impl Clone for RegionPlanCache {
-    fn clone(&self) -> Self {
-        // Counters copy by value: the clone starts with the same counts but
-        // its own atomics (a registry watching the original keeps watching
-        // only the original).
-        Self {
-            period: self.period,
-            capacity: self.capacity,
-            map: self.map.clone(),
-            tick: AtomicU64::new(self.tick.load(Ordering::Relaxed)),
-            hits: StatCounter::from_value(self.hits.get()),
-            misses: StatCounter::from_value(self.misses.get()),
-            evictions: StatCounter::from_value(self.evictions.get()),
-            bytes: AtomicU64::new(self.bytes.load(Ordering::Relaxed)),
-            // Histogram handles are registry-owned; the clone re-attaches
-            // if it wants its own recording (same policy as PolyMem).
-            run_hist: None,
-        }
-    }
-}
-
 /// The replay test matrix: the 2x4 grid of the fixed 8-lane kernel and
 /// the 4/16/32-lane grids of the runtime-width loop under all five
 /// schemes, plus a 12-lane grid under `ReO`, each with one region per
@@ -1063,7 +826,7 @@ pub(crate) fn replay_matrix() -> Vec<((usize, usize), AccessScheme, Vec<Region>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::AccessScheme;
+    use crate::plan::PlanKey;
 
     fn blocks(
         scheme: AccessScheme,
@@ -1076,7 +839,7 @@ mod tests {
             Agu::new(p, q, rows, cols),
             ModuleAssignment::new(scheme, p, q),
             AddressingFunction::new(p, q, rows, cols),
-            PlanCache::new(p * q, (rows / p) * (cols / q)),
+            PlanCache::new(p * q, (rows / p) * (cols / q), BankLayout::BankMajor),
         )
     }
 
@@ -1114,8 +877,8 @@ mod tests {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 64, 64);
         let a = Region::new("a", 3, 8, RegionShape::Row { len: 16 });
         let b = Region::new("b", 3 + 8, 8 + 16, RegionShape::Row { len: 16 });
-        let pa = RegionPlan::compile(&a, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
-        let pb = RegionPlan::compile(&b, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        let pa = RegionPlan::compile(&a, &agu, &maf, &afn, &mut cache).unwrap();
+        let pb = RegionPlan::compile(&b, &agu, &maf, &afn, &mut cache).unwrap();
         assert_eq!(pa.fold, pb.fold);
         assert_eq!(pa.afold, pb.afold);
     }
@@ -1141,8 +904,7 @@ mod tests {
     fn check_bounds_replays_origin() {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 16, 16);
         let r = Region::new("row", 0, 0, RegionShape::Row { len: 16 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        let plan = RegionPlan::compile(&r, &agu, &maf, &afn, &mut cache).unwrap();
         assert!(plan
             .check_bounds(&Region::new("x", 15, 0, r.shape), 16, 16)
             .is_ok());
@@ -1158,8 +920,7 @@ mod tests {
     fn secondary_diag_left_reach_checked() {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 32, 32);
         let r = Region::new("d", 0, 15, RegionShape::SecondaryDiag { len: 16 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        let plan = RegionPlan::compile(&r, &agu, &maf, &afn, &mut cache).unwrap();
         assert!(plan.check_bounds(&r, 32, 32).is_ok());
         let shifted = Region::new("d", 8, 15 + 8, RegionShape::SecondaryDiag { len: 16 });
         // Same residue class mod 8? 15 vs 23 -> both 7 mod 8; in bounds.
@@ -1173,44 +934,49 @@ mod tests {
 
     #[test]
     fn cache_counts_and_bytes() {
-        let (agu, maf, afn, mut acc_cache) = blocks(AccessScheme::ReRo, 2, 4, 32, 32);
-        let mut cache = RegionPlanCache::new(8);
+        let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 32, 32);
+        let get = |cache: &mut PlanCache, r: &Region| {
+            cache
+                .get_or_compile(PlanTarget::Region(r), &agu, &maf, &afn)
+                .unwrap()
+                .1
+        };
         let r = Region::new("r", 0, 0, RegionShape::Row { len: 16 });
-        cache
-            .get_or_compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut acc_cache)
-            .unwrap();
+        assert!(get(&mut cache, &r));
         // Same class: hit.
-        let r2 = Region::new("r2", 8, 16, RegionShape::Row { len: 16 });
-        cache
-            .get_or_compile(&r2, AccessScheme::ReRo, &agu, &maf, &afn, &mut acc_cache)
-            .unwrap();
+        assert!(!get(&mut cache, &Region::new("r2", 8, 16, r.shape)));
         // Different size: new class.
-        let r3 = Region::new("r3", 0, 0, RegionShape::Row { len: 8 });
-        cache
-            .get_or_compile(&r3, AccessScheme::ReRo, &agu, &maf, &afn, &mut acc_cache)
-            .unwrap();
-        let s = cache.stats();
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.entries, 2);
+        assert!(get(
+            &mut cache,
+            &Region::new("r3", 0, 0, RegionShape::Row { len: 8 })
+        ));
+        let s = cache.region_stats();
+        assert_eq!((s.misses, s.hits, s.entries), (2, 1, 2));
         assert!(s.bytes > 0);
-        assert!(cache.lookup(&r).is_some());
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().bytes, 0);
+        // The region compiles composed one cached row-access class.
+        let a = cache.access_stats();
+        assert_eq!((a.misses, a.hits, a.entries), (1, 2, 1));
+        assert!(cache.get(&PlanKey::of(PlanTarget::Region(&r), 8)).is_some());
+        assert_eq!(cache.region_stats().hits, 2);
+        cache.clear_regions();
+        assert_eq!(
+            (cache.region_stats().entries, cache.region_stats().bytes),
+            (0, 0)
+        );
+        assert_eq!(cache.access_stats().entries, 1, "access plans stay");
     }
 
     #[test]
     fn failed_compile_not_cached() {
-        let (agu, maf, afn, mut acc_cache) = blocks(AccessScheme::ReO, 2, 4, 16, 16);
-        let mut cache = RegionPlanCache::new(8);
+        let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReO, 2, 4, 16, 16);
         // ReO serves rectangles only; a Row region cannot compile.
         let r = Region::new("r", 0, 0, RegionShape::Row { len: 16 });
         assert!(cache
-            .get_or_compile(&r, AccessScheme::ReO, &agu, &maf, &afn, &mut acc_cache)
+            .get_or_compile(PlanTarget::Region(&r), &agu, &maf, &afn)
             .is_err());
-        assert_eq!(cache.stats().entries, 0);
-        assert!(cache.lookup(&r).is_none());
+        let s = cache.region_stats();
+        assert_eq!((s.misses, s.entries), (1, 0));
+        assert!(cache.get(&PlanKey::of(PlanTarget::Region(&r), 8)).is_none());
     }
 
     #[test]
@@ -1218,8 +984,7 @@ mod tests {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 32, 32);
         let depth = (32 / 2) * (32 / 4);
         let r = Region::new("d", 2, 15, RegionShape::SecondaryDiag { len: 16 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        let plan = RegionPlan::compile(&r, &agu, &maf, &afn, &mut cache).unwrap();
         let base = afn.address(r.i, r.j) as isize;
         plan.validate(base, depth).unwrap();
 
@@ -1251,71 +1016,48 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_capacity_and_recency() {
-        let (agu, maf, afn, mut acc_cache) = blocks(AccessScheme::ReRo, 2, 4, 64, 64);
-        let mut cache = RegionPlanCache::with_capacity(8, 2);
+    fn eviction_respects_capacity_and_spares_copy_source() {
+        let (agu, maf, afn, _) = blocks(AccessScheme::ReRo, 2, 4, 64, 64);
+        let mut cache = PlanCache::with_capacity(8, (64 / 2) * (64 / 4), BankLayout::BankMajor, 2);
         let row = |len: usize| Region::new("r", 0, 0, RegionShape::Row { len });
-        cache
-            .get_or_compile(
-                &row(8),
-                AccessScheme::ReRo,
-                &agu,
-                &maf,
-                &afn,
-                &mut acc_cache,
-            )
-            .unwrap();
-        cache
-            .get_or_compile(
-                &row(16),
-                AccessScheme::ReRo,
-                &agu,
-                &maf,
-                &afn,
-                &mut acc_cache,
-            )
-            .unwrap();
-        // Touch len-8 so len-16 becomes the LRU victim.
-        assert!(cache.lookup(&row(8)).is_some());
-        cache
-            .get_or_compile(
-                &row(24),
-                AccessScheme::ReRo,
-                &agu,
-                &maf,
-                &afn,
-                &mut acc_cache,
-            )
-            .unwrap();
-        let s = cache.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.capacity, 2);
-        assert_eq!(s.evictions, 1);
-        assert!(cache.lookup(&row(8)).is_some(), "recently used plan kept");
-        assert!(cache.lookup(&row(16)).is_none(), "LRU plan evicted");
-        // Evicted classes recompile transparently.
-        cache
-            .get_or_compile(
-                &row(16),
-                AccessScheme::ReRo,
-                &agu,
-                &maf,
-                &afn,
-                &mut acc_cache,
-            )
-            .unwrap();
-        assert_eq!(cache.stats().evictions, 2);
-        // Bytes accounting survives eviction churn: clear and it zeroes.
-        cache.clear();
-        assert_eq!(cache.stats().bytes, 0);
+        for len in [8, 16, 24] {
+            cache
+                .get_or_compile(PlanTarget::Region(&row(len)), &agu, &maf, &afn)
+                .unwrap();
+        }
+        let s = cache.region_stats();
+        assert_eq!((s.entries, s.capacity, s.evictions), (2, 2, 1));
+        // Single-access plans are never evicted and do not count against
+        // the region cap.
+        assert_eq!(cache.access_stats().entries, 1);
+        // A copy's destination compile never evicts its source.
+        for (src, dst) in [(32, 40), (48, 56), (8, 16)] {
+            let [(sp, _), (dp, _)] = cache
+                .get_or_compile_pair([&row(src), &row(dst)], &agu, &maf, &afn)
+                .unwrap();
+            assert_eq!((sp.len(), dp.len()), (src, dst));
+        }
+        let s = cache.region_stats();
+        assert_eq!((s.entries, s.evictions), (2, 7));
+        // Bytes accounting survives eviction churn: it equals the resident
+        // plans' footprint, and clearing zeroes it.
+        let resident: u64 = [8, 16]
+            .iter()
+            .map(|&len| {
+                let key = PlanKey::of(PlanTarget::Region(&row(len)), 8);
+                cache.get(&key).map_or(0, |p| p.heap_bytes() as u64)
+            })
+            .sum();
+        assert_eq!(s.bytes, resident);
+        cache.clear_regions();
+        assert_eq!(cache.region_stats().bytes, 0);
     }
 
     #[test]
     fn empty_region_compiles_to_empty_plan() {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReO, 2, 4, 16, 16);
         let r = Region::new("e", 3, 3, RegionShape::Block { rows: 0, cols: 4 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReO, &agu, &maf, &afn, &mut cache).unwrap();
+        let plan = RegionPlan::compile(&r, &agu, &maf, &afn, &mut cache).unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.accesses, 0);
         assert!(plan.motif_runs.is_empty());
@@ -1341,8 +1083,8 @@ mod tests {
         let maf = ModuleAssignment::new(scheme, p, q);
         let afn = AddressingFunction::new(p, q, n, n);
         let depth = (n / p) * (n / q);
-        let mut cache = PlanCache::with_layout(p * q, depth, layout);
-        let plan = RegionPlan::compile(region, scheme, &agu, &maf, &afn, &mut cache)?;
+        let mut cache = PlanCache::new(p * q, depth, layout);
+        let plan = RegionPlan::compile(region, &agu, &maf, &afn, &mut cache)?;
         Ok((plan, afn.address(region.i, region.j) as isize, depth))
     }
 

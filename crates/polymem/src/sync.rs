@@ -1,8 +1,9 @@
 //! Checkable synchronization facade for the concurrent datapath.
 //!
-//! Every atomic and lock used by [`crate::concurrent`], [`crate::telemetry`]
-//! and the [`crate::region_plan`] LRU bookkeeping is imported from this
-//! module instead of `parking_lot`/`std` directly. In a normal build the
+//! Every atomic and lock used by [`crate::concurrent`] and
+//! [`crate::telemetry`] (whose counters include the plan cache's hit and
+//! miss tallies) is imported from this module instead of
+//! `parking_lot`/`std` directly. In a normal build the
 //! re-exports below *are* the raw types — the facade is pure naming with
 //! identical codegen, so the lock-free hot paths cost exactly what they did
 //! before.

@@ -508,16 +508,20 @@ impl TelemetryRegistry {
         h
     }
 
-    /// Attach an existing always-on [`StatCounter`] (e.g. a plan-cache
-    /// hit counter) under a metric name. Present in both builds — API
-    /// accounting is never compiled out.
-    pub fn register_stat(&self, name: &'static str, labels: Vec<Label>, stat: &StatCounter) {
+    /// Attach existing always-on [`StatCounter`]s (e.g. plan-cache hit
+    /// counters) under a metric name; the exported value is their sum.
+    /// Present in both builds — API accounting is never compiled out.
+    pub fn register_stat(&self, name: &'static str, labels: Vec<Label>, stats: &[&StatCounter]) {
+        let mut cells = stats.iter().map(|s| s.cell());
+        let Some(cell) = cells.next() else {
+            return;
+        };
         self.upsert(
             name,
             labels,
             Metric::Counter {
-                cell: stat.cell(),
-                bases: Vec::new(),
+                cell,
+                bases: cells.collect(),
             },
         );
     }
@@ -1013,7 +1017,7 @@ mod tests {
         // Instrumentation registers nothing; StatCounters still do.
         let s = StatCounter::new();
         s.add(2);
-        r.register_stat("s_total", vec![], &s);
+        r.register_stat("s_total", vec![], &[&s]);
         let snap = r.snapshot();
         assert_eq!(snap.metrics.len(), 1);
         assert_eq!(snap.counter_value("s_total", &[]), Some(2));

@@ -2,7 +2,7 @@
 //!
 //! Only compiled under `--features race-check`, where `polymem::sync`
 //! re-exports the `interleave` model types: every storage-guard acquire,
-//! plan cache lookup and telemetry atomic in these scenarios is a
+//! plan-cache hit count and telemetry atomic in these scenarios is a
 //! scheduling point, and the vector-clock checker proves every explored
 //! schedule free of happens-before races while the oracles pin down the
 //! serializable outcomes.
@@ -38,8 +38,8 @@ fn fill_rows(m: &ConcurrentPolyMem<u64>, base: u64) {
 
 #[test]
 fn region_read_vs_racing_writer_sees_whole_rows() {
-    // Plan-cache LRU stamps and stat counters are relaxed RMWs that commute;
-    // making them transparent keeps the schedule space exhaustively coverable.
+    // Plan-cache hit counters are relaxed RMWs that commute; making them
+    // transparent keeps the schedule space exhaustively coverable.
     let report =
         Explorer::new()
             .with_transparent_relaxed_rmw()
@@ -69,8 +69,9 @@ fn region_read_vs_racing_writer_sees_whole_rows() {
 
 #[test]
 fn concurrent_overlapping_copy_region_is_race_free() {
-    // Same reduction as above: without it the per-lookup LRU/stat RMWs blow
-    // the space past the schedule budget without adding distinct outcomes.
+    // Same reduction as above: without it the per-lookup hit-counter RMWs
+    // blow the space past the schedule budget without adding distinct
+    // outcomes.
     let report =
         Explorer::new()
             .with_transparent_relaxed_rmw()

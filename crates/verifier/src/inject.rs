@@ -2,9 +2,10 @@
 //!
 //! A static analyzer that never fires is indistinguishable from one that
 //! proves things. This module seeds one representative violation per
-//! hazard class — a false support claim, a corrupted access plan, a
-//! corrupted region plan, a mis-tiled run table, a reversed lock nesting,
-//! a spawned port thread, a locked telemetry call under the storage
+//! hazard class — a false support claim, a corrupted one-access plan, a
+//! corrupted region plan, a mis-tiled run table, a second storage guard
+//! taken under the first, a spawned port thread, a locked telemetry call
+//! under the storage
 //! guard, a panicking hot path, a deregistered stream feedback loop, a
 //! downgraded Acquire ordering, a write that drops its guard between its
 //! two stores, a base skipped at snapshot fold-in, and a trace span begun
@@ -18,8 +19,8 @@ use crate::findings::{Finding, Severity};
 use crate::locks;
 use crate::{lint, races, schemes, streams, telemetry};
 use polymem::{
-    AccessPattern, AccessScheme, AddressingFunction, Agu, ModuleAssignment, ParallelAccess,
-    PlanCache, Region, RegionPlan, RegionShape,
+    AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
+    ParallelAccess, PlanCache, PlanTarget, Region, RegionPlan, RegionShape,
 };
 use std::path::Path;
 
@@ -75,135 +76,93 @@ fn false_support_claim() -> Mutation {
     )
 }
 
-/// Mutation 2: corrupt a compiled access plan (duplicate a bank) and feed
-/// it to the structural validator.
-fn corrupt_access_plan() -> Mutation {
+/// Compile `target` through a 2x4 ReRo memory's plan cache, corrupt a copy
+/// of the plan with `corrupt`, and feed it to the structural validator.
+fn corrupted_plan(
+    name: &'static str,
+    target: PlanTarget<'_>,
+    corrupt: impl FnOnce(&mut RegionPlan),
+) -> Mutation {
     let (p, q) = (2usize, 4usize);
     let n = p * q;
     let agu = Agu::new(p, q, 4 * n, 4 * n);
     let maf = ModuleAssignment::new(AccessScheme::ReRo, p, q);
     let afn = AddressingFunction::new(p, q, 4 * n, 4 * n);
     let depth = (4 * n / p) * (4 * n / q);
-    let mut cache = PlanCache::new(n, depth);
-    let access = ParallelAccess::new(1, 2, AccessPattern::Row);
-    let plan = cache
-        .get_or_compile(access, &agu, &maf, &afn)
-        .expect("supported access compiles")
-        .clone();
-    let mut bad = (*plan).clone();
-    bad.banks[1] = bad.banks[0];
+    let mut cache = PlanCache::new(n, depth, BankLayout::BankMajor);
+    let (plan, _) = cache
+        .get_or_compile(target, &agu, &maf, &afn)
+        .expect("supported target compiles");
+    let mut bad = plan.clone();
+    corrupt(&mut bad);
+    let (i, j) = match target {
+        PlanTarget::Access(a) => (a.i, a.j),
+        PlanTarget::Region(r) => (r.i, r.j),
+    };
     let mut findings = Vec::new();
-    if let Err(e) = bad.validate(depth) {
+    if let Err(e) = bad.validate(afn.address(i, j) as isize, depth) {
         findings.push(Finding::new(
             "plans",
             Severity::Error,
             "plan-corrupt",
-            "injected access plan",
+            format!("injected {name}"),
             format!("{e}"),
         ));
     }
-    record(
-        "corrupt-access-plan",
-        "plan-corruption",
-        "plans",
-        "plan-corrupt",
-        &findings,
+    record(name, "plan-corruption", "plans", "plan-corrupt", &findings)
+}
+
+/// Mutation 2: corrupt a compiled one-access plan (move lane 1 to another
+/// address of lane 0's bank).
+fn corrupt_one_access_plan() -> Mutation {
+    let access = ParallelAccess::new(1, 2, AccessPattern::Row);
+    corrupted_plan(
+        "corrupt-one-access-plan",
+        PlanTarget::Access(access),
+        |bad| {
+            bad.fold[1] = bad.fold[0] + 1;
+            bad.afold[1] = bad.afold[0] + 1;
+        },
     )
 }
 
-/// Mutation 3: corrupt a compiled region plan (skew one fold slot) and
-/// feed it to the structural validator.
+/// Mutation 3: corrupt a compiled region plan (skew one fold slot).
 fn corrupt_region_plan() -> Mutation {
-    let (p, q) = (2usize, 4usize);
-    let n = p * q;
-    let agu = Agu::new(p, q, 4 * n, 4 * n);
-    let maf = ModuleAssignment::new(AccessScheme::ReRo, p, q);
-    let afn = AddressingFunction::new(p, q, 4 * n, 4 * n);
-    let depth = (4 * n / p) * (4 * n / q);
-    let mut acc = PlanCache::new(n, depth);
-    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 2 * n });
-    let plan = RegionPlan::compile(&region, AccessScheme::ReRo, &agu, &maf, &afn, &mut acc)
-        .expect("supported region compiles");
-    let base = afn.address(region.i, region.j) as isize;
-    let mut bad = plan.clone();
-    bad.fold[0] += 1;
-    let mut findings = Vec::new();
-    if let Err(e) = bad.validate(base, depth) {
-        findings.push(Finding::new(
-            "plans",
-            Severity::Error,
-            "plan-corrupt",
-            "injected region plan",
-            format!("{e}"),
-        ));
-    }
-    record(
-        "corrupt-region-plan",
-        "plan-corruption",
-        "plans",
-        "plan-corrupt",
-        &findings,
-    )
+    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
+    corrupted_plan("corrupt-region-plan", PlanTarget::Region(&region), |bad| {
+        bad.fold[0] += 1;
+    })
 }
 
 /// Mutation 3b: mis-tile a compiled region plan's motif-run table (stretch
-/// one multi-group run's step) and feed it to the structural validator.
-/// The run-tiling proof must notice the run no longer expands to the fold
-/// offsets it claims.
+/// the step of its two-group run). The run-tiling proof must notice the
+/// run no longer expands to the fold offsets it claims.
 fn mistiled_run_table() -> Mutation {
-    let (p, q) = (2usize, 4usize);
-    let n = p * q;
-    let agu = Agu::new(p, q, 4 * n, 4 * n);
-    let maf = ModuleAssignment::new(AccessScheme::ReRo, p, q);
-    let afn = AddressingFunction::new(p, q, 4 * n, 4 * n);
-    let depth = (4 * n / p) * (4 * n / q);
-    let mut acc = PlanCache::new(n, depth);
-    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 2 * n });
-    let plan = RegionPlan::compile(&region, AccessScheme::ReRo, &agu, &maf, &afn, &mut acc)
-        .expect("supported region compiles");
-    let base = afn.address(region.i, region.j) as isize;
-    let mut bad = plan.clone();
-    let victim = bad
-        .motif_runs
-        .iter()
-        .position(|r| r.reps >= 2)
-        .expect("a two-group row region compiles to one two-group motif run");
-    bad.motif_runs[victim].step += 1;
-    let mut findings = Vec::new();
-    if let Err(e) = bad.validate(base, depth) {
-        findings.push(Finding::new(
-            "plans",
-            Severity::Error,
-            "plan-corrupt",
-            "injected run table",
-            format!("{e}"),
-        ));
-    }
-    record(
-        "mistiled-run-table",
-        "plan-corruption",
-        "plans",
-        "plan-corrupt",
-        &findings,
-    )
+    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
+    corrupted_plan("mistiled-run-table", PlanTarget::Region(&region), |bad| {
+        if let Some(run) = bad.motif_runs.iter_mut().find(|r| r.reps >= 2) {
+            run.step += 1;
+        }
+    })
 }
 
-/// Mutation 4: append a function that nests region-plans -> pattern-shard
-/// (the reverse of the documented order); the lock graph must go cyclic.
-fn reversed_lock_order(concurrent_src: &str) -> Mutation {
+/// Mutation 4: append a function that takes a second storage guard while
+/// holding the first; the lock graph must report the same-class nesting
+/// (a recursive read deadlocks behind a queued writer).
+fn nested_storage_guard(concurrent_src: &str) -> Mutation {
     let injected = format!(
-        "{concurrent_src}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn injected_bad_order(&self) \
-         {{\n        let mut regions = self.region_plans.write();\n        let mut shard = \
-         self.plans[0].write();\n        let _ = (&mut regions, &mut shard);\n    }}\n}}\n"
+        "{concurrent_src}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn injected_nested_guard(&self) \
+         {{\n        let first = self.storage.read();\n        let second = \
+         self.storage.read();\n        let _ = (&first, &second);\n    }}\n}}\n"
     );
     let mut findings = Vec::new();
     let graph = locks::analyze_source(&injected, "concurrent.rs[injected]", &mut findings);
     locks::check_graph(&graph, &mut findings);
     record(
-        "reversed-lock-order",
-        "lock-order-inversion",
+        "nested-storage-guard",
+        "recursive-guard",
         "locks",
-        "lock-cycle",
+        "same-class-nesting",
         &findings,
     )
 }
@@ -371,10 +330,10 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
         std::fs::read_to_string(root.join("crates/polymem/src/concurrent.rs")).unwrap_or_default();
     let mut mutations = vec![
         false_support_claim(),
-        corrupt_access_plan(),
+        corrupt_one_access_plan(),
         corrupt_region_plan(),
         mistiled_run_table(),
-        reversed_lock_order(&concurrent_src),
+        nested_storage_guard(&concurrent_src),
         spawned_port_thread(&concurrent_src),
         locked_telemetry_in_guard(&concurrent_src),
         panicking_hot_path(),

@@ -11,15 +11,15 @@
 //!   all residue classes, cross-checked against the runtime conflict
 //!   analyzer, and arbitrates between the runtime support matrix and the
 //!   [`scheduler::support`] transcription of the paper's table;
-//! * [`plans`] — compiles every access/region plan class through the
-//!   production caches and proves each a true permutation that matches
-//!   the ground-truth MAF + addressing model, proves the compile gates
-//!   reject unclaimed/misaligned requests, and exercises the region-cache
-//!   LRU cap;
+//! * [`plans`] — compiles every one-access and region plan class through
+//!   the production plan cache and proves each a true permutation that
+//!   matches the ground-truth MAF + addressing model, proves the compile
+//!   gates reject unclaimed/misaligned requests, and exercises the cache's
+//!   region capacity cap;
 //! * [`locks`] — extracts the lock-acquisition structure of
-//!   `ConcurrentPolyMem` from source, proves the lock-order graph acyclic
-//!   with no same-class nesting and no lock taken under the storage guard,
-//!   and flags any thread the datapath spawns (port aliasing);
+//!   `ConcurrentPolyMem` from source, proves no storage guard is taken
+//!   under another and no lock under the storage guard, and flags any
+//!   thread the datapath spawns (port aliasing);
 //! * [`streams`] — proves the declared STREAM wiring graphs deadlock-free:
 //!   no wait-cycle over unregistered (non-delay-line) stream edges, the
 //!   static-graph complement to the event scheduler's runtime `Stuck`

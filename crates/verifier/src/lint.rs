@@ -37,6 +37,8 @@ const HOT: &[(&str, &[&str])] = &[
         &[
             "read",
             "write",
+            "replay",
+            "replay_mut",
             "read_region",
             "write_region",
             "read_ports",
@@ -45,8 +47,17 @@ const HOT: &[(&str, &[&str])] = &[
         ],
     ),
     (
+        "crates/polymem/src/plan.rs",
+        &["get", "get_or_compile", "get_or_compile_pair"],
+    ),
+    (
         "crates/polymem/src/bulk.rs",
-        &["read_region_into", "write_region", "copy_region"],
+        &[
+            "replay_region",
+            "read_region_into",
+            "write_region",
+            "copy_region",
+        ],
     ),
     ("crates/polymem/src/banded.rs", &["band", "spmv"]),
     ("crates/polymem/src/region.rs", &["plan_accesses"]),

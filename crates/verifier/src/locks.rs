@@ -1,25 +1,23 @@
 //! Concurrency hazard analysis: a static lock graph for `ConcurrentPolyMem`.
 //!
-//! `ConcurrentPolyMem` owns three families of locks — six per-pattern plan
-//! shards, the region-plan cache lock, and the one storage `RwLock` around
-//! its bank array — and its documented protocol is one guard per
-//! operation: a pattern shard is taken *before* the region-plan lock (the
-//! only nesting), every cache lock is taken and released before the
-//! storage guard and never under it, and no operation holds two storage
-//! guards. This module re-derives that protocol from the source text of
+//! `ConcurrentPolyMem` owns one lock: the storage `RwLock` around its bank
+//! array and the plan cache compiled against it. Its documented protocol is
+//! one guard at a time: no operation takes a second storage guard while it
+//! holds one, and no other lock is taken under the guard. This module
+//! re-derives that protocol from the source text of
 //! `crates/polymem/src/concurrent.rs` on every run:
 //!
 //! * every `.read()` / `.write()` acquisition is located and classified by
-//!   its receiver (`plans[..]`/`shard` → pattern shard, `region_plans`/
-//!   `regions` → region cache, `storage` → storage);
+//!   its receiver (`storage` → storage; anything else is an unclassified
+//!   lock, itself a warning);
 //! * acquisitions bound with `let` are *held* to the end of their block;
 //!   bare ones are transient (guard dropped at the statement's semicolon);
 //! * a held acquisition followed by another acquisition inside its scope
-//!   yields a lock-order edge, and the resulting graph must be acyclic
-//!   with no same-class nesting (two shards taken together deadlock under
-//!   inverted scheduling; a second storage guard deadlocks outright, since
-//!   std's writer-preferring `RwLock` parks a recursive read behind a
-//!   waiting writer) and no lock taken under the storage guard;
+//!   yields a lock-order edge; a second storage guard under the first
+//!   deadlocks (std's writer-preferring `RwLock` parks a recursive read
+//!   behind a waiting writer, which waits on the first guard), as does any
+//!   other same-class nesting, and no lock may be taken under the storage
+//!   guard;
 //! * any `spawn(` in the (non-test) source is an error: ports are served on
 //!   the callers' threads, and per-cycle port arbitration is the
 //!   simulator's job, not the host's.
@@ -35,11 +33,7 @@ use std::path::Path;
 /// The lock families of `ConcurrentPolyMem`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LockClass {
-    /// One of the six per-pattern `RwLock<PlanCache>` shards.
-    PatternShard,
-    /// The `RwLock<RegionPlanCache>`.
-    RegionPlans,
-    /// The one `RwLock<BankArray<T>>` around the bank storage.
+    /// The one `RwLock` around the bank storage and its plan cache.
     Storage,
     /// Receiver the scanner could not classify.
     Unknown,
@@ -49,8 +43,6 @@ impl LockClass {
     /// Name used in findings and the report.
     pub fn name(self) -> &'static str {
         match self {
-            LockClass::PatternShard => "pattern-shard",
-            LockClass::RegionPlans => "region-plans",
             LockClass::Storage => "storage",
             LockClass::Unknown => "unknown",
         }
@@ -258,9 +250,19 @@ pub(crate) fn extract_fns(masked: &str) -> Vec<FnSpan> {
         let Some(open_rel) = masked[name_end..].find('{') else {
             break;
         };
-        // Guard against signatures that end without a body (trait decls);
-        // a ';' before the '{' means no body.
-        if masked[name_end..name_end + open_rel].contains(';') {
+        // Guard against signatures that end without a body (trait decls):
+        // a ';' before the '{' means no body, unless it sits inside
+        // brackets (an array type such as `[bool; 2]`).
+        let mut depth = 0usize;
+        let bodiless = masked[name_end..name_end + open_rel].bytes().any(|b| {
+            match b {
+                b'[' | b'(' => depth += 1,
+                b']' | b')' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            b == b';' && depth == 0
+        });
+        if bodiless {
             i = name_end;
             continue;
         }
@@ -328,11 +330,7 @@ fn receiver_before(masked: &str, dot: usize) -> (String, usize) {
 }
 
 fn classify(receiver: &str) -> LockClass {
-    if receiver.contains("region_plans") || receiver == "regions" {
-        LockClass::RegionPlans
-    } else if receiver.contains("plans[") || receiver.contains("plans.") || receiver == "shard" {
-        LockClass::PatternShard
-    } else if receiver.ends_with("storage") {
+    if receiver.ends_with("storage") {
         LockClass::Storage
     } else {
         LockClass::Unknown
@@ -457,10 +455,8 @@ pub fn analyze_source(src: &str, label: &str, findings: &mut Vec<Finding>) -> Lo
     graph
 }
 
-/// Prove the extracted lock graph safe: acyclic between classes, no
-/// same-class nesting, nothing taken under the storage guard, and (health
-/// check) non-empty with the documented pattern-shard → region-plans edge
-/// present.
+/// Prove the extracted lock graph safe: no same-class nesting, nothing
+/// taken under the storage guard, and (health check) non-empty.
 pub fn check_graph(graph: &LockGraph, findings: &mut Vec<Finding>) {
     if graph.functions == 0 || graph.acquisitions.is_empty() {
         findings.push(Finding::new(
@@ -474,27 +470,21 @@ pub fn check_graph(graph: &LockGraph, findings: &mut Vec<Finding>) {
         return;
     }
     for e in &graph.edges {
-        if e.from == LockClass::Storage && e.to == LockClass::Storage {
-            findings.push(Finding::new(
-                "locks",
-                Severity::Error,
-                "same-class-nesting",
-                e.location.clone(),
+        if e.from == e.to {
+            let why = if e.from == LockClass::Storage {
                 "a second storage guard is taken while one is held; std's \
                  writer-preferring RwLock parks the recursive read behind a waiting \
-                 writer, which waits on the first guard: deadlock",
-            ));
-        } else if e.from == e.to {
+                 writer, which waits on the first guard: deadlock"
+            } else {
+                "two unknown locks are held at once; without a global order inside \
+                 the class this can deadlock"
+            };
             findings.push(Finding::new(
                 "locks",
                 Severity::Error,
                 "same-class-nesting",
                 e.location.clone(),
-                format!(
-                    "two {} locks are held at once; without a global order inside \
-                     the class this can deadlock",
-                    e.from.name()
-                ),
+                why,
             ));
         } else if e.from == LockClass::Storage {
             findings.push(Finding::new(
@@ -503,65 +493,12 @@ pub fn check_graph(graph: &LockGraph, findings: &mut Vec<Finding>) {
                 "lock-under-storage",
                 e.location.clone(),
                 format!(
-                    "a {} lock is taken under the storage guard; cache locks must be \
-                     taken and released before the guard",
+                    "a {} lock is taken under the storage guard; nothing but the \
+                     replay may run under it",
                     e.to.name()
                 ),
             ));
         }
-    }
-    // Cycle detection over the class digraph (tiny: <= 4 nodes).
-    let classes = [
-        LockClass::PatternShard,
-        LockClass::RegionPlans,
-        LockClass::Storage,
-        LockClass::Unknown,
-    ];
-    let idx = |c: LockClass| classes.iter().position(|&x| x == c).unwrap();
-    let mut adj = [[false; 4]; 4];
-    for e in &graph.edges {
-        if e.from != e.to {
-            adj[idx(e.from)][idx(e.to)] = true;
-        }
-    }
-    // Floyd-Warshall style closure; a node reaching itself is a cycle.
-    let mut reach = adj;
-    for k in 0..4 {
-        for a in 0..4 {
-            for b in 0..4 {
-                reach[a][b] |= reach[a][k] && reach[k][b];
-            }
-        }
-    }
-    for (k, c) in classes.iter().enumerate() {
-        if reach[k][k] {
-            findings.push(Finding::new(
-                "locks",
-                Severity::Error,
-                "lock-cycle",
-                "concurrent.rs",
-                format!(
-                    "the lock-order graph has a cycle through {} — opposite \
-                     nesting orders can deadlock",
-                    c.name()
-                ),
-            ));
-        }
-    }
-    // Documented protocol: the only nesting is pattern-shard -> region-plans.
-    let documented = graph
-        .edges
-        .iter()
-        .any(|e| e.from == LockClass::PatternShard && e.to == LockClass::RegionPlans);
-    if !documented {
-        findings.push(Finding::new(
-            "locks",
-            Severity::Warning,
-            "protocol-drift",
-            "concurrent.rs",
-            "the documented pattern-shard -> region-plans nesting was not found; \
-             if region compilation changed, update this analyzer and the module docs",
-        ));
     }
 }
 
@@ -613,27 +550,12 @@ mod tests {
                 .count()
         };
         assert!(storage(LockMode::Read) >= 2 && storage(LockMode::Write) >= 2);
-        // The one documented nesting, and nothing else.
-        assert_eq!(graph.edges.len(), 1, "edges: {:#?}", graph.edges);
-        assert_eq!(graph.edges[0].from, LockClass::PatternShard);
-        assert_eq!(graph.edges[0].to, LockClass::RegionPlans);
-    }
-
-    #[test]
-    fn reversed_nesting_creates_a_cycle() {
-        let injected = format!(
-            "{REAL}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn bad(&self) {{\n        \
-             let mut regions = self.region_plans.write();\n        \
-             let mut shard = self.plans[0].write();\n        \
-             let _ = (&mut regions, &mut shard);\n    }}\n}}\n"
-        );
-        let mut findings = Vec::new();
-        let graph = analyze_source(&injected, "concurrent.rs", &mut findings);
-        check_graph(&graph, &mut findings);
-        assert!(
-            findings.iter().any(|f| f.code == "lock-cycle"),
-            "no cycle reported: {findings:#?}"
-        );
+        // One lock class, and no guard ever held under another.
+        assert!(graph
+            .acquisitions
+            .iter()
+            .all(|a| a.class == LockClass::Storage));
+        assert!(graph.edges.is_empty(), "edges: {:#?}", graph.edges);
     }
 
     #[test]
@@ -659,7 +581,7 @@ mod tests {
         let injected = format!(
             "{REAL}\nimpl<T> ConcurrentPolyMem<T> {{\n    fn bad6(&self) {{\n        \
              let g = self.storage.read();\n        \
-             let s = self.region_plans.read();\n        \
+             let s = self.cache.read();\n        \
              let _ = (g, s);\n    }}\n}}\n"
         );
         let mut findings = Vec::new();
@@ -692,16 +614,16 @@ mod tests {
     }
 
     #[test]
-    fn transient_write_region_guard_makes_no_edges() {
-        // write_region's statement-temporary guard must not create
-        // Storage -> X edges (it is dropped at the statement's end).
+    fn transient_scalar_guard_makes_no_edges() {
+        // `set`'s statement-temporary guard must not create Storage -> X
+        // edges (it is dropped at the statement's end).
         let mut findings = Vec::new();
         let graph = analyze_source(REAL, "concurrent.rs", &mut findings);
         assert!(graph.edges.iter().all(|e| e.from != LockClass::Storage));
         assert!(graph
             .acquisitions
             .iter()
-            .any(|a| a.function == "write_region" && a.class == LockClass::Storage && !a.held));
+            .any(|a| a.function == "set" && a.class == LockClass::Storage && !a.held));
     }
 
     #[test]

@@ -130,16 +130,16 @@ fn plans_json(out: &plans::PlansOutput) -> Json {
             Json::Int(out.hash_collisions.into()),
         ),
     ];
-    if let Some(lru) = &out.lru_stats {
+    if let Some(cap) = &out.cap_stats {
         fields.push((
-            "lru_exercise".into(),
+            "capacity_exercise".into(),
             Json::Obj(vec![
-                ("capacity".into(), Json::Int(lru.capacity as i128)),
-                ("entries".into(), Json::Int(lru.entries as i128)),
-                ("hits".into(), Json::Int(lru.hits.into())),
-                ("misses".into(), Json::Int(lru.misses.into())),
-                ("evictions".into(), Json::Int(lru.evictions.into())),
-                ("bytes".into(), Json::Int(lru.bytes.into())),
+                ("capacity".into(), Json::Int(cap.capacity as i128)),
+                ("entries".into(), Json::Int(cap.entries as i128)),
+                ("hits".into(), Json::Int(cap.hits.into())),
+                ("misses".into(), Json::Int(cap.misses.into())),
+                ("evictions".into(), Json::Int(cap.evictions.into())),
+                ("bytes".into(), Json::Int(cap.bytes.into())),
             ]),
         ));
     }

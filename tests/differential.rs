@@ -1,20 +1,16 @@
-//! Differential testing: the three PolyMem implementations — the
-//! single-threaded façade, the thread-parallel port wrapper, and the
-//! cycle-level pipelined kernel — must agree on every observable result for
-//! every (deterministically generated) operation sequence.
+//! Differential testing: every PolyMem implementation — the
+//! single-threaded façade, the thread-safe port wrapper and the cycle-level
+//! pipelined kernel — must produce, for every (deterministically generated)
+//! op program, exactly what a naive row-major `Vec<u64>` produces.
 //!
-//! Two oracles:
-//!
-//! * per-access programs (single reads and writes) run on all three
-//!   implementations and are compared with each other;
-//! * whole-API programs — single reads and writes, region reads and writes
-//!   on all five shapes (the secondary diagonal's column-0 edge included),
-//!   `copy_region` with overlap in both directions and across shapes, and
-//!   whole-row fills and drains — run on `PolyMem` (compiled region plans,
-//!   the per-access path and the interpreted pipeline) and on
-//!   `ConcurrentPolyMem` (planned and interpreted), under both
-//!   `BankLayout`s on a 2x4 and a 4x2 bank grid, and every result is
-//!   checked against a naive row-major `Vec<u64>`.
+//! Whole-API programs mix single reads and writes, region reads and writes
+//! on all five shapes (the secondary diagonal's column-0 edge included),
+//! `copy_region` with overlap in both directions and across shapes, and
+//! whole-row fills and drains. They run on `PolyMem` (compiled region
+//! plans, the per-access path and the interpreted pipeline) and on
+//! `ConcurrentPolyMem` (planned and interpreted), under both `BankLayout`s
+//! on a 2x4 and a 4x2 bank grid. The pipelined kernel runs the programs'
+//! single reads and writes.
 
 use dfe_sim::Kernel as _;
 use polymem::{
@@ -22,184 +18,11 @@ use polymem::{
     PolyMemConfig, Region, RegionShape,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::rc::Rc;
 
-const ROWS: usize = 16;
-const COLS: usize = 16;
-
-fn cfg(scheme: AccessScheme) -> PolyMemConfig {
-    PolyMemConfig::new(ROWS, COLS, 2, 4, scheme, 2).unwrap()
-}
-
-/// Deterministic LCG-driven op sequence: (access, write data or read).
-fn op_sequence(
-    scheme: AccessScheme,
-    seed: u64,
-    len: usize,
-) -> Vec<(ParallelAccess, Option<Vec<u64>>)> {
-    let patterns = scheme.supported_patterns(2, 4);
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state
-    };
-    let mut ops = Vec::with_capacity(len);
-    for k in 0..len {
-        let r = next();
-        let pattern = patterns[(r >> 8) as usize % patterns.len()];
-        let (di, dj) = pattern.extent(2, 4);
-        if di > ROWS || dj > COLS {
-            continue;
-        }
-        let mut i = (r >> 16) as usize % (ROWS - di + 1);
-        let mut j = if pattern == AccessPattern::SecondaryDiagonal {
-            (COLS - 1).min(dj - 1 + (r >> 32) as usize % (COLS - dj + 1))
-        } else {
-            (r >> 32) as usize % (COLS - dj + 1)
-        };
-        if scheme.requires_alignment(pattern) {
-            i = i / 2 * 2;
-            j = j / 4 * 4;
-        }
-        let access = ParallelAccess::new(i, j, pattern);
-        let write = r % 3 != 0; // two thirds writes
-        let data = write.then(|| (0..8).map(|l| (k as u64) << 8 | l).collect());
-        ops.push((access, data));
-    }
-    ops
-}
-
-fn run_sequential(
-    scheme: AccessScheme,
-    ops: &[(ParallelAccess, Option<Vec<u64>>)],
-) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let mut mem = PolyMem::<u64>::new(cfg(scheme)).unwrap();
-    let mut reads = Vec::new();
-    for (access, data) in ops {
-        match data {
-            Some(d) => {
-                mem.write(*access, d).unwrap();
-            }
-            None => reads.push(mem.read(0, *access).unwrap()),
-        }
-    }
-    (reads, mem.dump_row_major())
-}
-
-fn run_concurrent(
-    scheme: AccessScheme,
-    ops: &[(ParallelAccess, Option<Vec<u64>>)],
-) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let mem = ConcurrentPolyMem::<u64>::new(cfg(scheme)).unwrap();
-    let mut reads = Vec::new();
-    for (access, data) in ops {
-        match data {
-            Some(d) => mem.write(*access, d).unwrap(),
-            None => reads.push(mem.read(*access).unwrap()),
-        }
-    }
-    let mut dump = Vec::with_capacity(ROWS * COLS);
-    for i in 0..ROWS {
-        for j in 0..COLS {
-            dump.push(mem.get(i, j).unwrap());
-        }
-    }
-    (reads, dump)
-}
-
-fn run_kernel(
-    scheme: AccessScheme,
-    ops: &[(ParallelAccess, Option<Vec<u64>>)],
-) -> (Vec<Vec<u64>>, Vec<u64>) {
-    // The pipelined kernel processes one op per cycle; to preserve program
-    // order between reads and writes we issue strictly one op at a time.
-    let rq = vec![dfe_sim::stream("rq", 4), dfe_sim::stream("rq1", 4)];
-    let rs = vec![dfe_sim::stream("rs", 4), dfe_sim::stream("rs1", 4)];
-    let wq = dfe_sim::stream("wq", 4);
-    let mut k = dfe_sim::PolyMemKernel::new(
-        "pm",
-        cfg(scheme),
-        0,
-        rq.clone(),
-        rs.clone(),
-        std::rc::Rc::clone(&wq),
-    )
-    .unwrap();
-    let mut reads = Vec::new();
-    let mut cycle = 0u64;
-    for (access, data) in ops {
-        match data {
-            Some(d) => {
-                wq.borrow_mut().push((*access, d.clone()));
-            }
-            None => {
-                rq[0].borrow_mut().push(*access);
-            }
-        }
-        k.tick(cycle);
-        cycle += 1;
-        if data.is_none() {
-            // Latency 0 still needs one more tick: within a tick the kernel
-            // delivers ready results *before* issuing new reads, so the
-            // response emerges on the following cycle.
-            k.tick(cycle);
-            cycle += 1;
-            let v = rs[0].borrow_mut().pop().expect("read response due");
-            reads.push(v);
-        }
-    }
-    assert!(k.errors().is_empty(), "kernel errors: {:?}", k.errors());
-    let mut dump = Vec::with_capacity(ROWS * COLS);
-    for i in 0..ROWS {
-        for j in 0..COLS {
-            dump.push(k.mem().get(i, j).unwrap());
-        }
-    }
-    (reads, dump)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    #[test]
-    fn three_implementations_agree(
-        scheme_idx in 0..5usize,
-        seed in any::<u64>(),
-    ) {
-        let scheme = AccessScheme::ALL[scheme_idx];
-        let ops = op_sequence(scheme, seed, 60);
-        let (r1, d1) = run_sequential(scheme, &ops);
-        let (r2, d2) = run_concurrent(scheme, &ops);
-        let (r3, d3) = run_kernel(scheme, &ops);
-        prop_assert_eq!(&r1, &r2, "sequential vs concurrent reads");
-        prop_assert_eq!(&r1, &r3, "sequential vs kernel reads");
-        prop_assert_eq!(&d1, &d2, "sequential vs concurrent final state");
-        prop_assert_eq!(&d1, &d3, "sequential vs kernel final state");
-    }
-}
-
-#[test]
-fn deterministic_case_all_schemes() {
-    for scheme in AccessScheme::ALL {
-        let ops = op_sequence(scheme, 42, 120);
-        assert!(!ops.is_empty());
-        let (r1, d1) = run_sequential(scheme, &ops);
-        let (r2, d2) = run_concurrent(scheme, &ops);
-        let (r3, d3) = run_kernel(scheme, &ops);
-        assert_eq!(r1, r2, "{scheme}");
-        assert_eq!(r1, r3, "{scheme}");
-        assert_eq!(d1, d2, "{scheme}");
-        assert_eq!(d1, d3, "{scheme}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Whole-API programs against a naive row-major model.
-// ---------------------------------------------------------------------------
-
-/// Logical space of the whole-API programs: room for two-access regions
-/// and overlapping copies of every shape on an 8-lane grid.
+/// Logical space of the programs: room for two-access regions and
+/// overlapping copies of every shape on an 8-lane grid.
 const SPACE: usize = 32;
 
 /// The two bank grids: the 2x4 grid and its non-square transpose.
@@ -221,44 +44,22 @@ enum Op {
     DumpRows(usize, usize),
 }
 
-/// Deterministic LCG (the same construction as `op_sequence`).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
+/// The cells one parallel access of `pattern` covers, as a region whose
+/// canonical order is the access's lane order (Fig. 2).
+fn access_shape(pattern: AccessPattern, p: usize, q: usize) -> RegionShape {
+    let len = p * q;
+    match pattern {
+        AccessPattern::Rectangle => RegionShape::Block { rows: p, cols: q },
+        AccessPattern::TransposedRectangle => RegionShape::Block { rows: q, cols: p },
+        AccessPattern::Row => RegionShape::Row { len },
+        AccessPattern::Column => RegionShape::Col { len },
+        AccessPattern::MainDiagonal => RegionShape::MainDiag { len },
+        AccessPattern::SecondaryDiagonal => RegionShape::SecondaryDiag { len },
     }
 }
 
-/// Coordinates of one parallel access in lane order, computed from the
-/// pattern definitions (Fig. 2), independently of the library's AGU.
-fn access_coords(a: ParallelAccess, p: usize, q: usize) -> Vec<(usize, usize)> {
-    let n = p * q;
-    let (i, j) = (a.i, a.j);
-    match a.pattern {
-        AccessPattern::Rectangle => (0..p)
-            .flat_map(|r| (0..q).map(move |c| (i + r, j + c)))
-            .collect(),
-        AccessPattern::TransposedRectangle => (0..q)
-            .flat_map(|r| (0..p).map(move |c| (i + r, j + c)))
-            .collect(),
-        AccessPattern::Row => (0..n).map(|k| (i, j + k)).collect(),
-        AccessPattern::Column => (0..n).map(|k| (i + k, j)).collect(),
-        AccessPattern::MainDiagonal => (0..n).map(|k| (i + k, j + k)).collect(),
-        AccessPattern::SecondaryDiagonal => (0..n).map(|k| (i + k, j - k)).collect(),
-    }
-}
-
-/// A region's elements in canonical order (row-major for blocks; from
-/// the origin along the strip otherwise).
+/// A region's cells in canonical order, from the shape definitions alone:
+/// row-major for blocks, from the origin along the strip otherwise.
 fn region_coords(r: &Region) -> Vec<(usize, usize)> {
     let (i, j) = (r.i, r.j);
     match r.shape {
@@ -272,11 +73,14 @@ fn region_coords(r: &Region) -> Vec<(usize, usize)> {
     }
 }
 
+fn access_coords(a: ParallelAccess, p: usize, q: usize) -> Vec<(usize, usize)> {
+    region_coords(&Region::new("a", a.i, a.j, access_shape(a.pattern, p, q)))
+}
+
 /// A region's decomposition into parallel accesses, each in lane order:
-/// `p x q` tiles row by row for blocks, consecutive `p*q`-element pieces
-/// for strips. `copy_region` pairs these chunks positionally.
+/// `p x q` tiles row by row for blocks, consecutive `p*q`-cell pieces for
+/// strips. `copy_region` pairs these chunks positionally.
 fn region_chunks(r: &Region, p: usize, q: usize) -> Vec<Vec<(usize, usize)>> {
-    let n = p * q;
     match r.shape {
         RegionShape::Block { rows, cols } => (0..rows)
             .step_by(p)
@@ -286,11 +90,11 @@ fn region_chunks(r: &Region, p: usize, q: usize) -> Vec<Vec<(usize, usize)>> {
                     .map(move |b| access_coords(ParallelAccess::rect(r.i + a, r.j + b), p, q))
             })
             .collect(),
-        _ => region_coords(r).chunks(n).map(<[_]>::to_vec).collect(),
+        _ => region_coords(r).chunks(p * q).map(<[_]>::to_vec).collect(),
     }
 }
 
-/// Whether every element of `r` lies in the `SPACE x SPACE` square.
+/// Whether every cell of `r` lies in the `SPACE x SPACE` square.
 fn fits(r: &Region) -> bool {
     let (down, right, left) = r.extents();
     r.i + down < SPACE && r.j + right < SPACE && r.j >= left
@@ -300,49 +104,34 @@ fn fits(r: &Region) -> bool {
 struct Model(Vec<u64>);
 
 impl Model {
-    fn at(&self, (i, j): (usize, usize)) -> u64 {
-        self.0[i * SPACE + j]
-    }
-
-    fn put(&mut self, (i, j): (usize, usize), v: u64) {
-        self.0[i * SPACE + j] = v;
-    }
-
     fn gather(&self, coords: &[(usize, usize)]) -> Vec<u64> {
-        coords.iter().map(|&c| self.at(c)).collect()
+        coords.iter().map(|&(i, j)| self.0[i * SPACE + j]).collect()
     }
 
     fn scatter(&mut self, coords: &[(usize, usize)], values: &[u64]) {
-        for (&c, &v) in coords.iter().zip(values) {
-            self.put(c, v);
-        }
-    }
-
-    /// The per-access copy: chunk `t` of `src` is read, then written to
-    /// chunk `t` of `dst`, so overlapping copies see earlier chunks' writes.
-    fn copy(&mut self, src: &Region, dst: &Region, p: usize, q: usize) {
-        for (s, d) in region_chunks(src, p, q)
-            .iter()
-            .zip(region_chunks(dst, p, q))
-        {
-            let v = self.gather(s);
-            self.scatter(&d, &v);
+        for (&(i, j), &v) in coords.iter().zip(values) {
+            self.0[i * SPACE + j] = v;
         }
     }
 }
 
-/// Generator of whole-API programs for one scheme and grid.
+/// Generator of whole-API programs for one scheme and grid, driven by an
+/// LCG.
 struct ProgramGen {
     scheme: AccessScheme,
     p: usize,
     q: usize,
-    rng: Lcg,
+    lcg: u64,
     stamp: u64,
 }
 
 impl ProgramGen {
-    fn lanes(&self) -> usize {
-        self.p * self.q
+    fn below(&mut self, n: usize) -> usize {
+        self.lcg = self
+            .lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.lcg >> 11) % n as u64) as usize
     }
 
     /// Fresh values that name the op that wrote them.
@@ -351,34 +140,37 @@ impl ProgramGen {
         (0..len as u64).map(|k| self.stamp << 16 | k).collect()
     }
 
-    /// Pull an origin onto the `p x q` tile grid when the scheme serves
-    /// the pattern only aligned (RoCo rectangles).
-    fn align(&self, pattern: AccessPattern, i: usize, j: usize) -> (usize, usize) {
-        if self.scheme.requires_alignment(pattern) {
-            (i / self.p * self.p, j / self.q * self.q)
-        } else {
-            (i, j)
+    /// An in-bounds region of `shape`, on the tile grid when the scheme
+    /// serves `pattern` only aligned (RoCo rectangles); secondary
+    /// diagonals end on column 0 one time in three.
+    fn region(&mut self, shape: RegionShape, pattern: AccessPattern) -> Region {
+        loop {
+            let (mut i, mut j) = (self.below(SPACE), self.below(SPACE));
+            if let RegionShape::SecondaryDiag { len } = shape {
+                if self.below(3) == 0 {
+                    j = len - 1;
+                }
+            }
+            if self.scheme.requires_alignment(pattern) {
+                (i, j) = (i / self.p * self.p, j / self.q * self.q);
+            }
+            let r = Region::new("r", i, j, shape);
+            if fits(&r) {
+                return r;
+            }
         }
     }
 
     fn access(&mut self) -> ParallelAccess {
         let patterns = self.scheme.supported_patterns(self.p, self.q);
-        let pattern = patterns[self.rng.below(patterns.len())];
-        let (di, dj) = pattern.extent(self.p, self.q);
-        let i = self.rng.below(SPACE - di + 1);
-        let j = if pattern == AccessPattern::SecondaryDiagonal {
-            dj - 1 + self.rng.below(SPACE - dj + 1)
-        } else {
-            self.rng.below(SPACE - dj + 1)
-        };
-        let (i, j) = self.align(pattern, i, j);
-        ParallelAccess::new(i, j, pattern)
+        let pattern = patterns[self.below(patterns.len())];
+        let r = self.region(access_shape(pattern, self.p, self.q), pattern);
+        ParallelAccess::new(r.i, r.j, pattern)
     }
 
-    /// A supported shape of `k` accesses.
-    fn shape(&mut self, k: usize) -> Option<RegionShape> {
-        let n = self.lanes();
-        let (p, q) = (self.p, self.q);
+    /// A supported region of `k` accesses.
+    fn shaped(&mut self, k: usize) -> Option<Region> {
+        let (p, q, n) = (self.p, self.q, self.p * self.q);
         let mut shapes = vec![
             RegionShape::Row { len: k * n },
             RegionShape::Col { len: k * n },
@@ -389,58 +181,39 @@ impl ProgramGen {
                 cols: k * q,
             },
         ];
-        if k.is_multiple_of(2) {
+        if k == 2 {
             shapes.push(RegionShape::Block {
                 rows: 2 * p,
-                cols: k / 2 * q,
+                cols: q,
             });
         }
         shapes.retain(|s| self.scheme.supports(s.pattern(), p, q));
-        (!shapes.is_empty()).then(|| shapes[self.rng.below(shapes.len())])
+        let shape = *shapes.get(self.below(shapes.len().max(1)))?;
+        Some(self.region(shape, shape.pattern()))
     }
 
-    /// An in-bounds region of `shape`; secondary diagonals end on column 0
-    /// one time in three.
-    fn region(&mut self, shape: RegionShape) -> Region {
-        loop {
-            let mut i = self.rng.below(SPACE);
-            let mut j = self.rng.below(SPACE);
-            if let RegionShape::SecondaryDiag { len } = shape {
-                if self.rng.below(3) == 0 {
-                    j = len - 1;
-                }
-            }
-            (i, j) = self.align(shape.pattern(), i, j);
-            let r = Region::new("r", i, j, shape);
-            if fits(&r) {
-                return r;
-            }
-        }
-    }
-
-    /// A copy whose destination overlaps its source: the region shifted
-    /// along itself by one tile (or one access for strips), in either
-    /// direction.
+    /// A copy whose destination is its source shifted along itself by one
+    /// tile (or `p` cells for strips), in either direction.
     fn overlapping_copy(&mut self) -> Option<Op> {
-        let shape = self.shape(2)?;
         let (p, q) = (self.p as isize, self.q as isize);
-        let (di, dj) = match shape {
-            RegionShape::Block { .. } => [(p, 0), (0, q), (p, q)][self.rng.below(3)],
-            RegionShape::Row { .. } => (0, q),
-            RegionShape::Col { .. } => (p, 0),
-            RegionShape::MainDiag { .. } => (p, p),
-            RegionShape::SecondaryDiag { .. } => (p, -p),
-        };
         for _ in 0..64 {
-            let src = self.region(shape);
+            let src = self.shaped(2)?;
+            let (di, dj) = match src.shape {
+                RegionShape::Block { .. } => [(p, 0), (0, q), (p, q)][self.below(3)],
+                RegionShape::Row { .. } => (0, q),
+                RegionShape::Col { .. } => (p, 0),
+                RegionShape::MainDiag { .. } => (p, p),
+                RegionShape::SecondaryDiag { .. } => (p, -p),
+            };
             let (Some(i), Some(j)) = (src.i.checked_add_signed(di), src.j.checked_add_signed(dj))
             else {
                 continue;
             };
-            let dst = Region::new("d", i, j, shape);
+            let dst = Region::new("d", i, j, src.shape);
             if fits(&dst) {
                 // Forward (dst after src) or backward (dst before src).
-                return Some(if self.rng.below(2) == 0 {
+                let forward = self.below(2) == 0;
+                return Some(if forward {
                     Op::Copy(src, dst)
                 } else {
                     Op::Copy(dst, src)
@@ -451,53 +224,32 @@ impl ProgramGen {
     }
 
     fn op(&mut self) -> Option<Op> {
-        let n = self.lanes();
-        Some(match self.rng.below(10) {
+        let (n, k) = (self.p * self.q, 1 + self.below(2));
+        let rows = 1 + self.below(2 * self.p + 1);
+        Some(match self.below(10) {
             0 => Op::Read(self.access()),
-            1 => {
-                let a = self.access();
-                Op::Write(a, self.values(n))
-            }
-            2 => {
-                let k = 1 + self.rng.below(2);
-                let shape = self.shape(k)?;
-                Op::ReadRegion(self.region(shape))
-            }
+            1 => Op::Write(self.access(), self.values(n)),
+            2 => Op::ReadRegion(self.shaped(k)?),
             3 => {
-                let k = 1 + self.rng.below(2);
-                let shape = self.shape(k)?;
-                let r = self.region(shape);
+                let r = self.shaped(k)?;
                 let len = r.len();
                 Op::WriteRegion(r, self.values(len))
             }
             4 | 5 => self.overlapping_copy()?,
-            6 => {
-                // Two shapes of the same access count: cross-shape when
-                // they differ, and same-shape disjoint or overlapping
-                // otherwise.
-                let k = 1 + self.rng.below(2);
-                let (a, b) = (self.shape(k)?, self.shape(k)?);
-                Op::Copy(self.region(a), self.region(b))
-            }
+            // Two regions of the same access count: cross-shape when the
+            // shapes differ, same-shape disjoint or overlapping otherwise.
+            6 => Op::Copy(self.shaped(k)?, self.shaped(k)?),
             7 => {
                 // Same shape, origins a whole period apart: one plan.
-                let shape = self.shape(1)?;
-                let src = self.region(shape);
-                let dst = Region::new("d", src.i + n, src.j, shape);
-                if !fits(&dst) {
-                    return None;
-                }
-                Op::Copy(src, dst)
+                let src = self.shaped(1)?;
+                let dst = Region::new("d", src.i + n, src.j, src.shape);
+                fits(&dst).then_some(Op::Copy(src, dst))?
             }
             8 => {
-                let rows = 1 + self.rng.below(2 * self.p + 1);
-                let first = self.rng.below(SPACE - rows + 1);
+                let first = self.below(SPACE - rows + 1);
                 Op::LoadRows(first, self.values(rows * SPACE))
             }
-            _ => {
-                let rows = 1 + self.rng.below(2 * self.p + 1);
-                Op::DumpRows(self.rng.below(SPACE - rows + 1), rows)
-            }
+            _ => Op::DumpRows(self.below(SPACE - rows + 1), rows),
         })
     }
 }
@@ -508,7 +260,7 @@ fn program(scheme: AccessScheme, (p, q): (usize, usize), seed: u64, len: usize) 
         scheme,
         p,
         q,
-        rng: Lcg(seed | 1),
+        lcg: seed | 1,
         stamp: 0,
     };
     (0..len).filter_map(|_| gen.op()).collect()
@@ -525,8 +277,9 @@ fn initial() -> Vec<u64> {
     (0..(SPACE * SPACE) as u64).collect()
 }
 
-/// Run `ops` on the model, returning every read's result in order.
-fn run_model(ops: &[Op], (p, q): (usize, usize)) -> (Vec<Vec<u64>>, Vec<u64>) {
+/// Run `ops` on the model: every read's result in order, then the final
+/// row-major content (the shape of every runner's result).
+fn run_model(ops: &[Op], (p, q): (usize, usize)) -> Vec<Vec<u64>> {
     let mut m = Model(initial());
     let mut reads = Vec::new();
     for op in ops {
@@ -535,7 +288,15 @@ fn run_model(ops: &[Op], (p, q): (usize, usize)) -> (Vec<Vec<u64>>, Vec<u64>) {
             Op::Write(a, v) => m.scatter(&access_coords(*a, p, q), v),
             Op::ReadRegion(r) => reads.push(m.gather(&region_coords(r))),
             Op::WriteRegion(r, v) => m.scatter(&region_coords(r), v),
-            Op::Copy(s, d) => m.copy(s, d, p, q),
+            // Chunk `t` of the source is read, then written to chunk `t`
+            // of the destination, so overlapping copies see earlier
+            // chunks' writes.
+            Op::Copy(s, d) => {
+                for (s, d) in region_chunks(s, p, q).iter().zip(region_chunks(d, p, q)) {
+                    let v = m.gather(s);
+                    m.scatter(&d, &v);
+                }
+            }
             Op::LoadRows(first, data) => {
                 m.0[first * SPACE..first * SPACE + data.len()].copy_from_slice(data)
             }
@@ -544,7 +305,8 @@ fn run_model(ops: &[Op], (p, q): (usize, usize)) -> (Vec<Vec<u64>>, Vec<u64>) {
             }
         }
     }
-    (reads, m.0)
+    reads.push(m.0);
+    reads
 }
 
 /// Run `ops` on `PolyMem` with the given plan switches.
@@ -579,10 +341,12 @@ fn run_polymem(ops: &[Op], cfg: PolyMemConfig, planning: bool, regions: bool) ->
 fn run_concurrent_mem(ops: &[Op], cfg: PolyMemConfig, planning: bool) -> Vec<Vec<u64>> {
     let mem = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
     mem.set_planning(planning);
-    let cell = |k: usize| (k / SPACE, k % SPACE);
+    let (set, get) = (
+        |k: usize, v: u64| mem.set(k / SPACE, k % SPACE, v),
+        |k: usize| mem.get(k / SPACE, k % SPACE),
+    );
     for (k, v) in initial().into_iter().enumerate() {
-        let (i, j) = cell(k);
-        mem.set(i, j, v).unwrap();
+        set(k, v).unwrap();
     }
     let mut reads = Vec::new();
     for op in ops {
@@ -595,112 +359,140 @@ fn run_concurrent_mem(ops: &[Op], cfg: PolyMemConfig, planning: bool) -> Vec<Vec
             Op::Copy(s, d) => mem.copy_region(s, d).expect(&ctx),
             Op::LoadRows(first, data) => {
                 for (k, &v) in data.iter().enumerate() {
-                    let (i, j) = cell(first * SPACE + k);
-                    mem.set(i, j, v).expect(&ctx);
+                    set(first * SPACE + k, v).expect(&ctx);
                 }
             }
             Op::DumpRows(first, rows) => reads.push(
                 (first * SPACE..(first + rows) * SPACE)
-                    .map(|k| mem.get(k / SPACE, k % SPACE).expect(&ctx))
+                    .map(|k| get(k).expect(&ctx))
                     .collect(),
             ),
         }
     }
-    reads.push(
-        (0..SPACE * SPACE)
-            .map(|k| mem.get(k / SPACE, k % SPACE).unwrap())
-            .collect(),
-    );
+    reads.push((0..SPACE * SPACE).map(|k| get(k).unwrap()).collect());
     reads
 }
 
-/// Run one program on every datapath and compare each against the model.
+/// Run the single reads and writes of `ops` on the pipelined kernel, one
+/// op at a time so program order holds between reads and writes.
+fn run_kernel(ops: &[Op], cfg: PolyMemConfig) -> Vec<Vec<u64>> {
+    let rq = vec![dfe_sim::stream("rq", 4), dfe_sim::stream("rq1", 4)];
+    let rs = vec![dfe_sim::stream("rs", 4), dfe_sim::stream("rs1", 4)];
+    let wq = dfe_sim::stream("wq", 4);
+    let mut k =
+        dfe_sim::PolyMemKernel::new("pm", cfg, 0, rq.clone(), rs.clone(), Rc::clone(&wq)).unwrap();
+    k.mem().load_row_major(&initial()).unwrap();
+    let mut reads = Vec::new();
+    let mut cycle = 0u64;
+    for op in ops {
+        let queued = match op {
+            Op::Write(a, v) => wq.borrow_mut().push((*a, v.clone())),
+            Op::Read(a) => rq[0].borrow_mut().push(*a),
+            _ => panic!("the kernel runs single accesses only: {op:?}"),
+        };
+        assert!(queued, "request stream full");
+        k.tick(cycle);
+        cycle += 1;
+        if let Op::Read(_) = op {
+            // Latency 0 still needs one more tick: within a tick the kernel
+            // delivers ready results *before* issuing new reads, so the
+            // response emerges on the following cycle.
+            k.tick(cycle);
+            cycle += 1;
+            reads.push(rs[0].borrow_mut().pop().expect("read response due"));
+        }
+    }
+    assert!(k.errors().is_empty(), "kernel errors: {:?}", k.errors());
+    reads.push(k.mem().dump_row_major());
+    reads
+}
+
+/// Fail with the first result where `got` leaves the model.
+fn assert_model(what: &str, got: &[Vec<u64>], want: &[Vec<u64>]) {
+    assert!(
+        got == want,
+        "{what} diverges from the model at result {:?} of {}",
+        got.iter().zip(want).position(|(a, b)| a != b),
+        want.len()
+    );
+}
+
+/// Run one program on every `PolyMem` and `ConcurrentPolyMem` path, and
+/// its single reads and writes on the pipelined kernel, and compare each
+/// against the model.
 fn check_program(scheme: AccessScheme, grid: (usize, usize), layout: BankLayout, seed: u64) {
     let ops = program(scheme, grid, seed, 48);
-    let kinds = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
-    assert!(
-        kinds(|op| matches!(op, Op::Copy(..))) > 0
-            && kinds(|op| matches!(op, Op::ReadRegion(_))) > 0,
-        "{scheme} {grid:?} seed {seed}: program lacks region ops"
-    );
-    let (mut want, dump) = run_model(&ops, grid);
-    want.push(dump);
+    let want = run_model(&ops, grid);
     let cfg = space_cfg(scheme, grid, layout);
     let ctx = format!("{scheme} {grid:?} {layout:?} seed {seed}");
     for (planning, regions) in [(true, true), (true, false), (false, false)] {
         let got = run_polymem(&ops, cfg, planning, regions);
-        assert!(
-            got == want,
-            "{ctx}: PolyMem (planning {planning}, region planning {regions}) diverges from \
-             the model at result {:?}",
-            got.iter().zip(&want).position(|(a, b)| a != b)
-        );
+        let what = format!("{ctx}: PolyMem (planning {planning}, region planning {regions})");
+        assert_model(&what, &got, &want);
     }
+    let singles: Vec<Op> = ops
+        .iter()
+        .filter(|op| matches!(op, Op::Read(_) | Op::Write(..)))
+        .cloned()
+        .collect();
+    let kernel = run_kernel(&singles, cfg);
+    assert_model(
+        &format!("{ctx}: PolyMemKernel"),
+        &kernel,
+        &run_model(&singles, grid),
+    );
     for planning in [true, false] {
         let got = run_concurrent_mem(&ops, cfg, planning);
-        assert!(
-            got == want,
-            "{ctx}: ConcurrentPolyMem (planning {planning}) diverges from the model at \
-             result {:?}",
-            got.iter().zip(&want).position(|(a, b)| a != b)
+        assert_model(
+            &format!("{ctx}: ConcurrentPolyMem (planning {planning})"),
+            &got,
+            &want,
         );
     }
 }
 
-/// The generated programs exercise every operation the oracle claims.
+/// Every scheme x grid x layout, two fixed programs each. Together they
+/// exercise every operation kind, the column-0 edge and overlapping copies
+/// in both directions.
 #[test]
-fn whole_api_programs_cover_every_operation() {
-    let mut seen = [false; 7];
-    let mut edge = false;
-    let mut overlap = [false; 2];
+fn deterministic_case_all_schemes() {
+    let mut ops = Vec::new();
     for scheme in AccessScheme::ALL {
         for grid in GRIDS {
-            for op in program(scheme, grid, 7, 48) {
-                let kind = match &op {
-                    Op::Read(_) => 0,
-                    Op::Write(..) => 1,
-                    Op::ReadRegion(_) => 2,
-                    Op::WriteRegion(..) => 3,
-                    Op::Copy(s, d) => {
-                        if s.overlaps(d) && s.shape == d.shape {
-                            overlap[usize::from((d.i, d.j) > (s.i, s.j))] = true;
-                        }
-                        4
-                    }
-                    Op::LoadRows(..) => 5,
-                    Op::DumpRows(..) => 6,
-                };
-                seen[kind] = true;
-                if let Op::ReadRegion(r) | Op::WriteRegion(r, _) = &op {
-                    edge |= matches!(r.shape, RegionShape::SecondaryDiag { len } if r.j + 1 == len);
-                }
-            }
-        }
-    }
-    assert_eq!(seen, [true; 7], "operation kinds generated");
-    assert!(edge, "no secondary diagonal ends on column 0");
-    assert_eq!(overlap, [true; 2], "overlapping copies in both directions");
-}
-
-/// Every scheme x grid x layout, two fixed programs each.
-#[test]
-fn whole_api_programs_match_naive_model() {
-    for scheme in AccessScheme::ALL {
-        for grid in GRIDS {
-            for layout in LAYOUTS {
-                for seed in [11, 12] {
+            for seed in [11, 12] {
+                for layout in LAYOUTS {
                     check_program(scheme, grid, layout, seed);
                 }
+                ops.extend(program(scheme, grid, seed, 48));
             }
         }
     }
+    let kinds: HashSet<_> = ops.iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), 7, "operation kinds generated");
+    let edge = |r: &Region| matches!(r.shape, RegionShape::SecondaryDiag { len } if r.j + 1 == len);
+    let copy = |forward: bool| {
+        ops.iter().any(|op| {
+            matches!(op, Op::Copy(s, d) if s.shape == d.shape && s.overlaps(d)
+                && ((d.i, d.j) > (s.i, s.j)) == forward)
+        })
+    };
+    let edged = ops.iter().any(|op| match op {
+        Op::ReadRegion(r) | Op::WriteRegion(r, _) => edge(r),
+        Op::Copy(s, d) => edge(s) || edge(d),
+        _ => false,
+    });
+    assert!(edged, "no secondary diagonal ends on column 0");
+    assert!(
+        copy(true) && copy(false),
+        "overlapping copies in both directions"
+    );
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
-    fn random_whole_api_programs_match_naive_model(
+    fn three_implementations_agree(
         scheme_idx in 0..5usize,
         grid_idx in 0..2usize,
         layout_idx in 0..2usize,
