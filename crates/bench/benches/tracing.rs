@@ -10,10 +10,8 @@
 //! same-state cycles into one retroactive span, so the hot loop adds no
 //! allocation and no locks.
 //!
-//! The `off` leg here is a *detached journal* in a tracing-on build; the
-//! compiled-out `tracing-off` feature (ZST handles, zero bytes, zero
-//! instructions) is covered by the CI feature-build job and the zero-size
-//! handle test in `polymem::tracing`.
+//! The `off` leg is the app with no journal attached: runtime
+//! attach/detach is the one switch for the journal.
 //!
 //! Run with `CRITERION_JSON=BENCH_tracing.json cargo bench -p polymem-bench
 //! --bench tracing` to append machine-readable baselines (consumed by the

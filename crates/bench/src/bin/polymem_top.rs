@@ -173,8 +173,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("build: {e}")));
     let registry = TelemetryRegistry::new();
     app.attach_telemetry(&registry);
-    // The span journal rides along on every run: in a `tracing-off` build
-    // this is a zero-sized no-op and the snapshot below is simply empty.
+    // The span journal rides along on every run.
     let journal = TraceJournal::new(1 << 16);
     app.attach_tracing(&journal);
 
@@ -414,7 +413,7 @@ fn main() {
     let bursts = counter_sum(&snap, "stream_bursts_issued_total", &[]);
     println!("{conflicts} bank conflicts avoided by the MAF; {bursts} region bursts issued.");
 
-    // Observability health: events the bounded journal/tracer could not
+    // Observability health: events the bounded journal could not
     // keep — nonzero numbers here mean the trace undercounts reality.
     let journal_dropped = counter_sum(&snap, "stream_trace_dropped_total", &[]);
     println!(

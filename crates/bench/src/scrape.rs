@@ -225,7 +225,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn trace_route_serves_chrome_json() {
         use polymem::tracing::{SpanId, TraceJournal, TraceSnapshot};
         let state = ScrapeState::new();

@@ -35,7 +35,6 @@ pub mod pcie;
 pub mod polymem_kernel;
 pub mod sched;
 pub mod stream;
-pub mod trace;
 pub mod vcd;
 
 pub use clock::SimClock;
@@ -49,9 +48,5 @@ pub use polymem_kernel::{
     PolyMemKernel, ReadRequest, ReadResponse, WriteRequest, PAPER_READ_LATENCY,
 };
 pub use sched::{SchedulerMode, SchedulerStats};
-pub use stream::{stream, Fifo, StreamRef};
-pub use trace::{
-    burst_summary, stream_report, stream_report_traced, stream_stats, BurstSummary, StreamStats,
-    TraceEvent, Tracer,
-};
+pub use stream::{stream, stream_stats, Fifo, StreamRef, StreamStats};
 pub use vcd::VcdRecorder;

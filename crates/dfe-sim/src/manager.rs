@@ -12,7 +12,6 @@
 use crate::clock::SimClock;
 use crate::kernel::Kernel;
 use crate::sched::{self, SchedulerMode, SchedulerStats, Step};
-use crate::trace::Tracer;
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 
 /// Outcome of [`Manager::diagnose_stall`].
@@ -49,7 +48,6 @@ pub struct Manager {
     /// [`Manager::diagnose_stall`] reuse a finished run instead of
     /// re-driving the design.
     last_run_end: Option<u64>,
-    tracer: Option<Tracer>,
     trc: Option<SchedTracing>,
 }
 
@@ -78,7 +76,6 @@ impl Manager {
             stats: SchedulerStats::default(),
             stalled_at: None,
             last_run_end: None,
-            tracer: None,
             trc: None,
         }
     }
@@ -107,11 +104,6 @@ impl Manager {
     /// What the event-driven engine did so far (ticks vs. jumps).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.stats
-    }
-
-    /// Record fast-forward jumps into `tracer` (as `sched` events).
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Drive `journal`'s logical clock from the simulation clock and record
@@ -161,9 +153,6 @@ impl Manager {
         match step {
             Step::Ticked => {}
             Step::Jumped(span) | Step::Stuck(span) => {
-                if let Some(t) = &self.tracer {
-                    t.record_jump(before, before + span, "sched");
-                }
                 if let Some(tr) = &self.trc {
                     tr.writer.span_at(before, before + span, tr.fast_forward);
                     tr.journal.set_cycle(before + span);
@@ -409,28 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_fast_forward_jumps() {
-        let mut m = Manager::new(100.0);
-        let tracer = Tracer::new(64);
-        m.attach_tracer(tracer.clone());
-        let s = stream::<u64>("clogged", 1);
-        m.add_kernel(Box::new(crate::components::Generator::new(
-            "producer",
-            vec![1, 2],
-            Rc::clone(&s),
-        )));
-        m.run_until_idle(100);
-        let events = tracer.events();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.source == "sched" && e.event.contains("fast-forward")),
-            "expected a fast-forward trace event, got {events:?}"
-        );
-    }
-
-    #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn journal_records_fast_forwards_as_collapsed_spans() {
         use polymem::tracing::TraceJournal;
         let mut m = Manager::new(100.0);

@@ -9,7 +9,6 @@
 
 use crate::kernel::{DelayLine, Kernel};
 use crate::stream::StreamRef;
-use crate::trace::Tracer;
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 use polymem::{ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
@@ -193,9 +192,6 @@ pub struct PolyMemKernel {
     copy_busy_until: u64,
     region_writes_served: u64,
     region_copies_served: u64,
-    /// Optional event recorder: one `burst:<kind> len=<n>` event per
-    /// accepted burst (see [`crate::trace::burst_summary`]).
-    tracer: Option<Tracer>,
     /// Reusable lane buffer: the compiled-plan gather lands here each cycle,
     /// so the steady-state read path performs no routing work per tick.
     scratch: Vec<u64>,
@@ -216,7 +212,8 @@ pub struct PolyMemKernel {
 impl PolyMemKernel {
     /// Build the kernel.
     ///
-    /// `read_req`/`read_resp` must have one stream per configured read port.
+    /// `read_req`/`read_resp` must have one stream per configured read
+    /// port; any other count returns [`PolyMemError::InvalidGeometry`].
     pub fn new(
         name: impl Into<String>,
         config: PolyMemConfig,
@@ -226,12 +223,17 @@ impl PolyMemKernel {
         write_req: StreamRef<WriteRequest>,
     ) -> polymem::Result<Self> {
         let mem = PolyMem::new(config)?;
-        assert_eq!(
-            read_req.len(),
-            config.read_ports,
-            "one read-request stream per port"
-        );
-        assert_eq!(read_resp.len(), config.read_ports);
+        if read_req.len() != config.read_ports || read_resp.len() != config.read_ports {
+            return Err(PolyMemError::InvalidGeometry {
+                reason: format!(
+                    "{} read-request and {} read-response streams for {} read ports \
+                     (one of each per port)",
+                    read_req.len(),
+                    read_resp.len(),
+                    config.read_ports
+                ),
+            });
+        }
         let pipelines = (0..config.read_ports)
             .map(|_| DelayLine::new(read_latency))
             .collect();
@@ -255,7 +257,6 @@ impl PolyMemKernel {
             copy_busy_until: 0,
             region_writes_served: 0,
             region_copies_served: 0,
-            tracer: None,
             scratch: vec![0; config.lanes()],
             errors: Vec::new(),
             reads_served: 0,
@@ -408,12 +409,6 @@ impl PolyMemKernel {
         &mut self.mem
     }
 
-    /// Enable or disable the memory's compiled-plan fast path (defaults on;
-    /// see [`PolyMem::set_planning`]).
-    pub fn set_planning(&mut self, enabled: bool) {
-        self.mem.set_planning(enabled);
-    }
-
     /// Plan-cache activity of the wrapped memory.
     pub fn plan_stats(&self) -> polymem::PlanCacheStats {
         self.mem.plan_stats()
@@ -469,18 +464,7 @@ impl PolyMemKernel {
         self.region_copy_resp = Some(resp);
     }
 
-    /// Record burst activity into `tracer` (`burst:<kind> len=<n>` events
-    /// under this kernel's name).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    fn trace_burst(&self, cycle: u64, kind: &str, len: usize, access_cycles: u64) {
-        if let Some(t) = &self.tracer {
-            // Lazy record: a disabled tracer costs one flag check — no
-            // clone of the kernel name, no format!.
-            t.record_with(cycle, &self.name, || format!("burst:{kind} len={len}"));
-        }
+    fn trace_burst(&self, cycle: u64, kind: &str, access_cycles: u64) {
         if let Some(tr) = &self.trc {
             // The burst occupies its datapath for `access_cycles` starting
             // now; the span covers exactly that window.
@@ -596,7 +580,7 @@ impl Kernel for PolyMemKernel {
                                 Some((cycle + access_cycles + self.read_latency, data));
                             self.region_reads_served += 1;
                             self.reads_served += region.len().div_ceil(lanes) as u64;
-                            self.trace_burst(cycle, "read", region.len(), access_cycles);
+                            self.trace_burst(cycle, "read", access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -643,7 +627,7 @@ impl Kernel for PolyMemKernel {
                             self.region_copies_served += 1;
                             self.reads_served += access_cycles;
                             self.writes_served += access_cycles;
-                            self.trace_burst(cycle, "copy", src.len(), access_cycles);
+                            self.trace_burst(cycle, "copy", access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -665,7 +649,7 @@ impl Kernel for PolyMemKernel {
                             self.write_busy_until = cycle + access_cycles;
                             self.region_writes_served += 1;
                             self.writes_served += access_cycles;
-                            self.trace_burst(cycle, "write", region.len(), access_cycles);
+                            self.trace_burst(cycle, "write", access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -953,6 +937,29 @@ mod tests {
     }
 
     #[test]
+    fn new_rejects_wrong_read_stream_counts() {
+        let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let streams =
+            |n: usize| -> Vec<StreamRef<ReadRequest>> { (0..n).map(|_| stream("rq", 8)).collect() };
+        let resps = |n: usize| -> Vec<StreamRef<ReadResponse>> {
+            (0..n).map(|_| stream("rs", 8)).collect()
+        };
+        for (reqs, resp) in [(1, 2), (3, 2), (2, 1), (2, 3)] {
+            let err = PolyMemKernel::new("pm", cfg, 0, streams(reqs), resps(resp), stream("wq", 8))
+                .err()
+                .unwrap_or_else(|| panic!("{reqs} req / {resp} resp streams accepted"));
+            assert!(
+                matches!(err, PolyMemError::InvalidGeometry { .. }),
+                "{err:?}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{reqs} read-request")), "{msg}");
+            assert!(msg.contains(&format!("{resp} read-response")), "{msg}");
+        }
+        assert!(PolyMemKernel::new("pm", cfg, 0, streams(2), resps(2), stream("wq", 8)).is_ok());
+    }
+
+    #[test]
     fn two_ports_independent() {
         let (mut m, rq, rs, wq) = setup(2, 3);
         wq.borrow_mut()
@@ -1000,7 +1007,7 @@ mod tests {
         while let Some(v) = rs[0].borrow_mut().pop() {
             planned.push(v);
         }
-        k.set_planning(false);
+        k.mem().set_planning(false);
         rq[0].borrow_mut().push(ParallelAccess::row(3, 0));
         k.tick(901);
         k.tick(902);
@@ -1143,8 +1150,8 @@ mod tests {
         )
         .unwrap();
         k.attach_region_copy_port(Rc::clone(&cq), Rc::clone(&cs));
-        let tracer = crate::trace::Tracer::new(64);
-        k.set_tracer(tracer.clone());
+        let journal = polymem::tracing::TraceJournal::new(256);
+        k.attach_tracing(&journal);
         for r in 0..16usize {
             for c in 0..16usize {
                 k.mem().set(r, c, (r * 16 + c) as u64).unwrap();
@@ -1167,9 +1174,16 @@ mod tests {
             let (si, sj) = src.coords_iter().unwrap().nth(t).unwrap();
             assert_eq!(k.mem().get(i, j).unwrap(), (si * 16 + sj) as u64);
         }
-        let s = crate::trace::burst_summary(&tracer, "pm");
-        assert_eq!(s.copies, 1);
-        assert_eq!(s.elements, 32);
+        // One copy burst, spanning its 4 access cycles from acceptance.
+        k.finish_tracing();
+        let copies: Vec<_> = journal
+            .snapshot()
+            .spans()
+            .into_iter()
+            .filter(|s| s.track == "pm/copy-bursts")
+            .map(|s| (s.name, s.begin, s.end))
+            .collect();
+        assert_eq!(copies, vec![("burst:copy".to_string(), 0, 4)]);
     }
 
     #[test]
@@ -1341,7 +1355,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn tracing_spans_reconcile_exactly_with_attribution_counters() {
         use polymem::telemetry::TelemetryRegistry;
         use polymem::tracing::TraceJournal;
@@ -1405,13 +1418,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn burst_accepts_become_spans_on_per_kind_tracks() {
         use polymem::tracing::TraceJournal;
         use polymem::RegionShape;
         let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 1).unwrap();
         let wq = stream("wq", 8);
         let bq = stream("bq", 8);
+        let (gq, gs) = (stream("gq", 8), stream("gs", 8));
+        let (cq, cs) = (stream("cq", 8), stream("cs", 8));
         let mut k = PolyMemKernel::new(
             "pm",
             cfg,
@@ -1422,34 +1436,55 @@ mod tests {
         )
         .unwrap();
         k.attach_region_write_port(Rc::clone(&bq));
+        k.attach_region_port(Rc::clone(&gq), Rc::clone(&gs));
+        k.attach_region_copy_port(Rc::clone(&cq), Rc::clone(&cs));
         let journal = TraceJournal::new(256);
         k.attach_tracing(&journal);
-        // A 4x8 block burst = 4 access cycles, accepted at cycle 0.
-        let region = Region::new("b", 2, 0, RegionShape::Block { rows: 4, cols: 8 });
-        bq.borrow_mut().push((region, (0..32).collect()));
-        for c in 0..5 {
+        // Cycle 0 accepts the read (16 elements = 2 access cycles) and the
+        // write (4x8 block = 4 cycles); the copy (8 elements = 1 cycle),
+        // queued after cycle 0, waits for the write datapath and is
+        // accepted at cycle 4.
+        let bursts = [("read", 16u64, 0u64), ("write", 32, 0), ("copy", 8, 4)];
+        gq.borrow_mut()
+            .push(Region::new("r", 5, 0, RegionShape::Row { len: 16 }));
+        let block = Region::new("b", 8, 0, RegionShape::Block { rows: 4, cols: 8 });
+        bq.borrow_mut().push((block, (0..32).collect()));
+        k.tick(0);
+        cq.borrow_mut().push((
+            Region::new("s", 6, 0, RegionShape::Row { len: 8 }),
+            Region::new("d", 7, 8, RegionShape::Row { len: 8 }),
+        ));
+        for c in 1..9 {
             k.tick(c);
         }
         k.finish_tracing();
+        assert_eq!(k.region_reads_served(), 1);
+        assert_eq!(k.region_writes_served(), 1);
+        assert_eq!(k.region_copies_served(), 1);
+        assert_eq!(cs.borrow_mut().pop(), Some(8), "copy token delivered");
         let snap = journal.snapshot();
         assert_eq!(snap.validate_spans(), Vec::<String>::new());
-        let bursts: Vec<_> = snap
-            .spans()
-            .into_iter()
-            .filter(|s| s.track == "pm/write-bursts")
-            .collect();
-        assert_eq!(bursts.len(), 1);
-        assert_eq!(bursts[0].name, "burst:write");
-        assert_eq!((bursts[0].begin, bursts[0].end), (0, 4));
+        let lanes = cfg.lanes() as u64;
+        let spans = snap.spans();
+        for (kind, len, begin) in bursts {
+            let track = format!("pm/{kind}-bursts");
+            let on_track: Vec<_> = spans.iter().filter(|s| s.track == track).collect();
+            assert_eq!(on_track.len(), 1, "{kind}: {on_track:?}");
+            assert_eq!(on_track[0].name, format!("burst:{kind}"));
+            assert_eq!(
+                (on_track[0].begin, on_track[0].end),
+                (begin, begin + len.div_ceil(lanes)),
+                "{kind} burst spans ceil(len / lanes) cycles"
+            );
+        }
         // Detaching stops recording and leaves the journal balanced.
         let before = journal.recorded();
         k.detach_tracing();
-        k.tick(5);
+        k.tick(9);
         assert_eq!(journal.recorded(), before);
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn skip_to_collapses_into_one_idle_span() {
         use polymem::tracing::TraceJournal;
         let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 1).unwrap();

@@ -3,7 +3,9 @@
 //! A [`Fifo`] is a bounded queue with backpressure: producers check
 //! [`Fifo::can_push`] (a full FIFO stalls the upstream kernel, exactly as
 //! Maxeler's stream interconnect stalls a kernel whose output is not
-//! drained). [`StreamRef`] is the shared handle kernels hold.
+//! drained). [`StreamRef`] is the shared handle kernels hold, and
+//! [`stream_stats`] snapshots its health (throughput, stalls, depth) for
+//! bottleneck hunting.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -122,6 +124,30 @@ pub fn stream<T>(name: impl Into<String>, capacity: usize) -> StreamRef<T> {
     Rc::new(RefCell::new(Fifo::new(name, capacity)))
 }
 
+/// A point-in-time snapshot of one stream's counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamStats {
+    /// Elements pushed over the stream's lifetime.
+    pub pushed: u64,
+    /// Elements popped.
+    pub popped: u64,
+    /// Rejected pushes (backpressure events).
+    pub stalls: u64,
+    /// Current queue depth.
+    pub depth: usize,
+}
+
+/// Snapshot a stream's counters.
+pub fn stream_stats<T>(s: &StreamRef<T>) -> StreamStats {
+    let f = s.borrow();
+    StreamStats {
+        pushed: f.total_pushed(),
+        popped: f.total_popped(),
+        stalls: f.stall_count(),
+        depth: f.len(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +215,20 @@ mod tests {
         s.borrow_mut().push(7);
         let t = Rc::clone(&s);
         assert_eq!(t.borrow_mut().pop(), Some(7));
+    }
+
+    #[test]
+    fn stream_stats_snapshot() {
+        let s = stream::<u64>("s", 2);
+        s.borrow_mut().push(1);
+        s.borrow_mut().push(2);
+        s.borrow_mut().push(3); // stall
+        s.borrow_mut().pop();
+        let st = stream_stats(&s);
+        assert_eq!(st.pushed, 2);
+        assert_eq!(st.popped, 1);
+        assert_eq!(st.stalls, 1);
+        assert_eq!(st.depth, 1);
     }
 
     #[test]

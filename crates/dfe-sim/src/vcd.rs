@@ -94,8 +94,6 @@ impl VcdRecorder {
     /// Sample a telemetry gauge (e.g. a FIFO-occupancy gauge) as a signal
     /// value, clamping negative readings to zero — waveform viewers show
     /// unsigned wires. Declare the signal first, as with [`Self::sample`].
-    /// In a `telemetry-off` build the gauge always reads zero, so the
-    /// waveform simply flatlines.
     pub fn sample_metric(&mut self, name: &str, cycle: u64, gauge: &polymem::telemetry::Gauge) {
         self.sample(name, cycle, gauge.get().max(0) as u64);
     }

@@ -409,7 +409,6 @@ mod tests {
         assert_eq!(m.region_plan_stats().entries, 0);
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn region_ops_emit_balanced_spans_and_cache_instants() {
         use crate::tracing::{TraceEventKind, TraceJournal};

@@ -585,7 +585,6 @@ mod tests {
         assert_eq!(m.read(PA::row(3, 0)).unwrap(), data);
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn region_ops_emit_phase_spans_outside_guards() {
         use crate::tracing::{TraceEventKind, TraceJournal};

@@ -94,7 +94,7 @@ pub use region_plan::RegionPlan;
 pub use scheme::{AccessPattern, AccessScheme, ParallelAccess};
 pub use shuffle::Crossbar;
 pub use telemetry::{
-    Counter, Gauge, Histogram, Label, MetricSample, SampleValue, StatCounter, TelemetryRegistry,
+    Counter, Gauge, Histogram, Label, MetricSample, SampleValue, TelemetryRegistry,
     TelemetrySnapshot,
 };
 pub use tracing::{SpanId, TraceJournal, TraceSnapshot, TraceWriter};

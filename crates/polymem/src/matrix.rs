@@ -7,7 +7,7 @@
 //! indexing for convenience and shaped reads/writes for speed.
 
 use crate::config::PolyMemConfig;
-use crate::error::Result;
+use crate::error::{PolyMemError, Result};
 use crate::mem::PolyMem;
 use crate::scheme::{AccessPattern, AccessScheme, ParallelAccess};
 
@@ -111,20 +111,34 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
         Ok(out)
     }
 
-    /// Overwrite a full row through row accesses.
+    /// Overwrite a full row through row accesses. `values` must hold
+    /// exactly one row ([`PolyMemError::WrongLaneCount`] otherwise, with
+    /// the matrix unchanged).
     pub fn set_row(&mut self, i: usize, values: &[T]) -> Result<()> {
         let lanes = self.lanes();
-        assert_eq!(values.len(), self.cols(), "row length mismatch");
+        if values.len() != self.cols() {
+            return Err(PolyMemError::WrongLaneCount {
+                got: values.len(),
+                expected: self.cols(),
+            });
+        }
         for (c, chunk) in values.chunks(lanes).enumerate() {
             self.mem.write(ParallelAccess::row(i, c * lanes), chunk)?;
         }
         Ok(())
     }
 
-    /// Overwrite a full column through column accesses.
+    /// Overwrite a full column through column accesses. `values` must
+    /// hold exactly one column ([`PolyMemError::WrongLaneCount`] otherwise,
+    /// with the matrix unchanged).
     pub fn set_col(&mut self, j: usize, values: &[T]) -> Result<()> {
         let lanes = self.lanes();
-        assert_eq!(values.len(), self.rows(), "column length mismatch");
+        if values.len() != self.rows() {
+            return Err(PolyMemError::WrongLaneCount {
+                got: values.len(),
+                expected: self.rows(),
+            });
+        }
         for (c, chunk) in values.chunks(lanes).enumerate() {
             self.mem.write(ParallelAccess::col(c * lanes, j), chunk)?;
         }
@@ -145,7 +159,7 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
         let cfg = *self.mem.config();
         let (n, p, q) = (cfg.rows, cfg.p, cfg.q);
         if cfg.rows != cfg.cols {
-            return Err(crate::error::PolyMemError::InvalidGeometry {
+            return Err(PolyMemError::InvalidGeometry {
                 reason: format!(
                     "transpose needs a square matrix, got {}x{}",
                     cfg.rows, cfg.cols
@@ -182,12 +196,6 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
     /// Borrow the underlying memory (e.g. for stats or region operations).
     pub fn memory(&mut self) -> &mut PolyMem<T> {
         &mut self.mem
-    }
-
-    /// Enable or disable the compiled-plan fast path of the underlying
-    /// memory (see [`PolyMem::set_planning`]). Enabled by default.
-    pub fn set_planning(&mut self, enabled: bool) {
-        self.mem.set_planning(enabled);
     }
 
     /// Plan-cache activity of the underlying memory.
@@ -252,6 +260,22 @@ mod tests {
         let r0 = m.row(0).unwrap();
         assert_eq!(r0[2], 9);
         assert_eq!(r0[3], 7);
+        // A too-short or too-long row/column is rejected, not written.
+        let before = m.to_row_major();
+        for len in [15, 17] {
+            let vals = vec![5u64; len];
+            let want = PolyMemError::WrongLaneCount {
+                got: len,
+                expected: 16,
+            };
+            assert_eq!(m.set_row(1, &vals), Err(want.clone()));
+            assert_eq!(m.set_col(1, &vals), Err(want));
+        }
+        assert_eq!(
+            m.to_row_major(),
+            before,
+            "rejected writes leave the matrix unchanged"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::maf::ModuleAssignment;
 use crate::region::{Region, RegionShape};
 use crate::region_plan::RegionPlan;
 use crate::scheme::{AccessPattern, ParallelAccess};
-use crate::telemetry::{Histogram, Label, StatCounter, TelemetryRegistry};
+use crate::telemetry::{Counter, Histogram, Label, TelemetryRegistry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -190,7 +190,7 @@ pub struct PlanCacheStats {
 /// go of it, so the counter's cache line never moves inside the critical
 /// section.
 #[derive(Debug, Clone)]
-pub struct PlanHits([StatCounter; AccessPattern::COUNT + 1]);
+pub struct PlanHits([Counter; AccessPattern::COUNT + 1]);
 
 impl PlanHits {
     /// Count one hit on `key`'s class.
@@ -201,14 +201,14 @@ impl PlanHits {
 }
 
 /// Counters of one tally. The hit/miss/eviction counters are atomic
-/// ([`StatCounter`]) so a shared-`&self` lookup can count a hit, and so a
+/// ([`Counter`]) so a shared-`&self` lookup can count a hit, and so a
 /// [`TelemetryRegistry`] can export them live; the rest only changes under
 /// `&mut self`.
 #[derive(Debug, Default)]
 struct Tally {
-    hits: StatCounter,
-    misses: StatCounter,
-    evictions: StatCounter,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
     entries: usize,
     bytes: u64,
 }
@@ -218,7 +218,7 @@ impl Clone for Tally {
         // Counters copy by value: the clone starts with the same counts but
         // its own atomics (a registry watching the original keeps watching
         // only the original).
-        let copy = |c: &StatCounter| StatCounter::from_value(c.get());
+        let copy = |c: &Counter| Counter::from_value(c.get());
         Self {
             hits: copy(&self.hits),
             misses: copy(&self.misses),
@@ -488,8 +488,8 @@ impl PlanCache {
                 .map(|m| &self.tallies[m])
                 .collect();
             let cache: Vec<Label> = vec![("cache", label.clone())];
-            let hits: Vec<&StatCounter> = group.iter().map(|t| &t.hits).collect();
-            let misses: Vec<&StatCounter> = group.iter().map(|t| &t.misses).collect();
+            let hits: Vec<&Counter> = group.iter().map(|t| &t.hits).collect();
+            let misses: Vec<&Counter> = group.iter().map(|t| &t.misses).collect();
             registry.register_stat("polymem_plan_cache_hits_total", cache.clone(), &hits);
             registry.register_stat("polymem_plan_cache_misses_total", cache, &misses);
         }

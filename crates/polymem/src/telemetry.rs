@@ -21,12 +21,10 @@
 //! * **Static labels.** Metric names and label *keys* are `&'static str`;
 //!   label values are owned strings fixed at registration. Nothing on the
 //!   increment path formats or hashes a label.
-//! * **Feature-gated no-ops.** With the `telemetry-off` cargo feature the
-//!   instrumentation handles become zero-sized types whose operations
-//!   compile to nothing, so a build can prove the overhead is removable.
-//!   [`StatCounter`] — used where counting is part of a public API
-//!   contract (the plan-cache `stats()` views) — stays real in both
-//!   modes.
+//! * **One counter type.** [`Counter`] also backs counts that are part of
+//!   a public API contract (the plan-cache `stats()` views): the cache
+//!   owns the handle and [`TelemetryRegistry::register_stat`] attaches it,
+//!   so snapshots stay fresh.
 //! * **Derived per-bank counters.** Every conflict-free full-lane access
 //!   touches each bank exactly once (the theorem `polymem-verify` checks
 //!   exhaustively), so single-access traffic is counted once per access
@@ -48,17 +46,14 @@ use std::sync::Arc;
 pub type Label = (&'static str, String);
 
 // ---------------------------------------------------------------------------
-// Always-on counter (API-contract accounting, e.g. plan-cache stats).
+// Instrumentation handles.
 // ---------------------------------------------------------------------------
 
-/// A shared monotonic counter that is **always functional**, independent
-/// of the `telemetry-off` feature. Used where counts are part of a public
-/// API contract (cache `stats()`), with the registry holding a live
-/// handle so snapshots stay fresh.
+/// A shared monotonic counter. Clones share the cell.
 #[derive(Debug, Clone, Default)]
-pub struct StatCounter(Arc<AtomicU64>);
+pub struct Counter(Arc<AtomicU64>);
 
-impl StatCounter {
+impl Counter {
     /// A fresh counter at zero.
     pub fn new() -> Self {
         Self::default()
@@ -68,58 +63,6 @@ impl StatCounter {
     /// impls that must not share the underlying cell).
     pub fn from_value(v: u64) -> Self {
         Self(Arc::new(AtomicU64::new(v)))
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Reset to zero (stats-view compatibility; not used on hot paths).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Release);
-    }
-
-    fn cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Instrumentation handles (no-ops under `telemetry-off`).
-// ---------------------------------------------------------------------------
-
-/// A monotonic instrumentation counter.
-///
-/// With the `telemetry-off` feature this is a zero-sized type whose
-/// operations compile to nothing and never register.
-#[cfg(not(feature = "telemetry-off"))]
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-/// A monotonic instrumentation counter (disabled build: zero-sized no-op).
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter;
-
-#[cfg(not(feature = "telemetry-off"))]
-impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// Add one. Single `Relaxed` atomic op; allocation- and panic-free.
@@ -164,47 +107,10 @@ impl Counter {
     }
 }
 
-#[cfg(feature = "telemetry-off")]
-impl Counter {
-    /// A fresh counter (no-op build).
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn inc(&self) {}
-
-    /// No-op.
-    #[inline]
-    pub fn add(&self, _n: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn inc_owned(&self) {}
-
-    /// No-op.
-    #[inline]
-    pub fn add_owned(&self, _n: u64) {}
-
-    /// Always zero in the disabled build.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
 /// A last-value instrumentation gauge (signed).
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
-/// A last-value instrumentation gauge (disabled build: zero-sized no-op).
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gauge;
-
-#[cfg(not(feature = "telemetry-off"))]
 impl Gauge {
     /// A fresh gauge at zero.
     pub fn new() -> Self {
@@ -231,28 +137,6 @@ impl Gauge {
 
     fn cell(&self) -> Arc<AtomicI64> {
         Arc::clone(&self.0)
-    }
-}
-
-#[cfg(feature = "telemetry-off")]
-impl Gauge {
-    /// A fresh gauge (no-op build).
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn set(&self, _v: i64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn add(&self, _d: i64) {}
-
-    /// Always zero in the disabled build.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        0
     }
 }
 
@@ -310,16 +194,9 @@ impl HistogramCore {
 }
 
 /// A fixed-bucket instrumentation histogram over `u64` observations.
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramCore>);
 
-/// A fixed-bucket instrumentation histogram (disabled build: no-op).
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram;
-
-#[cfg(not(feature = "telemetry-off"))]
 impl Histogram {
     /// A fresh histogram with the given inclusive bucket bounds (an
     /// implicit `+Inf` bucket is appended).
@@ -345,28 +222,6 @@ impl Histogram {
 
     fn core(&self) -> Arc<HistogramCore> {
         Arc::clone(&self.0)
-    }
-}
-
-#[cfg(feature = "telemetry-off")]
-impl Histogram {
-    /// A fresh histogram (no-op build).
-    pub fn new(_bounds: &'static [u64]) -> Self {
-        Self
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn observe(&self, _v: u64) {}
-
-    /// Always zero in the disabled build.
-    pub fn count(&self) -> u64 {
-        0
-    }
-
-    /// Always zero in the disabled build.
-    pub fn sum(&self) -> u64 {
-        0
     }
 }
 
@@ -426,12 +281,9 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Register (or re-register) a counter and return its handle. In the
-    /// `telemetry-off` build this registers nothing and returns a no-op
-    /// handle.
+    /// Register (or re-register) a counter and return its handle.
     pub fn counter(&self, name: &'static str, labels: Vec<Label>) -> Counter {
         let c = Counter::new();
-        #[cfg(not(feature = "telemetry-off"))]
         self.upsert(
             name,
             labels,
@@ -440,8 +292,6 @@ impl TelemetryRegistry {
                 bases: Vec::new(),
             },
         );
-        #[cfg(feature = "telemetry-off")]
-        let _ = labels;
         c
     }
 
@@ -469,7 +319,6 @@ impl TelemetryRegistry {
         bases: &[&Counter],
     ) -> Counter {
         let c = Counter::new();
-        #[cfg(not(feature = "telemetry-off"))]
         self.upsert(
             name,
             labels,
@@ -478,18 +327,13 @@ impl TelemetryRegistry {
                 bases: bases.iter().map(|b| b.cell()).collect(),
             },
         );
-        #[cfg(feature = "telemetry-off")]
-        let _ = (labels, bases);
         c
     }
 
     /// Register (or re-register) a gauge and return its handle.
     pub fn gauge(&self, name: &'static str, labels: Vec<Label>) -> Gauge {
         let g = Gauge::new();
-        #[cfg(not(feature = "telemetry-off"))]
         self.upsert(name, labels, Metric::Gauge(g.cell()));
-        #[cfg(feature = "telemetry-off")]
-        let _ = labels;
         g
     }
 
@@ -501,17 +345,13 @@ impl TelemetryRegistry {
         bounds: &'static [u64],
     ) -> Histogram {
         let h = Histogram::new(bounds);
-        #[cfg(not(feature = "telemetry-off"))]
         self.upsert(name, labels, Metric::Histogram(h.core()));
-        #[cfg(feature = "telemetry-off")]
-        let _ = (labels, bounds);
         h
     }
 
-    /// Attach existing always-on [`StatCounter`]s (e.g. plan-cache hit
-    /// counters) under a metric name; the exported value is their sum.
-    /// Present in both builds — API accounting is never compiled out.
-    pub fn register_stat(&self, name: &'static str, labels: Vec<Label>, stats: &[&StatCounter]) {
+    /// Attach existing [`Counter`]s (e.g. plan-cache hit counters) under a
+    /// metric name; the exported value is their sum.
+    pub fn register_stat(&self, name: &'static str, labels: Vec<Label>, stats: &[&Counter]) {
         let mut cells = stats.iter().map(|s| s.cell());
         let Some(cell) = cells.next() else {
             return;
@@ -885,21 +725,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stat_counter_is_always_real() {
-        let c = StatCounter::new();
+    fn counter_clones_share_and_from_value_copies() {
+        let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         let shared = c.clone();
         shared.inc();
         assert_eq!(c.get(), 6, "clones share the cell");
-        let copied = StatCounter::from_value(c.get());
+        let copied = Counter::from_value(c.get());
         copied.inc();
         assert_eq!(c.get(), 6, "from_value does not share");
         assert_eq!(copied.get(), 7);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn counters_gauges_histograms_record() {
         let r = TelemetryRegistry::new();
@@ -972,7 +811,6 @@ mod tests {
         assert_eq!(hs.quantile(0.5), Some(10));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn registering_same_key_replaces() {
         let r = TelemetryRegistry::new();
@@ -985,7 +823,6 @@ mod tests {
         assert_eq!(snap.metrics.len(), 1);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn base_counter_folds_uniform_traffic() {
         let r = TelemetryRegistry::new();
@@ -1000,30 +837,6 @@ mod tests {
         assert_eq!(snap.counter_value("bank_total", &[("bank", "1")]), Some(10));
     }
 
-    #[cfg(feature = "telemetry-off")]
-    #[test]
-    fn disabled_handles_are_zero_sized_noops() {
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
-        let r = TelemetryRegistry::new();
-        let c = r.counter("c_total", vec![]);
-        c.inc();
-        c.add(100);
-        assert_eq!(c.get(), 0);
-        let h = r.histogram("h", vec![], &[1]);
-        h.observe(5);
-        assert_eq!(h.count(), 0);
-        // Instrumentation registers nothing; StatCounters still do.
-        let s = StatCounter::new();
-        s.add(2);
-        r.register_stat("s_total", vec![], &[&s]);
-        let snap = r.snapshot();
-        assert_eq!(snap.metrics.len(), 1);
-        assert_eq!(snap.counter_value("s_total", &[]), Some(2));
-    }
-
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
         let r = TelemetryRegistry::new();
@@ -1042,7 +855,6 @@ mod tests {
         assert_eq!(names[2].0, "z_total");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn json_round_trip() {
         let r = TelemetryRegistry::new();
@@ -1079,7 +891,6 @@ mod tests {
         assert_eq!(snap.metrics[0].value, SampleValue::Gauge(-3));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn prometheus_text_format() {
         let r = TelemetryRegistry::new();
@@ -1098,7 +909,6 @@ mod tests {
         assert!(text.contains("lat_count 2"), "{text}");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn concurrent_increments_are_not_lost() {
         let r = std::sync::Arc::new(TelemetryRegistry::new());

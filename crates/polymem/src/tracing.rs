@@ -29,11 +29,6 @@
 //!   instrumentation setup; the hot recording path moves only fixed-width
 //!   integers — no allocation, no formatting, no hashing, no panicking
 //!   construct. This is what lets region-replay hot paths carry spans.
-//! * **Feature-gated no-ops.** With the `tracing-off` cargo feature
-//!   (mirroring `telemetry-off`) [`TraceJournal`] and [`TraceWriter`]
-//!   become zero-sized types whose operations compile to nothing, so a
-//!   build can prove the overhead is removable. [`TraceSnapshot`] and the
-//!   exporters stay real in both modes.
 //!
 //! ## Memory ordering
 //!
@@ -59,10 +54,8 @@
 //! replayable, and event-driven fast-forwards appear as collapsed spans.
 
 use crate::json::{self, Json};
-#[cfg(not(feature = "tracing-off"))]
 use crate::sync::{AtomicU64, Ordering, RwLock};
 use std::collections::BTreeMap;
-#[cfg(not(feature = "tracing-off"))]
 use std::sync::Arc;
 
 /// Identifies a span; `0` (= [`SpanId::NONE`]) means "no span / no parent".
@@ -96,18 +89,13 @@ pub enum TraceEventKind {
 /// nothing above the decoder ever sees this kind; it exists because the
 /// run-coalescing instrumentation emits spans retroactively (both bounds
 /// already known) and one slot costs half of two.
-#[cfg(not(feature = "tracing-off"))]
 const KIND_COMPLETE: u64 = 0;
 /// `span` argument sentinel: mint the id from the claimed ticket. Real
 /// span ids are `ticket + 1` and tickets would take centuries to reach
 /// `u64::MAX - 1`, so the sentinel is unreachable as a genuine id.
-#[cfg(not(feature = "tracing-off"))]
 const SPAN_FROM_TICKET: u64 = u64::MAX;
-#[cfg(not(feature = "tracing-off"))]
 const KIND_BEGIN: u64 = 1;
-#[cfg(not(feature = "tracing-off"))]
 const KIND_END: u64 = 2;
-#[cfg(not(feature = "tracing-off"))]
 const KIND_INSTANT: u64 = 3;
 
 /// One decoded journal record (resolved names, owned strings — cold path).
@@ -139,10 +127,9 @@ pub struct TraceSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Live journal (real build).
+// Live journal.
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "tracing-off"))]
 struct Slot {
     seq: AtomicU64,
     meta: AtomicU64,
@@ -151,7 +138,6 @@ struct Slot {
     cycle: AtomicU64,
 }
 
-#[cfg(not(feature = "tracing-off"))]
 impl Slot {
     fn new() -> Self {
         Slot {
@@ -164,12 +150,10 @@ impl Slot {
     }
 }
 
-#[cfg(not(feature = "tracing-off"))]
 fn pack_meta(kind: u64, track: u32, name: u32) -> u64 {
     (kind << 62) | (u64::from(track) << 32) | u64::from(name)
 }
 
-#[cfg(not(feature = "tracing-off"))]
 struct JournalCore {
     slots: Vec<Slot>,
     mask: u64,
@@ -181,23 +165,12 @@ struct JournalCore {
 
 /// A bounded, lock-free, cycle-stamped trace journal (see module docs).
 ///
-/// Cloning is cheap (`Arc` handle). With the `tracing-off` feature this is
-/// a zero-sized no-op.
-#[cfg(not(feature = "tracing-off"))]
+/// Cloning is cheap (`Arc` handle).
 #[derive(Clone)]
 pub struct TraceJournal {
     core: Arc<JournalCore>,
 }
 
-/// A bounded trace journal (disabled build: zero-sized no-op).
-///
-/// Deliberately `Clone` but not `Copy`, matching the enabled type, so
-/// callers written as `journal.clone()` are idiomatic under both cfgs.
-#[cfg(feature = "tracing-off")]
-#[derive(Debug, Clone, Default)]
-pub struct TraceJournal;
-
-#[cfg(not(feature = "tracing-off"))]
 impl std::fmt::Debug for TraceJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceJournal")
@@ -208,7 +181,6 @@ impl std::fmt::Debug for TraceJournal {
     }
 }
 
-#[cfg(not(feature = "tracing-off"))]
 impl TraceJournal {
     /// A journal holding the last `capacity` events (rounded up to a power
     /// of two, minimum 8). Older events are overwritten, never blocked on.
@@ -358,72 +330,16 @@ impl TraceJournal {
     }
 }
 
-#[cfg(feature = "tracing-off")]
-impl TraceJournal {
-    /// Disabled build: zero-sized no-op journal.
-    pub fn new(_capacity: usize) -> Self {
-        TraceJournal
-    }
-
-    /// Disabled build: returns the null name id.
-    pub fn intern(&self, _name: &str) -> NameId {
-        NameId(0)
-    }
-
-    /// Disabled build: returns a zero-sized no-op writer.
-    pub fn writer(&self, _track: &str) -> TraceWriter {
-        TraceWriter
-    }
-
-    /// Disabled build: no-op.
-    #[inline]
-    pub fn set_cycle(&self, _cycle: u64) {}
-
-    /// Disabled build: always 0.
-    #[inline]
-    pub fn cycle(&self) -> u64 {
-        0
-    }
-
-    /// Disabled build: always 0.
-    pub fn recorded(&self) -> u64 {
-        0
-    }
-
-    /// Disabled build: always 0.
-    pub fn dropped(&self) -> u64 {
-        0
-    }
-
-    /// Disabled build: always 0.
-    pub fn capacity(&self) -> usize {
-        0
-    }
-
-    /// Disabled build: always the empty snapshot.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot::default()
-    }
-}
-
 /// A per-component handle recording events onto one journal track.
 ///
 /// Every operation is wait-free: one ticket `fetch_add` plus a handful of
-/// plain stores — no allocation, no locks, no panicking construct. With the
-/// `tracing-off` feature this is a zero-sized no-op.
-#[cfg(not(feature = "tracing-off"))]
+/// plain stores — no allocation, no locks, no panicking construct.
 #[derive(Clone)]
 pub struct TraceWriter {
     core: Arc<JournalCore>,
     track: u32,
 }
 
-/// A journal writer handle (disabled build: zero-sized no-op).
-#[cfg(feature = "tracing-off")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceWriter;
-
-#[cfg(not(feature = "tracing-off"))]
 impl std::fmt::Debug for TraceWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceWriter")
@@ -432,7 +348,6 @@ impl std::fmt::Debug for TraceWriter {
     }
 }
 
-#[cfg(not(feature = "tracing-off"))]
 impl TraceWriter {
     /// Claim a ticket and stamp its slot in-flight. One `fetch_add`; the
     /// ticket doubles as the span-id source (`t + 1`, so `0` stays NONE) —
@@ -503,45 +418,8 @@ impl TraceWriter {
     }
 }
 
-#[cfg(feature = "tracing-off")]
-impl TraceWriter {
-    /// Disabled build: no-op; returns the null span id.
-    #[inline]
-    pub fn begin(&self, _name: NameId, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-
-    /// Disabled build: no-op; returns the null span id.
-    #[inline]
-    pub fn begin_at(&self, _cycle: u64, _name: NameId, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-
-    /// Disabled build: no-op; returns the null span id.
-    #[inline]
-    pub fn span_at(&self, _start: u64, _end: u64, _name: NameId) -> SpanId {
-        SpanId::NONE
-    }
-
-    /// Disabled build: no-op.
-    #[inline]
-    pub fn end(&self, _name: NameId, _span: SpanId) {}
-
-    /// Disabled build: no-op.
-    #[inline]
-    pub fn end_at(&self, _cycle: u64, _span_name: NameId, _span: SpanId) {}
-
-    /// Disabled build: no-op.
-    #[inline]
-    pub fn instant(&self, _name: NameId) {}
-
-    /// Disabled build: no-op.
-    #[inline]
-    pub fn instant_at(&self, _cycle: u64, _name: NameId) {}
-}
-
 // ---------------------------------------------------------------------------
-// Exporters (always real, even under `tracing-off`).
+// Exporters.
 // ---------------------------------------------------------------------------
 
 /// One matched Begin/End pair decoded from a snapshot.
@@ -844,7 +722,6 @@ impl TraceSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "tracing-off"))]
     fn sample_snapshot() -> TraceSnapshot {
         let j = TraceJournal::new(64);
         let w = j.writer("pm");
@@ -863,7 +740,6 @@ mod tests {
         j.snapshot()
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn journal_records_and_decodes_events_in_order() {
         let s = sample_snapshot();
@@ -893,7 +769,6 @@ mod tests {
         assert_eq!(spans[1].cycles(), 5);
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let j = TraceJournal::new(8);
@@ -913,7 +788,6 @@ mod tests {
         assert_eq!(s.events[7].cycle, 19);
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn chrome_json_round_trips_exactly() {
         let s = sample_snapshot();
@@ -1060,7 +934,6 @@ mod tests {
         assert!(s.validate_spans().is_empty());
     }
 
-    #[cfg(not(feature = "tracing-off"))]
     #[test]
     fn concurrent_writers_stay_balanced_and_nested() {
         let j = TraceJournal::new(1 << 12);
@@ -1093,25 +966,5 @@ mod tests {
             let parent = spans.iter().find(|p| p.span == child.parent).unwrap();
             assert!(parent.begin <= child.begin && child.end <= parent.end);
         }
-    }
-
-    #[cfg(feature = "tracing-off")]
-    #[test]
-    fn disabled_handles_are_zero_sized_noops() {
-        assert_eq!(std::mem::size_of::<TraceJournal>(), 0);
-        assert_eq!(std::mem::size_of::<TraceWriter>(), 0);
-        let j = TraceJournal::new(1 << 20);
-        let w = j.writer("t");
-        let n = j.intern("e");
-        let s = w.begin(n, SpanId::NONE);
-        assert_eq!(s, SpanId::NONE);
-        w.instant(n);
-        w.end(n, s);
-        j.set_cycle(99);
-        assert_eq!(j.cycle(), 0);
-        assert_eq!(j.recorded(), 0);
-        assert_eq!(j.dropped(), 0);
-        assert_eq!(j.capacity(), 0);
-        assert_eq!(j.snapshot(), TraceSnapshot::default());
     }
 }

@@ -209,7 +209,6 @@ fn racing_reader_sees_no_torn_writes() {
 /// single-writer fast path), and the per-bank samples must come out
 /// uniform — the conflict-freedom theorem made observable.
 #[test]
-#[cfg(not(feature = "telemetry-off"))]
 fn concurrent_copies_produce_exact_deterministic_counts() {
     let cfg = PolyMemConfig::new(ROWS, COLS, 2, 4, AccessScheme::RoCo, 4).unwrap();
     let mut conc = ConcurrentPolyMem::<u64>::new(cfg).unwrap();

@@ -11,7 +11,6 @@
 //! ```text
 //! TELEMETRY_BLESS=1 cargo test -p polymem --test telemetry_golden
 //! ```
-#![cfg(not(feature = "telemetry-off"))]
 
 use polymem::telemetry::{TelemetryRegistry, TelemetrySnapshot};
 use std::path::PathBuf;

@@ -810,7 +810,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn traced_burst_copy_pass_reconciles_spans_with_telemetry() {
         use polymem::tracing::{TraceJournal, TraceSnapshot};
         // The acceptance-criteria scenario: a traced STREAM-Copy burst
@@ -872,7 +871,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "tracing-off"))]
     fn journal_overflow_surfaces_in_trace_dropped_counter() {
         use polymem::tracing::TraceJournal;
         // A deliberately tiny journal: the pass overflows the ring and the

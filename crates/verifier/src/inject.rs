@@ -328,7 +328,7 @@ fn unbalanced_span() -> Mutation {
 pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
     let concurrent_src =
         std::fs::read_to_string(root.join("crates/polymem/src/concurrent.rs")).unwrap_or_default();
-    let mut mutations = vec![
+    let mutations = vec![
         false_support_claim(),
         corrupt_one_access_plan(),
         corrupt_region_plan(),
@@ -341,12 +341,8 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
         relaxed_acquire_downgrade(root),
         split_storage_write(),
         skipped_fold_in_base(),
+        unbalanced_span(),
     ];
-    // With the journal compiled out there is nothing to record into, so
-    // the span-imbalance seed cannot (and need not) fire.
-    if cfg!(not(feature = "tracing-off")) {
-        mutations.push(unbalanced_span());
-    }
     for m in &mutations {
         if !m.caught {
             findings.push(Finding::new(
@@ -373,12 +369,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut findings = Vec::new();
         let mutations = run(&root, &mut findings);
-        let expected = if cfg!(feature = "tracing-off") {
-            12
-        } else {
-            13
-        };
-        assert_eq!(mutations.len(), expected);
+        assert_eq!(mutations.len(), 13);
         for m in &mutations {
             assert!(m.caught, "{} survived: {}", m.name, m.detail);
         }

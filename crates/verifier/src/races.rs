@@ -10,8 +10,8 @@
 //!   extracted from source with its `Ordering` and checked against the
 //!   declared [`CONTRACT`] table: which counters are legitimately
 //!   `Relaxed` (commuting increments whose exact value is only read
-//!   through an `Acquire` pairing with `reset`'s `Release`) and which
-//!   reads must stay `Acquire`. An atomic the table does not declare is an error
+//!   through an `Acquire` load) and which reads must stay `Acquire`. An
+//!   atomic the table does not declare is an error
 //!   (`undeclared-atomic`), a declared site with a different ordering is
 //!   an error (`ordering-contract`), and a table row matching no site is
 //!   an error (`contract-drift`) — the contract cannot silently rot in
@@ -80,13 +80,11 @@ pub struct OrderingRule {
 
 /// Why `Relaxed` increments are sound on counters: they commute, no reader
 /// derives control flow from an exact in-flight value, and the only exact
-/// read (`get`) pairs its `Acquire` with `reset`'s `Release`.
+/// read (`get`) is an `Acquire` load.
 const MONOTONE: &str = "monotone-counter";
-/// Reads of published counter/gauge state: must stay `Acquire` to pair
-/// with `reset`'s `Release` and to fold bases coherently in `snapshot`.
+/// Reads of published counter/gauge state: must stay `Acquire` to fold
+/// bases coherently in `snapshot`.
 const PUBLISHED: &str = "published-read";
-/// `reset` publishes the zeroed epoch with `Release`.
-const EPOCH: &str = "epoch-reset";
 /// Single-writer fast path (`&mut self` callers only); the telemetry
 /// guard-scope pass separately proves it never appears in concurrent code.
 const SINGLE_WRITER: &str = "single-writer";
@@ -162,13 +160,6 @@ pub const CONTRACT: &[OrderingRule] = &[
         op: AtomicOp::Rmw,
         allowed: &["Relaxed"],
         class: MONOTONE,
-    },
-    OrderingRule {
-        file: "telemetry.rs",
-        function: "reset",
-        op: AtomicOp::Store,
-        allowed: &["Release"],
-        class: EPOCH,
     },
     OrderingRule {
         file: "telemetry.rs",

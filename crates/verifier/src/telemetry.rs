@@ -335,7 +335,7 @@ pub fn live_span_audit(findings: &mut Vec<Finding>) -> (usize, usize) {
     let snap = journal.snapshot();
     let spans = snap.spans().len();
     let unbalanced = check_span_balance(&snap, LABEL, findings);
-    if spans == 0 && cfg!(not(feature = "tracing-off")) {
+    if spans == 0 {
         findings.push(Finding::new(
             "telemetry",
             Severity::Warning,
@@ -441,7 +441,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "tracing-off", ignore = "journal compiled out")]
     fn dangling_begin_raises_unbalanced_span() {
         let journal = TraceJournal::new(64);
         let w = journal.writer("test");
@@ -480,13 +479,11 @@ mod tests {
         let mut findings = Vec::new();
         let (spans, unbalanced) = live_span_audit(&mut findings);
         assert_eq!(unbalanced, 0, "{findings:#?}");
-        if cfg!(not(feature = "tracing-off")) {
-            assert!(
-                spans >= 4,
-                "expected real instrumentation spans, got {spans}"
-            );
-            assert!(findings.is_empty(), "{findings:#?}");
-        }
+        assert!(
+            spans >= 4,
+            "expected real instrumentation spans, got {spans}"
+        );
+        assert!(findings.is_empty(), "{findings:#?}");
     }
 
     #[test]

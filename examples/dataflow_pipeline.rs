@@ -1,19 +1,23 @@
 //! A standalone tour of the DFE simulator: build a three-kernel dataflow
 //! graph (generator → windowed-average kernel → sink), run it under a
-//! manager, watch it with the tracer, and dump a VCD waveform — the
-//! debugging workflow the paper wished MaxJ's toolchain had (§III-C
-//! complains about the lack of design visualisation).
+//! manager, record its events on a trace-journal track, and dump a VCD
+//! waveform — the debugging workflow the paper wished MaxJ's toolchain had
+//! (§III-C complains about the lack of design visualisation).
 //!
 //! Run with: `cargo run -p polymem-apps --example dataflow_pipeline`
 
 use dfe_sim::kernel::{FnKernel, Kernel};
-use dfe_sim::{stream, stream_stats, Generator, Manager, Sink, Tracer, VcdRecorder};
+use dfe_sim::{stream, stream_stats, Generator, Manager, Sink, VcdRecorder};
+use polymem::tracing::{TraceEventKind, TraceJournal};
 use std::rc::Rc;
 
 fn main() {
     let input = stream::<u64>("input", 8);
     let averaged = stream::<u64>("averaged", 8);
-    let tracer = Tracer::new(256);
+    // Event names are interned once; recording moves only integers.
+    let journal = TraceJournal::new(256);
+    let track = journal.writer("avg4");
+    let (emit, stall) = (journal.intern("emit"), journal.intern("stalled on output"));
     let mut vcd = VcdRecorder::new();
     vcd.declare("input_depth", 8);
     vcd.declare("averaged_depth", 8);
@@ -28,12 +32,12 @@ fn main() {
     )));
 
     // A 4-tap moving-average kernel with an internal shift register.
-    let (inp, out, tr) = (Rc::clone(&input), Rc::clone(&averaged), tracer.clone());
+    let (inp, out) = (Rc::clone(&input), Rc::clone(&averaged));
     let mut window = [0u64; 4];
     let mut filled = 0usize;
     mgr.add_kernel(Box::new(FnKernel::new("avg4", move |cycle| {
         if !out.borrow().can_push() {
-            tr.record(cycle, "avg4", "stalled on output");
+            track.instant_at(cycle, stall);
             return;
         }
         if let Some(v) = inp.borrow_mut().pop() {
@@ -43,7 +47,7 @@ fn main() {
             if filled == 4 {
                 let avg = window.iter().sum::<u64>() / 4;
                 out.borrow_mut().push(avg);
-                tr.record(cycle, "avg4", format!("in={v} avg={avg}"));
+                track.instant_at(cycle, emit);
             }
         }
     })));
@@ -73,9 +77,21 @@ fn main() {
     }
     println!("verified against the scalar reference");
 
-    println!("\ntracer (last 5 events):");
-    for e in tracer.events().iter().rev().take(5).rev() {
-        println!("  [{:>3}] {:<6} {}", e.cycle, e.source, e.event);
+    let snap = journal.snapshot();
+    let instants: Vec<_> = snap
+        .events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::Instant && e.track == "avg4")
+        .collect();
+    let emitted = instants.iter().filter(|e| e.name == "emit").count();
+    assert_eq!(emitted, got.len(), "one emit instant per output");
+    assert_eq!(snap.dropped, 0);
+    println!(
+        "\njournal: {} avg4 instants ({emitted} emit); last 5:",
+        instants.len()
+    );
+    for e in instants.iter().rev().take(5).rev() {
+        println!("  [{:>3}] {:<6} {}", e.cycle, e.track, e.name);
     }
 
     for (name, s) in [("input", &input), ("averaged", &averaged)] {
