@@ -45,8 +45,8 @@ pub use lmem_stream::{AccessCostModel, DramLoader};
 pub use manager::{Manager, StallReport};
 pub use pcie::{Host, HostStats, PcieLink};
 pub use polymem_kernel::{
-    PolyMemKernel, ReadRequest, ReadResponse, WriteRequest, PAPER_READ_LATENCY,
+    LaneWord, PolyMemKernel, ReadRequest, ReadResponse, WriteRequest, PAPER_READ_LATENCY,
 };
 pub use sched::{SchedulerMode, SchedulerStats};
-pub use stream::{stream, stream_stats, Fifo, StreamRef, StreamStats};
+pub use stream::{stream, stream_stats, Fifo, IntoItem, StreamRef, StreamStats};
 pub use vcd::VcdRecorder;

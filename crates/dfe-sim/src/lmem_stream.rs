@@ -11,7 +11,7 @@
 use crate::clock::SimClock;
 use crate::dram::Dram;
 use crate::kernel::Kernel;
-use crate::polymem_kernel::WriteRequest;
+use crate::polymem_kernel::{LaneWord, WriteRequest};
 use crate::stream::StreamRef;
 use polymem::ParallelAccess;
 
@@ -98,7 +98,7 @@ impl Kernel for DramLoader {
             return;
         }
         let base = self.next_chunk * self.lanes;
-        let words = self.buffer[base..base + self.lanes].to_vec();
+        let words = LaneWord::from(&self.buffer[base..base + self.lanes]);
         self.write_req
             .borrow_mut()
             .push((self.dst[self.next_chunk], words));

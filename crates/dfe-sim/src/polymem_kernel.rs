@@ -8,7 +8,7 @@
 //! commits (read-old port semantics).
 
 use crate::kernel::{DelayLine, Kernel};
-use crate::stream::StreamRef;
+use crate::stream::{IntoItem, StreamRef};
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 use polymem::{ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
@@ -131,12 +131,93 @@ impl KernelTracing {
     }
 }
 
+/// Lanes a [`LaneWord`] holds without touching the heap: the `p*q` of the
+/// paper's 2x4 bank grid.
+const INLINE_LANES: usize = 8;
+
+/// The lane data of one parallel access: `p*q` elements in canonical lane
+/// order, dereferencing to `[u64]`. Up to eight lanes live inline, like
+/// the fixed `DATA_T block[N_LINEAR_REGISTERS]` a hardware read port
+/// fills, so per-access stream traffic on the paper's geometry never
+/// allocates; a wider access spills to the heap.
+#[derive(Clone)]
+pub struct LaneWord(Lanes);
+
+#[derive(Clone)]
+enum Lanes {
+    /// `buf[..len]` holds the lanes; `len <= INLINE_LANES`.
+    Inline {
+        len: u8,
+        buf: [u64; INLINE_LANES],
+    },
+    Heap(Vec<u64>),
+}
+
+impl LaneWord {
+    /// A word of `len` zero lanes, to be filled in place (e.g. by
+    /// [`PolyMem::read_into`]).
+    pub fn zeroed(len: usize) -> Self {
+        if len <= INLINE_LANES {
+            Self(Lanes::Inline {
+                len: len as u8,
+                buf: [0; INLINE_LANES],
+            })
+        } else {
+            Self(Lanes::Heap(vec![0; len]))
+        }
+    }
+}
+
+impl std::ops::Deref for LaneWord {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            Lanes::Inline { len, buf } => &buf[..usize::from(*len)],
+            Lanes::Heap(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for LaneWord {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Lanes::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Lanes::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for LaneWord {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LaneWord {}
+
+impl std::fmt::Debug for LaneWord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<&[u64]> for LaneWord {
+    fn from(lanes: &[u64]) -> Self {
+        let mut word = Self::zeroed(lanes.len());
+        word.copy_from_slice(lanes);
+        word
+    }
+}
+
 /// A read request on a port.
 pub type ReadRequest = ParallelAccess;
 /// A read response: the `p*q` elements in canonical lane order.
-pub type ReadResponse = Vec<u64>;
+pub type ReadResponse = LaneWord;
 /// A write request: target access + lane data.
-pub type WriteRequest = (ParallelAccess, Vec<u64>);
+pub type WriteRequest = (ParallelAccess, LaneWord);
 /// A region read request (served via the compiled region plan).
 pub type RegionRequest = Region;
 /// A region read response: the region's elements in canonical order.
@@ -147,6 +228,13 @@ pub type RegionWriteRequest = (Region, Vec<u64>);
 pub type RegionCopyRequest = (Region, Region);
 /// Completion token of a copy burst: elements moved.
 pub type RegionCopyResponse = u64;
+
+/// Writers that build a request's lanes as a `Vec<u64>` push it as is.
+impl IntoItem<WriteRequest> for (ParallelAccess, Vec<u64>) {
+    fn into_item(self) -> WriteRequest {
+        (self.0, LaneWord::from(&self.1[..]))
+    }
+}
 
 /// PolyMem wrapped as a ticked kernel with request/response streams.
 pub struct PolyMemKernel {
@@ -192,9 +280,6 @@ pub struct PolyMemKernel {
     copy_busy_until: u64,
     region_writes_served: u64,
     region_copies_served: u64,
-    /// Reusable lane buffer: the compiled-plan gather lands here each cycle,
-    /// so the steady-state read path performs no routing work per tick.
-    scratch: Vec<u64>,
     /// Errors raised by invalid requests (surfaced, not panicking, so fault
     /// injection tests can observe them).
     errors: Vec<PolyMemError>,
@@ -257,7 +342,6 @@ impl PolyMemKernel {
             copy_busy_until: 0,
             region_writes_served: 0,
             region_copies_served: 0,
-            scratch: vec![0; config.lanes()],
             errors: Vec::new(),
             reads_served: 0,
             writes_served: 0,
@@ -561,13 +645,14 @@ impl Kernel for PolyMemKernel {
                 .as_ref()
                 .is_some_and(|s| s.borrow().can_push());
             if cycle >= ready && can_push {
-                let (_, data) = self.region_inflight.take().unwrap();
-                self.region_resp.as_ref().unwrap().borrow_mut().push(data);
-                progress = true;
+                if let (Some((_, data)), Some(resp)) =
+                    (self.region_inflight.take(), &self.region_resp)
+                {
+                    resp.borrow_mut().push(data);
+                    progress = true;
+                }
             }
         }
-        let mut region_busy = matches!(&self.region_inflight,
-            Some((ready, _)) if cycle < ready.saturating_sub(self.read_latency));
         if self.region_inflight.is_none() && cycle >= self.copy_busy_until {
             if let Some(req) = &self.region_req {
                 if let Some(region) = req.borrow_mut().pop() {
@@ -587,6 +672,10 @@ impl Kernel for PolyMemKernel {
                 }
             }
         }
+        // Port 0's read datapath is busy while a region read streams,
+        // counting one accepted this cycle.
+        let mut region_busy = matches!(&self.region_inflight,
+            Some((ready, _)) if cycle < ready.saturating_sub(self.read_latency));
         // 2b. Copy engine: deliver a finished burst's completion token, then
         //     accept the next fused copy. A copy of `len` elements occupies
         //     port 0's read datapath AND the write datapath for
@@ -599,13 +688,11 @@ impl Kernel for PolyMemKernel {
                 .as_ref()
                 .is_some_and(|s| s.borrow().can_push());
             if cycle >= ready && can_push {
-                self.copy_inflight = None;
-                self.region_copy_resp
-                    .as_ref()
-                    .unwrap()
-                    .borrow_mut()
-                    .push(moved);
-                progress = true;
+                if let Some(resp) = &self.region_copy_resp {
+                    self.copy_inflight = None;
+                    resp.borrow_mut().push(moved);
+                    progress = true;
+                }
             }
         }
         if self.copy_inflight.is_none()
@@ -675,9 +762,10 @@ impl Kernel for PolyMemKernel {
             let req = self.read_req[port].borrow_mut().pop();
             if let Some(access) = req {
                 progress = true;
-                match self.mem.read_into(port, access, &mut self.scratch) {
+                let mut data = LaneWord::zeroed(self.mem.lanes());
+                match self.mem.read_into(port, access, &mut data) {
                     Ok(()) => {
-                        self.pipelines[port].push(cycle, self.scratch.clone());
+                        self.pipelines[port].push(cycle, data);
                         self.reads_served += 1;
                     }
                     Err(e) => self.errors.push(e),
@@ -867,6 +955,21 @@ mod tests {
     }
 
     #[test]
+    fn lane_words_hold_any_width() {
+        // Inline up to eight lanes, spilled to the heap beyond: the same
+        // lanes whether copied in or filled in place.
+        for n in [0u64, 3, 8, 9, 16] {
+            let want: Vec<u64> = (1..=n).collect();
+            let copied = LaneWord::from(&want[..]);
+            let mut filled = LaneWord::zeroed(want.len());
+            filled.copy_from_slice(&want);
+            assert_eq!(&copied[..], &want[..], "{n} lanes");
+            assert_eq!(copied, filled);
+        }
+        assert_ne!(LaneWord::from(&[1, 2][..]), LaneWord::from(&[1, 2, 0][..]));
+    }
+
+    #[test]
     fn read_latency_is_exact() {
         let (mut m, rq, rs, wq) = setup(1, 14);
         let data: Vec<u64> = (0..8).collect();
@@ -879,7 +982,7 @@ mod tests {
         m.run_cycles(14); // through cycle 14: not yet delivered
         assert!(rs[0].borrow().is_empty());
         m.run_cycles(1); // cycle 15 delivers
-        assert_eq!(rs[0].borrow_mut().pop(), Some(data));
+        assert_eq!(rs[0].borrow_mut().pop().as_deref(), Some(&data[..]));
     }
 
     #[test]
@@ -916,11 +1019,15 @@ mod tests {
         wq.borrow_mut()
             .push((ParallelAccess::row(0, 0), new.clone()));
         m.run_cycles(2);
-        assert_eq!(rs[0].borrow_mut().pop(), Some(old), "read-old semantics");
+        assert_eq!(
+            rs[0].borrow_mut().pop().as_deref(),
+            Some(&old[..]),
+            "read-old semantics"
+        );
         // Next read sees the new value.
         rq[0].borrow_mut().push(ParallelAccess::row(0, 0));
         m.run_cycles(2);
-        assert_eq!(rs[0].borrow_mut().pop(), Some(new));
+        assert_eq!(rs[0].borrow_mut().pop().as_deref(), Some(&new[..]));
     }
 
     #[test]
@@ -963,9 +1070,9 @@ mod tests {
     fn two_ports_independent() {
         let (mut m, rq, rs, wq) = setup(2, 3);
         wq.borrow_mut()
-            .push((ParallelAccess::row(0, 0), (0..8).collect()));
+            .push((ParallelAccess::row(0, 0), (0..8).collect::<Vec<u64>>()));
         wq.borrow_mut()
-            .push((ParallelAccess::row(1, 0), (10..18).collect()));
+            .push((ParallelAccess::row(1, 0), (10..18).collect::<Vec<u64>>()));
         m.run_cycles(2);
         rq[0].borrow_mut().push(ParallelAccess::row(0, 0));
         rq[1].borrow_mut().push(ParallelAccess::row(1, 0));
@@ -1440,22 +1547,28 @@ mod tests {
         k.attach_region_copy_port(Rc::clone(&cq), Rc::clone(&cs));
         let journal = TraceJournal::new(256);
         k.attach_tracing(&journal);
-        // Cycle 0 accepts the read (16 elements = 2 access cycles) and the
-        // write (4x8 block = 4 cycles); the copy (8 elements = 1 cycle),
-        // queued after cycle 0, waits for the write datapath and is
-        // accepted at cycle 4.
+        // All three are queued before cycle 0. Cycle 0 accepts the read
+        // (16 elements = 2 access cycles), which holds port 0's read
+        // datapath, and the write (4x8 block = 4 cycles); the copy (8
+        // elements = 1 cycle) needs both datapaths, so it waits for the
+        // read's two cycles and the write burst and is accepted at cycle 4.
         let bursts = [("read", 16u64, 0u64), ("write", 32, 0), ("copy", 8, 4)];
         gq.borrow_mut()
             .push(Region::new("r", 5, 0, RegionShape::Row { len: 16 }));
         let block = Region::new("b", 8, 0, RegionShape::Block { rows: 4, cols: 8 });
         bq.borrow_mut().push((block, (0..32).collect()));
-        k.tick(0);
         cq.borrow_mut().push((
             Region::new("s", 6, 0, RegionShape::Row { len: 8 }),
             Region::new("d", 7, 8, RegionShape::Row { len: 8 }),
         ));
-        for c in 1..9 {
+        for c in 0..9 {
             k.tick(c);
+            let accepted = k.region_copies_served() == 1;
+            assert_eq!(
+                accepted,
+                c >= 4,
+                "copy accepted only at cycle 4 (cycle {c})"
+            );
         }
         k.finish_tracing();
         assert_eq!(k.region_reads_served(), 1);

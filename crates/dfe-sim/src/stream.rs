@@ -11,6 +11,21 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+/// What [`Fifo::push`] accepts: the element itself, or a value the
+/// element's module converts into it (a write request whose lanes are a
+/// `Vec<u64>`, see [`crate::polymem_kernel::LaneWord`]).
+pub trait IntoItem<T> {
+    /// The FIFO element this value becomes.
+    fn into_item(self) -> T;
+}
+
+impl<T> IntoItem<T> for T {
+    #[inline]
+    fn into_item(self) -> T {
+        self
+    }
+}
+
 /// A bounded FIFO of `T` with occupancy statistics.
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
@@ -75,12 +90,12 @@ impl<T> Fifo<T> {
     }
 
     /// Push one element; returns `false` (and records a stall) when full.
-    pub fn push(&mut self, value: T) -> bool {
+    pub fn push(&mut self, value: impl IntoItem<T>) -> bool {
         if self.is_full() {
             self.stalls += 1;
             return false;
         }
-        self.queue.push_back(value);
+        self.queue.push_back(value.into_item());
         self.pushed += 1;
         true
     }

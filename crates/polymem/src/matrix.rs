@@ -65,11 +65,28 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
         self.mem.set(i, j, v)
     }
 
+    /// Row and column transfers move whole parallel accesses, so the
+    /// extent they sweep (`cols` for a row, `rows` for a column) must be a
+    /// multiple of the lane count; otherwise [`PolyMemError::InvalidGeometry`].
+    fn check_whole_accesses(&self, line: &str, extent: usize) -> Result<()> {
+        let lanes = self.lanes();
+        if extent.is_multiple_of(lanes) {
+            return Ok(());
+        }
+        Err(PolyMemError::InvalidGeometry {
+            reason: format!(
+                "a {line} of {extent} elements is not a whole number of {lanes}-lane accesses"
+            ),
+        })
+    }
+
     /// Read a full matrix row through row accesses (requires a row-capable
-    /// scheme: ReRo or RoCo). `cols` must be a multiple of the lane count.
+    /// scheme: ReRo or RoCo). `cols` must be a multiple of the lane count
+    /// ([`PolyMemError::InvalidGeometry`] otherwise).
     pub fn row(&mut self, i: usize) -> Result<Vec<T>> {
         let lanes = self.lanes();
         let cols = self.cols();
+        self.check_whole_accesses("row", cols)?;
         let mut out = Vec::with_capacity(cols);
         let mut buf = vec![T::default(); lanes];
         for j0 in (0..cols).step_by(lanes) {
@@ -81,9 +98,12 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
     }
 
     /// Read a full matrix column through column accesses (ReCo or RoCo).
+    /// `rows` must be a multiple of the lane count
+    /// ([`PolyMemError::InvalidGeometry`] otherwise).
     pub fn col(&mut self, j: usize) -> Result<Vec<T>> {
         let lanes = self.lanes();
         let rows = self.rows();
+        self.check_whole_accesses("column", rows)?;
         let mut out = Vec::with_capacity(rows);
         let mut buf = vec![T::default(); lanes];
         for i0 in (0..rows).step_by(lanes) {
@@ -112,8 +132,10 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
     }
 
     /// Overwrite a full row through row accesses. `values` must hold
-    /// exactly one row ([`PolyMemError::WrongLaneCount`] otherwise, with
-    /// the matrix unchanged).
+    /// exactly one row ([`PolyMemError::WrongLaneCount`] otherwise) and
+    /// `cols` must be a multiple of the lane count
+    /// ([`PolyMemError::InvalidGeometry`] otherwise); on either error the
+    /// matrix is unchanged.
     pub fn set_row(&mut self, i: usize, values: &[T]) -> Result<()> {
         let lanes = self.lanes();
         if values.len() != self.cols() {
@@ -122,6 +144,7 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
                 expected: self.cols(),
             });
         }
+        self.check_whole_accesses("row", values.len())?;
         for (c, chunk) in values.chunks(lanes).enumerate() {
             self.mem.write(ParallelAccess::row(i, c * lanes), chunk)?;
         }
@@ -129,8 +152,10 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
     }
 
     /// Overwrite a full column through column accesses. `values` must
-    /// hold exactly one column ([`PolyMemError::WrongLaneCount`] otherwise,
-    /// with the matrix unchanged).
+    /// hold exactly one column ([`PolyMemError::WrongLaneCount`] otherwise)
+    /// and `rows` must be a multiple of the lane count
+    /// ([`PolyMemError::InvalidGeometry`] otherwise); on either error the
+    /// matrix is unchanged.
     pub fn set_col(&mut self, j: usize, values: &[T]) -> Result<()> {
         let lanes = self.lanes();
         if values.len() != self.rows() {
@@ -139,6 +164,7 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
                 expected: self.rows(),
             });
         }
+        self.check_whole_accesses("column", values.len())?;
         for (c, chunk) in values.chunks(lanes).enumerate() {
             self.mem.write(ParallelAccess::col(c * lanes, j), chunk)?;
         }
@@ -276,6 +302,36 @@ mod tests {
             before,
             "rejected writes leave the matrix unchanged"
         );
+    }
+
+    #[test]
+    fn row_and_col_ops_reject_partial_accesses_unchanged() {
+        // 12 columns over 8 lanes: a row is one and a half row accesses.
+        let data: Vec<u64> = (0..16 * 12).collect();
+        let mut m = PolyMatrix::from_row_major(&data, 16, 12, 2, 4, AccessScheme::RoCo).unwrap();
+        let partial =
+            |e: Option<PolyMemError>| matches!(e, Some(PolyMemError::InvalidGeometry { .. }));
+        assert!(partial(m.set_row(0, &[7; 12]).err()));
+        assert!(partial(m.row(0).err()));
+        assert_eq!(
+            m.to_row_major(),
+            data,
+            "rejected row write leaves it unchanged"
+        );
+        assert_eq!(
+            m.col(5).unwrap(),
+            (0..16).map(|i| i * 12 + 5).collect::<Vec<_>>()
+        );
+        // The transposed geometry: 12 rows, so columns are the partial ones.
+        let mut t = PolyMatrix::from_row_major(&data, 12, 16, 2, 4, AccessScheme::RoCo).unwrap();
+        assert!(partial(t.set_col(0, &[7; 12]).err()));
+        assert!(partial(t.col(0).err()));
+        assert_eq!(
+            t.to_row_major(),
+            data,
+            "rejected column write leaves it unchanged"
+        );
+        assert_eq!(t.row(3).unwrap(), (48..64).collect::<Vec<_>>());
     }
 
     #[test]

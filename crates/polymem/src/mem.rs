@@ -194,8 +194,10 @@ pub struct PolyMem<T> {
     pub(crate) agu: Agu,
     pub(crate) banks: BankArray<T>,
     xbar: Crossbar,
-    // Scratch buffers: reused across accesses so the hot path is
-    // allocation-free (Rust Performance Book: avoid allocating in loops).
+    // Scratch buffers of the interpreted pipeline (`prepare`), reused
+    // across accesses instead of allocated per access. The planned path
+    // never touches them; warmed, it allocates nothing at all
+    // (crates/stream-bench/tests/alloc_free.rs).
     coords: Vec<(usize, usize)>,
     route: Vec<usize>,
     lane_addrs: Vec<usize>,

@@ -145,7 +145,13 @@ impl PlanKey {
             PlanTarget::Access(a) => (PlanShape::Access(a.pattern), a.i, a.j),
             PlanTarget::Region(r) => (PlanShape::Region(r.shape), r.i, r.j),
         };
-        let (ri, rj) = ((i % period) as u32, (j % period) as u32);
+        // Every planned access computes its key, and the paper's grids have
+        // power-of-two periods, where a mask replaces two divisions.
+        let (ri, rj) = if period.is_power_of_two() {
+            ((i & (period - 1)) as u32, (j & (period - 1)) as u32)
+        } else {
+            ((i % period) as u32, (j % period) as u32)
+        };
         let mut h = PlanKeyHasher::default();
         (shape, ri, rj).hash(&mut h);
         Self {

@@ -44,7 +44,25 @@ impl AccessScheme {
         }
     }
 
-    /// The patterns this scheme serves conflict-free on a `p x q` bank grid.
+    /// The patterns this scheme serves conflict-free on a `p x q` bank grid,
+    /// in Table I's listing order: the patterns of [`AccessPattern::ALL`]
+    /// that [`Self::supports`] accepts, except that `RoCo` lists its row and
+    /// column patterns before its (aligned) rectangles.
+    pub fn supported_patterns(self, p: usize, q: usize) -> Vec<AccessPattern> {
+        use AccessPattern::*;
+        let order: &[AccessPattern] = match self {
+            AccessScheme::RoCo => &[Row, Column, Rectangle],
+            _ => &AccessPattern::ALL,
+        };
+        order
+            .iter()
+            .copied()
+            .filter(|&pattern| self.supports(pattern, p, q))
+            .collect()
+    }
+
+    /// Whether `pattern` is conflict-free under this scheme for a `p x q`
+    /// bank grid (at *some* position — possibly alignment-restricted).
     ///
     /// This is Table I of the paper, refined with the exact arithmetic
     /// conditions under which the module assignment functions are
@@ -57,53 +75,28 @@ impl AccessScheme {
     /// * `ReTr` requires `p | q` or `q | p`;
     /// * `RoCo` rectangles are only available *aligned* (see
     ///   [`Self::requires_alignment`]).
-    pub fn supported_patterns(self, p: usize, q: usize) -> Vec<AccessPattern> {
-        use AccessPattern::*;
-        let mut v = Vec::new();
-        match self {
-            AccessScheme::ReO => v.push(Rectangle),
-            AccessScheme::ReRo => {
-                v.push(Rectangle);
-                v.push(Row);
-                if gcd(q + 1, p) == 1 {
-                    v.push(MainDiagonal);
-                }
-                // gcd(0, p) == p, so a 1-column grid is (correctly) rejected
-                // unless p == 1: with q == 1 every lane of a secondary
-                // diagonal lands in the same bank column.
-                if gcd(q.saturating_sub(1), p) == 1 {
-                    v.push(SecondaryDiagonal);
-                }
-            }
-            AccessScheme::ReCo => {
-                v.push(Rectangle);
-                v.push(Column);
-                if gcd(p + 1, q) == 1 {
-                    v.push(MainDiagonal);
-                }
-                if gcd(p.saturating_sub(1), q) == 1 {
-                    v.push(SecondaryDiagonal);
-                }
-            }
-            AccessScheme::RoCo => {
-                v.push(Row);
-                v.push(Column);
-                v.push(Rectangle); // aligned only
-            }
-            AccessScheme::ReTr => {
-                if p.is_multiple_of(q) || q.is_multiple_of(p) {
-                    v.push(Rectangle);
-                    v.push(TransposedRectangle);
-                }
-            }
-        }
-        v
-    }
-
-    /// Whether `pattern` is conflict-free under this scheme for a `p x q`
-    /// bank grid (at *some* position — possibly alignment-restricted).
+    ///
+    /// Answered from the scheme and the grid alone, without allocating: every
+    /// planned access checks it.
     pub fn supports(self, pattern: AccessPattern, p: usize, q: usize) -> bool {
-        self.supported_patterns(p, q).contains(&pattern)
+        use AccessPattern::*;
+        match (self, pattern) {
+            (AccessScheme::ReO, Rectangle) => true,
+            (AccessScheme::ReRo, Rectangle | Row) => true,
+            (AccessScheme::ReRo, MainDiagonal) => gcd(q + 1, p) == 1,
+            // gcd(0, p) == p, so a 1-column grid is (correctly) rejected
+            // unless p == 1: with q == 1 every lane of a secondary diagonal
+            // lands in the same bank column.
+            (AccessScheme::ReRo, SecondaryDiagonal) => gcd(q.saturating_sub(1), p) == 1,
+            (AccessScheme::ReCo, Rectangle | Column) => true,
+            (AccessScheme::ReCo, MainDiagonal) => gcd(p + 1, q) == 1,
+            (AccessScheme::ReCo, SecondaryDiagonal) => gcd(p.saturating_sub(1), q) == 1,
+            (AccessScheme::RoCo, Row | Column | Rectangle) => true,
+            (AccessScheme::ReTr, Rectangle | TransposedRectangle) => {
+                p.is_multiple_of(q) || q.is_multiple_of(p)
+            }
+            _ => false,
+        }
     }
 
     /// Whether the scheme serves `pattern` only at bank-grid-aligned
@@ -331,6 +324,64 @@ mod tests {
         assert!(AccessScheme::ReTr.supports(AccessPattern::TransposedRectangle, 2, 4));
         assert!(AccessScheme::ReTr.supports(AccessPattern::TransposedRectangle, 4, 2));
         assert!(!AccessScheme::ReTr.supports(AccessPattern::TransposedRectangle, 3, 4));
+    }
+
+    #[test]
+    fn supports_agrees_with_supported_patterns_exhaustively() {
+        for scheme in AccessScheme::ALL {
+            for p in 1..=8 {
+                for q in 1..=8 {
+                    let listed = scheme.supported_patterns(p, q);
+                    for pat in AccessPattern::ALL {
+                        assert_eq!(
+                            scheme.supports(pat, p, q),
+                            listed.contains(&pat),
+                            "{scheme} {pat} on {p}x{q}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn supported_patterns_order_is_pinned() {
+        use AccessPattern::*;
+        let cases: [(AccessScheme, usize, usize, &[AccessPattern]); 10] = [
+            (AccessScheme::ReO, 2, 4, &[Rectangle]),
+            (
+                AccessScheme::ReRo,
+                2,
+                4,
+                &[Rectangle, Row, MainDiagonal, SecondaryDiagonal],
+            ),
+            (
+                AccessScheme::ReRo,
+                3,
+                5,
+                &[Rectangle, Row, SecondaryDiagonal],
+            ),
+            (AccessScheme::ReRo, 2, 1, &[Rectangle, Row]),
+            (
+                AccessScheme::ReCo,
+                2,
+                8,
+                &[Rectangle, Column, MainDiagonal, SecondaryDiagonal],
+            ),
+            (
+                AccessScheme::ReCo,
+                5,
+                3,
+                &[Rectangle, Column, SecondaryDiagonal],
+            ),
+            (AccessScheme::RoCo, 2, 4, &[Row, Column, Rectangle]),
+            (AccessScheme::RoCo, 3, 5, &[Row, Column, Rectangle]),
+            (AccessScheme::ReTr, 4, 2, &[Rectangle, TransposedRectangle]),
+            (AccessScheme::ReTr, 3, 4, &[]),
+        ];
+        for (scheme, p, q, want) in cases {
+            assert_eq!(scheme.supported_patterns(p, q), want, "{scheme} {p}x{q}");
+        }
     }
 
     #[test]

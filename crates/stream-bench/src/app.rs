@@ -257,7 +257,7 @@ impl StreamApp {
                 burst_wq,
             ))
         } else {
-            Driver::PerChunk(Controller::new(op, layout, Rc::clone(&state), rq, rs, wq))
+            Driver::PerChunk(Controller::new(op, layout, Rc::clone(&state), rq, rs, wq)?)
         };
         Ok(Self {
             op,
@@ -618,6 +618,32 @@ mod tests {
         let fast = mk(1);
         let slow = mk(28);
         assert_eq!(slow - fast, 27, "latency is a pure pipeline-fill cost");
+    }
+
+    #[test]
+    fn per_chunk_two_operand_ops_need_two_read_ports() {
+        let one_port = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 1).unwrap();
+        for op in [StreamOp::Sum, StreamOp::Triad(2.5)] {
+            for build in [StreamApp::new, |op, l, f| {
+                StreamApp::with_latency(op, l, f, 3)
+            }] {
+                let err = build(op, one_port, PAPER_STREAM_FREQ_MHZ)
+                    .err()
+                    .unwrap_or_else(|| panic!("{} built on one read port", op.name()));
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, polymem::PolyMemError::InvalidGeometry { .. }),
+                    "{msg}"
+                );
+                assert!(
+                    msg.contains(op.name()) && msg.contains("1 read port"),
+                    "{msg}"
+                );
+            }
+        }
+        for op in [StreamOp::Copy, StreamOp::Scale(3.0)] {
+            assert!(StreamApp::new(op, one_port, PAPER_STREAM_FREQ_MHZ).is_ok());
+        }
     }
 
     fn run_burst(op: StreamOp, len: usize) -> (Vec<f64>, StageTiming) {

@@ -466,7 +466,7 @@ mod tests {
         );
         region_resp
             .borrow_mut()
-            .push((0..16).map(|k| (k as f64).to_bits()).collect());
+            .push((0..16).map(|k| (k as f64).to_bits()).collect::<Vec<_>>());
         ctrl.tick(0);
         ctrl.tick(1);
         assert!(!ctrl.pass_done(), "burst held under backpressure");

@@ -14,6 +14,7 @@ use crate::op::StreamOp;
 use dfe_sim::kernel::Kernel;
 use dfe_sim::polymem_kernel::{ReadRequest, ReadResponse, WriteRequest};
 use dfe_sim::stream::StreamRef;
+use polymem::PolyMemError;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -48,6 +49,9 @@ impl Controller {
     ///
     /// `read_req`/`read_resp` are the PolyMem kernel's port streams; the
     /// controller uses the first [`StreamOp::reads`] ports.
+    ///
+    /// Returns [`PolyMemError::InvalidGeometry`] when the memory has fewer
+    /// read ports than the op reads vectors (Sum and Triad need two).
     pub fn new(
         op: StreamOp,
         layout: StreamLayout,
@@ -55,15 +59,19 @@ impl Controller {
         read_req: Vec<StreamRef<ReadRequest>>,
         read_resp: Vec<StreamRef<ReadResponse>>,
         write_req: StreamRef<WriteRequest>,
-    ) -> Self {
-        assert!(
-            read_req.len() >= op.reads(),
-            "{} needs {} read ports",
-            op.name(),
-            op.reads()
-        );
+    ) -> polymem::Result<Self> {
+        let ports = read_req.len().min(read_resp.len());
+        if ports < op.reads() {
+            return Err(PolyMemError::InvalidGeometry {
+                reason: format!(
+                    "{} reads {} vectors per chunk but the memory has {ports} read port(s)",
+                    op.name(),
+                    op.reads()
+                ),
+            });
+        }
         let chunks = layout.a.chunks();
-        Self {
+        Ok(Self {
             op,
             layout,
             chunks,
@@ -71,7 +79,7 @@ impl Controller {
             read_req,
             read_resp,
             write_req,
-        }
+        })
     }
 
     /// Number of chunks per pass.
@@ -128,21 +136,23 @@ impl Kernel for Controller {
             && self.write_req.borrow().can_push()
             && (0..reads).all(|p| !self.read_resp[p].borrow().is_empty())
         {
-            let x = self.read_resp[0].borrow_mut().pop().expect("checked");
-            let y = if reads > 1 {
-                self.read_resp[1].borrow_mut().pop().expect("checked")
-            } else {
-                Vec::new()
+            // The result overwrites the first operand's lanes in place.
+            let Some(mut data) = self.read_resp[0].borrow_mut().pop() else {
+                return;
             };
-            let data: Vec<u64> = x
-                .iter()
-                .enumerate()
-                .map(|(k, &xb)| {
-                    let xv = f64::from_bits(xb);
-                    let yv = if reads > 1 { f64::from_bits(y[k]) } else { 0.0 };
-                    self.op.apply(xv, yv).to_bits()
-                })
-                .collect();
+            let op = |xb: u64, yv: f64| self.op.apply(f64::from_bits(xb), yv).to_bits();
+            if reads > 1 {
+                let Some(y) = self.read_resp[1].borrow_mut().pop() else {
+                    return;
+                };
+                for (x, &yb) in data.iter_mut().zip(y.iter()) {
+                    *x = op(*x, f64::from_bits(yb));
+                }
+            } else {
+                for x in data.iter_mut() {
+                    *x = op(*x, 0.0);
+                }
+            }
             let access = self.dest().access(st.written);
             self.write_req.borrow_mut().push((access, data));
             st.written += 1;
@@ -172,6 +182,7 @@ impl Kernel for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfe_sim::polymem_kernel::LaneWord;
     use polymem::AccessScheme;
 
     fn tiny_layout() -> StreamLayout {
@@ -207,7 +218,8 @@ mod tests {
             rq.clone(),
             rs.clone(),
             Rc::clone(&wq),
-        );
+        )
+        .unwrap();
         (c, rq, rs, wq, state)
     }
 
@@ -240,7 +252,7 @@ mod tests {
         assert_eq!(state.borrow().written, 0);
         // Hand it a response as the memory would.
         let resp: Vec<u64> = (0..8).map(|k| (k as f64).to_bits()).collect();
-        rs[0].borrow_mut().push(resp);
+        rs[0].borrow_mut().push(LaneWord::from(&resp[..]));
         c.tick(1);
         assert_eq!(state.borrow().written, 1);
         let (access, data) = wq.borrow_mut().pop().unwrap();
@@ -254,7 +266,7 @@ mod tests {
         let chunks = c.chunks();
         for cyc in 0..(chunks as u64) {
             c.tick(cyc);
-            rs[0].borrow_mut().push(vec![0u64; 8]);
+            rs[0].borrow_mut().push(LaneWord::zeroed(8));
         }
         for cyc in 0..(chunks as u64 + 4) {
             c.tick(1000 + cyc);

@@ -10,7 +10,7 @@
 use crate::layout::VectorLayout;
 use dfe_sim::kernel::Kernel;
 use dfe_sim::pcie::PcieLink;
-use dfe_sim::polymem_kernel::{ReadRequest, ReadResponse, WriteRequest};
+use dfe_sim::polymem_kernel::{LaneWord, ReadRequest, ReadResponse, WriteRequest};
 use dfe_sim::stream::StreamRef;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -99,7 +99,7 @@ impl Kernel for LoadKernel {
         }
         let lanes = self.layout.lanes;
         let base = self.next_chunk * lanes;
-        let chunk = self.data[base..base + lanes].to_vec();
+        let chunk = LaneWord::from(&self.data[base..base + lanes]);
         self.write_req
             .borrow_mut()
             .push((self.layout.access(self.next_chunk), chunk));

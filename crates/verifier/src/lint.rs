@@ -21,7 +21,9 @@ use crate::findings::{Finding, Severity};
 use crate::locks::{extract_fns, line_of, mask_source, strip_test_mods};
 use std::path::Path;
 
-/// Hot plan-replay functions per file (path relative to the repo root).
+/// Hot functions per file (path relative to the repo root): plan replay,
+/// the Table I check every planned access makes, and the per-cycle ticks of
+/// the simulated per-chunk STREAM datapath.
 const HOT: &[(&str, &[&str])] = &[
     (
         "crates/polymem/src/mem.rs",
@@ -61,6 +63,12 @@ const HOT: &[(&str, &[&str])] = &[
     ),
     ("crates/polymem/src/banded.rs", &["band", "spmv"]),
     ("crates/polymem/src/region.rs", &["plan_accesses"]),
+    (
+        "crates/polymem/src/scheme.rs",
+        &["supports", "check_access"],
+    ),
+    ("crates/dfe-sim/src/polymem_kernel.rs", &["tick"]),
+    ("crates/stream-bench/src/controller.rs", &["tick"]),
     (
         "crates/polymem/src/region_plan.rs",
         &[

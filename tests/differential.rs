@@ -399,7 +399,8 @@ fn run_kernel(ops: &[Op], cfg: PolyMemConfig) -> Vec<Vec<u64>> {
             // response emerges on the following cycle.
             k.tick(cycle);
             cycle += 1;
-            reads.push(rs[0].borrow_mut().pop().expect("read response due"));
+            let word = rs[0].borrow_mut().pop().expect("read response due");
+            reads.push(word.to_vec());
         }
     }
     assert!(k.errors().is_empty(), "kernel errors: {:?}", k.errors());
