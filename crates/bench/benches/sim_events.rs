@@ -1,16 +1,18 @@
-//! Criterion: event-driven scheduler host-time win.
+//! Criterion: event-driven loop host-time wins.
 //!
-//! The tentpole claim behind `dfe_sim::sched`: on **sparse** workloads
-//! (kernels pacing themselves against a slow link, most cycles quiescent)
-//! the event scheduler's O(1) idle fast-forward beats the per-cycle ticked
-//! loop by the idle fraction — ≥5x on the workload below — while on
-//! **dense** workloads (a per-chunk STREAM pass with work every cycle) it
-//! degenerates to the ticked loop with no regression. Both halves are
-//! gated against `BENCH_sim_events.json` by `bench-gate`, so losing the
-//! fast-forward (or slowing the dense path) fails CI.
+//! On **sparse** workloads (kernels pacing themselves against a slow link,
+//! most cycles quiescent) the event scheduler's O(1) idle fast-forward
+//! beats the per-cycle ticked loop by the idle fraction — ≥5x on the
+//! workload below. On **dense** workloads (a per-chunk STREAM pass with
+//! work every cycle) nothing is quiescent to skip, but `StreamApp` serves
+//! the pass's steady state in one lockstep window that keeps its words out
+//! of the streams and delay lines, so the event row runs faster than the
+//! ticked one. Both halves are gated against `BENCH_sim_events.json` by
+//! `bench-gate`, so losing the fast-forward (or slowing the dense path)
+//! fails CI.
 //!
-//! Cycle-exactness between the modes is asserted at setup; the bench then
-//! measures host time only.
+//! Cycle-exactness between the modes is asserted before the stopwatch
+//! starts; the bench then measures host time only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dfe_sim::manager::Manager;
@@ -86,20 +88,31 @@ fn bench_sparse(c: &mut Criterion) {
     g.finish();
 }
 
+/// A loaded dense per-chunk Copy design driven by `mode`.
+fn dense_app(mode: SchedulerMode) -> StreamApp {
+    let n = 8 * 512;
+    let layout = StreamLayout::new(n, 512, 2, 4, AccessScheme::RoCo, 2).unwrap();
+    let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
+    app.set_scheduler_mode(mode);
+    let a: Vec<f64> = (0..n).map(|k| k as f64).collect();
+    let z = vec![0.0; n];
+    app.load(&a, &z, &z).unwrap();
+    app
+}
+
 fn bench_dense(c: &mut Criterion) {
+    // The oracle before the stopwatch, as for the sparse load.
+    let ticked = dense_app(SchedulerMode::Ticked).run_pass();
+    let event = dense_app(SchedulerMode::EventDriven).run_pass();
+    assert_eq!(ticked, event, "scheduler modes disagree on cycle count");
+
     let mut g = c.benchmark_group("sim_events_dense_pass");
     g.sample_size(10);
-    let n = 8 * 512;
     for (name, mode) in [
         ("ticked", SchedulerMode::Ticked),
         ("event", SchedulerMode::EventDriven),
     ] {
-        let layout = StreamLayout::new(n, 512, 2, 4, AccessScheme::RoCo, 2).unwrap();
-        let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
-        app.set_scheduler_mode(mode);
-        let a: Vec<f64> = (0..n).map(|k| k as f64).collect();
-        let z = vec![0.0; n];
-        app.load(&a, &z, &z).unwrap();
+        let mut app = dense_app(mode);
         g.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
             b.iter(|| app.run_pass())
         });

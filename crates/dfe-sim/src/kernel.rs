@@ -92,7 +92,7 @@ impl<F: FnMut(u64)> Kernel for FnKernel<F> {
 /// A fixed-latency pipeline register chain: values pushed in emerge exactly
 /// `latency` ticks later. This is the building block used to model the
 /// paper's 14-cycle PolyMem read latency.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayLine<T> {
     latency: u64,
     /// (ready_cycle, value) in insertion order; ready cycles are monotone.
@@ -138,6 +138,18 @@ impl<T> DelayLine<T> {
     /// drained.
     pub fn next_ready(&self) -> Option<u64> {
         self.slots.front().map(|&(ready, _)| ready)
+    }
+
+    /// The ready cycles of the in-flight values, oldest first.
+    pub fn ready_cycles(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().map(|&(ready, _)| ready)
+    }
+
+    /// Take every in-flight value out, oldest first. Their ready cycles
+    /// are dropped: [`Self::push`] a value back at the cycle it was issued
+    /// to restore its ready cycle.
+    pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.slots.drain(..).map(|(_, v)| v)
     }
 
     /// Whether the pipeline is drained.
@@ -207,6 +219,20 @@ mod tests {
         assert_eq!(d.next_ready(), Some(17));
         let _ = d.pop_ready(17);
         assert_eq!(d.next_ready(), Some(19));
+    }
+
+    #[test]
+    fn drain_and_push_back_restores_ready_cycles() {
+        let mut d = DelayLine::new(4);
+        d.push(3, "a");
+        d.push(5, "b");
+        assert_eq!(d.ready_cycles().collect::<Vec<_>>(), vec![7, 9]);
+        let mut back = d.clone();
+        assert_eq!(back.drain().collect::<Vec<_>>(), vec!["a", "b"]);
+        assert!(back.is_empty());
+        back.push(3, "a");
+        back.push(5, "b");
+        assert_eq!(back, d);
     }
 
     #[test]

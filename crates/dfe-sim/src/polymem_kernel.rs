@@ -8,7 +8,7 @@
 //! commits (read-old port semantics).
 
 use crate::kernel::{DelayLine, Kernel};
-use crate::stream::{IntoItem, StreamRef};
+use crate::stream::{stream_stats, IntoItem, StreamRef, StreamStats};
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 use polymem::{ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
@@ -236,6 +236,19 @@ impl IntoItem<WriteRequest> for (ParallelAccess, Vec<u64>) {
     }
 }
 
+/// One read port's words across [`PolyMemKernel::lockstep`] windows; the
+/// buffer is reused, so a window allocates nothing once warm.
+#[derive(Default)]
+struct PortRing {
+    /// The port's `L + 1` live words during a window, oldest at the ring
+    /// head: the word waiting in the response stream, then the pipeline's
+    /// in read order.
+    words: Vec<LaneWord>,
+    /// The window's last read on this port failed, so the youngest slot
+    /// holds no word.
+    hole: bool,
+}
+
 /// PolyMem wrapped as a ticked kernel with request/response streams.
 pub struct PolyMemKernel {
     name: String,
@@ -285,6 +298,12 @@ pub struct PolyMemKernel {
     errors: Vec<PolyMemError>,
     reads_served: u64,
     writes_served: u64,
+    /// Per read port, the words of a lockstep window, and the word each
+    /// delivers to the consumer in the window's current cycle.
+    rings: Vec<PortRing>,
+    operands: Vec<LaneWord>,
+    /// Cycles served by lockstep windows so far.
+    lockstep_cycles: u64,
     /// Cycle attribution counters, when telemetry is attached.
     attribution: Option<CycleAttribution>,
     /// Span-journal instrumentation, when a journal is attached.
@@ -345,6 +364,9 @@ impl PolyMemKernel {
             errors: Vec::new(),
             reads_served: 0,
             writes_served: 0,
+            rings: Vec::new(),
+            operands: Vec::new(),
+            lockstep_cycles: 0,
             attribution: None,
             trc: None,
             pcie_waiting: None,
@@ -589,6 +611,165 @@ impl PolyMemKernel {
     /// Parallel writes served so far.
     pub fn writes_served(&self) -> u64 {
         self.writes_served
+    }
+
+    /// Of the simulated cycles, those served by [`Self::lockstep`] windows
+    /// (a statistic: the cycles themselves are the ticked loop's).
+    pub fn lockstep_cycles(&self) -> u64 {
+        self.lockstep_cycles
+    }
+
+    /// Counters of the per-access streams: each read port's request and
+    /// response streams in port order, then the write-request stream.
+    pub fn port_stream_stats(&self) -> Vec<StreamStats> {
+        self.read_req
+            .iter()
+            .zip(&self.read_resp)
+            .flat_map(|(req, resp)| [stream_stats(req), stream_stats(resp)])
+            .chain([stream_stats(&self.write_req)])
+            .collect()
+    }
+
+    /// Whether the per-access datapath at the start of `cycle` is in the
+    /// steady state of a dense pass on read ports `0..ports`: each of them
+    /// holds a full pipeline of `L` words ready at `cycle .. cycle + L` and
+    /// one delivered word in its response stream; every other port, every
+    /// request stream and every burst engine is empty and no burst holds a
+    /// datapath; and `L > 0`. From this state every branch of
+    /// [`Kernel::tick`] goes the same way each cycle for as long as a
+    /// consumer keeps pace, which is what [`Self::lockstep`] serves.
+    pub fn lockstep_ready(&self, ports: usize, cycle: u64) -> bool {
+        let l = self.read_latency;
+        l > 0
+            && ports > 0
+            && ports <= self.read_req.len()
+            && self.region_inflight.is_none()
+            && self.copy_inflight.is_none()
+            && cycle >= self.write_busy_until
+            && cycle >= self.copy_busy_until
+            && !self.has_queued_requests()
+            && self
+                .pipelines
+                .iter()
+                .zip(&self.read_resp)
+                .enumerate()
+                .all(|(port, (pipe, resp))| {
+                    if port < ports {
+                        pipe.in_flight() as u64 == l
+                            && pipe.ready_cycles().eq(cycle..cycle + l)
+                            && resp.borrow().len() == 1
+                    } else {
+                        pipe.is_empty() && resp.borrow().is_empty()
+                    }
+                })
+    }
+
+    /// Serve up to `n` cycles from `cycle` in lockstep with the consumer of
+    /// a dense pass on read ports `0..ports`, which every cycle (ticking
+    /// before this kernel) takes each port's delivered word, issues one read
+    /// per port and sends one write computed from the words it took.
+    /// Returns the cycles served, 0 unless [`Self::lockstep_ready`] holds;
+    /// the caller's clock advances by as many.
+    ///
+    /// Cycle `k` of the window reads `read(port, k)` on each port in port
+    /// order, then `write(k, words)` gets the words delivered to the
+    /// consumer that cycle (one per port), computes the result into
+    /// `words[0]` and returns its destination, and the write commits: the
+    /// memory operations of `k + 1` ticks, in the same order. The words
+    /// wait in a private ring of `L + 1` per port instead of hopping through
+    /// the response stream and delay line, which are rebuilt at the end
+    /// with their ready cycles; the streams' totals, `reads_served`,
+    /// `writes_served` and the `active` attribution of every cycle are
+    /// accounted in bulk. A failed access ends the window after its cycle
+    /// and leaves what the ticks would leave, a failed read its hole in the
+    /// pipeline included.
+    pub fn lockstep(
+        &mut self,
+        cycle: u64,
+        n: u64,
+        ports: usize,
+        mut read: impl FnMut(usize, u64) -> ParallelAccess,
+        mut write: impl FnMut(u64, &mut [LaneWord]) -> ParallelAccess,
+    ) -> u64 {
+        if n == 0 || !self.lockstep_ready(ports, cycle) {
+            return 0;
+        }
+        let lanes = self.mem.lanes();
+        if self.rings.len() < ports {
+            self.rings.resize_with(ports, PortRing::default);
+            self.operands.resize_with(ports, || LaneWord::zeroed(lanes));
+        }
+        for (port, ring) in self.rings.iter_mut().enumerate().take(ports) {
+            ring.words.clear();
+            // The consumer's pop at `cycle` is a real one; the words of the
+            // later cycles bypass the stream.
+            ring.words.extend(self.read_resp[port].borrow_mut().pop());
+            ring.words.extend(self.pipelines[port].drain());
+        }
+        let slots = self.read_latency as usize + 1;
+        let mut head = 0;
+        let mut served = 0;
+        let mut failed = false;
+        while served < n && !failed {
+            // 1. The consumer takes the oldest word of each port; 2. the
+            //    port reads its next access into the freed slot.
+            for (port, (ring, operand)) in self
+                .rings
+                .iter_mut()
+                .zip(&mut self.operands)
+                .enumerate()
+                .take(ports)
+            {
+                let slot = &mut ring.words[head];
+                operand.copy_from_slice(slot);
+                match self.mem.read_into(port, read(port, served), slot) {
+                    Ok(()) => self.reads_served += 1,
+                    Err(e) => {
+                        self.errors.push(e);
+                        ring.hole = true;
+                        failed = true;
+                    }
+                }
+            }
+            // 3. The write computed from this cycle's words commits after
+            //    the reads.
+            let operands = &mut self.operands[..ports];
+            let access = write(served, operands);
+            match self.mem.write(access, &operands[0]) {
+                Ok(()) => self.writes_served += 1,
+                Err(e) => {
+                    self.errors.push(e);
+                    failed = true;
+                }
+            }
+            served += 1;
+            head = if head + 1 == slots { 0 } else { head + 1 };
+        }
+        // Spill the rings back: the oldest word waits in the response
+        // stream, the rest re-enter the pipeline at the cycles they were
+        // read (`end - L ..`), so their ready cycles are the ticks' own.
+        let end = cycle + served;
+        let first_read = end - self.read_latency;
+        for (port, ring) in self.rings.iter_mut().enumerate().take(ports) {
+            ring.words.rotate_left(head);
+            if std::mem::take(&mut ring.hole) {
+                ring.words.pop();
+            }
+            let mut words = ring.words.drain(..);
+            let mut resp = self.read_resp[port].borrow_mut();
+            if let Some(oldest) = words.next() {
+                resp.push(oldest);
+            }
+            resp.bypass(served - 1);
+            for (at, word) in (first_read..).zip(words) {
+                self.pipelines[port].push(at, word);
+            }
+            self.read_req[port].borrow_mut().bypass(served);
+        }
+        self.write_req.borrow_mut().bypass(served);
+        self.attribute_cycles(true, cycle, served);
+        self.lockstep_cycles += served;
+        served
     }
 
     /// Whether all read pipelines are drained and no requests are queued.
@@ -922,7 +1103,7 @@ impl Kernel for PolyMemKernel {
 mod tests {
     use super::*;
     use crate::manager::Manager;
-    use crate::stream::stream;
+    use crate::stream::{stream, Fifo};
     use polymem::AccessScheme;
     use std::rc::Rc;
 
@@ -1623,6 +1804,185 @@ mod tests {
             .collect();
         assert_eq!(idle.len(), 1, "tick + 10k skipped cycles = one idle span");
         assert_eq!(idle[0].cycles(), 10_001);
+    }
+
+    /// Where a lockstep test injects an out-of-bounds access: port 0's
+    /// read of a chunk, or the write of a chunk.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        Read(u64),
+        Write(u64),
+    }
+
+    /// A dense two-port pass driven by hand on a 64x16 RoCo memory with
+    /// read latency `L`: every cycle the consumer, ticking before the
+    /// kernel, issues chunk `issued` of vector `port` on each port and,
+    /// once both words are delivered, writes `x + 3y` over chunk
+    /// `written + L + 1` of vector 0 — the chunk port 0 reads in that same
+    /// cycle, so the read-before-write order shows in memory.
+    struct Dense {
+        kernel: PolyMemKernel,
+        rq: Vec<StreamRef<ReadRequest>>,
+        rs: Vec<StreamRef<ReadResponse>>,
+        wq: StreamRef<WriteRequest>,
+        registry: TelemetryRegistry,
+        fault: Fault,
+        issued: u64,
+        written: u64,
+    }
+
+    impl Dense {
+        const L: u64 = 3;
+
+        /// The pass at the start of cycle `L + 1`, its first steady cycle.
+        fn steady(fault: Fault) -> Self {
+            let cfg = PolyMemConfig::new(64, 16, 2, 4, AccessScheme::RoCo, 2).unwrap();
+            let rq: Vec<_> = (0..2).map(|p| stream(format!("rq{p}"), 8)).collect();
+            let rs: Vec<_> = (0..2).map(|p| stream(format!("rs{p}"), 8)).collect();
+            let wq = stream("wq", 8);
+            let mut kernel =
+                PolyMemKernel::new("pm", cfg, Self::L, rq.clone(), rs.clone(), Rc::clone(&wq))
+                    .unwrap();
+            let registry = TelemetryRegistry::new();
+            kernel.attach_telemetry(&registry);
+            let cells: Vec<u64> = (0..64 * 16).collect();
+            kernel.mem().load_row_major(&cells).unwrap();
+            let mut d = Self {
+                kernel,
+                rq,
+                rs,
+                wq,
+                registry,
+                fault,
+                issued: 0,
+                written: 0,
+            };
+            for cycle in 0..=Self::L {
+                assert!(!d.kernel.lockstep_ready(2, cycle), "filling at {cycle}");
+                d.tick(cycle);
+            }
+            assert!(d.kernel.lockstep_ready(2, Self::L + 1));
+            d
+        }
+
+        fn read(fault: Fault, port: usize, chunk: u64) -> ParallelAccess {
+            if port == 0 && fault == Fault::Read(chunk) {
+                return ParallelAccess::row(64, 0);
+            }
+            let c = chunk as usize;
+            ParallelAccess::row(port * 16 + c / 2, c % 2 * 8)
+        }
+
+        fn write(fault: Fault, chunk: u64, words: &mut [LaneWord]) -> ParallelAccess {
+            let (x, y) = words.split_at_mut(1);
+            for (x, y) in x[0].iter_mut().zip(y[0].iter()) {
+                *x = x.wrapping_add(y.wrapping_mul(3));
+            }
+            if fault == Fault::Write(chunk) {
+                return ParallelAccess::row(64, 0);
+            }
+            Self::read(Fault::None, 0, chunk + Self::L + 1)
+        }
+
+        /// One cycle of the ticked loop: the consumer, then the kernel.
+        fn tick(&mut self, cycle: u64) {
+            for (port, rq) in self.rq.iter().enumerate() {
+                rq.borrow_mut()
+                    .push(Self::read(self.fault, port, self.issued));
+            }
+            self.issued += 1;
+            if self.rs.iter().all(|s| !s.borrow().is_empty()) {
+                let mut words: Vec<LaneWord> = self
+                    .rs
+                    .iter()
+                    .map(|s| s.borrow_mut().pop().unwrap())
+                    .collect();
+                let access = Self::write(self.fault, self.written, &mut words);
+                self.wq.borrow_mut().push((access, words.swap_remove(0)));
+                self.written += 1;
+            }
+            self.kernel.tick(cycle);
+        }
+
+        /// The same cycles as one lockstep window of up to `n`.
+        fn lockstep(&mut self, cycle: u64, n: u64) -> u64 {
+            let (fault, issued, written) = (self.fault, self.issued, self.written);
+            let served = self.kernel.lockstep(
+                cycle,
+                n,
+                2,
+                |port, k| Self::read(fault, port, issued + k),
+                |k, words| Self::write(fault, written + k, words),
+            );
+            self.issued += served;
+            self.written += served;
+            served
+        }
+
+        /// Everything a window must leave as the ticks leave it.
+        #[allow(clippy::type_complexity)]
+        fn state(
+            &mut self,
+        ) -> (
+            Vec<PolyMemError>,
+            Vec<DelayLine<LaneWord>>,
+            Vec<Fifo<ReadRequest>>,
+            Vec<Fifo<ReadResponse>>,
+            Fifo<WriteRequest>,
+            (u64, u64),
+            polymem::telemetry::TelemetrySnapshot,
+            Vec<u64>,
+            polymem::AccessStats,
+        ) {
+            fn fifos<T: Clone>(s: &[StreamRef<T>]) -> Vec<Fifo<T>> {
+                s.iter().map(|s| s.borrow().clone()).collect()
+            }
+            (
+                self.kernel.errors().to_vec(),
+                self.kernel.pipelines.clone(),
+                fifos(&self.rq),
+                fifos(&self.rs),
+                self.wq.borrow().clone(),
+                (self.kernel.reads_served(), self.kernel.writes_served()),
+                self.registry.snapshot(),
+                self.kernel.mem().dump_row_major(),
+                self.kernel.mem().stats(),
+            )
+        }
+    }
+
+    #[test]
+    fn lockstep_window_leaves_what_its_ticks_leave() {
+        let start = Dense::L + 1;
+        for j in [0u64, 2, 5] {
+            // Window cycle j reads chunk start + j and writes chunk j.
+            for fault in [Fault::None, Fault::Read(start + j), Fault::Write(j)] {
+                let (mut window, mut ticked) = (Dense::steady(fault), Dense::steady(fault));
+                let cycles = if fault == Fault::None { 6 } else { j + 1 };
+                assert_eq!(window.lockstep(start, 6), cycles, "{fault:?} at {j}");
+                for cycle in start..start + cycles {
+                    ticked.tick(cycle);
+                }
+                let state = window.state();
+                assert_eq!(state, ticked.state(), "{fault:?} at {j}");
+                assert_eq!(state.0.len(), usize::from(fault != Fault::None));
+                assert_eq!(window.kernel.lockstep_cycles(), cycles);
+                // The ticks that follow agree too: the pipeline's ready
+                // cycles (and a read's hole) were rebuilt exactly.
+                for cycle in start + cycles..start + cycles + Dense::L + 2 {
+                    window.tick(cycle);
+                    ticked.tick(cycle);
+                }
+                assert_eq!(window.state(), ticked.state(), "{fault:?} at {j}");
+            }
+        }
+        // Outside the steady state no window opens.
+        let mut d = Dense::steady(Fault::None);
+        assert_eq!(d.lockstep(Dense::L, 6), 0, "ready cycles off by one");
+        assert_eq!(d.lockstep(Dense::L + 1, 0), 0, "empty window");
+        d.rq[1].borrow_mut().push(ParallelAccess::row(0, 0));
+        assert_eq!(d.lockstep(Dense::L + 1, 6), 0, "queued request");
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl<T> IntoItem<T> for T {
 }
 
 /// A bounded FIFO of `T` with occupancy statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fifo<T> {
     name: String,
     queue: VecDeque<T>,
@@ -107,6 +107,15 @@ impl<T> Fifo<T> {
             self.popped += 1;
         }
         v
+    }
+
+    /// Account `n` elements that went from producer to consumer without
+    /// being queued (a lockstep window hands them over directly, see
+    /// [`crate::PolyMemKernel::lockstep`]): the pushed and popped totals
+    /// both grow by `n`, the queue and its stall count stay as they are.
+    pub fn bypass(&mut self, n: u64) {
+        self.pushed += n;
+        self.popped += n;
     }
 
     /// Peek at the head element.
@@ -201,6 +210,16 @@ mod tests {
         assert_eq!(f.total_pushed(), 5);
         assert_eq!(f.total_popped(), 2);
         assert_eq!(f.len(), 3);
+    }
+
+    #[test]
+    fn bypass_counts_without_queueing() {
+        let mut f = Fifo::new("s", 2);
+        f.push(1);
+        f.bypass(5);
+        assert_eq!((f.total_pushed(), f.total_popped()), (6, 5));
+        assert_eq!((f.len(), f.stall_count()), (1, 0));
+        assert_eq!(f.pop(), Some(1));
     }
 
     #[test]

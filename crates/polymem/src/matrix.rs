@@ -115,9 +115,11 @@ impl<T: Copy + Default + PartialEq> PolyMatrix<T> {
     }
 
     /// Read the main diagonal starting at `(i0, j0)`, `len` elements
-    /// (ReRo/ReCo; `len` must be a multiple of the lane count).
+    /// (ReRo/ReCo; `len` must be a multiple of the lane count,
+    /// [`PolyMemError::InvalidGeometry`] otherwise).
     pub fn diagonal(&mut self, i0: usize, j0: usize, len: usize) -> Result<Vec<T>> {
         let lanes = self.lanes();
+        self.check_whole_accesses("diagonal", len)?;
         let mut out = Vec::with_capacity(len);
         let mut buf = vec![T::default(); lanes];
         for k in (0..len).step_by(lanes) {
@@ -273,6 +275,14 @@ mod tests {
         let mut m = PolyMatrix::from_row_major(&data, 16, 16, 2, 4, AccessScheme::ReRo).unwrap();
         let d = m.diagonal(0, 0, 16).unwrap();
         assert_eq!(d, (0..16).map(|k| k * 17).collect::<Vec<u64>>());
+        // 12 elements are one and a half 8-lane accesses: rejected before
+        // any read, not rounded up to 16.
+        let reads = m.mem.stats().reads;
+        assert!(matches!(
+            m.diagonal(0, 0, 12),
+            Err(PolyMemError::InvalidGeometry { .. })
+        ));
+        assert_eq!(m.mem.stats().reads, reads, "nothing read");
     }
 
     #[test]

@@ -409,16 +409,30 @@ impl StreamApp {
                     if let Some(tr) = &self.trc {
                         tr.journal.set_cycle(before);
                     }
-                    let mut kernels: [&mut dyn Kernel; 2] = [&mut self.driver, &mut self.polymem];
-                    let step = sched::advance(
-                        &mut self.clock,
-                        &mut kernels,
-                        start + max + 1,
-                        &mut self.sched_stats,
-                    );
-                    if let (Some(tr), Step::Jumped(span) | Step::Stuck(span)) = (&self.trc, step) {
-                        tr.sched.span_at(before, before + span, tr.fast_forward);
-                        tr.journal.set_cycle(before + span);
+                    // A per-chunk pass's steady state runs as one lockstep
+                    // window; the ticks it stands for count as ticks.
+                    let served = match &mut self.driver {
+                        Driver::PerChunk(c) => c.lockstep(&mut self.polymem, before),
+                        Driver::Burst(_) => 0,
+                    };
+                    if served > 0 {
+                        self.clock.advance(served);
+                        self.sched_stats.ticked_cycles += served;
+                    } else {
+                        let mut kernels: [&mut dyn Kernel; 2] =
+                            [&mut self.driver, &mut self.polymem];
+                        let step = sched::advance(
+                            &mut self.clock,
+                            &mut kernels,
+                            start + max + 1,
+                            &mut self.sched_stats,
+                        );
+                        if let (Some(tr), Step::Jumped(span) | Step::Stuck(span)) =
+                            (&self.trc, step)
+                        {
+                            tr.sched.span_at(before, before + span, tr.fast_forward);
+                            tr.journal.set_cycle(before + span);
+                        }
                     }
                 }
             }
@@ -833,6 +847,101 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lockstep_window_leaves_what_the_ticked_loop_leaves() {
+        use polymem::tracing::TraceJournal;
+        // The event-driven loop serves a per-chunk pass's steady state in
+        // one lockstep window. Everything observable must match the ticked
+        // loop after two traced passes, on every op, on grids of 4 and 8
+        // lanes, ragged and one-row covers, and latencies from 0 to more
+        // than a pass has chunks.
+        let mut cases = Vec::new();
+        for (len, cols, p, q, scheme) in [
+            (512, 64, 2, 4, AccessScheme::RoCo),
+            (64, 64, 2, 4, AccessScheme::RoCo),
+            (192, 64, 2, 4, AccessScheme::ReRo),
+            (256, 32, 2, 2, AccessScheme::RoCo),
+            (256, 32, 4, 2, AccessScheme::ReRo),
+            (4096, 512, 2, 4, AccessScheme::RoCo),
+        ] {
+            let layout = StreamLayout::new(len, cols, p, q, scheme, 2).unwrap();
+            for op in [
+                StreamOp::Copy,
+                StreamOp::Scale(3.25),
+                StreamOp::Sum,
+                StreamOp::Triad(2.5),
+            ] {
+                for latency in [0, 1, 2, 3, 14, 40, 200] {
+                    cases.push((layout, op, latency));
+                }
+            }
+        }
+        let paper = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap();
+        for op in [StreamOp::Copy, StreamOp::Triad(2.5)] {
+            cases.push((paper, op, PAPER_READ_LATENCY));
+        }
+        for (layout, op, latency) in cases {
+            let run = |mode| {
+                let mut app = StreamApp::with_latency(op, layout, 120.0, latency).unwrap();
+                app.set_scheduler_mode(mode);
+                let reg = TelemetryRegistry::new();
+                app.attach_telemetry(&reg);
+                let journal = TraceJournal::new(1 << 14);
+                app.attach_tracing(&journal);
+                let (a, b, c) = vectors(layout.a.len);
+                app.load(&a, &b, &c).unwrap();
+                let mut cycles = Vec::new();
+                let mut lockstep = Vec::new();
+                for _ in 0..2 {
+                    let before = app.polymem.lockstep_cycles();
+                    cycles.push(app.run_pass());
+                    lockstep.push(app.polymem.lockstep_cycles() - before);
+                }
+                let spans: Vec<_> = journal
+                    .snapshot()
+                    .spans()
+                    .into_iter()
+                    .filter(|s| s.track != "sched")
+                    .map(|s| (s.track, s.name, s.begin, s.end))
+                    .collect();
+                let state = (
+                    cycles,
+                    app.offload().0,
+                    app.errors().to_vec(),
+                    reg.snapshot(),
+                    spans,
+                    app.polymem.mem().stats(),
+                    (app.polymem.reads_served(), app.polymem.writes_served()),
+                    app.polymem.port_stream_stats(),
+                );
+                (state, lockstep, app.scheduler_stats())
+            };
+            let case = format!("{} on {:?}, latency {latency}", op.name(), layout.config);
+            let (ticked, ticked_lockstep, _) = run(SchedulerMode::Ticked);
+            let (event, event_lockstep, stats) = run(SchedulerMode::EventDriven);
+            assert!(ticked.2.is_empty(), "{case}: {:?}", ticked.2);
+            assert_eq!(ticked, event, "{case}");
+            assert_eq!(stats.total_cycles(), event.0.iter().sum::<u64>(), "{case}");
+            // The window engages from the first steady cycle, L + 1, to the
+            // last issue; latency 0 has no steady state to lock.
+            let chunks = layout.a.chunks() as u64;
+            let steady = if latency > 0 {
+                chunks.saturating_sub(latency + 1)
+            } else {
+                0
+            };
+            assert_eq!(ticked_lockstep, [0, 0], "{case}");
+            assert_eq!(event_lockstep, [steady, steady], "{case}");
+        }
+        // At paper size all but the fill and drain cycles are locked:
+        // 10,865 of a pass's 10,895.
+        let mut app = StreamApp::new(StreamOp::Copy, paper, PAPER_STREAM_FREQ_MHZ).unwrap();
+        let (a, b, c) = vectors(paper.a.len);
+        app.load(&a, &b, &c).unwrap();
+        assert_eq!(app.run_pass(), 10_895);
+        assert_eq!(app.polymem.lockstep_cycles(), 10_865);
     }
 
     #[test]

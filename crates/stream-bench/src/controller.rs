@@ -12,7 +12,7 @@
 use crate::layout::StreamLayout;
 use crate::op::StreamOp;
 use dfe_sim::kernel::Kernel;
-use dfe_sim::polymem_kernel::{ReadRequest, ReadResponse, WriteRequest};
+use dfe_sim::polymem_kernel::{PolyMemKernel, ReadRequest, ReadResponse, WriteRequest};
 use dfe_sim::stream::StreamRef;
 use polymem::PolyMemError;
 use std::cell::RefCell;
@@ -109,6 +109,60 @@ impl Controller {
             _ => self.layout.a,
         }
     }
+
+    /// Compute one chunk's result lanes in place over the first operand's
+    /// word `x`; `y` is the second operand's word for Sum and Triad.
+    fn combine(&self, x: &mut [u64], y: Option<&[u64]>) {
+        let op = |xb: u64, yv: f64| self.op.apply(f64::from_bits(xb), yv).to_bits();
+        match y {
+            Some(y) => {
+                for (x, &yb) in x.iter_mut().zip(y) {
+                    *x = op(*x, f64::from_bits(yb));
+                }
+            }
+            None => {
+                for x in x.iter_mut() {
+                    *x = op(*x, 0.0);
+                }
+            }
+        }
+    }
+
+    /// Serve a live pass's steady state up to its last issue in one
+    /// [`PolyMemKernel::lockstep`] window from `cycle`, then advance
+    /// `issued` and `written` by the cycles served. The controller's side
+    /// of the steady state: the pass runs, chunks are left to issue, and
+    /// `issued == written + L + 1` (each port's pipeline full and one word
+    /// delivered). Returns 0 when either side is not in its steady state.
+    /// `polymem` must be the kernel this controller's streams feed.
+    pub(crate) fn lockstep(&mut self, polymem: &mut PolyMemKernel, cycle: u64) -> u64 {
+        let (issued, written) = {
+            let st = self.state.borrow();
+            if !st.running
+                || st.issued >= self.chunks
+                || st.issued != st.written + polymem.read_latency() as usize + 1
+            {
+                return 0;
+            }
+            (st.issued, st.written)
+        };
+        let served = polymem.lockstep(
+            cycle,
+            (self.chunks - issued) as u64,
+            self.op.reads(),
+            |port, k| self.source(port).access(issued + k as usize),
+            |k, words| {
+                if let [x, rest @ ..] = words {
+                    self.combine(x, rest.first().map(|y| &y[..]));
+                }
+                self.dest().access(written + k as usize)
+            },
+        );
+        let mut st = self.state.borrow_mut();
+        st.issued += served as usize;
+        st.written += served as usize;
+        served
+    }
 }
 
 impl Kernel for Controller {
@@ -140,18 +194,13 @@ impl Kernel for Controller {
             let Some(mut data) = self.read_resp[0].borrow_mut().pop() else {
                 return;
             };
-            let op = |xb: u64, yv: f64| self.op.apply(f64::from_bits(xb), yv).to_bits();
             if reads > 1 {
                 let Some(y) = self.read_resp[1].borrow_mut().pop() else {
                     return;
                 };
-                for (x, &yb) in data.iter_mut().zip(y.iter()) {
-                    *x = op(*x, f64::from_bits(yb));
-                }
+                self.combine(&mut data, Some(&y));
             } else {
-                for x in data.iter_mut() {
-                    *x = op(*x, 0.0);
-                }
+                self.combine(&mut data, None);
             }
             let access = self.dest().access(st.written);
             self.write_req.borrow_mut().push((access, data));
@@ -168,9 +217,11 @@ impl Kernel for Controller {
 
     fn next_event(&self) -> Option<u64> {
         // The per-chunk FSM re-evaluates its issue/collect conditions every
-        // cycle while a pass is live — dense passes stay on the ticked path
-        // by construction, so the event scheduler cannot change their cycle
-        // counts. A finished pass never needs another tick.
+        // cycle while a pass is live, so the scheduler never skips a cycle
+        // of a dense pass and cannot change its cycle count; `StreamApp`
+        // serves the pass's steady state in one `lockstep` window, which
+        // does exactly what these ticks would. A finished pass never needs
+        // another tick.
         if self.pass_done() {
             None
         } else {

@@ -6,6 +6,7 @@
 //! harness's other threads (and other tests running beside these) never
 //! count against the thread being measured.
 
+use dfe_sim::SchedulerMode;
 use polymem::{AccessScheme, ConcurrentPolyMem, ParallelAccess, PolyMem, PolyMemConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,11 +118,13 @@ fn warmed_concurrent_writes_do_not_allocate() {
     }
 }
 
-/// Load a paper-size STREAM design, run one pass to warm its plans and
-/// queues, and count the second pass's allocations.
-fn steady_pass_allocations(op: StreamOp) -> u64 {
+/// Load a paper-size STREAM design driven by `mode`, run one pass to warm
+/// its plans, queues and lockstep rings, and count the second pass's
+/// allocations.
+fn steady_pass_allocations(op: StreamOp, mode: SchedulerMode) -> u64 {
     let layout = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap();
     let mut app = StreamApp::new(op, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
+    app.set_scheduler_mode(mode);
     let n = layout.a.len;
     let v = |s: f64| (0..n).map(|k| s + k as f64).collect::<Vec<_>>();
     app.load(&v(1.0), &v(2.0), &v(3.0)).unwrap();
@@ -135,10 +138,30 @@ fn steady_pass_allocations(op: StreamOp) -> u64 {
 
 #[test]
 fn paper_size_per_chunk_copy_pass_does_not_allocate() {
-    assert_eq!(steady_pass_allocations(StreamOp::Copy), 0);
+    assert_eq!(
+        steady_pass_allocations(StreamOp::Copy, SchedulerMode::EventDriven),
+        0
+    );
 }
 
 #[test]
 fn paper_size_per_chunk_triad_pass_does_not_allocate() {
-    assert_eq!(steady_pass_allocations(StreamOp::Triad(3.0)), 0);
+    assert_eq!(
+        steady_pass_allocations(StreamOp::Triad(3.0), SchedulerMode::EventDriven),
+        0
+    );
+}
+
+#[test]
+fn paper_size_ticked_passes_do_not_allocate() {
+    // The ticked loop is the lockstep window's reference; it is held to
+    // the same contract.
+    for op in [StreamOp::Copy, StreamOp::Triad(3.0)] {
+        assert_eq!(
+            steady_pass_allocations(op, SchedulerMode::Ticked),
+            0,
+            "{}",
+            op.name()
+        );
+    }
 }

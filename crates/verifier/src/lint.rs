@@ -22,8 +22,8 @@ use crate::locks::{extract_fns, line_of, mask_source, strip_test_mods};
 use std::path::Path;
 
 /// Hot functions per file (path relative to the repo root): plan replay,
-/// the Table I check every planned access makes, and the per-cycle ticks of
-/// the simulated per-chunk STREAM datapath.
+/// the Table I check every planned access makes, and the per-cycle ticks
+/// and lockstep windows of the simulated per-chunk STREAM datapath.
 const HOT: &[(&str, &[&str])] = &[
     (
         "crates/polymem/src/mem.rs",
@@ -67,8 +67,14 @@ const HOT: &[(&str, &[&str])] = &[
         "crates/polymem/src/scheme.rs",
         &["supports", "check_access"],
     ),
-    ("crates/dfe-sim/src/polymem_kernel.rs", &["tick"]),
-    ("crates/stream-bench/src/controller.rs", &["tick"]),
+    (
+        "crates/dfe-sim/src/polymem_kernel.rs",
+        &["tick", "lockstep_ready", "lockstep"],
+    ),
+    (
+        "crates/stream-bench/src/controller.rs",
+        &["tick", "combine", "lockstep"],
+    ),
     (
         "crates/polymem/src/region_plan.rs",
         &[
