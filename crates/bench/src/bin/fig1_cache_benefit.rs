@@ -3,19 +3,19 @@
 //! latency each time without PolyMem, or one staging pass plus one cycle
 //! per access with it.
 
-use dfe_sim::{AccessCostModel, Dram, DramParams, SimClock};
+use dfe_sim::{AccessCostModel, DramParams, SimClock};
 use polymem_bench::render_table;
 
 fn main() {
-    let dram = Dram::new(DramParams::vectis_lmem());
+    let dram = DramParams::vectis_lmem();
     let clock = SimClock::new(120.0);
     let model = AccessCostModel::new(&dram, &clock, 8);
 
     println!("Fig. 1 motivation: DRAM-direct vs PolyMem-cached operand access");
     println!(
         "(8-lane 64 B groups; LMem {:.0} ns latency / {:.0} GB/s; PolyMem one {:.1} ns cycle)\n",
-        dram.params().latency_ns,
-        dram.params().bandwidth_gbps,
+        dram.latency_ns,
+        dram.bandwidth_gbps,
         clock.period_ns()
     );
     let headers: Vec<String> = [

@@ -1,15 +1,15 @@
-//! Generic dataflow components: the reusable blocks of a manager graph.
+//! Generic dataflow endpoints: [`Generator`] feeds a manager graph from
+//! host data and [`Sink`] collects what reaches a stream, for tests and
+//! examples.
 //!
-//! The paper's Fig. 9 STREAM design wires a Controller to PolyMem through
-//! **MUX**es (select the write-port input) and a **DEMUX** (route the output
-//! to the right host stream). These exist here as real kernels, together
-//! with [`Generator`] / [`Sink`] endpoints used for testing and for feeding
-//! designs from host data.
+//! The paper's Fig. 9 STREAM design routes PolyMem's write-port input
+//! through two MUXes and its output through a DEMUX, all steered by the
+//! controller's `Mode`. No MUX or DEMUX kernel exists here: the STREAM
+//! `Controller` computes the write-port input itself, with its `Mode` as
+//! the select.
 
 use crate::kernel::Kernel;
 use crate::stream::StreamRef;
-use std::cell::Cell;
-use std::rc::Rc;
 
 /// Emits one element of a preloaded sequence per cycle.
 pub struct Generator<T: Copy> {
@@ -117,240 +117,6 @@ impl<T> Kernel for Sink<T> {
     }
 }
 
-/// Shared select signal for [`Mux`] / [`Demux`] (driven by a controller,
-/// like the paper's `Mode`-derived selects).
-pub type Select = Rc<Cell<usize>>;
-
-/// Create a select signal initialised to `v`.
-pub fn select(v: usize) -> Select {
-    Rc::new(Cell::new(v))
-}
-
-/// N-to-1 multiplexer: forwards one element per cycle from the selected
-/// input to the output (the two MUXes feeding PolyMem's write port in
-/// Fig. 9).
-pub struct Mux<T> {
-    name: String,
-    inputs: Vec<StreamRef<T>>,
-    out: StreamRef<T>,
-    sel: Select,
-}
-
-impl<T> Mux<T> {
-    /// Build an N-input mux.
-    pub fn new(
-        name: impl Into<String>,
-        inputs: Vec<StreamRef<T>>,
-        out: StreamRef<T>,
-        sel: Select,
-    ) -> Self {
-        assert!(!inputs.is_empty());
-        Self {
-            name: name.into(),
-            inputs,
-            out,
-            sel,
-        }
-    }
-}
-
-impl<T> Kernel for Mux<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        let s = self.sel.get();
-        assert!(s < self.inputs.len(), "mux select {s} out of range");
-        if self.out.borrow().can_push() {
-            if let Some(v) = self.inputs[s].borrow_mut().pop() {
-                self.out.borrow_mut().push(v);
-            }
-        }
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        // Can forward only when the selected input has data and the output
-        // has room; both are external conditions, so no future self-wake.
-        let s = self.sel.get();
-        match self.inputs.get(s) {
-            Some(input) if !input.borrow().is_empty() && self.out.borrow().can_push() => Some(0),
-            Some(_) => None,
-            None => Some(0), // out-of-range select: let tick() report it
-        }
-    }
-}
-
-/// 1-to-N demultiplexer: routes one element per cycle from the input to the
-/// selected output (the DEMUX splitting PolyMem's output into the A/B/C
-/// offload streams in Fig. 9).
-pub struct Demux<T> {
-    name: String,
-    input: StreamRef<T>,
-    outputs: Vec<StreamRef<T>>,
-    sel: Select,
-}
-
-impl<T> Demux<T> {
-    /// Build an N-output demux.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamRef<T>,
-        outputs: Vec<StreamRef<T>>,
-        sel: Select,
-    ) -> Self {
-        assert!(!outputs.is_empty());
-        Self {
-            name: name.into(),
-            input,
-            outputs,
-            sel,
-        }
-    }
-}
-
-impl<T> Kernel for Demux<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        let s = self.sel.get();
-        assert!(s < self.outputs.len(), "demux select {s} out of range");
-        if self.outputs[s].borrow().can_push() {
-            if let Some(v) = self.input.borrow_mut().pop() {
-                self.outputs[s].borrow_mut().push(v);
-            }
-        }
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        let s = self.sel.get();
-        match self.outputs.get(s) {
-            Some(out) if out.borrow().can_push() && !self.input.borrow().is_empty() => Some(0),
-            Some(_) => None,
-            None => Some(0), // out-of-range select: let tick() report it
-        }
-    }
-}
-
-/// N-to-1 burst framer: collects `n` consecutive input elements (one per
-/// cycle, the port width of the feeding stream) into one `Vec` burst —
-/// the component that turns per-chunk host traffic into whole-region
-/// bursts for PolyMem's region ports.
-pub struct Batcher<T> {
-    name: String,
-    input: StreamRef<T>,
-    out: StreamRef<Vec<T>>,
-    n: usize,
-    buf: Vec<T>,
-}
-
-impl<T> Batcher<T> {
-    /// Build a framer emitting bursts of `n` elements.
-    pub fn new(
-        name: impl Into<String>,
-        input: StreamRef<T>,
-        out: StreamRef<Vec<T>>,
-        n: usize,
-    ) -> Self {
-        assert!(n > 0, "burst size must be positive");
-        Self {
-            name: name.into(),
-            input,
-            out,
-            n,
-            buf: Vec::with_capacity(n),
-        }
-    }
-}
-
-impl<T> Kernel for Batcher<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        if self.buf.len() < self.n {
-            if let Some(v) = self.input.borrow_mut().pop() {
-                self.buf.push(v);
-            }
-        }
-        if self.buf.len() == self.n && self.out.borrow().can_push() {
-            let burst = std::mem::replace(&mut self.buf, Vec::with_capacity(self.n));
-            self.out.borrow_mut().push(burst);
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.buf.is_empty() && self.input.borrow().is_empty()
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        let can_fill = self.buf.len() < self.n && !self.input.borrow().is_empty();
-        let can_emit = self.buf.len() == self.n && self.out.borrow().can_push();
-        if can_fill || can_emit {
-            Some(0)
-        } else {
-            None
-        }
-    }
-}
-
-/// 1-to-N burst deframer: pops one burst and streams it out one element
-/// per cycle — the offload side of a region burst, feeding the per-element
-/// host streams at port rate.
-pub struct Unbatcher<T> {
-    name: String,
-    input: StreamRef<Vec<T>>,
-    out: StreamRef<T>,
-    pending: std::collections::VecDeque<T>,
-}
-
-impl<T> Unbatcher<T> {
-    /// Build a deframer.
-    pub fn new(name: impl Into<String>, input: StreamRef<Vec<T>>, out: StreamRef<T>) -> Self {
-        Self {
-            name: name.into(),
-            input,
-            out,
-            pending: std::collections::VecDeque::new(),
-        }
-    }
-}
-
-impl<T> Kernel for Unbatcher<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        if self.pending.is_empty() {
-            if let Some(burst) = self.input.borrow_mut().pop() {
-                self.pending.extend(burst);
-            }
-        }
-        if !self.pending.is_empty() && self.out.borrow().can_push() {
-            let v = self.pending.pop_front().expect("non-empty checked");
-            self.out.borrow_mut().push(v);
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.input.borrow().is_empty()
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        let can_fill = self.pending.is_empty() && !self.input.borrow().is_empty();
-        let can_emit = !self.pending.is_empty() && self.out.borrow().can_push();
-        if can_fill || can_emit {
-            Some(0)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,121 +156,5 @@ mod tests {
         s.borrow_mut().pop();
         g.tick(11);
         assert_eq!(g.remaining(), 1);
-    }
-
-    #[test]
-    fn mux_routes_selected_input() {
-        let a = stream::<u64>("a", 8);
-        let b = stream::<u64>("b", 8);
-        let out = stream::<u64>("out", 8);
-        let sel = select(0);
-        a.borrow_mut().push(10);
-        b.borrow_mut().push(20);
-        let mut mux = Mux::new(
-            "mux",
-            vec![Rc::clone(&a), Rc::clone(&b)],
-            Rc::clone(&out),
-            Rc::clone(&sel),
-        );
-        mux.tick(0);
-        assert_eq!(out.borrow_mut().pop(), Some(10));
-        sel.set(1);
-        mux.tick(1);
-        assert_eq!(out.borrow_mut().pop(), Some(20));
-        assert!(a.borrow().is_empty() && b.borrow().is_empty());
-    }
-
-    #[test]
-    fn demux_routes_selected_output() {
-        let input = stream::<u64>("in", 8);
-        let x = stream::<u64>("x", 8);
-        let y = stream::<u64>("y", 8);
-        let sel = select(1);
-        input.borrow_mut().push(7);
-        input.borrow_mut().push(8);
-        let mut d = Demux::new(
-            "demux",
-            Rc::clone(&input),
-            vec![Rc::clone(&x), Rc::clone(&y)],
-            Rc::clone(&sel),
-        );
-        d.tick(0);
-        sel.set(0);
-        d.tick(1);
-        assert_eq!(y.borrow_mut().pop(), Some(7));
-        assert_eq!(x.borrow_mut().pop(), Some(8));
-    }
-
-    #[test]
-    fn batcher_frames_and_unbatcher_deframes() {
-        let elems = stream::<u64>("elems", 16);
-        let bursts = stream::<Vec<u64>>("bursts", 4);
-        let back = stream::<u64>("back", 16);
-        let mut b = Batcher::new("frame", Rc::clone(&elems), Rc::clone(&bursts), 4);
-        let mut u = Unbatcher::new("deframe", Rc::clone(&bursts), Rc::clone(&back));
-        for v in 0..8u64 {
-            elems.borrow_mut().push(v);
-        }
-        for c in 0..32 {
-            b.tick(c);
-            u.tick(c);
-        }
-        assert!(b.is_idle() && u.is_idle());
-        let got: Vec<u64> = std::iter::from_fn(|| back.borrow_mut().pop()).collect();
-        assert_eq!(got, (0..8).collect::<Vec<_>>(), "two 4-element bursts");
-    }
-
-    #[test]
-    fn batcher_respects_downstream_backpressure() {
-        let elems = stream::<u64>("elems", 16);
-        let bursts = stream::<Vec<u64>>("bursts", 1);
-        let mut b = Batcher::new("frame", Rc::clone(&elems), Rc::clone(&bursts), 2);
-        for v in 0..6u64 {
-            elems.borrow_mut().push(v);
-        }
-        for c in 0..32 {
-            b.tick(c);
-        }
-        // Capacity-1 burst FIFO holds one burst; the framer holds a full
-        // second burst and waits instead of dropping it.
-        assert_eq!(bursts.borrow_mut().pop(), Some(vec![0, 1]));
-        assert!(!b.is_idle());
-        for c in 32..64 {
-            b.tick(c);
-        }
-        assert_eq!(bursts.borrow_mut().pop(), Some(vec![2, 3]));
-    }
-
-    #[test]
-    fn fig9_shape_pipeline() {
-        // Generator A / Generator feedback -> MUX -> sink, switching select
-        // mid-stream — the write-port input switching between host data
-        // (Load) and the memory's own output (Copy) in Fig. 9.
-        let host_in = stream::<u64>("host", 8);
-        let feedback = stream::<u64>("fb", 8);
-        let to_mem = stream::<u64>("to_mem", 8);
-        let sel = select(0);
-        let mut m = Manager::new(100.0);
-        m.add_kernel(Box::new(Generator::new(
-            "host",
-            vec![1, 2],
-            Rc::clone(&host_in),
-        )));
-        m.add_kernel(Box::new(Generator::new(
-            "fb",
-            vec![100, 200],
-            Rc::clone(&feedback),
-        )));
-        m.add_kernel(Box::new(Mux::new(
-            "write-mux",
-            vec![host_in, feedback],
-            Rc::clone(&to_mem),
-            Rc::clone(&sel),
-        )));
-        m.run_cycles(3); // Load mode: host data flows
-        sel.set(1);
-        m.run_cycles(3); // Copy mode: feedback flows
-        let got: Vec<u64> = std::iter::from_fn(|| to_mem.borrow_mut().pop()).collect();
-        assert_eq!(got, vec![1, 2, 100, 200]);
     }
 }

@@ -14,8 +14,11 @@
 //!   with bulk stall attribution keeping cycle semantics bit-identical;
 //! * [`pcie`] — the host link with the ~300 ns per-call overhead the paper
 //!   measured (§V) and bulk-transfer bandwidth;
-//! * [`dram`] — the off-chip LMem model PolyMem is designed to shield
-//!   applications from;
+//! * [`components`] — [`Generator`] and [`Sink`] endpoints that feed a
+//!   graph from host data and collect its output;
+//! * [`dram`] — the off-chip LMem timing model PolyMem is designed to
+//!   shield applications from, and the DRAM-vs-PolyMem access cost model
+//!   of the paper's Fig. 1;
 //! * [`polymem_kernel`] — PolyMem wrapped as a pipelined kernel with the
 //!   paper's 14-cycle read latency and read-old port semantics.
 //!
@@ -29,7 +32,6 @@ pub mod clock;
 pub mod components;
 pub mod dram;
 pub mod kernel;
-pub mod lmem_stream;
 pub mod manager;
 pub mod pcie;
 pub mod polymem_kernel;
@@ -38,10 +40,9 @@ pub mod stream;
 pub mod vcd;
 
 pub use clock::SimClock;
-pub use components::{select, Demux, Generator, Mux, Select, Sink};
-pub use dram::{Dram, DramParams};
+pub use components::{Generator, Sink};
+pub use dram::{AccessCostModel, DramParams};
 pub use kernel::{DelayLine, FnKernel, Kernel};
-pub use lmem_stream::{AccessCostModel, DramLoader};
 pub use manager::{Manager, StallReport};
 pub use pcie::{Host, HostStats, PcieLink};
 pub use polymem_kernel::{

@@ -317,7 +317,9 @@ impl PolyMemKernel {
     /// Build the kernel.
     ///
     /// `read_req`/`read_resp` must have one stream per configured read
-    /// port; any other count returns [`PolyMemError::InvalidGeometry`].
+    /// port, and `read_latency` must be at least 1: a synchronous BRAM read
+    /// is never same-cycle (the paper's takes 14 cycles). Either mistake
+    /// returns [`PolyMemError::InvalidGeometry`].
     pub fn new(
         name: impl Into<String>,
         config: PolyMemConfig,
@@ -336,6 +338,13 @@ impl PolyMemKernel {
                     read_resp.len(),
                     config.read_ports
                 ),
+            });
+        }
+        if read_latency == 0 {
+            return Err(PolyMemError::InvalidGeometry {
+                reason: "read latency 0: a synchronous read delivers at least one cycle \
+                         after it issues (latency must be >= 1)"
+                    .into(),
             });
         }
         let pipelines = (0..config.read_ports)
@@ -635,13 +644,12 @@ impl PolyMemKernel {
     /// holds a full pipeline of `L` words ready at `cycle .. cycle + L` and
     /// one delivered word in its response stream; every other port, every
     /// request stream and every burst engine is empty and no burst holds a
-    /// datapath; and `L > 0`. From this state every branch of
-    /// [`Kernel::tick`] goes the same way each cycle for as long as a
-    /// consumer keeps pace, which is what [`Self::lockstep`] serves.
+    /// datapath (`L > 0` holds by construction). From this state every
+    /// branch of [`Kernel::tick`] goes the same way each cycle for as long
+    /// as a consumer keeps pace, which is what [`Self::lockstep`] serves.
     pub fn lockstep_ready(&self, ports: usize, cycle: u64) -> bool {
         let l = self.read_latency;
-        l > 0
-            && ports > 0
+        ports > 0
             && ports <= self.read_req.len()
             && self.region_inflight.is_none()
             && self.copy_inflight.is_none()
@@ -1189,7 +1197,7 @@ mod tests {
 
     #[test]
     fn same_cycle_read_write_sees_old() {
-        let (mut m, rq, rs, wq) = setup(1, 0);
+        let (mut m, rq, rs, wq) = setup(1, 1);
         let old: Vec<u64> = vec![1; 8];
         let new: Vec<u64> = vec![2; 8];
         wq.borrow_mut()
@@ -1217,7 +1225,7 @@ mod tests {
         let rq = vec![stream("rq", 8)];
         let rs = vec![stream("rs", 8)];
         let wq = stream("wq", 8);
-        let mut k = PolyMemKernel::new("pm", cfg, 0, rq.clone(), rs, Rc::clone(&wq)).unwrap();
+        let mut k = PolyMemKernel::new("pm", cfg, 1, rq.clone(), rs, Rc::clone(&wq)).unwrap();
         rq[0].borrow_mut().push(ParallelAccess::row(0, 0)); // ReO: rows unsupported
         k.tick(0);
         assert_eq!(k.errors().len(), 1);
@@ -1233,7 +1241,7 @@ mod tests {
             (0..n).map(|_| stream("rs", 8)).collect()
         };
         for (reqs, resp) in [(1, 2), (3, 2), (2, 1), (2, 3)] {
-            let err = PolyMemKernel::new("pm", cfg, 0, streams(reqs), resps(resp), stream("wq", 8))
+            let err = PolyMemKernel::new("pm", cfg, 1, streams(reqs), resps(resp), stream("wq", 8))
                 .err()
                 .unwrap_or_else(|| panic!("{reqs} req / {resp} resp streams accepted"));
             assert!(
@@ -1244,7 +1252,27 @@ mod tests {
             assert!(msg.contains(&format!("{reqs} read-request")), "{msg}");
             assert!(msg.contains(&format!("{resp} read-response")), "{msg}");
         }
-        assert!(PolyMemKernel::new("pm", cfg, 0, streams(2), resps(2), stream("wq", 8)).is_ok());
+        assert!(PolyMemKernel::new("pm", cfg, 1, streams(2), resps(2), stream("wq", 8)).is_ok());
+    }
+
+    #[test]
+    fn new_rejects_zero_read_latency() {
+        let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 1).unwrap();
+        let err = PolyMemKernel::new(
+            "pm",
+            cfg,
+            0,
+            vec![stream("rq", 8)],
+            vec![stream("rs", 8)],
+            stream("wq", 8),
+        )
+        .err()
+        .expect("latency 0 accepted");
+        assert!(
+            matches!(err, PolyMemError::InvalidGeometry { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("read latency 0"), "{err}");
     }
 
     #[test]
@@ -1269,7 +1297,7 @@ mod tests {
         let rs = vec![stream("rs", 64)];
         let wq = stream("wq", 64);
         let mut k =
-            PolyMemKernel::new("pm", cfg, 0, rq.clone(), rs.clone(), Rc::clone(&wq)).unwrap();
+            PolyMemKernel::new("pm", cfg, 1, rq.clone(), rs.clone(), Rc::clone(&wq)).unwrap();
         for r in 0..8u64 {
             let row: Vec<u64> = (0..8).map(|x| r * 10 + x).collect();
             wq.borrow_mut()
@@ -1483,7 +1511,7 @@ mod tests {
         let mut k = PolyMemKernel::new(
             "pm",
             cfg,
-            0,
+            1,
             vec![stream("rq", 8)],
             vec![stream("rs", 8)],
             stream("wq", 8),
@@ -1511,7 +1539,7 @@ mod tests {
         let mut k = PolyMemKernel::new(
             "pm",
             cfg,
-            0,
+            1,
             vec![stream("rq", 8)],
             vec![stream("rs", 8)],
             stream("wq", 8),

@@ -61,7 +61,6 @@ pub mod bulk;
 pub mod concurrent;
 pub mod config;
 pub mod error;
-pub mod image;
 pub mod json;
 pub mod maf;
 pub mod matrix;
@@ -84,7 +83,6 @@ pub use banks::{BankArray, BankLayout};
 pub use concurrent::ConcurrentPolyMem;
 pub use config::PolyMemConfig;
 pub use error::{PolyMemError, Result};
-pub use image::{from_image, to_image};
 pub use maf::{BankId, ModuleAssignment};
 pub use matrix::PolyMatrix;
 pub use mem::{AccessStats, PolyMem};

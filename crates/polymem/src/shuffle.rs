@@ -50,15 +50,21 @@ impl Crossbar {
 
     /// Scatter `values[k]` to `out[route[k]]` (lane order → bank order).
     ///
-    /// `out` must have length `n`; entries for banks not addressed keep their
-    /// previous contents (in PolyMem every bank is addressed exactly once per
-    /// access, so all entries are overwritten).
+    /// `out` must have length `n`, or [`PolyMemError::WrongLaneCount`] is
+    /// returned and `out` is left untouched; entries for banks not addressed
+    /// keep their previous contents (in PolyMem every bank is addressed
+    /// exactly once per access, so all entries are overwritten).
     ///
     /// Returns [`PolyMemError::BankConflict`] if two lanes route to the same
     /// bank — the hardware analogue would be a bus fight.
     pub fn scatter<T: Copy>(&mut self, values: &[T], route: &[usize], out: &mut [T]) -> Result<()> {
         debug_assert_eq!(values.len(), route.len());
-        assert_eq!(out.len(), self.n, "output width must equal crossbar lanes");
+        if out.len() != self.n {
+            return Err(PolyMemError::WrongLaneCount {
+                got: out.len(),
+                expected: self.n,
+            });
+        }
         self.epoch += 1;
         for (k, (&v, &b)) in values.iter().zip(route).enumerate() {
             if self.claimed[b] == self.epoch {
@@ -147,11 +153,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "output width")]
-    fn wrong_output_width_panics() {
+    fn wrong_output_width_is_an_error() {
         let mut xb = Crossbar::new(4);
-        let mut out = [0u64; 3];
-        let _ = xb.scatter(&[1, 2, 3, 4], &[0, 1, 2, 3], &mut out);
+        let mut out = [9u64; 3];
+        let err = xb
+            .scatter(&[1, 2, 3, 4], &[0, 1, 2, 3], &mut out)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PolyMemError::WrongLaneCount {
+                    got: 3,
+                    expected: 4
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(out, [9; 3], "out is untouched");
     }
 
     proptest! {

@@ -11,7 +11,7 @@
 //! * [`greedy`] — the `H_n`-approximate baseline;
 //! * [`bnb`] — exact branch-and-bound (substituting for the paper's ILP
 //!   solver), with a brute-force ground-truth checker for tests;
-//! * [`metrics`] — speedup and efficiency;
+//! * [`metrics`] — speedup and efficiency, on one read port or several;
 //! * [`dse`] — configuration sweep and selection;
 //! * [`support`] — the paper's Table I transcribed literally, the
 //!   support-matrix source of truth cross-checked by `polymem-verify`.
@@ -22,25 +22,21 @@
 pub mod anneal;
 pub mod bitset;
 pub mod bnb;
-pub mod codegen;
 pub mod cover;
 pub mod dse;
 pub mod greedy;
 pub mod lp;
 pub mod metrics;
 pub mod pattern;
-pub mod ports;
 pub mod support;
 
 pub use anneal::{solve as solve_anneal, AnnealOptions};
 pub use bitset::BitSet;
 pub use bnb::{brute_force, solve as solve_exact, ExactResult};
-pub use codegen::{execute_gather, render_maxj, render_rust};
 pub use cover::{Candidate, CoverInstance, Schedule};
 pub use dse::{best, sweep, ConfigResult, SweepOptions};
 pub use greedy::solve as solve_greedy;
 pub use lp::{dual_bound, lower_bound};
-pub use metrics::{evaluate, ScheduleMetrics};
+pub use metrics::{evaluate, multiport_speedup, ScheduleMetrics};
 pub use pattern::AccessTrace;
-pub use ports::{mixed_cycles, multiport_speedup, pack_reads, PortOp, PortSchedule};
 pub use support::{aligned_only, support_matrix, table1};

@@ -5,6 +5,12 @@
 //! cycles. Speedup is `n / k`; efficiency normalizes by the lane count
 //! (`speedup / (p*q)`), i.e. the fraction of delivered lanes that carried
 //! useful data.
+//!
+//! A memory with `R` read ports issues up to `R` accesses per cycle (paper
+//! §III-B: "one write access and one read access for each read port can
+//! happen independently at the same time"), so the same schedule costs
+//! `ceil(k / R)` cycles there: [`multiport_speedup`], the quantity Fig. 5
+//! reports in bandwidth form.
 
 use crate::cover::Schedule;
 
@@ -40,10 +46,26 @@ pub fn evaluate(trace_len: usize, lanes: usize, schedule: &Schedule) -> Option<S
     })
 }
 
+/// Multi-port speedup of a covering schedule: elements served per cycle,
+/// relative to a scalar memory, when `read_ports` independent read ports
+/// each issue one access per cycle (`trace_len / ceil(k / read_ports)`).
+///
+/// Returns `None` for an incomplete schedule, an empty trace, or no read
+/// port.
+pub fn multiport_speedup(trace_len: usize, schedule: &Schedule, read_ports: usize) -> Option<f64> {
+    if !schedule.complete || trace_len == 0 || read_ports == 0 {
+        return None;
+    }
+    let cycles = schedule.len().div_ceil(read_ports).max(1);
+    Some(trace_len as f64 / cycles as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymem::ParallelAccess;
+    use crate::pattern::AccessTrace;
+    use crate::{solve_exact, CoverInstance};
+    use polymem::{AccessScheme, ParallelAccess};
 
     fn sched(n: usize) -> Schedule {
         Schedule {
@@ -73,6 +95,30 @@ mod tests {
             complete: false,
         };
         assert!(evaluate(8, 8, &s).is_none());
+    }
+
+    #[test]
+    fn multiport_speedup_incomplete_gives_none() {
+        let s = Schedule {
+            accesses: vec![],
+            complete: false,
+        };
+        assert!(multiport_speedup(8, &s, 2).is_none());
+        assert!(multiport_speedup(8, &sched(4), 0).is_none(), "no read port");
+    }
+
+    #[test]
+    fn multiport_speedup_scales_with_ports() {
+        // 8x16 dense block: 16 accesses of 8 lanes.
+        let trace = AccessTrace::block(0, 0, 8, 16);
+        let inst = CoverInstance::build(trace.clone(), AccessScheme::ReO, 2, 4, 8, 16);
+        let e = solve_exact(&inst, 50_000);
+        let s1 = multiport_speedup(trace.len(), &e.schedule, 1).unwrap();
+        let s2 = multiport_speedup(trace.len(), &e.schedule, 2).unwrap();
+        let s4 = multiport_speedup(trace.len(), &e.schedule, 4).unwrap();
+        assert_eq!(s1, 8.0);
+        assert_eq!(s2, 16.0);
+        assert_eq!(s4, 32.0);
     }
 
     #[test]

@@ -190,7 +190,10 @@ impl StreamApp {
         Self::with_latency(op, layout, freq_mhz, PAPER_READ_LATENCY)
     }
 
-    /// Build with an explicit read latency (for latency-sensitivity studies).
+    /// Build with an explicit read latency (for latency-sensitivity
+    /// studies). A latency of 0 returns
+    /// [`polymem::PolyMemError::InvalidGeometry`], as
+    /// [`PolyMemKernel::new`] does.
     pub fn with_latency(
         op: StreamOp,
         layout: StreamLayout,
@@ -873,7 +876,14 @@ mod tests {
                 StreamOp::Sum,
                 StreamOp::Triad(2.5),
             ] {
-                for latency in [0, 1, 2, 3, 14, 40, 200] {
+                let err = StreamApp::with_latency(op, layout, 120.0, 0)
+                    .err()
+                    .expect("latency 0 accepted");
+                assert!(
+                    matches!(err, polymem::PolyMemError::InvalidGeometry { .. }),
+                    "{err:?}"
+                );
+                for latency in [1, 2, 3, 14, 40, 200] {
                     cases.push((layout, op, latency));
                 }
             }
@@ -925,13 +935,8 @@ mod tests {
             assert_eq!(ticked, event, "{case}");
             assert_eq!(stats.total_cycles(), event.0.iter().sum::<u64>(), "{case}");
             // The window engages from the first steady cycle, L + 1, to the
-            // last issue; latency 0 has no steady state to lock.
-            let chunks = layout.a.chunks() as u64;
-            let steady = if latency > 0 {
-                chunks.saturating_sub(latency + 1)
-            } else {
-                0
-            };
+            // last issue.
+            let steady = (layout.a.chunks() as u64).saturating_sub(latency + 1);
             assert_eq!(ticked_lockstep, [0, 0], "{case}");
             assert_eq!(event_lockstep, [steady, steady], "{case}");
         }

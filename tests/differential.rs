@@ -380,7 +380,7 @@ fn run_kernel(ops: &[Op], cfg: PolyMemConfig) -> Vec<Vec<u64>> {
     let rs = vec![dfe_sim::stream("rs", 4), dfe_sim::stream("rs1", 4)];
     let wq = dfe_sim::stream("wq", 4);
     let mut k =
-        dfe_sim::PolyMemKernel::new("pm", cfg, 0, rq.clone(), rs.clone(), Rc::clone(&wq)).unwrap();
+        dfe_sim::PolyMemKernel::new("pm", cfg, 1, rq.clone(), rs.clone(), Rc::clone(&wq)).unwrap();
     k.mem().load_row_major(&initial()).unwrap();
     let mut reads = Vec::new();
     let mut cycle = 0u64;
@@ -394,9 +394,7 @@ fn run_kernel(ops: &[Op], cfg: PolyMemConfig) -> Vec<Vec<u64>> {
         k.tick(cycle);
         cycle += 1;
         if let Op::Read(_) = op {
-            // Latency 0 still needs one more tick: within a tick the kernel
-            // delivers ready results *before* issuing new reads, so the
-            // response emerges on the following cycle.
+            // At latency 1 the response emerges on the following cycle.
             k.tick(cycle);
             cycle += 1;
             let word = rs[0].borrow_mut().pop().expect("read response due");

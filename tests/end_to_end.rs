@@ -120,9 +120,8 @@ fn scheduled_accesses_run_through_the_simulator() {
 fn dram_vs_polymem_contrast() {
     // The motivating comparison of Fig. 1: per-access effective bandwidth of
     // the off-chip DRAM vs the on-chip parallel memory.
-    let mut dram = dfe_sim::Dram::new(dfe_sim::DramParams::vectis_lmem());
-    let mut words = vec![0u64; 8];
-    let t_dram = dram.read_burst(0, &mut words); // one 8-element access
+    let dram = dfe_sim::DramParams::vectis_lmem();
+    let t_dram = dram.access_time_ns(64); // one 8-element access
     let dram_bw = 64.0 / t_dram; // bytes per ns
 
     // PolyMem at 120 MHz delivers 64 B per 8.33 ns cycle per port.

@@ -1,11 +1,10 @@
 //! Cross-checks of the high-level APIs (matrix façade, regions, banded
-//! kernels, persistence, codegen) against each other and the low-level
+//! kernels, scheme conversion) against each other and the low-level
 //! memory — every layer must tell the same story about the same data.
 
 use polymem::region::RegionShape;
 use polymem::{
-    from_image, to_image, AccessScheme, BandedMatrix, ParallelAccess, PolyMatrix, PolyMem,
-    PolyMemConfig, Region,
+    AccessScheme, BandedMatrix, ParallelAccess, PolyMatrix, PolyMem, PolyMemConfig, Region,
 };
 use proptest::prelude::*;
 
@@ -37,21 +36,6 @@ fn region_io_and_matrix_agree() {
 }
 
 #[test]
-fn persistence_survives_the_matrix_layer() {
-    let data: Vec<u64> = (0..256).map(|x| x ^ 0xABCD).collect();
-    let matrix = PolyMatrix::from_row_major(&data, 16, 16, 2, 4, AccessScheme::ReRo).unwrap();
-    // Checkpoint through the raw-memory image, restore, and re-wrap.
-    let mut m2 = {
-        let mut m = matrix;
-        let img = to_image(m.memory());
-        from_image(img).unwrap()
-    };
-    assert_eq!(m2.dump_row_major(), data);
-    let row = m2.read(0, ParallelAccess::row(7, 0)).unwrap();
-    assert_eq!(row[0], data[7 * 16]);
-}
-
-#[test]
 fn banded_matrix_dense_dump_matches_bands() {
     let n = 16;
     let mut banded = BandedMatrix::new(n, 2, 2, 4).unwrap();
@@ -74,43 +58,8 @@ fn banded_matrix_dense_dump_matches_bands() {
     }
 }
 
-#[test]
-fn generated_rust_code_matches_executor() {
-    use scheduler::{execute_gather, render_rust, solve_exact, AccessTrace, CoverInstance};
-    let trace = AccessTrace::block(2, 4, 4, 8);
-    let inst = CoverInstance::build(trace, AccessScheme::ReO, 2, 4, 16, 16);
-    let sched = solve_exact(&inst, 50_000).schedule;
-
-    let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::ReO, 1).unwrap();
-    let mut mem = PolyMem::<u64>::new(cfg).unwrap();
-    let data: Vec<u64> = (0..256).collect();
-    mem.load_row_major(&data).unwrap();
-    let (_, values) = execute_gather(&mut mem, 0, &sched).unwrap();
-
-    // The generated code must perform exactly the same reads, in order.
-    let code = render_rust("gen", &sched);
-    assert!(scheduler::codegen::rust_mentions_all(&code, &sched));
-    assert_eq!(values.len(), sched.len() * 8);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn image_roundtrip_random_contents(seed in any::<u64>()) {
-        let cfg = PolyMemConfig::new(8, 16, 2, 4, AccessScheme::ReTr, 1).unwrap();
-        let mut m = PolyMem::<u64>::new(cfg).unwrap();
-        let mut state = seed | 1;
-        let data: Vec<u64> = (0..128)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state
-            })
-            .collect();
-        m.load_row_major(&data).unwrap();
-        let back = from_image(to_image(&m)).unwrap();
-        prop_assert_eq!(back.dump_row_major(), data);
-    }
 
     #[test]
     fn convert_scheme_never_corrupts(scheme_a in 0..5usize, scheme_b in 0..5usize, seed in any::<u64>()) {
