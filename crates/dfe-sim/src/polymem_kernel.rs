@@ -11,7 +11,7 @@ use crate::kernel::{DelayLine, Kernel};
 use crate::stream::{stream_stats, IntoItem, StreamRef, StreamStats};
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
-use polymem::{ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
+use polymem::{AccessReplay, ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -236,8 +236,9 @@ impl IntoItem<WriteRequest> for (ParallelAccess, Vec<u64>) {
     }
 }
 
-/// One read port's words across [`PolyMemKernel::lockstep`] windows; the
-/// buffer is reused, so a window allocates nothing once warm.
+/// One read port's words and plan memo across [`PolyMemKernel::lockstep`]
+/// windows; both buffers are reused, so a window allocates nothing once
+/// warm.
 #[derive(Default)]
 struct PortRing {
     /// The port's `L + 1` live words during a window, oldest at the ring
@@ -247,6 +248,8 @@ struct PortRing {
     /// The window's last read on this port failed, so the youngest slot
     /// holds no word.
     hole: bool,
+    /// The plan of the port's last residue class in the window.
+    replay: AccessReplay,
 }
 
 /// PolyMem wrapped as a ticked kernel with request/response streams.
@@ -302,6 +305,8 @@ pub struct PolyMemKernel {
     /// delivers to the consumer in the window's current cycle.
     rings: Vec<PortRing>,
     operands: Vec<LaneWord>,
+    /// The write port's plan memo in a lockstep window.
+    write_replay: AccessReplay,
     /// Cycles served by lockstep windows so far.
     lockstep_cycles: u64,
     /// Cycle attribution counters, when telemetry is attached.
@@ -375,6 +380,7 @@ impl PolyMemKernel {
             writes_served: 0,
             rings: Vec::new(),
             operands: Vec::new(),
+            write_replay: AccessReplay::new(),
             lockstep_cycles: 0,
             attribution: None,
             trc: None,
@@ -383,9 +389,10 @@ impl PolyMemKernel {
     }
 
     /// Register this kernel's cycle-attribution counters
-    /// (`dfe_kernel_cycles_total{kernel=<name>, state=...}`, see
-    /// [`CycleAttribution`]'s classification rules) with `registry`, and
-    /// wire the wrapped memory's datapath counters into the same registry.
+    /// (`dfe_kernel_cycles_total{kernel=<name>, state=...}`: every tick
+    /// lands in exactly one of `active`, `contention`, `pipeline`, `pcie`
+    /// and `idle`, in that priority order) with `registry`, and wire the
+    /// wrapped memory's datapath counters into the same registry.
     pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
         let state = |s: &str| vec![("kernel", self.name.clone()), ("state", s.to_string())];
         self.attribution = Some(CycleAttribution {
@@ -688,9 +695,12 @@ impl PolyMemKernel {
     /// the response stream and delay line, which are rebuilt at the end
     /// with their ready cycles; the streams' totals, `reads_served`,
     /// `writes_served` and the `active` attribution of every cycle are
-    /// accounted in bulk. A failed access ends the window after its cycle
-    /// and leaves what the ticks would leave, a failed read its hole in the
-    /// pipeline included.
+    /// accounted in bulk. Each port, and the write port, replays the plan
+    /// of the residue class its last access fell in
+    /// ([`PolyMem::read_replayed`]); the memos start empty each window and
+    /// settle the memory's counters at its end. A failed access ends the
+    /// window after its cycle and leaves what the ticks would leave, a
+    /// failed read its hole in the pipeline included.
     pub fn lockstep(
         &mut self,
         cycle: u64,
@@ -730,7 +740,8 @@ impl PolyMemKernel {
             {
                 let slot = &mut ring.words[head];
                 operand.copy_from_slice(slot);
-                match self.mem.read_into(port, read(port, served), slot) {
+                let access = read(port, served);
+                match self.mem.read_replayed(port, &mut ring.replay, access, slot) {
                     Ok(()) => self.reads_served += 1,
                     Err(e) => {
                         self.errors.push(e);
@@ -743,7 +754,10 @@ impl PolyMemKernel {
             //    the reads.
             let operands = &mut self.operands[..ports];
             let access = write(served, operands);
-            match self.mem.write(access, &operands[0]) {
+            match self
+                .mem
+                .write_replayed(&mut self.write_replay, access, &operands[0])
+            {
                 Ok(()) => self.writes_served += 1,
                 Err(e) => {
                     self.errors.push(e);
@@ -758,7 +772,9 @@ impl PolyMemKernel {
         // read (`end - L ..`), so their ready cycles are the ticks' own.
         let end = cycle + served;
         let first_read = end - self.read_latency;
+        self.mem.settle(&mut self.write_replay);
         for (port, ring) in self.rings.iter_mut().enumerate().take(ports) {
+            self.mem.settle(&mut ring.replay);
             ring.words.rotate_left(head);
             if std::mem::take(&mut ring.hole) {
                 ring.words.pop();

@@ -18,7 +18,7 @@
 //! * [`report`] — the committed `DSE_report.json` artifact, written through
 //!   the shared `polymem::json` codec and drift-gated in CI exactly like
 //!   `VERIFY_report.json`;
-//! * [`recommend`] — the auto-configurator:
+//! * [`recommend`](mod@recommend) — the auto-configurator:
 //!   [`recommend::recommend`]`(workload_trace) -> PolyMemConfig` picks
 //!   scheme + geometry for a described access mix.
 //!

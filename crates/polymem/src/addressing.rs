@@ -9,6 +9,8 @@
 //! ```
 //!
 //! i.e. the linear index of the aligned `p x q` tile containing `(i, j)`.
+//! On power-of-two grids (every grid the paper uses) the two divisions are
+//! shifts; the result is the same on every grid.
 //! Every scheme in [`crate::maf`] assigns exactly one element of each aligned
 //! tile to each bank, so `(bank, A)` is a bijection from the logical space to
 //! the physical storage (machine-checked by `theory::addressing_injective`).
@@ -18,6 +20,8 @@
 pub struct AddressingFunction {
     p: usize,
     q: usize,
+    /// `(log2 p, log2 q)` when both are powers of two.
+    shifts: Option<(u32, u32)>,
     /// Number of tile columns: `cols / q`.
     tile_cols: usize,
 }
@@ -36,9 +40,12 @@ impl AddressingFunction {
             rows.is_multiple_of(p) && cols.is_multiple_of(q),
             "logical space {rows}x{cols} must tile by the {p}x{q} bank grid"
         );
+        let shifts = (p.is_power_of_two() && q.is_power_of_two())
+            .then(|| (p.trailing_zeros(), q.trailing_zeros()));
         Self {
             p,
             q,
+            shifts,
             tile_cols: cols / q,
         }
     }
@@ -46,7 +53,11 @@ impl AddressingFunction {
     /// Intra-bank address of logical element `(i, j)`.
     #[inline]
     pub fn address(&self, i: usize, j: usize) -> usize {
-        (i / self.p) * self.tile_cols + (j / self.q)
+        let (ti, tj) = match self.shifts {
+            Some((sp, sq)) => (i >> sp, j >> sq),
+            None => (i / self.p, j / self.q),
+        };
+        ti * self.tile_cols + tj
     }
 
     /// Number of elements each bank must hold
@@ -79,6 +90,26 @@ mod tests {
         for di in 0..2 {
             for dj in 0..4 {
                 assert_eq!(a.address(2 + di, 4 + dj), base);
+            }
+        }
+    }
+
+    #[test]
+    fn shifts_agree_with_division() {
+        // Power-of-two grids shift, the rest divide; both give the tile
+        // index, far origins included.
+        for (p, q) in [(2, 4), (4, 2), (1, 8), (8, 8), (3, 4), (2, 3), (5, 7)] {
+            let a = AddressingFunction::new(p, q, 4 * p, 6 * q);
+            assert_eq!(
+                a.shifts.is_some(),
+                p.is_power_of_two() && q.is_power_of_two()
+            );
+            let probes = (0..64).chain([(1 << 40) - 1, 1 << 40, (1 << 40) + 5]);
+            for i in probes.clone() {
+                for j in probes.clone() {
+                    let want = (i / p) * 6 + j / q;
+                    assert_eq!(a.address(i, j), want, "{p}x{q} at ({i}, {j})");
+                }
             }
         }
     }

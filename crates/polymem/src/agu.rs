@@ -128,6 +128,26 @@ impl Agu {
         Ok(v)
     }
 
+    /// The origins at which `pattern` fits the logical space: `i <= i_max`
+    /// and `j_min <= j <= j_max`, or `None` when it fits nowhere. An origin
+    /// passes [`Self::check_bounds`] exactly when it lies in this box.
+    pub(crate) fn origins(&self, pattern: AccessPattern) -> Option<(usize, usize, usize)> {
+        let n = self.lanes();
+        let (di, dj, left) = match pattern {
+            AccessPattern::Rectangle => (self.p, self.q, 0),
+            AccessPattern::TransposedRectangle => (self.q, self.p, 0),
+            AccessPattern::Row => (1, n, 0),
+            AccessPattern::Column => (n, 1, 0),
+            AccessPattern::MainDiagonal => (n, n, 0),
+            AccessPattern::SecondaryDiagonal => (n, n, n - 1),
+        };
+        Some((
+            self.rows.checked_sub(di)?,
+            left,
+            self.cols.checked_sub(dj)? + left,
+        ))
+    }
+
     /// Check that the `di x dj` box at `(i0, j0)` fits the logical space;
     /// a box whose far corner overflows `usize` does not.
     fn check_extent(&self, i0: usize, j0: usize, di: usize, dj: usize) -> Result<()> {
@@ -246,6 +266,26 @@ mod tests {
                         agu.expand(a).is_ok(),
                         "{pattern} at ({i},{j})"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn origin_box_is_check_bounds() {
+        for (p, q, rows, cols) in [(2, 4, 8, 16), (4, 2, 16, 8), (3, 2, 6, 4), (2, 2, 2, 2)] {
+            let agu = Agu::new(p, q, rows, cols);
+            let far = [usize::MAX - 1, usize::MAX];
+            for pattern in AccessPattern::ALL {
+                let fits = agu.origins(pattern);
+                for i in (0..rows + 3).chain(far) {
+                    for j in (0..cols + 3).chain(far) {
+                        let boxed = fits.is_some_and(|(i_max, j_min, j_max)| {
+                            i <= i_max && (j_min..=j_max).contains(&j)
+                        });
+                        let ok = agu.check_bounds(PA::new(i, j, pattern)).is_ok();
+                        assert_eq!(boxed, ok, "{p}x{q} {pattern:?} at ({i}, {j})");
+                    }
                 }
             }
         }

@@ -50,11 +50,13 @@ pub enum PolyMemError {
         /// The number of read ports in the configuration.
         ports: usize,
     },
-    /// The data vector supplied to a write does not have `p*q` elements.
+    /// A caller's buffer has the wrong length: write data or a read's
+    /// output that is not `p*q` lanes, a region buffer that is not the
+    /// region's length, or host rows that are not whole rows.
     WrongLaneCount {
-        /// Number of elements supplied.
+        /// Number of elements the buffer holds.
         got: usize,
-        /// Number of lanes (`p*q`) expected.
+        /// Number of elements expected.
         expected: usize,
     },
     /// Internal invariant violation: two lanes of one parallel access mapped
@@ -106,7 +108,7 @@ impl fmt::Display for PolyMemError {
                 write!(f, "read port {port} out of range (memory has {ports} ports)")
             }
             PolyMemError::WrongLaneCount { got, expected } => {
-                write!(f, "write data has {got} elements, expected {expected} lanes")
+                write!(f, "buffer holds {got} elements, expected {expected}")
             }
             PolyMemError::BankConflict {
                 bank,
@@ -151,6 +153,17 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("ReO"));
         assert!(s.contains("row"));
+    }
+
+    #[test]
+    fn wrong_lane_count_names_no_direction() {
+        // Reads, region buffers and host rows return it too, not only
+        // write data.
+        let e = PolyMemError::WrongLaneCount {
+            got: 4,
+            expected: 8,
+        };
+        assert_eq!(e.to_string(), "buffer holds 4 elements, expected 8");
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use config::PolyMemConfig;
 pub use error::{PolyMemError, Result};
 pub use maf::{BankId, ModuleAssignment};
 pub use matrix::PolyMatrix;
-pub use mem::{AccessStats, PolyMem};
+pub use mem::{AccessReplay, AccessStats, PolyMem};
 pub use plan::{PlanCache, PlanCacheStats, PlanKey, PlanShape, PlanTarget};
 pub use region::{Region, RegionShape};
 pub use region_plan::RegionPlan;

@@ -19,7 +19,7 @@ use crate::banks::BankArray;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanTarget};
+use crate::plan::{residue, PlanCache, PlanCacheStats, PlanKey, PlanShape, PlanTarget};
 use crate::region::{Region, RegionShape};
 use crate::region_plan::RegionPlan;
 use crate::scheme::{AccessPattern, ParallelAccess};
@@ -84,22 +84,24 @@ pub(crate) struct MemTelemetry {
 }
 
 impl MemTelemetry {
+    /// Count `n` full-lane single reads on `port`.
     #[inline]
-    fn single_read(&self, port: usize, lanes: usize) {
+    fn single_reads(&self, port: usize, n: u64, lanes: usize) {
         if let Some(c) = self.port_reads.get(port) {
-            c.inc_owned();
+            c.add_owned(n);
         }
-        self.elements_read.add_owned(lanes as u64);
-        self.uniform_accesses.inc_owned();
-        self.conflicts_avoided.add_owned(lanes as u64 - 1);
+        self.elements_read.add_owned(n * lanes as u64);
+        self.uniform_accesses.add_owned(n);
+        self.conflicts_avoided.add_owned(n * (lanes as u64 - 1));
     }
 
+    /// Count `n` full-lane single writes.
     #[inline]
-    fn single_write(&self, lanes: usize) {
-        self.writes.inc_owned();
-        self.elements_written.add_owned(lanes as u64);
-        self.uniform_accesses.inc_owned();
-        self.conflicts_avoided.add_owned(lanes as u64 - 1);
+    fn single_writes(&self, n: u64, lanes: usize) {
+        self.writes.add_owned(n);
+        self.elements_written.add_owned(n * lanes as u64);
+        self.uniform_accesses.add_owned(n);
+        self.conflicts_avoided.add_owned(n * (lanes as u64 - 1));
     }
 
     #[inline]
@@ -177,6 +179,79 @@ impl MemTracing {
         } else {
             self.writer.instant(self.hit);
         }
+    }
+}
+
+/// A caller-held memo of the plan one port's accesses last replayed, for a
+/// caller that streams accesses through the same few residue classes (the
+/// lockstep window of a simulated dense pass).
+///
+/// [`PolyMem::read_replayed`] and [`PolyMem::write_replayed`] serve an
+/// access of the memo's class with one bounds check (three compares against
+/// the pattern's in-bounds origins) and one gather or scatter over the
+/// memo's copy of the plan: the Table I check and the plan probe depend
+/// only on the class (see [`crate::plan`]). Any other access
+/// takes the full [`PolyMem::read_into`]/[`PolyMem::write`] path and
+/// refills the memo. The counts of replayed accesses (`stats()`, plan hits,
+/// telemetry) wait in the memo until [`PolyMem::settle`] adds them in bulk,
+/// so settle before reading them. A memo never replays across a
+/// [`PolyMem::clear_plans`], with planning off or while a trace records,
+/// nor on another memory.
+#[derive(Debug, Clone, Default)]
+pub struct AccessReplay {
+    /// The memoised class; `None` until a planned access fills it.
+    class: Option<ReplayClass>,
+    /// The class plan's per-lane flat offsets; the buffer is reused, so a
+    /// warm memo refills without allocating.
+    fold: Vec<isize>,
+    /// The origins at which the class's pattern fits the memory:
+    /// `(i_max, j_min, j_max)` (`Agu::origins`).
+    origins: (usize, usize, usize),
+    /// Accesses replayed since the last settle.
+    pending: u64,
+}
+
+/// What an [`AccessReplay`] replays: a port, a residue class, and the plan
+/// cache generation its copy was taken under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReplayClass {
+    /// The read port, or `None` for the write port.
+    port: Option<usize>,
+    pattern: AccessPattern,
+    /// `i mod p*q`.
+    ri: usize,
+    /// `j mod p*q`.
+    rj: usize,
+    generation: u64,
+}
+
+impl AccessReplay {
+    /// An empty memo: its first access takes the full path.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether `access`, of the memo's pattern, lies in the memory.
+    #[inline]
+    fn fits(&self, access: ParallelAccess) -> bool {
+        let (i_max, j_min, j_max) = self.origins;
+        access.i <= i_max && access.j >= j_min && access.j <= j_max
+    }
+}
+
+/// One planned access's gather: lane `k` reads `flat[base + fold[k]]`.
+#[inline]
+fn gather<T: Copy>(flat: &[T], base: isize, fold: &[isize], out: &mut [T]) {
+    for (o, &f) in out.iter_mut().zip(fold) {
+        *o = flat[(base + f) as usize];
+    }
+}
+
+/// One planned access's scatter: the mirror of [`gather`].
+#[inline]
+fn scatter<T: Copy>(flat: &mut [T], base: isize, fold: &[isize], data: &[T]) {
+    for (&f, &v) in fold.iter().zip(data) {
+        flat[(base + f) as usize] = v;
     }
 }
 
@@ -444,6 +519,13 @@ impl<T: Copy + Default> PolyMem<T> {
         self.region_planning && self.trace_log.is_none()
     }
 
+    /// The flat index a single access's plan offsets are relative to.
+    #[inline]
+    fn flat_base(&self, access: ParallelAccess) -> isize {
+        self.afn.address(access.i, access.j) as isize
+            * self.config.layout.base_scale(self.config.lanes())
+    }
+
     /// Planned parallel read: one bounds check, one tile address, one
     /// gather — the compiled replacement for `prepare` + bank read +
     /// read-data shuffle.
@@ -452,13 +534,9 @@ impl<T: Copy + Default> PolyMem<T> {
         // Plans are per residue class; bounds depend on the actual origin
         // and must be re-checked even on a cache hit.
         self.agu.check_bounds(access)?;
-        let base = self.afn.address(access.i, access.j) as isize
-            * self.config.layout.base_scale(self.config.lanes());
+        let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            let flat = banks.flat();
-            for (o, &f) in out.iter_mut().zip(&plan.fold) {
-                *o = flat[(base + f) as usize];
-            }
+            gather(banks.flat(), base, &plan.fold, out)
         })
     }
 
@@ -466,14 +544,126 @@ impl<T: Copy + Default> PolyMem<T> {
     fn write_planned(&mut self, access: ParallelAccess, data: &[T]) -> Result<()> {
         self.check_access(access)?;
         self.agu.check_bounds(access)?;
-        let base = self.afn.address(access.i, access.j) as isize
-            * self.config.layout.base_scale(self.config.lanes());
+        let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            let flat = banks.flat_mut();
-            for (&f, &v) in plan.fold.iter().zip(data) {
-                flat[(base + f) as usize] = v;
-            }
+            scatter(banks.flat_mut(), base, &plan.fold, data)
         })
+    }
+
+    /// The class `access` on `port` (`None`: the write port) falls in now.
+    #[inline]
+    fn replay_class(&self, port: Option<usize>, access: ParallelAccess) -> ReplayClass {
+        let period = self.config.lanes();
+        ReplayClass {
+            port,
+            pattern: access.pattern,
+            ri: residue(access.i, period),
+            rj: residue(access.j, period),
+            generation: self.plans.generation(),
+        }
+    }
+
+    /// Whether `memo` replays `access` on `port`: it holds the access's
+    /// class under the live generation, and planning serves it.
+    #[inline]
+    fn replays(&self, memo: &AccessReplay, port: Option<usize>, access: ParallelAccess) -> bool {
+        memo.class == Some(self.replay_class(port, access)) && self.use_plan()
+    }
+
+    /// Copy the plan a full-path access just used into `memo`, when
+    /// planning served it.
+    fn remember(&self, memo: &mut AccessReplay, port: Option<usize>, access: ParallelAccess) {
+        if !self.use_plan() {
+            return;
+        }
+        let key = PlanKey::of(PlanTarget::Access(access), self.config.lanes());
+        let origins = self.agu.origins(access.pattern);
+        if let (Some(plan), Some(origins)) = (self.plans.peek(&key), origins) {
+            memo.origins = origins;
+            memo.fold.clear();
+            memo.fold.extend_from_slice(&plan.fold);
+            memo.class = Some(self.replay_class(port, access));
+        }
+    }
+
+    /// [`Self::read_into`] through `memo`: an access in the memo's class
+    /// costs a bounds check and a gather, counted when `memo` settles; any
+    /// other access settles `memo`, takes `read_into` with all its checks
+    /// and refills `memo`. Data and errors are `read_into`'s.
+    pub fn read_replayed(
+        &mut self,
+        port: usize,
+        memo: &mut AccessReplay,
+        access: ParallelAccess,
+        out: &mut [T],
+    ) -> Result<()> {
+        if out.len() == memo.fold.len() && self.replays(memo, Some(port), access) {
+            // Outside the memo's box `check_bounds` fails and names the error.
+            if !memo.fits(access) {
+                self.agu.check_bounds(access)?;
+            }
+            gather(self.banks.flat(), self.flat_base(access), &memo.fold, out);
+            memo.pending += 1;
+            return Ok(());
+        }
+        self.settle(memo);
+        self.read_into(port, access, out)?;
+        self.remember(memo, Some(port), access);
+        Ok(())
+    }
+
+    /// [`Self::write`] through `memo`: the scatter mirror of
+    /// [`Self::read_replayed`].
+    pub fn write_replayed(
+        &mut self,
+        memo: &mut AccessReplay,
+        access: ParallelAccess,
+        data: &[T],
+    ) -> Result<()> {
+        if data.len() == memo.fold.len() && self.replays(memo, None, access) {
+            if !memo.fits(access) {
+                self.agu.check_bounds(access)?;
+            }
+            let base = self.flat_base(access);
+            scatter(self.banks.flat_mut(), base, &memo.fold, data);
+            memo.pending += 1;
+            return Ok(());
+        }
+        self.settle(memo);
+        self.write(access, data)?;
+        self.remember(memo, None, access);
+        Ok(())
+    }
+
+    /// Add the counts of `memo`'s replayed accesses in bulk — `stats()`,
+    /// one plan hit each (as a cache probe counts it) and the telemetry —
+    /// and empty it, so its next access takes the full path.
+    pub fn settle(&mut self, memo: &mut AccessReplay) {
+        let (Some(class), n) = (memo.class.take(), std::mem::take(&mut memo.pending)) else {
+            return;
+        };
+        if n == 0 {
+            return;
+        }
+        let lanes = self.lanes();
+        let elements = n * lanes as u64;
+        match class.port {
+            Some(port) => {
+                self.stats.reads += n;
+                self.stats.elements_read += elements;
+                if let Some(t) = &self.tlm {
+                    t.single_reads(port, n, lanes);
+                }
+            }
+            None => {
+                self.stats.writes += n;
+                self.stats.elements_written += elements;
+                if let Some(t) = &self.tlm {
+                    t.single_writes(n, lanes);
+                }
+            }
+        }
+        self.plans.count_hits(PlanShape::Access(class.pattern), n);
     }
 
     /// Expand an access and compute the shuffle steering signal (`route`)
@@ -538,7 +728,7 @@ impl<T: Copy + Default> PolyMem<T> {
         self.stats.writes += 1;
         self.stats.elements_written += lanes as u64;
         if let Some(t) = &self.tlm {
-            t.single_write(lanes);
+            t.single_writes(1, lanes);
         }
         Ok(())
     }
@@ -572,7 +762,7 @@ impl<T: Copy + Default> PolyMem<T> {
         self.stats.reads += 1;
         self.stats.elements_read += lanes as u64;
         if let Some(t) = &self.tlm {
-            t.single_read(port, lanes);
+            t.single_reads(port, 1, lanes);
         }
         Ok(())
     }
@@ -1120,6 +1310,98 @@ mod tests {
         // Recording stopped: nothing further captured.
         let _ = m.read(0, PA::row(2, 0)).unwrap();
         assert!(m.take_trace().is_empty());
+    }
+
+    #[test]
+    fn replayed_accesses_match_the_full_path() {
+        use crate::banks::BankLayout;
+        use crate::telemetry::TelemetryRegistry;
+        // Each origin family stays in one residue class (steps of p*q) and
+        // runs out of bounds; every pattern is tried, Table I or not, and
+        // reads switch ports now and then.
+        for (p, q) in [(2, 4), (4, 2)] {
+            let n = p * q;
+            let mut program = Vec::new();
+            for pattern in AccessPattern::ALL {
+                for (i0, j0) in [(0, 0), (1, 3), (p, q), (2 * p + 1, n - 1), (n - 1, 1)] {
+                    for t in 0..5 {
+                        program.push(PA::new(i0 + t * n, j0, pattern));
+                        program.push(PA::new(i0, j0 + t * n, pattern));
+                    }
+                    program.push(PA::new(usize::MAX - (n - 1) + i0 % n, j0, pattern));
+                }
+            }
+            for scheme in AccessScheme::ALL {
+                for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+                    let ctx = format!("{p}x{q} {scheme} {layout:?}");
+                    let cfg = PolyMemConfig::new(4 * n, 4 * n, p, q, scheme, 2)
+                        .unwrap()
+                        .with_layout(layout);
+                    let cells: Vec<u64> = (0..16 * (n * n) as u64).collect();
+                    let twin = || {
+                        let mut m = PolyMem::<u64>::new(cfg).unwrap();
+                        let reg = TelemetryRegistry::new();
+                        m.attach_telemetry(&reg);
+                        m.load_row_major(&cells).unwrap();
+                        (m, reg)
+                    };
+                    let ((mut full, full_reg), (mut mem, reg)) = (twin(), twin());
+                    let (mut reads, mut writes) = (AccessReplay::new(), AccessReplay::new());
+                    let (mut want, mut got) = (vec![0; n], vec![0; n]);
+                    for (k, &access) in program.iter().enumerate() {
+                        // Cache, planning and trace changes between calls.
+                        let third = program.len() / 3;
+                        for m in [&mut full, &mut mem] {
+                            match k {
+                                _ if k == third => m.clear_plans(),
+                                _ if k == 2 * third => m.set_planning(false),
+                                _ if k == 2 * third + 9 => m.set_planning(true),
+                                _ if k == 2 * third + 20 => m.start_trace(),
+                                _ => {}
+                            }
+                        }
+                        let port = usize::from(k % 7 != 3);
+                        let read = mem.read_replayed(port, &mut reads, access, &mut got);
+                        assert_eq!(read, full.read_into(port, access, &mut want), "{ctx} {k}");
+                        assert_eq!(got, want, "{ctx} {k} {access:?}");
+                        let data: Vec<u64> = (0..n as u64).map(|l| (k as u64) << 8 | l).collect();
+                        let wrote = mem.write_replayed(&mut writes, access, &data);
+                        assert_eq!(wrote, full.write(access, &data), "{ctx} {k}");
+                    }
+                    mem.settle(&mut reads);
+                    mem.settle(&mut writes);
+                    assert_eq!(mem.dump_row_major(), full.dump_row_major(), "{ctx}");
+                    assert_eq!(mem.stats(), full.stats(), "{ctx}");
+                    assert_eq!(mem.plan_stats(), full.plan_stats(), "{ctx}");
+                    assert_eq!(reg.snapshot(), full_reg.snapshot(), "{ctx}");
+                    assert_eq!(mem.take_trace(), full.take_trace(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_memo_defers_counts_until_settled() {
+        let mut m = mem(AccessScheme::RoCo);
+        let mut memo = AccessReplay::new();
+        let mut out = [0u64; 8];
+        for j in [0, 8, 0, 8] {
+            m.read_replayed(1, &mut memo, PA::row(3, j), &mut out)
+                .unwrap();
+        }
+        // The first access took the full path; three replays wait.
+        assert_eq!((m.stats().reads, m.plan_stats().misses), (1, 1));
+        assert_eq!(m.plan_stats().hits, 0);
+        m.settle(&mut memo);
+        assert_eq!((m.stats().reads, m.stats().elements_read), (4, 32));
+        assert_eq!((m.plan_stats().hits, m.plan_stats().misses), (3, 1));
+        // Settling empties the memo: the next access takes the full path
+        // (a cache hit), and a second settle adds nothing.
+        m.read_replayed(1, &mut memo, PA::row(3, 0), &mut out)
+            .unwrap();
+        m.settle(&mut memo);
+        m.settle(&mut memo);
+        assert_eq!((m.stats().reads, m.plan_stats().hits), (5, 4));
     }
 
     #[test]

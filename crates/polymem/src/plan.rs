@@ -26,6 +26,12 @@
 //! Whole regions compile per `(shape, residue)` class by composing the
 //! cached single-access plans of their accesses ([`RegionPlan::compile`]).
 //!
+//! The Table I check is periodic too: support depends on the pattern
+//! alone, and every alignment rule is modulo `p` or `q`, both of which
+//! divide `N`. So a caller that keeps a copy of its last class's plan (an
+//! [`crate::AccessReplay`]) replays the next access of that class after a
+//! bounds check alone, without the check or the cache probe.
+//!
 //! [`PlanCache`] memoises both kinds in one map under one [`PlanKey`]. The
 //! interpreted pipeline stays in [`crate::mem`] as the oracle: plans are
 //! verified against it at compile time, and `proptest` equivalence suites
@@ -145,13 +151,7 @@ impl PlanKey {
             PlanTarget::Access(a) => (PlanShape::Access(a.pattern), a.i, a.j),
             PlanTarget::Region(r) => (PlanShape::Region(r.shape), r.i, r.j),
         };
-        // Every planned access computes its key, and the paper's grids have
-        // power-of-two periods, where a mask replaces two divisions.
-        let (ri, rj) = if period.is_power_of_two() {
-            ((i & (period - 1)) as u32, (j & (period - 1)) as u32)
-        } else {
-            ((i % period) as u32, (j % period) as u32)
-        };
+        let (ri, rj) = (residue(i, period) as u32, residue(j, period) as u32);
         let mut h = PlanKeyHasher::default();
         (shape, ri, rj).hash(&mut h);
         Self {
@@ -160,6 +160,18 @@ impl PlanKey {
             rj,
             hash: h.finish(),
         }
+    }
+}
+
+/// `x mod period`. Every planned access reduces its origin, and the
+/// paper's grids have power-of-two periods, where a mask replaces the
+/// division.
+#[inline]
+pub(crate) fn residue(x: usize, period: usize) -> usize {
+    if period.is_power_of_two() {
+        x & (period - 1)
+    } else {
+        x % period
     }
 }
 
@@ -248,6 +260,11 @@ impl Clone for Tally {
 /// A hit writes nothing but its hit counter.
 #[derive(Debug)]
 pub struct PlanCache {
+    /// Names the cache's current access plans: unique per cache and
+    /// renewed by [`Self::clear`], so a copy of a plan taken under it (an
+    /// [`crate::AccessReplay`]) is known to be the resident plan while the
+    /// two agree.
+    generation: u64,
     period: usize,
     depth: usize,
     layout: BankLayout,
@@ -282,6 +299,7 @@ impl PlanCache {
     /// current plan must be resident to replay).
     pub fn with_capacity(period: usize, depth: usize, layout: BankLayout, capacity: usize) -> Self {
         Self {
+            generation: next_generation(),
             period,
             depth,
             layout,
@@ -290,6 +308,12 @@ impl PlanCache {
             tallies: Default::default(),
             run_hist: None,
         }
+    }
+
+    /// The generation of the cached access plans (see [`Self::clear`]).
+    #[inline]
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The flat backing layout plans are compiled against.
@@ -314,6 +338,13 @@ impl PlanCache {
     #[inline]
     pub fn peek(&self, key: &PlanKey) -> Option<&RegionPlan> {
         self.map.get(key)
+    }
+
+    /// Count `n` hits on `shape`'s tally at once, for accesses replayed
+    /// from a copy of its plan ([`crate::AccessReplay`]).
+    #[inline]
+    pub(crate) fn count_hits(&self, shape: PlanShape, n: u64) {
+        self.tallies[shape.tally()].hits.add(n);
     }
 
     /// Shared handles on this cache's hit counters.
@@ -427,8 +458,9 @@ impl PlanCache {
     }
 
     /// Drop every cached plan (they recompile lazily; counters keep
-    /// running).
+    /// running) and renew the generation.
     pub fn clear(&mut self) {
+        self.generation = next_generation();
         self.map.clear();
         for t in &mut self.tallies {
             (t.entries, t.bytes) = (0, 0);
@@ -528,6 +560,8 @@ impl PlanCache {
 impl Clone for PlanCache {
     fn clone(&self) -> Self {
         Self {
+            // The clone holds the same plans.
+            generation: self.generation,
             period: self.period,
             depth: self.depth,
             layout: self.layout,
@@ -539,6 +573,14 @@ impl Clone for PlanCache {
             run_hist: None,
         }
     }
+}
+
+/// A generation no cache has had yet. Not part of the concurrency
+/// protocol (a relaxed counter read once per cache build or clear), so it
+/// stays outside [`crate::sync`].
+fn next_generation() -> u64 {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Observe each motif run's length in elements (`reps * lanes`).

@@ -9,7 +9,7 @@
 //! before.
 //!
 //! Under `--features race-check` the re-exports switch to
-//! [`interleave::sync`]: model types whose every load/store/RMW and guard
+//! `interleave::sync`: model types whose every load/store/RMW and guard
 //! acquire/release is a scheduling point of the vendored bounded
 //! interleaving explorer and feeds its vector-clock happens-before checker.
 //! That build is for the `races` verification suite only

@@ -185,7 +185,9 @@ pub struct StreamApp {
 
 impl StreamApp {
     /// Build the design for `op` on `layout` at `freq_mhz` with the paper's
-    /// 14-cycle read latency.
+    /// 14-cycle read latency. A frequency that is not finite and positive
+    /// returns [`polymem::PolyMemError::InvalidGeometry`], as every
+    /// constructor does.
     pub fn new(op: StreamOp, layout: StreamLayout, freq_mhz: f64) -> polymem::Result<Self> {
         Self::with_latency(op, layout, freq_mhz, PAPER_READ_LATENCY)
     }
@@ -223,6 +225,11 @@ impl StreamApp {
         read_latency: u64,
         burst: bool,
     ) -> polymem::Result<Self> {
+        if !(freq_mhz.is_finite() && freq_mhz > 0.0) {
+            return Err(polymem::PolyMemError::InvalidGeometry {
+                reason: format!("clock frequency {freq_mhz} MHz (must be finite and > 0)"),
+            });
+        }
         let ports = layout.config.read_ports;
         let rq: Vec<_> = (0..ports)
             .map(|p| stream(format!("read-req-{p}"), 8))
@@ -663,6 +670,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn new_rejects_bad_clock_frequency() {
+        let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        type Build = fn(StreamOp, StreamLayout, f64) -> polymem::Result<StreamApp>;
+        let builds: [Build; 3] = [
+            StreamApp::new,
+            |op, l, f| StreamApp::with_latency(op, l, f, 3),
+            StreamApp::new_burst,
+        ];
+        for build in builds {
+            for freq in [0.0, -120.0, f64::NAN, f64::INFINITY] {
+                let err = build(StreamOp::Copy, layout, freq)
+                    .err()
+                    .unwrap_or_else(|| panic!("built at {freq} MHz"));
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, polymem::PolyMemError::InvalidGeometry { .. }),
+                    "{msg}"
+                );
+                assert!(msg.contains(&format!("{freq} MHz")), "{msg}");
+            }
+            assert!(build(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).is_ok());
+        }
+    }
+
     fn run_burst(op: StreamOp, len: usize) -> (Vec<f64>, StageTiming) {
         let layout = StreamLayout::new(len, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
         let mut app = StreamApp::new_burst(op, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
@@ -852,30 +884,70 @@ mod tests {
         }
     }
 
+    /// Every STREAM op.
+    const OPS: [StreamOp; 4] = [
+        StreamOp::Copy,
+        StreamOp::Scale(3.25),
+        StreamOp::Sum,
+        StreamOp::Triad(2.5),
+    ];
+
+    /// `(len, cols, p, q, scheme)`: grids of 4 and 8 lanes, ragged (192 of
+    /// 64-column rows on p = 2) and one-row covers.
+    const GEOMETRIES: [(usize, usize, usize, usize, AccessScheme); 6] = [
+        (512, 64, 2, 4, AccessScheme::RoCo),
+        (64, 64, 2, 4, AccessScheme::RoCo),
+        (192, 64, 2, 4, AccessScheme::ReRo),
+        (256, 32, 2, 2, AccessScheme::RoCo),
+        (256, 32, 4, 2, AccessScheme::ReRo),
+        (4096, 512, 2, 4, AccessScheme::RoCo),
+    ];
+
+    #[test]
+    fn per_chunk_pass_takes_chunks_plus_latency_plus_one() {
+        // The per-chunk cycle contract: one chunk issues per cycle, and the
+        // last write commits L + 1 cycles after the last issue, on every
+        // op, cover, latency and scheduler mode, so the lockstep window
+        // changes no cycle count.
+        let mut cases = Vec::new();
+        for (len, cols, p, q, scheme) in GEOMETRIES {
+            let layout = StreamLayout::new(len, cols, p, q, scheme, 2).unwrap();
+            for op in OPS {
+                for latency in [1, 2, 14, 200] {
+                    cases.push((layout, op, latency));
+                }
+            }
+        }
+        let paper = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap();
+        for op in [StreamOp::Copy, StreamOp::Triad(2.5)] {
+            cases.push((paper, op, PAPER_READ_LATENCY));
+        }
+        for (layout, op, latency) in cases {
+            let want = layout.a.chunks() as u64 + latency + 1;
+            for mode in [SchedulerMode::Ticked, SchedulerMode::EventDriven] {
+                let mut app = StreamApp::with_latency(op, layout, 120.0, latency).unwrap();
+                app.set_scheduler_mode(mode);
+                let (a, b, c) = vectors(layout.a.len);
+                app.load(&a, &b, &c).unwrap();
+                let case = format!("{} on {:?}, latency {latency}, {mode:?}", op.name(), layout);
+                assert_eq!(app.run_pass(), want, "{case}");
+                assert!(app.errors().is_empty(), "{case}");
+            }
+        }
+        assert_eq!(paper.a.chunks() as u64 + PAPER_READ_LATENCY + 1, 10_895);
+    }
+
     #[test]
     fn lockstep_window_leaves_what_the_ticked_loop_leaves() {
         use polymem::tracing::TraceJournal;
         // The event-driven loop serves a per-chunk pass's steady state in
         // one lockstep window. Everything observable must match the ticked
-        // loop after two traced passes, on every op, on grids of 4 and 8
-        // lanes, ragged and one-row covers, and latencies from 0 to more
-        // than a pass has chunks.
+        // loop after two traced passes, on every op and geometry, and
+        // latencies from 1 to more than a pass has chunks.
         let mut cases = Vec::new();
-        for (len, cols, p, q, scheme) in [
-            (512, 64, 2, 4, AccessScheme::RoCo),
-            (64, 64, 2, 4, AccessScheme::RoCo),
-            (192, 64, 2, 4, AccessScheme::ReRo),
-            (256, 32, 2, 2, AccessScheme::RoCo),
-            (256, 32, 4, 2, AccessScheme::ReRo),
-            (4096, 512, 2, 4, AccessScheme::RoCo),
-        ] {
+        for (len, cols, p, q, scheme) in GEOMETRIES {
             let layout = StreamLayout::new(len, cols, p, q, scheme, 2).unwrap();
-            for op in [
-                StreamOp::Copy,
-                StreamOp::Scale(3.25),
-                StreamOp::Sum,
-                StreamOp::Triad(2.5),
-            ] {
+            for op in OPS {
                 let err = StreamApp::with_latency(op, layout, 120.0, 0)
                     .err()
                     .expect("latency 0 accepted");

@@ -30,6 +30,9 @@ const HOT: &[(&str, &[&str])] = &[
         &[
             "read_planned",
             "write_planned",
+            "read_replayed",
+            "write_replayed",
+            "settle",
             "load_rows",
             "dump_rows_into",
         ],
