@@ -1,17 +1,17 @@
-//! Criterion: the simulated STREAM-Copy pass, region-burst controller vs
-//! the per-chunk Fig. 9 FSM.
+//! Criterion: the simulated STREAM-Copy and -Triad pass, region-burst
+//! controller vs the per-chunk Fig. 9 FSM.
 //!
 //! On these `Block` covers a Copy burst costs `ceil(len/lanes)` access
 //! cycles plus the 14-cycle latency, so both modes model the same Copy
 //! bandwidth within a cycle (burst Triad reads its two operand bursts one
 //! after the other on the single region read port, about twice the
 //! per-chunk cycles). What this bench measures is the host-side cost of
-//! driving a pass — the per-chunk path pays a plan lookup, two FIFO hops
-//! and an 8-element allocation per chunk, the burst path compiles each
-//! vector's region cover once and streams it. This is
-//! the simulator-level counterpart of `BENCH_region.json`'s `stream_copy`
-//! comparison, and the gap `ROADMAP.md` tracks as "teach the simulated
-//! controller to issue whole-region bursts".
+//! driving a pass: the burst path compiles each vector's region cover once
+//! and streams it; the per-chunk path ticks through pipeline fill and drain
+//! and serves the steady state in one lockstep window
+//! (`PolyMemKernel::lockstep`): one replayed access per port and cycle, no
+//! FIFO hop or allocation. This is the simulator-level counterpart of
+//! `BENCH_region.json`'s `stream_copy` comparison.
 //!
 //! Run with `CRITERION_JSON=BENCH_stream_region.json cargo bench -p
 //! polymem-bench --bench stream_region` to append machine-readable

@@ -21,12 +21,9 @@ fn measure(n: usize, latency: u64) -> (u64, f64) {
     (t.cycles_per_run, t.bandwidth_mbps)
 }
 
-fn main() {
+pub fn run() {
     println!("Ablation: STREAM-Copy sensitivity to the PolyMem read latency\n");
-    let headers: Vec<String> = ["Vector KB", "lat=1", "lat=14 (paper)", "lat=56", "lat=224"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["Vector KB", "lat=1", "lat=14 (paper)", "lat=56", "lat=224"];
     let mut rows = Vec::new();
     for rows_cnt in [1usize, 8, 64, 170] {
         let n = rows_cnt * 512;

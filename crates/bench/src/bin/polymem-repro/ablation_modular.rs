@@ -8,10 +8,10 @@ use fpga_model::{estimate_with_style, DesignStyle, FpgaDevice};
 use polymem::AccessScheme;
 use polymem_bench::{grid_label, render_table};
 
-fn main() {
+pub fn run() {
     println!("Ablation: fused vs modular implementation (ReRo scheme)\n");
     let dev = FpgaDevice::VIRTEX6_SX475T;
-    let headers: Vec<String> = [
+    let headers = [
         "Config",
         "Fused slices",
         "Modular slices",
@@ -19,10 +19,7 @@ fn main() {
         "Fused BRAM%",
         "Modular BRAM%",
         "Modular feasible",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for &(kb, lanes, ports) in &fpga_model::TABLE4_COLUMNS {

@@ -19,7 +19,7 @@ fn naive_rect_schedule(trace: &AccessTrace, p: usize, q: usize) -> usize {
     (rows / p) * (cols / q)
 }
 
-fn main() {
+pub fn run() {
     let (p, q) = (2usize, 4usize);
     let cases: Vec<(&str, AccessTrace, AccessScheme)> = vec![
         (
@@ -61,13 +61,10 @@ fn main() {
     println!(
         "Scheduler ablation: exact (ILP-equivalent) vs greedy vs naive tiling ({p}x{q} lanes)\n"
     );
-    let headers: Vec<String> = [
+    let headers = [
         "Trace", "Scheme", "Elements", "Naive", "Greedy", "Anneal", "Exact", "Optimal?", "Speedup",
         "Eff.",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for (name, trace, scheme) in cases {
         let rows_sp = trace.rows().next_multiple_of(p).max(p) + p;

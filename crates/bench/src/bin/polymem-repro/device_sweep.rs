@@ -6,20 +6,17 @@
 use fpga_model::{explore, DseGrid, FpgaDevice};
 use polymem_bench::render_table;
 
-fn main() {
+pub fn run() {
     println!("PolyMem feasibility frontier across Virtex-6 parts\n");
     let grid = DseGrid::paper();
-    let headers: Vec<String> = [
+    let headers = [
         "Device",
         "BRAM36",
         "Slices",
         "Feasible configs",
         "Max capacity",
         "Max read GB/s",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for device in FpgaDevice::ALL {
         let pts = explore(&grid, &device);

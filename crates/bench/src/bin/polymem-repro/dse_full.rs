@@ -1,17 +1,17 @@
 //! **Table III** — the full design-space exploration, on the parallel
-//! two-axis engine (`polymem-dse`): every grid point is synthesized by the
-//! analytic model *and* measured through the event-driven simulator. Pass
-//! `--quick` for the reduced CI grid.
+//! two-axis engine (`polymem-dse`): every point of the 240-point extended
+//! grid (Table III's 160 plus the 32-lane arm) is synthesized by the
+//! analytic model *and* measured through the event-driven simulator.
+//! `--quick` sweeps the reduced CI grid instead.
 //!
-//! This binary is the human-readable view; the machine-readable, drift-gated
-//! artifact is `DSE_report.json` (see the `polymem-dse` binary).
+//! This experiment is the human-readable view; the machine-readable,
+//! drift-gated artifact is `DSE_report.json` (see the `polymem-dse` binary).
 
 use polymem::telemetry::TelemetryRegistry;
 use polymem_bench::{grid_label, render_table};
 use polymem_dse::{claims, engine};
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(quick: bool) {
     let cfg = if quick {
         engine::SweepConfig::quick()
     } else {
@@ -27,7 +27,7 @@ fn main() {
     );
 
     let result = engine::sweep(&cfg, &TelemetryRegistry::new());
-    let headers: Vec<String> = [
+    let headers = [
         "Config",
         "Scheme",
         "Feasible",
@@ -37,10 +37,7 @@ fn main() {
         "Meas GiB/s",
         "Logic %",
         "BRAM %",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = result
         .points
         .iter()

@@ -6,15 +6,12 @@
 use polymem_bench::render_table;
 use stream_bench::{fig10_default_sizes, fig10_series};
 
-fn main() {
+pub fn run() {
     println!("Fig. 10: STREAM-Copy bandwidth vs copied data (paper geometry, 120 MHz)\n");
     let sizes = fig10_default_sizes();
     let series = fig10_series(&sizes, 1000);
 
-    let headers: Vec<String> = ["Copied KB", "MB/s", "% of 15360 peak"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["Copied KB", "MB/s", "% of 15360 peak"];
     let rows: Vec<Vec<String>> = series
         .iter()
         .map(|p| {

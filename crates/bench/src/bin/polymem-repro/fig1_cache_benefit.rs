@@ -6,7 +6,7 @@
 use dfe_sim::{AccessCostModel, DramParams, SimClock};
 use polymem_bench::render_table;
 
-fn main() {
+pub fn run() {
     let dram = DramParams::vectis_lmem();
     let clock = SimClock::new(120.0);
     let model = AccessCostModel::new(&dram, &clock, 8);
@@ -18,15 +18,12 @@ fn main() {
         dram.bandwidth_gbps,
         clock.period_ns()
     );
-    let headers: Vec<String> = [
+    let headers = [
         "Reuses",
         "DRAM-direct ns",
         "Cached ns (stage+reads)",
         "Speedup",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for reuses in [1u32, 2, 4, 8, 16, 64, 256] {
         let d = model.dram_total_ns(reuses);

@@ -1,26 +1,16 @@
 //! **Fig. 5** — aggregated read bandwidth (GB/s): per-port bandwidth times
 //! the number of read ports, for all schemes across the feasible grid.
 
-use fpga_model::explore_paper;
-use polymem_bench::{render_table, scheme_by_config_table};
+use fpga_model::{best_by, explore_paper};
+use polymem_bench::{find_point, scheme_by_config_table};
 
-fn main() {
+pub fn run() {
     let pts = explore_paper();
     println!("Fig. 5: aggregated read bandwidth (GB/s)\n");
-    let (headers, rows) =
-        scheme_by_config_table(&pts, |p| format!("{:.1}", p.report.read_bandwidth_gbps()));
-    println!("{}", render_table(&headers, &rows));
+    let table = scheme_by_config_table(&pts, |p| format!("{:.1}", p.report.read_bandwidth_gbps()));
+    println!("{table}");
 
-    let best = pts
-        .iter()
-        .filter(|p| p.report.feasible)
-        .max_by(|a, b| {
-            a.report
-                .read_bandwidth_mbps
-                .partial_cmp(&b.report.read_bandwidth_mbps)
-                .unwrap()
-        })
-        .expect("nonempty");
+    let best = best_by(&pts, |p| p.report.read_bandwidth_mbps).expect("nonempty");
     println!(
         "Peak aggregated read bandwidth: {:.1} GB/s at {},{}L,{}P {} (paper: ~32 GB/s, 512KB)",
         best.report.read_bandwidth_gbps(),
@@ -35,16 +25,10 @@ fn main() {
     );
     let mut prev: Option<f64> = None;
     for ports in 1..=4usize {
-        let bw = pts
-            .iter()
-            .find(|p| {
-                p.scheme == polymem::AccessScheme::ReRo
-                    && p.size_kb == 512
-                    && p.lanes == 8
-                    && p.read_ports == ports
-            })
-            .map(|p| p.report.read_bandwidth_gbps())
-            .unwrap();
+        let bw = find_point(&pts, polymem::AccessScheme::ReRo, (512, 8, ports))
+            .expect("paper grid point")
+            .report
+            .read_bandwidth_gbps();
         let gain = prev
             .map(|pv| format!(" (x{:.2} vs {} port)", bw / pv, ports - 1))
             .unwrap_or_default();

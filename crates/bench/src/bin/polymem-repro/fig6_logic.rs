@@ -2,22 +2,15 @@
 //! Virtex-6 SX475T's 74,400 slices.
 
 use fpga_model::explore_paper;
-use polymem_bench::{render_table, scheme_by_config_table};
+use polymem_bench::{feasible_range, scheme_by_config_table};
 
-fn main() {
+pub fn run() {
     let pts = explore_paper();
     println!("Fig. 6: logic utilization (%)\n");
-    let (headers, rows) =
-        scheme_by_config_table(&pts, |p| format!("{:.1}", p.report.utilization.logic_pct));
-    println!("{}", render_table(&headers, &rows));
+    let table = scheme_by_config_table(&pts, |p| format!("{:.1}", p.report.utilization.logic_pct));
+    println!("{table}");
 
-    let (min, max) = pts
-        .iter()
-        .filter(|p| p.report.feasible)
-        .map(|p| p.report.utilization.logic_pct)
-        .fold((f64::INFINITY, 0.0f64), |(lo, hi), u| {
-            (lo.min(u), hi.max(u))
-        });
+    let (min, max) = feasible_range(&pts, |p| p.report.utilization.logic_pct);
     println!("Feasible range: {min:.1}% .. {max:.1}%  (paper: 10.58% .. <38%)");
     println!("\nPaper anchors:");
     println!("  512KB/8L/1P ReO    10.58%   |   4096KB/8L/1P RoCo  13.05%");

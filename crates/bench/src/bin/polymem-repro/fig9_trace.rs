@@ -7,7 +7,7 @@ use dfe_sim::VcdRecorder;
 use polymem::AccessScheme;
 use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
-fn main() {
+pub fn run() {
     let n = 4 * 64;
     let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).expect("valid layout");
     let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).expect("valid");

@@ -1,6 +1,6 @@
 //! **Methodology experiment** — place-and-route variance. Table IV contains
 //! non-monotonic cells (512KB/16L/2P is slower than the larger 1024KB/16L/2P
-//! in every scheme). This binary adds the model's deterministic ±15% "P&R
+//! in every scheme). This experiment adds the model's deterministic ±15% "P&R
 //! jitter" and counts how many monotonicity violations appear per seed —
 //! showing the paper's anomalies are the expected artefact of synthesis
 //! noise, not structure.
@@ -31,7 +31,7 @@ fn violations(fmax: impl Fn(AccessScheme, usize, usize, usize) -> f64) -> usize 
     v
 }
 
-fn main() {
+pub fn run() {
     // The paper's own table.
     let paper = |scheme: AccessScheme, kb: usize, lanes: usize, ports: usize| -> f64 {
         let row = PAPER_TABLE4.iter().find(|(s, _)| *s == scheme).unwrap();

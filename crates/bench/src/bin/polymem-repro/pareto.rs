@@ -7,7 +7,7 @@ use polymem::telemetry::TelemetryRegistry;
 use polymem_bench::{grid_label, render_table};
 use polymem_dse::{engine, pareto};
 
-fn main() {
+pub fn run() {
     let result = engine::sweep(&engine::SweepConfig::full(), &TelemetryRegistry::new());
     let front = pareto::front(&result.points);
     let mut entries: Vec<_> = front.iter().map(|&i| &result.points[i]).collect();
@@ -22,17 +22,14 @@ fn main() {
         entries.len(),
         result.feasible().count(),
     );
-    let headers: Vec<String> = [
+    let headers = [
         "Config",
         "Scheme",
         "Meas GiB/s",
         "BRAM blocks",
         "Fmax MHz",
         "Logic %",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = entries
         .iter()
         .map(|p| {

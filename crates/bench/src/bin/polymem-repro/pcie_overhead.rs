@@ -1,14 +1,14 @@
 //! **Methodology experiment (§V)** — the host-FPGA signalling overhead.
 //! The paper: "This minimum overhead is, according to our dedicated
 //! measurements, around 300ns, and interferes with any measurements of
-//! applications with comparable runtimes." This binary reproduces that
+//! applications with comparable runtimes." This experiment reproduces that
 //! dedicated measurement on the link model and shows the interference
 //! threshold.
 
 use dfe_sim::{Host, PcieLink};
 use polymem_bench::render_table;
 
-fn main() {
+pub fn run() {
     let link = PcieLink::vectis();
     let mut host = Host::new(link);
 
@@ -27,10 +27,7 @@ fn main() {
     // Interference: fraction of a measured runtime that is pure overhead,
     // as a function of the kernel's real work.
     println!("overhead share vs kernel runtime (the left side of Fig. 10):");
-    let headers: Vec<String> = ["kernel ns", "measured ns", "overhead %"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["kernel ns", "measured ns", "overhead %"];
     let rows: Vec<Vec<String>> = [100.0f64, 300.0, 1000.0, 3000.0, 10_000.0, 100_000.0]
         .iter()
         .map(|&work| {

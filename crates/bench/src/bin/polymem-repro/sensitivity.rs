@@ -8,7 +8,7 @@ use fpga_model::calibration::fit_stats_with;
 use fpga_model::CriticalPathModel;
 use polymem_bench::render_table;
 
-fn main() {
+pub fn run() {
     let base = CriticalPathModel::DEFAULT;
     let base_fit = fit_stats_with(&base);
     println!(
@@ -29,16 +29,13 @@ fn main() {
         }),
     ];
 
-    let headers: Vec<String> = [
+    let headers = [
         "Constant",
         "Value",
         "-20% mean err",
         "+20% mean err",
         "Swing",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     let mut swings: Vec<(String, f64)> = Vec::new();
     for (name, value, set) in params {

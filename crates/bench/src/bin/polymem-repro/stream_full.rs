@@ -1,13 +1,13 @@
 //! **Extension** — the full STREAM suite (Copy, Scale, Sum, Triad) on the
 //! paper geometry, with standard STREAM reporting. The paper synthesizes
 //! only Copy and lists "finalize the implementation of STREAM" as future
-//! work; this binary is that future work on the simulator.
+//! work; this experiment is that future work on the simulator.
 
 use stream_bench::{
     scalar_reference, StreamApp, StreamLayout, StreamOp, StreamRow, PAPER_STREAM_FREQ_MHZ,
 };
 
-fn main() {
+pub fn run() {
     let n = 64 * 512; // 256 KB per vector: large enough to sit near peak
     let runs = 1000;
     println!(

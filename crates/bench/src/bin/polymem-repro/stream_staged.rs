@@ -13,7 +13,7 @@ use std::rc::Rc;
 use stream_bench::staged::{pcie_chunk_interval, LoadKernel, OffloadKernel};
 use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
-fn main() {
+pub fn run() {
     let rows = 32usize;
     let n = rows * 512; // 128 KB per vector
     let layout = StreamLayout::paper_geometry(n).expect("fits");
@@ -83,10 +83,7 @@ fn main() {
     let off_ns = off_cycles as f64 * period + link.call_overhead_ns;
     assert_eq!(off.take().len(), n);
 
-    let headers: Vec<String> = ["Stage", "Cycles", "Time (us)", "Bound by"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["Stage", "Cycles", "Time (us)", "Bound by"];
     let rows_out = vec![
         vec![
             "Load (3 vectors)".into(),

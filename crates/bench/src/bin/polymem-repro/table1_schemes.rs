@@ -6,14 +6,14 @@ use polymem::theory::verify_table1;
 use polymem::{AccessPattern, AccessScheme};
 use polymem_bench::render_table;
 
-fn main() {
+pub fn run() {
     let (p, q) = (2, 4);
     let n = p * q;
     let verified = verify_table1(p, q, 4 * n, 4 * n);
 
     println!("Table I: PRF access schemes (verified on a {p}x{q} bank grid)\n");
-    let headers: Vec<String> = std::iter::once("Scheme".to_string())
-        .chain(AccessPattern::ALL.iter().map(|pat| pat.name().to_string()))
+    let headers: Vec<&str> = std::iter::once("Scheme")
+        .chain(AccessPattern::ALL.iter().map(|pat| pat.name()))
         .collect();
     let rows: Vec<Vec<String>> = verified
         .iter()

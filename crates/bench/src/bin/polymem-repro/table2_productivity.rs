@@ -13,7 +13,7 @@ fn loc(src: &str) -> usize {
         .count()
 }
 
-fn main() {
+pub fn run() {
     // (paper module, paper effort days, paper MaxJ LOC, our module, our source)
     let rows_data: [(&str, u32, u32, &str, &str); 7] = [
         (
@@ -21,35 +21,35 @@ fn main() {
             2,
             194,
             "polymem/src/agu.rs",
-            include_str!("../../../polymem/src/agu.rs"),
+            include_str!("../../../../polymem/src/agu.rs"),
         ),
         (
             "A",
             3,
             292,
             "polymem/src/addressing.rs",
-            include_str!("../../../polymem/src/addressing.rs"),
+            include_str!("../../../../polymem/src/addressing.rs"),
         ),
         (
             "Shuffle",
             10,
             335,
             "polymem/src/shuffle.rs",
-            include_str!("../../../polymem/src/shuffle.rs"),
+            include_str!("../../../../polymem/src/shuffle.rs"),
         ),
         (
             "M",
             4,
             399,
             "polymem/src/maf.rs",
-            include_str!("../../../polymem/src/maf.rs"),
+            include_str!("../../../../polymem/src/maf.rs"),
         ),
         (
             "Memory banks",
             3,
             242,
             "polymem/src/banks.rs",
-            include_str!("../../../polymem/src/banks.rs"),
+            include_str!("../../../../polymem/src/banks.rs"),
         ),
         (
             "Inv Shuffle",
@@ -63,15 +63,12 @@ fn main() {
             1,
             127,
             "polymem/src/mem.rs (ports)",
-            include_str!("../../../polymem/src/mem.rs"),
+            include_str!("../../../../polymem/src/mem.rs"),
         ),
     ];
 
     println!("Table II: productivity analysis — paper's MaxJ vs this Rust reproduction\n");
-    let headers: Vec<String> = ["Module", "MaxJ days", "MaxJ LOC", "Rust module", "Rust LOC"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["Module", "MaxJ days", "MaxJ LOC", "Rust module", "Rust LOC"];
     let mut total_maxj = 0u32;
     let mut total_rust = 0usize;
     let rows: Vec<Vec<String>> = rows_data

@@ -6,18 +6,15 @@ use fpga_model::calibration::{compare_all, fit_stats};
 use fpga_model::explore_paper;
 use polymem_bench::{render_table, scheme_by_config_table};
 
-fn main() {
+pub fn run() {
     let pts = explore_paper();
 
     println!("Table IV (model): MAX-PolyMem maximum clock frequencies [MHz]\n");
-    let (headers, rows) = scheme_by_config_table(&pts, |p| format!("{:.0}", p.report.fmax_mhz));
-    println!("{}", render_table(&headers, &rows));
+    let table = scheme_by_config_table(&pts, |p| format!("{:.0}", p.report.fmax_mhz));
+    println!("{table}");
 
     println!("Paper vs model, per cell:\n");
-    let headers: Vec<String> = ["Scheme", "Config", "Paper MHz", "Model MHz", "Err %"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["Scheme", "Config", "Paper MHz", "Model MHz", "Err %"];
     let mut rows = Vec::new();
     for cell in compare_all() {
         let (kb, lanes, ports) = cell.point;

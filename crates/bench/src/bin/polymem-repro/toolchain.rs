@@ -7,7 +7,7 @@ use polymem_bench::render_table;
 use polymem_bench::toolchain::{recommend, Requirements};
 use scheduler::AccessTrace;
 
-fn main() {
+pub fn run() {
     let apps: Vec<(&str, AccessTrace)> = vec![
         ("dense tile sweep", AccessTrace::block(0, 0, 16, 16)),
         ("row+column kernel", {
@@ -19,7 +19,7 @@ fn main() {
     ];
 
     println!("PolyMem toolchain: application -> recommended configuration\n");
-    let headers: Vec<String> = [
+    let headers = [
         "Application",
         "Scheme",
         "Grid",
@@ -28,10 +28,7 @@ fn main() {
         "Eff.",
         "Fmax MHz",
         "Proj. GB/s",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for (name, trace) in apps {
         match recommend(&Requirements {
@@ -49,16 +46,11 @@ fn main() {
                 format!("{:.0}", rec.synthesis.fmax_mhz),
                 format!("{:.1}", rec.projected_mbps / 1000.0),
             ]),
-            Err(e) => rows.push(vec![
-                name.to_string(),
-                format!("ERROR: {e}"),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]),
+            Err(e) => {
+                let mut row = vec![name.to_string(), format!("ERROR: {e}")];
+                row.resize(headers.len(), String::new());
+                rows.push(row);
+            }
         }
     }
     println!("{}", render_table(&headers, &rows));

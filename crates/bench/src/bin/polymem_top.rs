@@ -311,10 +311,7 @@ fn main() {
         attributed.to_string(),
         pct(attributed, total_cycles),
     ]);
-    print!(
-        "{}",
-        render_table(&["state".into(), "cycles".into(), "share".into()], &rows)
-    );
+    print!("{}", render_table(&["state", "cycles", "share"], &rows));
     println!();
 
     let total_elems = counter_sum(&snap, "polymem_bank_elements_total", &[]);
@@ -323,10 +320,7 @@ fn main() {
         .into_iter()
         .map(|(bank, v)| vec![format!("bank {bank}"), v.to_string(), pct(v, total_elems)])
         .collect();
-    print!(
-        "{}",
-        render_table(&["bank".into(), "elements".into(), "share".into()], &rows)
-    );
+    print!("{}", render_table(&["bank", "elements", "share"], &rows));
     println!();
 
     println!("Per-port reads / writes:");
@@ -338,10 +332,7 @@ fn main() {
         "write port".to_string(),
         counter_sum(&snap, "polymem_writes_total", &[]).to_string(),
     ]);
-    print!(
-        "{}",
-        render_table(&["port".into(), "accesses".into()], &rows)
-    );
+    print!("{}", render_table(&["port", "accesses"], &rows));
     println!();
 
     println!("Plan caches:");
@@ -362,15 +353,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
-            &[
-                "cache".into(),
-                "hits".into(),
-                "misses".into(),
-                "hit rate".into()
-            ],
-            &rows
-        )
+        render_table(&["cache", "hits", "misses", "hit rate"], &rows)
     );
     println!();
 
@@ -396,16 +379,7 @@ fn main() {
         .collect();
     print!(
         "{}",
-        render_table(
-            &[
-                "metric".into(),
-                "n".into(),
-                "p50".into(),
-                "p99".into(),
-                "p999".into()
-            ],
-            &rows
-        )
+        render_table(&["metric", "n", "p50", "p99", "p999"], &rows)
     );
     println!();
 

@@ -1,10 +1,10 @@
 //! # polymem-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus Criterion
+//! One front end, `polymem-repro <experiment>`, regenerates every table and
+//! figure of the paper (see `src/bin/polymem-repro/`), beside Criterion
 //! benches measuring the Rust PolyMem as a CPU-side data structure
 //! (`benches/`). This library holds the shared plumbing: the DSE grid
-//! labels, fixed-width table rendering, and simple series printing for the
-//! figure binaries.
+//! labels, grid-point lookups and fixed-width table rendering.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,25 +24,24 @@ pub fn grid_label(size_kb: usize, lanes: usize, ports: usize) -> String {
 }
 
 /// Render a fixed-width table: a header row plus data rows.
-pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    fn fmt_row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+        cells
+            .iter()
+            .zip(widths)
+            .map(|(c, w)| format!("{:>w$}", c.as_ref()))
+            .collect::<Vec<_>>()
+            .join("  ")
+    }
     let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         assert_eq!(row.len(), cols, "ragged table row");
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    out.push_str(&fmt_row(headers, &widths));
+    let mut out = fmt_row(headers, &widths);
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
     out.push('\n');
@@ -53,49 +52,49 @@ pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Extract one metric from the paper-grid DSE points as a
+/// The point of `points` with `scheme` at `(size_kb, lanes, read_ports)`,
+/// if the sweep reached it.
+pub fn find_point(
+    points: &[DsePoint],
+    scheme: AccessScheme,
+    at: (usize, usize, usize),
+) -> Option<&DsePoint> {
+    points
+        .iter()
+        .find(|p| p.scheme == scheme && (p.size_kb, p.lanes, p.read_ports) == at)
+}
+
+/// The smallest and largest `metric` over the feasible points (the largest
+/// is at least 0).
+pub fn feasible_range(points: &[DsePoint], metric: impl Fn(&DsePoint) -> f64) -> (f64, f64) {
+    points
+        .iter()
+        .filter(|p| p.report.feasible)
+        .map(metric)
+        .fold((f64::INFINITY, 0.0), |(lo, hi), u| (lo.min(u), hi.max(u)))
+}
+
+/// Render one metric of the paper-grid DSE points as a
 /// scheme-by-configuration table (the layout of the paper's Table IV and
-/// Figures 4-8), returning (headers, rows).
+/// Figures 4-8); a cell the sweep did not reach reads `-`.
 pub fn scheme_by_config_table<F: Fn(&DsePoint) -> String>(
     points: &[DsePoint],
     metric: F,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut headers = vec!["Scheme".to_string()];
-    headers.extend(
-        TABLE4_COLUMNS
-            .iter()
-            .map(|&(kb, l, p)| grid_label(kb, l, p)),
-    );
-    let rows = AccessScheme::ALL
+) -> String {
+    let labels = TABLE4_COLUMNS.map(|(kb, lanes, ports)| grid_label(kb, lanes, ports));
+    let mut headers = vec!["Scheme"];
+    headers.extend(labels.iter().map(String::as_str));
+    let rows: Vec<Vec<String>> = AccessScheme::ALL
         .iter()
         .map(|&scheme| {
-            let mut row = vec![scheme.name().to_string()];
-            for &(kb, lanes, ports) in &TABLE4_COLUMNS {
-                let cell = points
-                    .iter()
-                    .find(|pt| {
-                        pt.scheme == scheme
-                            && pt.size_kb == kb
-                            && pt.lanes == lanes
-                            && pt.read_ports == ports
-                    })
-                    .map(&metric)
-                    .unwrap_or_else(|| "-".to_string());
-                row.push(cell);
-            }
-            row
+            std::iter::once(scheme.name().to_string())
+                .chain(TABLE4_COLUMNS.iter().map(|&at| {
+                    find_point(points, scheme, at).map_or_else(|| "-".to_string(), &metric)
+                }))
+                .collect()
         })
         .collect();
-    (headers, rows)
-}
-
-/// Print an x/y series as aligned columns (the figure binaries' output).
-pub fn render_series(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let mut rows = Vec::with_capacity(points.len());
-    for &(x, y) in points {
-        rows.push(vec![format!("{x:.1}"), format!("{y:.1}")]);
-    }
-    render_table(&[x_label.to_string(), y_label.to_string()], &rows)
+    render_table(&headers, &rows)
 }
 
 #[cfg(test)]
@@ -110,7 +109,7 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let t = render_table(
-            &["A".into(), "BBB".into()],
+            &["A", "BBB"],
             &[
                 vec!["1".into(), "2".into()],
                 vec!["10".into(), "200".into()],
@@ -125,21 +124,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
-        let _ = render_table(&["A".into()], &[vec!["1".into(), "2".into()]]);
+        let _ = render_table(&["A"], &[vec!["1".into(), "2".into()]]);
     }
 
     #[test]
     fn scheme_table_covers_paper_grid() {
         let pts = fpga_model::explore_paper();
-        let (headers, rows) = scheme_by_config_table(&pts, |p| format!("{:.0}", p.report.fmax_mhz));
-        assert_eq!(headers.len(), 19); // Scheme + 18 configs
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r.iter().skip(1).all(|c| c != "-")));
-    }
-
-    #[test]
-    fn series_renders() {
-        let s = render_series("KB", "MB/s", &[(4.0, 100.0), (680.0, 15301.0)]);
-        assert!(s.contains("15301.0"));
+        let table = scheme_by_config_table(&pts, |p| format!("{:.0}", p.report.fmax_mhz));
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows[0].len(), 19); // Scheme + 18 configs
+        assert_eq!(rows.len(), 2 + 5); // header, rule, one row per scheme
+        assert!(rows[2..].iter().all(|r| !r[1..].contains(&"-")));
     }
 }

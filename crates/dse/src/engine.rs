@@ -130,22 +130,6 @@ impl SweepResult {
     }
 }
 
-/// Flat grid-order cell list. This single enumeration defines "grid order"
-/// for the whole crate (workers, report, Pareto front).
-fn cells(grid: &DseGrid) -> Vec<(usize, usize, usize, AccessScheme)> {
-    let mut v = Vec::with_capacity(grid.len());
-    for &size_kb in &grid.sizes_kb {
-        for &lanes in &grid.lanes {
-            for &read_ports in &grid.read_ports {
-                for &scheme in &grid.schemes {
-                    v.push((size_kb, lanes, read_ports, scheme));
-                }
-            }
-        }
-    }
-    v
-}
-
 /// Evaluate one cell on both axes. Pure: no shared state, no ambient
 /// randomness — the foundation of the sweep's determinism.
 fn eval_cell(
@@ -173,7 +157,8 @@ fn eval_cell(
 /// Run the sweep. Progress and per-worker utilization are instrumented
 /// through `registry` (pass a throwaway registry if unobserved).
 pub fn sweep(cfg: &SweepConfig, registry: &TelemetryRegistry) -> SweepResult {
-    let cells = cells(&cfg.grid);
+    // Grid order (`DseGrid::cells`) for the workers, report and Pareto front.
+    let cells: Vec<_> = cfg.grid.cells().collect();
     let workers = cfg.workers.max(1);
 
     registry

@@ -4,7 +4,7 @@
 //! frequencies (MHz) achieved by Xilinx ISE for every feasible
 //! (scheme, size, lanes, ports) configuration on the Maxeler Vectis.
 //! The error-statistics helpers compare the `timing` model against it; the
-//! experiment binaries and EXPERIMENTS.md report the result.
+//! `polymem-repro` experiments and EXPERIMENTS.md report the result.
 
 use crate::timing;
 use polymem::{AccessScheme, PolyMemConfig};

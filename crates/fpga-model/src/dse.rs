@@ -64,6 +64,21 @@ impl DseGrid {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Every cell as `(size_kb, lanes, read_ports, scheme)`, capacity
+    /// outermost and scheme innermost. This one walk defines "grid order"
+    /// for every sweep over the grid.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, usize, AccessScheme)> + '_ {
+        self.sizes_kb.iter().flat_map(move |&size_kb| {
+            self.lanes.iter().flat_map(move |&lanes| {
+                self.read_ports.iter().flat_map(move |&read_ports| {
+                    self.schemes
+                        .iter()
+                        .map(move |&scheme| (size_kb, lanes, read_ports, scheme))
+                })
+            })
+        })
+    }
 }
 
 /// One DSE result row.
@@ -146,16 +161,10 @@ pub struct Exploration {
 pub fn explore_all(grid: &DseGrid, device: &FpgaDevice) -> Exploration {
     let mut points = Vec::with_capacity(grid.len());
     let mut skipped = Vec::new();
-    for &size_kb in &grid.sizes_kb {
-        for &lanes in &grid.lanes {
-            for &read_ports in &grid.read_ports {
-                for &scheme in &grid.schemes {
-                    match evaluate_point(size_kb, lanes, read_ports, scheme, device) {
-                        Ok(p) => points.push(p),
-                        Err(s) => skipped.push(s),
-                    }
-                }
-            }
+    for (size_kb, lanes, read_ports, scheme) in grid.cells() {
+        match evaluate_point(size_kb, lanes, read_ports, scheme, device) {
+            Ok(p) => points.push(p),
+            Err(s) => skipped.push(s),
         }
     }
     debug_assert_eq!(points.len() + skipped.len(), grid.len());
@@ -205,6 +214,16 @@ mod tests {
         let g = DseGrid::paper();
         assert_eq!(g.len(), 4 * 2 * 4 * 5);
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn cells_walk_capacity_outermost_and_scheme_innermost() {
+        let (g, s) = (DseGrid::quick(), AccessScheme::ALL);
+        let cells: Vec<_> = g.cells().collect();
+        assert_eq!(cells.len(), g.len());
+        assert_eq!(cells[..2], [(512, 8, 1, s[0]), (512, 8, 1, s[1])]);
+        assert_eq!(cells[s.len()], (512, 8, 2, s[0]));
+        assert_eq!(cells[g.len() - 1], (4096, 32, 4, s[4]));
     }
 
     #[test]

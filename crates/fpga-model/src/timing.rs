@@ -64,7 +64,7 @@ pub fn scheme_delay(scheme: AccessScheme) -> f64 {
 
 /// A parameterized critical-path model. [`CriticalPathModel::DEFAULT`]
 /// holds the Table IV fit; sensitivity studies perturb individual fields
-/// and re-measure the fit (see the `sensitivity` experiment binary).
+/// and re-measure the fit (see `polymem-repro sensitivity`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalPathModel {
     /// Base pipeline + BRAM clock-to-out (ns).

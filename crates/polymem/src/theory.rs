@@ -94,7 +94,7 @@ pub fn addressing_injective(
 
 /// The full Table I verification: for each scheme, check every advertised
 /// pattern at every position and return the verified support matrix. Used by
-/// the `table1_schemes` experiment binary and the integration tests.
+/// the `table1_schemes` experiment and the integration tests.
 pub fn verify_table1(
     p: usize,
     q: usize,
