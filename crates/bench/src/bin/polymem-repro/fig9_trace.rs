@@ -5,6 +5,7 @@
 
 use dfe_sim::VcdRecorder;
 use polymem::AccessScheme;
+use std::sync::atomic::{AtomicU64, Ordering};
 use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
 pub fn run() {
@@ -40,7 +41,11 @@ pub fn run() {
     }
 
     let doc = vcd.render("stream_copy", 1000.0 / PAPER_STREAM_FREQ_MHZ);
-    let path = std::env::temp_dir().join("polymem_stream_copy.vcd");
+    // One file per process and run, so concurrent runs keep their own.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("polymem_stream_copy-{}-{run}.vcd", std::process::id());
+    let path = std::env::temp_dir().join(name);
     std::fs::write(&path, &doc).expect("write VCD");
     println!(
         "Copy pass: {} cycles for {} chunks at {} MHz ({:.0} MB/s, {:.1}% of peak)",

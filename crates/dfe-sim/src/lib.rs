@@ -46,7 +46,8 @@ pub use kernel::{DelayLine, FnKernel, Kernel};
 pub use manager::{Manager, StallReport};
 pub use pcie::{Host, HostStats, PcieLink};
 pub use polymem_kernel::{
-    LaneWord, PolyMemKernel, ReadRequest, ReadResponse, WriteRequest, PAPER_READ_LATENCY,
+    LaneWord, PolyMemKernel, ReadRequest, ReadResponse, RowRun, RunWords, WriteRequest,
+    PAPER_READ_LATENCY,
 };
 pub use sched::{SchedulerMode, SchedulerStats};
 pub use stream::{stream, stream_stats, Fifo, IntoItem, StreamRef, StreamStats};

@@ -11,7 +11,9 @@ use crate::kernel::{DelayLine, Kernel};
 use crate::stream::{stream_stats, IntoItem, StreamRef, StreamStats};
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
-use polymem::{AccessReplay, ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
+use polymem::{
+    AccessPattern, AccessReplay, ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region,
+};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -236,20 +238,90 @@ impl IntoItem<WriteRequest> for (ParallelAccess, Vec<u64>) {
     }
 }
 
-/// One read port's words and plan memo across [`PolyMemKernel::lockstep`]
-/// windows; both buffers are reused, so a window allocates nothing once
-/// warm.
-#[derive(Default)]
-struct PortRing {
-    /// The port's `L + 1` live words during a window, oldest at the ring
-    /// head: the word waiting in the response stream, then the pipeline's
-    /// in read order.
-    words: Vec<LaneWord>,
-    /// The window's last read on this port failed, so the youngest slot
-    /// holds no word.
-    hole: bool,
-    /// The plan of the port's last residue class in the window.
+/// What a lockstep consumer issues on a port from a window cycle on:
+/// `first`, then the access `lanes` columns right of the one before, each
+/// cycle of `cycles` (at least one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRun {
+    /// The access of the run's first cycle.
+    pub first: ParallelAccess,
+    /// Cycles the run lasts.
+    pub cycles: u64,
+}
+
+/// The words a [`PolyMemKernel::lockstep`] run delivers to the consumer:
+/// per read port, one word of `lanes` lanes for each cycle of the run,
+/// back to back.
+pub struct RunWords<'a> {
+    /// Per read port, `stride` lanes whose first `len` are its words.
+    stage: &'a mut [u64],
+    stride: usize,
+    len: usize,
+}
+
+impl RunWords<'_> {
+    /// Port 0's words, which the consumer overwrites with the run's write
+    /// data, and the other ports' words in port order.
+    pub fn split(&mut self) -> (&mut [u64], impl Iterator<Item = &[u64]>) {
+        let len = self.len;
+        let (first, rest) = self.stage.split_at_mut(self.stride);
+        (
+            &mut first[..len],
+            rest.chunks_exact(self.stride).map(move |w| &w[..len]),
+        )
+    }
+}
+
+/// One read port's part of a [`PolyMemKernel::lockstep`] window, reused
+/// across windows.
+struct PortWindow {
+    /// The plan of the port's last residue class.
     replay: AccessReplay,
+    /// The read run being served.
+    run: RowRun,
+    /// The window's last read on this port failed, so its youngest word
+    /// is missing.
+    hole: bool,
+}
+
+/// The buffers of [`PolyMemKernel::lockstep`] windows; all are reused, so
+/// a window allocates nothing once warm.
+#[derive(Default)]
+struct Window {
+    /// Per read port, `stride` lanes: its `L + 1` live words, oldest first
+    /// (the word waiting in the response stream, then the pipeline's in
+    /// read order), then room for a run's reads behind them.
+    stage: Vec<u64>,
+    ports: Vec<PortWindow>,
+    /// The write port's plan memo.
+    write_replay: AccessReplay,
+}
+
+/// The longest run from the start of which no read of `read`'s run sees a
+/// write of `write`'s run from an earlier cycle, judged on the accesses'
+/// bounding boxes as both step `lanes` columns a cycle.
+fn unhazarded(read: ParallelAccess, write: ParallelAccess, p: usize, q: usize) -> u64 {
+    let (ri, rj) = read.pattern.extent(p, q);
+    let (wi, wj) = write.pattern.extent(p, q);
+    let (ri, rj, wi, wj) = (ri as i128, rj as i128, wi as i128, wj as i128);
+    let (read_i, write_i) = (read.i as i128, write.i as i128);
+    if read_i + ri <= write_i || write_i + wi <= read_i {
+        return u64::MAX;
+    }
+    let left = |a: ParallelAccess, width: i128| match a.pattern {
+        AccessPattern::SecondaryDiagonal => a.j as i128 - width + 1,
+        _ => a.j as i128,
+    };
+    // The read `t` cycles after a write overlaps it when
+    // `-rj < d + t * lanes < wj`; `d + t * lanes` grows with `t`, so the
+    // first `t >= 1` past the lower bound is the only candidate.
+    let (d, lanes) = (left(read, rj) - left(write, wj), (p * q) as i128);
+    let t = ((-rj - d).div_euclid(lanes) + 1).max(1);
+    if d + t * lanes < wj {
+        u64::try_from(t).unwrap_or(u64::MAX)
+    } else {
+        u64::MAX
+    }
 }
 
 /// PolyMem wrapped as a ticked kernel with request/response streams.
@@ -273,6 +345,9 @@ pub struct PolyMemKernel {
     /// pipeline latency applies once to the whole burst.
     region_inflight: Option<(u64, Vec<u64>)>,
     region_reads_served: u64,
+    /// Spent burst buffers: written bursts and [`Self::recycle`]d ones,
+    /// which region reads fill instead of fresh vectors.
+    spare: Vec<Vec<u64>>,
     /// Optional region-write port: whole-region write bursts commit on
     /// acceptance and occupy the write datapath for `ceil(len / lanes)`
     /// cycles. See [`attach_region_write_port`].
@@ -301,14 +376,12 @@ pub struct PolyMemKernel {
     errors: Vec<PolyMemError>,
     reads_served: u64,
     writes_served: u64,
-    /// Per read port, the words of a lockstep window, and the word each
-    /// delivers to the consumer in the window's current cycle.
-    rings: Vec<PortRing>,
-    operands: Vec<LaneWord>,
-    /// The write port's plan memo in a lockstep window.
-    write_replay: AccessReplay,
+    /// The buffers of lockstep windows.
+    window: Window,
     /// Cycles served by lockstep windows so far.
     lockstep_cycles: u64,
+    /// Of those, the cycles served by runs of more than one cycle.
+    run_cycles: u64,
     /// Cycle attribution counters, when telemetry is attached.
     attribution: Option<CycleAttribution>,
     /// Span-journal instrumentation, when a journal is attached.
@@ -367,6 +440,7 @@ impl PolyMemKernel {
             region_resp: None,
             region_inflight: None,
             region_reads_served: 0,
+            spare: Vec::new(),
             region_write_req: None,
             region_copy_req: None,
             region_copy_resp: None,
@@ -378,10 +452,9 @@ impl PolyMemKernel {
             errors: Vec::new(),
             reads_served: 0,
             writes_served: 0,
-            rings: Vec::new(),
-            operands: Vec::new(),
-            write_replay: AccessReplay::new(),
+            window: Window::default(),
             lockstep_cycles: 0,
+            run_cycles: 0,
             attribution: None,
             trc: None,
             pcie_waiting: None,
@@ -599,6 +672,13 @@ impl PolyMemKernel {
         }
     }
 
+    /// Hand back a spent region-read buffer (a burst delivered on the
+    /// region port that the consumer is done with), for a later region
+    /// read to fill instead of a fresh vector.
+    pub fn recycle(&mut self, buffer: Vec<u64>) {
+        self.spare.push(buffer);
+    }
+
     /// Region reads served so far.
     pub fn region_reads_served(&self) -> u64 {
         self.region_reads_served
@@ -633,6 +713,12 @@ impl PolyMemKernel {
     /// (a statistic: the cycles themselves are the ticked loop's).
     pub fn lockstep_cycles(&self) -> u64 {
         self.lockstep_cycles
+    }
+
+    /// Of the [`Self::lockstep_cycles`], those served by runs of more than
+    /// one cycle (a statistic, like it).
+    pub fn run_cycles(&self) -> u64 {
+        self.run_cycles
     }
 
     /// Counters of the per-access streams: each read port's request and
@@ -686,100 +772,133 @@ impl PolyMemKernel {
     /// Returns the cycles served, 0 unless [`Self::lockstep_ready`] holds;
     /// the caller's clock advances by as many.
     ///
-    /// Cycle `k` of the window reads `read(port, k)` on each port in port
-    /// order, then `write(k, words)` gets the words delivered to the
-    /// consumer that cycle (one per port), computes the result into
-    /// `words[0]` and returns its destination, and the write commits: the
-    /// memory operations of `k + 1` ticks, in the same order. The words
-    /// wait in a private ring of `L + 1` per port instead of hopping through
-    /// the response stream and delay line, which are rebuilt at the end
-    /// with their ready cycles; the streams' totals, `reads_served`,
-    /// `writes_served` and the `active` attribution of every cycle are
-    /// accounted in bulk. Each port, and the write port, replays the plan
-    /// of the residue class its last access fell in
-    /// ([`PolyMem::read_replayed`]); the memos start empty each window and
-    /// settle the memory's counters at its end. A failed access ends the
-    /// window after its cycle and leaves what the ticks would leave, a
-    /// failed read its hole in the pipeline included.
+    /// The window is served in runs. From window cycle `k`, `read(port, k)`
+    /// and `write(k)` give the [`RowRun`] each read port and the write port
+    /// issue. A run lasts while all of them step `lanes` columns a cycle,
+    /// so each stays in one residue class, and it ends before an access
+    /// that leaves the memory or breaks Table I ([`PolyMem::run_span`]),
+    /// before a read of an element that an earlier cycle of the run
+    /// writes, and at the window's end. Each port gathers its run's reads
+    /// with one [`PolyMem::read_run`] behind its `L + 1` live words;
+    /// `combine` gets the words the run delivers (the oldest of them) and
+    /// leaves the write data in port 0's; one [`PolyMem::write_run`]
+    /// stores it. Any other cycle is a one-cycle run through the same
+    /// calls, which take the full path. So the memory operations are those
+    /// of the ticks, in an order no access can tell apart.
+    ///
+    /// The live words skip the response stream and delay line, which are
+    /// rebuilt at the end with their ready cycles; the streams' totals,
+    /// `reads_served`, `writes_served` and the `active` attribution of
+    /// every cycle are accounted in bulk, and the memos start empty each
+    /// window and settle the memory's counters at its end. A failed access
+    /// ends the window after its cycle and leaves what the ticks would
+    /// leave, a failed read's hole in the pipeline included.
     pub fn lockstep(
         &mut self,
         cycle: u64,
         n: u64,
         ports: usize,
-        mut read: impl FnMut(usize, u64) -> ParallelAccess,
-        mut write: impl FnMut(u64, &mut [LaneWord]) -> ParallelAccess,
+        mut read: impl FnMut(usize, u64) -> RowRun,
+        mut write: impl FnMut(u64) -> RowRun,
+        mut combine: impl FnMut(RunWords<'_>),
     ) -> u64 {
         if n == 0 || !self.lockstep_ready(ports, cycle) {
             return 0;
         }
-        let lanes = self.mem.lanes();
-        if self.rings.len() < ports {
-            self.rings.resize_with(ports, PortRing::default);
-            self.operands.resize_with(ports, || LaneWord::zeroed(lanes));
-        }
-        for (port, ring) in self.rings.iter_mut().enumerate().take(ports) {
-            ring.words.clear();
+        let cfg = *self.mem.config();
+        let lanes = cfg.lanes();
+        let live = self.read_latency as usize + 1;
+        // A run stays in the memory's columns.
+        let longest = cfg.cols / lanes + 1;
+        let stride = (live + longest) * lanes;
+        let w = &mut self.window;
+        w.stage.resize(ports * stride, 0);
+        let idle = RowRun {
+            first: ParallelAccess::row(0, 0),
+            cycles: 0,
+        };
+        w.ports.resize_with(ports, || PortWindow {
+            replay: AccessReplay::new(),
+            run: idle,
+            hole: false,
+        });
+        for (port, stage) in w.stage.chunks_exact_mut(stride).enumerate() {
             // The consumer's pop at `cycle` is a real one; the words of the
             // later cycles bypass the stream.
-            ring.words.extend(self.read_resp[port].borrow_mut().pop());
-            ring.words.extend(self.pipelines[port].drain());
+            let oldest = self.read_resp[port].borrow_mut().pop();
+            let words = oldest.into_iter().chain(self.pipelines[port].drain());
+            for (slot, word) in stage.chunks_exact_mut(lanes).zip(words) {
+                slot.copy_from_slice(&word);
+            }
         }
-        let slots = self.read_latency as usize + 1;
-        let mut head = 0;
         let mut served = 0;
         let mut failed = false;
         while served < n && !failed {
-            // 1. The consumer takes the oldest word of each port; 2. the
-            //    port reads its next access into the freed slot.
-            for (port, (ring, operand)) in self
-                .rings
-                .iter_mut()
-                .zip(&mut self.operands)
+            let dest = write(served);
+            let mut m = (n - served).min(longest as u64).min(dest.cycles);
+            m = m.min(self.mem.run_span(dest.first, m as usize) as u64);
+            for (port, pw) in w.ports.iter_mut().enumerate() {
+                pw.run = read(port, served);
+                let span = self.mem.run_span(pw.run.first, m as usize) as u64;
+                let safe = unhazarded(pw.run.first, dest.first, cfg.p, cfg.q);
+                m = m.min(pw.run.cycles).min(span).min(safe);
+            }
+            let m = m.max(1) as usize;
+            let len = m * lanes;
+            for (port, (stage, pw)) in w
+                .stage
+                .chunks_exact_mut(stride)
+                .zip(&mut w.ports)
                 .enumerate()
-                .take(ports)
             {
-                let slot = &mut ring.words[head];
-                operand.copy_from_slice(slot);
-                let access = read(port, served);
-                match self.mem.read_replayed(port, &mut ring.replay, access, slot) {
-                    Ok(()) => self.reads_served += 1,
+                let fresh = &mut stage[live * lanes..][..len];
+                match self
+                    .mem
+                    .read_run(port, &mut pw.replay, pw.run.first, m, fresh)
+                {
+                    Ok(()) => self.reads_served += m as u64,
                     Err(e) => {
                         self.errors.push(e);
-                        ring.hole = true;
+                        pw.hole = true;
                         failed = true;
                     }
                 }
             }
-            // 3. The write computed from this cycle's words commits after
-            //    the reads.
-            let operands = &mut self.operands[..ports];
-            let access = write(served, operands);
+            combine(RunWords {
+                stage: &mut w.stage,
+                stride,
+                len,
+            });
             match self
                 .mem
-                .write_replayed(&mut self.write_replay, access, &operands[0])
+                .write_run(&mut w.write_replay, dest.first, m, &w.stage[..len])
             {
-                Ok(()) => self.writes_served += 1,
+                Ok(()) => self.writes_served += m as u64,
                 Err(e) => {
                     self.errors.push(e);
                     failed = true;
                 }
             }
-            served += 1;
-            head = if head + 1 == slots { 0 } else { head + 1 };
-        }
-        // Spill the rings back: the oldest word waits in the response
-        // stream, the rest re-enter the pipeline at the cycles they were
-        // read (`end - L ..`), so their ready cycles are the ticks' own.
-        let end = cycle + served;
-        let first_read = end - self.read_latency;
-        self.mem.settle(&mut self.write_replay);
-        for (port, ring) in self.rings.iter_mut().enumerate().take(ports) {
-            self.mem.settle(&mut ring.replay);
-            ring.words.rotate_left(head);
-            if std::mem::take(&mut ring.hole) {
-                ring.words.pop();
+            // The run's oldest words are consumed; the live ones move up.
+            for stage in w.stage.chunks_exact_mut(stride) {
+                stage.copy_within(len..len + live * lanes, 0);
             }
-            let mut words = ring.words.drain(..);
+            served += m as u64;
+            if m > 1 {
+                self.run_cycles += m as u64;
+            }
+        }
+        // Spill the live words back: the oldest waits in the response
+        // stream, the rest re-enter the pipeline at the cycles they were
+        // read (the last `L`), so their ready cycles are the ticks' own.
+        let first_read = cycle + served - self.read_latency;
+        self.mem.settle(&mut w.write_replay);
+        for (port, (stage, pw)) in w.stage.chunks_exact(stride).zip(&mut w.ports).enumerate() {
+            self.mem.settle(&mut pw.replay);
+            let kept = live - usize::from(std::mem::take(&mut pw.hole));
+            let mut words = stage[..kept * lanes]
+                .chunks_exact(lanes)
+                .map(LaneWord::from);
             let mut resp = self.read_resp[port].borrow_mut();
             if let Some(oldest) = words.next() {
                 resp.push(oldest);
@@ -862,8 +981,10 @@ impl Kernel for PolyMemKernel {
             if let Some(req) = &self.region_req {
                 if let Some(region) = req.borrow_mut().pop() {
                     progress = true;
-                    match self.mem.read_region(0, &region) {
-                        Ok(data) => {
+                    let mut data = self.spare.pop().unwrap_or_default();
+                    data.resize(region.len(), 0);
+                    match self.mem.read_region_into(0, &region, &mut data) {
+                        Ok(()) => {
                             let lanes = self.mem.config().lanes();
                             let access_cycles = region.len().div_ceil(lanes).max(1) as u64;
                             self.region_inflight =
@@ -872,7 +993,10 @@ impl Kernel for PolyMemKernel {
                             self.reads_served += region.len().div_ceil(lanes) as u64;
                             self.trace_burst(cycle, "read", access_cycles);
                         }
-                        Err(e) => self.errors.push(e),
+                        Err(e) => {
+                            self.errors.push(e);
+                            self.spare.push(data);
+                        }
                     }
                 }
             }
@@ -945,6 +1069,7 @@ impl Kernel for PolyMemKernel {
                         }
                         Err(e) => self.errors.push(e),
                     }
+                    self.spare.push(values);
                 }
             }
         }
@@ -1851,27 +1976,95 @@ mod tests {
     }
 
     /// Where a lockstep test injects an out-of-bounds access: port 0's
-    /// read of a chunk, or the write of a chunk.
+    /// read of a chunk, the write of a chunk, or every access of a chunk
+    /// that starts a row, moved on from the row before as if that row went
+    /// on (the last access of each run the consumer reports).
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fault {
         None,
         Read(u64),
         Write(u64),
+        Edge(u64),
     }
 
-    /// A dense two-port pass driven by hand on a 64x16 RoCo memory with
-    /// read latency `L`: every cycle the consumer, ticking before the
-    /// kernel, issues chunk `issued` of vector `port` on each port and,
-    /// once both words are delivered, writes `x + 3y` over chunk
-    /// `written + L + 1` of vector 0 — the chunk port 0 reads in that same
-    /// cycle, so the read-before-write order shows in memory.
+    /// The accesses of a dense two-port pass on a 64-row RoCo memory of
+    /// `row` chunks per row: port `p` reads vector `p`, whose chunks fill
+    /// rows `16p ..` in order, and the write of chunk `k` lands on chunk
+    /// `k + L + 1 + ahead` of vector 0, the chunk port 0 reads `ahead`
+    /// cycles later (0: in that same cycle).
+    #[derive(Debug, Clone, Copy)]
+    struct Pass {
+        fault: Fault,
+        row: u64,
+        ahead: u64,
+    }
+
+    impl Pass {
+        fn read(self, port: usize, chunk: u64) -> ParallelAccess {
+            match self.fault {
+                Fault::Read(c) if port == 0 && c == chunk => return ParallelAccess::row(64, 0),
+                Fault::Edge(c) if c == chunk => {
+                    let last = self.read(port, chunk - 1);
+                    return ParallelAccess::row(last.i, last.j + 8);
+                }
+                _ => {}
+            }
+            let c = chunk;
+            ParallelAccess::row(
+                port * 16 + (c / self.row) as usize,
+                (c % self.row * 8) as usize,
+            )
+        }
+
+        fn dest(self, chunk: u64) -> ParallelAccess {
+            if self.fault == Fault::Write(chunk) {
+                return ParallelAccess::row(64, 0);
+            }
+            let reads = match self.fault {
+                Fault::Edge(_) => self,
+                _ => Pass {
+                    fault: Fault::None,
+                    ..self
+                },
+            };
+            reads.read(0, chunk + Dense::L + 1 + self.ahead)
+        }
+
+        /// The run from `chunk` of the accesses `access` gives, as the
+        /// consumer reports it: as long as each steps 8 columns on.
+        fn run(access: impl Fn(u64) -> ParallelAccess, chunk: u64) -> RowRun {
+            let first = access(chunk);
+            let steps = (1..)
+                .take_while(|&t| {
+                    let j = first.j + 8 * t as usize;
+                    access(chunk + t) == ParallelAccess { j, ..first }
+                })
+                .count();
+            RowRun {
+                first,
+                cycles: steps as u64 + 1,
+            }
+        }
+
+        /// The write data of one chunk or run: `x + 3y`, lane by lane.
+        fn combine(x: &mut [u64], y: &[u64]) {
+            for (x, y) in x.iter_mut().zip(y) {
+                *x = x.wrapping_add(y.wrapping_mul(3));
+            }
+        }
+    }
+
+    /// A [`Pass`] driven by hand with read latency `L`: every cycle the
+    /// consumer, ticking before the kernel, issues chunk `issued` on each
+    /// port and, once both words are delivered, writes their combination
+    /// over `pass.dest(written)`.
     struct Dense {
         kernel: PolyMemKernel,
         rq: Vec<StreamRef<ReadRequest>>,
         rs: Vec<StreamRef<ReadResponse>>,
         wq: StreamRef<WriteRequest>,
         registry: TelemetryRegistry,
-        fault: Fault,
+        pass: Pass,
         issued: u64,
         written: u64,
     }
@@ -1879,9 +2072,17 @@ mod tests {
     impl Dense {
         const L: u64 = 3;
 
-        /// The pass at the start of cycle `L + 1`, its first steady cycle.
+        /// The overlapping pass on 2 chunks a row, at the start of cycle
+        /// `L + 1`, its first steady cycle.
         fn steady(fault: Fault) -> Self {
-            let cfg = PolyMemConfig::new(64, 16, 2, 4, AccessScheme::RoCo, 2).unwrap();
+            Self::with(2, 0, fault)
+        }
+
+        /// The pass on `row` chunks a row whose writes land `ahead`
+        /// cycles ahead of port 0's reads, at its first steady cycle.
+        fn with(row: u64, ahead: u64, fault: Fault) -> Self {
+            let cols = row as usize * 8;
+            let cfg = PolyMemConfig::new(64, cols, 2, 4, AccessScheme::RoCo, 2).unwrap();
             let rq: Vec<_> = (0..2).map(|p| stream(format!("rq{p}"), 8)).collect();
             let rs: Vec<_> = (0..2).map(|p| stream(format!("rs{p}"), 8)).collect();
             let wq = stream("wq", 8);
@@ -1890,7 +2091,7 @@ mod tests {
                     .unwrap();
             let registry = TelemetryRegistry::new();
             kernel.attach_telemetry(&registry);
-            let cells: Vec<u64> = (0..64 * 16).collect();
+            let cells: Vec<u64> = (0..(64 * cols) as u64).collect();
             kernel.mem().load_row_major(&cells).unwrap();
             let mut d = Self {
                 kernel,
@@ -1898,7 +2099,7 @@ mod tests {
                 rs,
                 wq,
                 registry,
-                fault,
+                pass: Pass { fault, row, ahead },
                 issued: 0,
                 written: 0,
             };
@@ -1910,40 +2111,18 @@ mod tests {
             d
         }
 
-        fn read(fault: Fault, port: usize, chunk: u64) -> ParallelAccess {
-            if port == 0 && fault == Fault::Read(chunk) {
-                return ParallelAccess::row(64, 0);
-            }
-            let c = chunk as usize;
-            ParallelAccess::row(port * 16 + c / 2, c % 2 * 8)
-        }
-
-        fn write(fault: Fault, chunk: u64, words: &mut [LaneWord]) -> ParallelAccess {
-            let (x, y) = words.split_at_mut(1);
-            for (x, y) in x[0].iter_mut().zip(y[0].iter()) {
-                *x = x.wrapping_add(y.wrapping_mul(3));
-            }
-            if fault == Fault::Write(chunk) {
-                return ParallelAccess::row(64, 0);
-            }
-            Self::read(Fault::None, 0, chunk + Self::L + 1)
-        }
-
         /// One cycle of the ticked loop: the consumer, then the kernel.
         fn tick(&mut self, cycle: u64) {
             for (port, rq) in self.rq.iter().enumerate() {
-                rq.borrow_mut()
-                    .push(Self::read(self.fault, port, self.issued));
+                rq.borrow_mut().push(self.pass.read(port, self.issued));
             }
             self.issued += 1;
             if self.rs.iter().all(|s| !s.borrow().is_empty()) {
-                let mut words: Vec<LaneWord> = self
-                    .rs
-                    .iter()
-                    .map(|s| s.borrow_mut().pop().unwrap())
-                    .collect();
-                let access = Self::write(self.fault, self.written, &mut words);
-                self.wq.borrow_mut().push((access, words.swap_remove(0)));
+                let mut x = self.rs[0].borrow_mut().pop().unwrap();
+                let y = self.rs[1].borrow_mut().pop().unwrap();
+                Pass::combine(&mut x, &y);
+                let access = self.pass.dest(self.written);
+                self.wq.borrow_mut().push((access, x));
                 self.written += 1;
             }
             self.kernel.tick(cycle);
@@ -1951,13 +2130,17 @@ mod tests {
 
         /// The same cycles as one lockstep window of up to `n`.
         fn lockstep(&mut self, cycle: u64, n: u64) -> u64 {
-            let (fault, issued, written) = (self.fault, self.issued, self.written);
+            let (pass, issued, written) = (self.pass, self.issued, self.written);
             let served = self.kernel.lockstep(
                 cycle,
                 n,
                 2,
-                |port, k| Self::read(fault, port, issued + k),
-                |k, words| Self::write(fault, written + k, words),
+                |port, k| Pass::run(|c| pass.read(port, c), issued + k),
+                |k| Pass::run(|c| pass.dest(c), written + k),
+                |mut words| {
+                    let (x, mut rest) = words.split();
+                    Pass::combine(x, rest.next().unwrap_or_default());
+                },
             );
             self.issued += served;
             self.written += served;
@@ -2027,6 +2210,84 @@ mod tests {
         assert_eq!(d.lockstep(Dense::L + 1, 0), 0, "empty window");
         d.rq[1].borrow_mut().push(ParallelAccess::row(0, 0));
         assert_eq!(d.lockstep(Dense::L + 1, 6), 0, "queued request");
+    }
+
+    #[test]
+    fn lockstep_runs_leave_what_their_ticks_leave() {
+        // Eight chunks a row, so the window serves runs of up to eight
+        // cycles. Each case cuts them somewhere else: where a row ends (a
+        // residue-class change: the next run's first access takes the full
+        // path), at the window's end, before a read of a chunk an earlier
+        // cycle of the run writes (`ahead` 1 and 3), and before a faulting
+        // access, which is served alone. The window starts at read chunk 4
+        // and write chunk 0.
+        let start = Dense::L + 1;
+        let cases = [
+            // (ahead, fault, cycles served, of them in runs, errors)
+            // Read chunks 4..7, 8..15 and 16..21 (cut by the window's end).
+            (0, Fault::None, 18, 4 + 8 + 6, 0),
+            // Every write lands on the next cycle's read.
+            (1, Fault::None, 18, 0, 0),
+            // At most three cycles a run while the reads and writes share
+            // a row: reads 5..7, 8..10, 11..12, 13..15, 16..18, 19..20.
+            (3, Fault::None, 18, 3 + 3 + 2 + 3 + 3 + 2, 0),
+            // Every run from chunk 8 reaches column 64 at chunk 16, its
+            // last: the memory cuts them to 8..15, then chunk 16's two
+            // reads and write fault alone.
+            (0, Fault::Edge(16), 13, 4 + 8, 3),
+            // The run 8..13 ends before port 0's fault at chunk 14.
+            (0, Fault::Read(14), 11, 4 + 6, 1),
+            // The write run from chunk 8 ends before the faulting write of
+            // chunk 9, in cycle 9.
+            (0, Fault::Write(9), 10, 4 + 5, 1),
+        ];
+        for (ahead, fault, cycles, in_runs, errors) in cases {
+            let case = format!("ahead {ahead}, {fault:?}");
+            let (mut window, mut ticked) =
+                (Dense::with(8, ahead, fault), Dense::with(8, ahead, fault));
+            assert_eq!(window.lockstep(start, 18), cycles, "{case}");
+            for cycle in start..start + cycles {
+                ticked.tick(cycle);
+            }
+            let state = window.state();
+            assert_eq!(state, ticked.state(), "{case}");
+            assert_eq!(state.0.len(), errors, "{case}");
+            assert_eq!(window.kernel.lockstep_cycles(), cycles, "{case}");
+            assert_eq!(window.kernel.run_cycles(), in_runs, "{case}");
+            for cycle in start + cycles..start + cycles + Dense::L + 2 {
+                window.tick(cycle);
+                ticked.tick(cycle);
+            }
+            assert_eq!(window.state(), ticked.state(), "{case}");
+        }
+    }
+
+    #[test]
+    fn write_hazards_cut_runs_at_the_first_overlap() {
+        use AccessPattern::{Column, MainDiagonal, Rectangle, Row, SecondaryDiagonal};
+        let at = |i, j, pattern| ParallelAccess::new(i, j, pattern);
+        // On a 2x4 grid, as both step 8 columns a cycle: a read `t` cycles
+        // after a write that overlaps it cuts the run to `t` cycles.
+        for (read, write, longest) in [
+            (at(0, 0, Row), at(0, 0, Row), u64::MAX),
+            (at(0, 8, Row), at(0, 0, Row), u64::MAX),
+            (at(0, 0, Row), at(0, 8, Row), 1),
+            (at(0, 0, Row), at(0, 24, Row), 3),
+            (at(0, 0, Row), at(0, 20, Row), 2),
+            (at(0, 0, Row), at(1, 8, Row), u64::MAX),
+            (at(0, 0, Column), at(5, 8, Row), 1),
+            (at(0, 0, Column), at(8, 8, Row), u64::MAX),
+            (at(0, 0, Rectangle), at(1, 11, Rectangle), 1),
+            (at(0, 0, Rectangle), at(1, 13, Rectangle), 2),
+            (at(0, 0, MainDiagonal), at(3, 16, Row), 2),
+            (at(0, 7, SecondaryDiagonal), at(3, 8, Row), 1),
+        ] {
+            assert_eq!(
+                unhazarded(read, write, 2, 4),
+                longest,
+                "{read:?} after {write:?}"
+            );
+        }
     }
 
     #[test]

@@ -197,6 +197,7 @@ impl<T: Copy + Default> PolyMem<T> {
                 stats,
                 tlm,
                 trc,
+                copy_scratch,
                 ..
             } = self;
             let [(sp, s_compiled), (dp, d_compiled)] =
@@ -214,7 +215,7 @@ impl<T: Copy + Default> PolyMem<T> {
                 .as_ref()
                 .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
             let (coalesced, strided) =
-                replay_copy(banks.flat_mut(), afn, (src, sp), (dst, dp), &mut Vec::new());
+                replay_copy(banks.flat_mut(), afn, (src, sp), (dst, dp), copy_scratch);
             if let (Some(tr), Some(s)) = (trc.as_ref(), span) {
                 tr.writer.end(tr.copy_replay, s);
             }

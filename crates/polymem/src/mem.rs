@@ -239,19 +239,71 @@ impl AccessReplay {
     }
 }
 
-/// One planned access's gather: lane `k` reads `flat[base + fold[k]]`.
+/// The access `k` steps into a run from `first`: `k * lanes` columns to
+/// its right. A step past `usize::MAX` saturates, which no memory fits.
 #[inline]
-fn gather<T: Copy>(flat: &[T], base: isize, fold: &[isize], out: &mut [T]) {
-    for (o, &f) in out.iter_mut().zip(fold) {
-        *o = flat[(base + f) as usize];
+fn run_access(first: ParallelAccess, k: usize, lanes: usize) -> ParallelAccess {
+    ParallelAccess {
+        j: first.j.saturating_add(k.saturating_mul(lanes)),
+        ..first
     }
 }
 
-/// One planned access's scatter: the mirror of [`gather`].
+/// Planned accesses' gather: lane `l` of word `k` of `out` reads
+/// `flat[base + k * step + fold[l]]`. The 2x4 grid gets a fixed-width
+/// kernel, as [`RegionPlan::gather_into`] does.
 #[inline]
-fn scatter<T: Copy>(flat: &mut [T], base: isize, fold: &[isize], data: &[T]) {
-    for (&f, &v) in fold.iter().zip(data) {
-        flat[(base + f) as usize] = v;
+fn gather<T: Copy>(flat: &[T], base: isize, step: isize, fold: &[isize], out: &mut [T]) {
+    if fold.len() == 8 {
+        gather_words::<T, 8>(flat, base, step, fold, out)
+    } else {
+        gather_words::<T, 0>(flat, base, step, fold, out)
+    }
+}
+
+/// [`gather`] for lane width `L` (`0`: `fold`'s width).
+#[inline]
+fn gather_words<T: Copy, const L: usize>(
+    flat: &[T],
+    mut at: isize,
+    step: isize,
+    fold: &[isize],
+    out: &mut [T],
+) {
+    let fold = &fold[..if L == 0 { fold.len() } else { L }];
+    for word in out.chunks_exact_mut(fold.len()) {
+        for (o, &f) in word.iter_mut().zip(fold) {
+            *o = flat[(at + f) as usize];
+        }
+        at += step;
+    }
+}
+
+/// Planned accesses' scatter: the mirror of [`gather`].
+#[inline]
+fn scatter<T: Copy>(flat: &mut [T], base: isize, step: isize, fold: &[isize], data: &[T]) {
+    if fold.len() == 8 {
+        scatter_words::<T, 8>(flat, base, step, fold, data)
+    } else {
+        scatter_words::<T, 0>(flat, base, step, fold, data)
+    }
+}
+
+/// [`scatter`] for lane width `L` (`0`: `fold`'s width).
+#[inline]
+fn scatter_words<T: Copy, const L: usize>(
+    flat: &mut [T],
+    mut at: isize,
+    step: isize,
+    fold: &[isize],
+    data: &[T],
+) {
+    let fold = &fold[..if L == 0 { fold.len() } else { L }];
+    for word in data.chunks_exact(fold.len()) {
+        for (&f, &v) in fold.iter().zip(word) {
+            flat[(at + f) as usize] = v;
+        }
+        at += step;
     }
 }
 
@@ -278,6 +330,9 @@ pub struct PolyMem<T> {
     lane_addrs: Vec<usize>,
     bank_addrs: Vec<usize>,
     banked: Vec<T>,
+    /// The staging of a planned `copy_region` between two plans, reused
+    /// across copies.
+    pub(crate) copy_scratch: Vec<T>,
     pub(crate) stats: AccessStats,
     /// When `Some`, every touched coordinate is appended (profiling mode
     /// for the scheduler's application analysis). Tracing needs the
@@ -327,6 +382,7 @@ impl<T: Copy + Default> PolyMem<T> {
             lane_addrs: Vec::with_capacity(lanes),
             bank_addrs: vec![0; lanes],
             banked: vec![T::default(); lanes],
+            copy_scratch: Vec::new(),
             stats: AccessStats::default(),
             trace_log: None,
             plans: PlanCache::new(lanes, config.bank_depth(), config.layout),
@@ -536,7 +592,7 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            gather(banks.flat(), base, &plan.fold, out)
+            gather(banks.flat(), base, 0, &plan.fold, out)
         })
     }
 
@@ -546,7 +602,7 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            scatter(banks.flat_mut(), base, &plan.fold, data)
+            scatter(banks.flat_mut(), base, 0, &plan.fold, data)
         })
     }
 
@@ -567,7 +623,9 @@ impl<T: Copy + Default> PolyMem<T> {
     /// class under the live generation, and planning serves it.
     #[inline]
     fn replays(&self, memo: &AccessReplay, port: Option<usize>, access: ParallelAccess) -> bool {
-        memo.class == Some(self.replay_class(port, access)) && self.use_plan()
+        memo.class == Some(self.replay_class(port, access))
+            && memo.fold.len() == self.lanes()
+            && self.use_plan()
     }
 
     /// Copy the plan a full-path access just used into `memo`, when
@@ -589,7 +647,8 @@ impl<T: Copy + Default> PolyMem<T> {
     /// [`Self::read_into`] through `memo`: an access in the memo's class
     /// costs a bounds check and a gather, counted when `memo` settles; any
     /// other access settles `memo`, takes `read_into` with all its checks
-    /// and refills `memo`. Data and errors are `read_into`'s.
+    /// and refills `memo`. Data and errors are `read_into`'s. The one-access
+    /// case of [`Self::read_run`].
     pub fn read_replayed(
         &mut self,
         port: usize,
@@ -597,41 +656,141 @@ impl<T: Copy + Default> PolyMem<T> {
         access: ParallelAccess,
         out: &mut [T],
     ) -> Result<()> {
-        if out.len() == memo.fold.len() && self.replays(memo, Some(port), access) {
-            // Outside the memo's box `check_bounds` fails and names the error.
-            if !memo.fits(access) {
-                self.agu.check_bounds(access)?;
-            }
-            gather(self.banks.flat(), self.flat_base(access), &memo.fold, out);
-            memo.pending += 1;
-            return Ok(());
-        }
-        self.settle(memo);
-        self.read_into(port, access, out)?;
-        self.remember(memo, Some(port), access);
-        Ok(())
+        self.read_run(port, memo, access, 1, out)
     }
 
     /// [`Self::write`] through `memo`: the scatter mirror of
-    /// [`Self::read_replayed`].
+    /// [`Self::read_replayed`], and the one-access case of
+    /// [`Self::write_run`].
     pub fn write_replayed(
         &mut self,
         memo: &mut AccessReplay,
         access: ParallelAccess,
         data: &[T],
     ) -> Result<()> {
-        if data.len() == memo.fold.len() && self.replays(memo, None, access) {
+        self.write_run(memo, access, 1, data)
+    }
+
+    /// How many of the `n` accesses that start at `first` and step `lanes`
+    /// columns right each make one run for [`Self::read_run`] or
+    /// [`Self::write_run`]: none when `first` breaks Table I or leaves the
+    /// memory, else those before the first that leaves it. Stepping `lanes`
+    /// columns keeps the residue class, so every access of a run shares
+    /// the first one's plan and Table I verdict.
+    pub fn run_span(&self, first: ParallelAccess, n: usize) -> usize {
+        match self.agu.origins(first.pattern) {
+            Some((i_max, j_min, j_max))
+                if first.i <= i_max
+                    && (j_min..=j_max).contains(&first.j)
+                    && self.check_access(first).is_ok() =>
+            {
+                n.min((j_max - first.j) / self.lanes() + 1)
+            }
+            _ => 0,
+        }
+    }
+
+    /// The flat-index step from one access of a run to the next: `lanes`
+    /// columns are `lanes / q` tiles.
+    #[inline]
+    fn run_step(&self) -> isize {
+        let lanes = self.lanes();
+        (lanes / self.config.q) as isize * self.config.layout.base_scale(lanes)
+    }
+
+    /// Check that a run of `n` accesses has `n` words of data.
+    fn check_run(&self, n: usize, len: usize) -> Result<()> {
+        let expected = n.saturating_mul(self.lanes());
+        if len != expected {
+            return Err(PolyMemError::WrongLaneCount { got: len, expected });
+        }
+        Ok(())
+    }
+
+    /// [`Self::read_replayed`] on each of the `n` accesses that start at
+    /// `first` and step `lanes` columns right each, their words back to
+    /// back in `out` (`n * lanes` lanes, or
+    /// [`PolyMemError::WrongLaneCount`]), stopping at the first error. From
+    /// the first access in `memo`'s class on, when the run's last origin
+    /// lies in the memory too, the rest of the run costs that bounds check
+    /// and one fixed-width gather loop, counted when `memo` settles; so a
+    /// run that enters a new class pays the full path once.
+    pub fn read_run(
+        &mut self,
+        port: usize,
+        memo: &mut AccessReplay,
+        first: ParallelAccess,
+        n: usize,
+        out: &mut [T],
+    ) -> Result<()> {
+        self.check_run(n, out.len())?;
+        let lanes = self.lanes();
+        let mut k = 0;
+        while k < n {
+            let access = run_access(first, k, lanes);
+            if !self.replays(memo, Some(port), access) {
+                self.settle(memo);
+                self.read_into(port, access, &mut out[k * lanes..][..lanes])?;
+                self.remember(memo, Some(port), access);
+                k += 1;
+                continue;
+            }
+            // Outside the memo's box `check_bounds` fails and names the
+            // error; inside, the run's last origin fitting means every one
+            // before it does.
             if !memo.fits(access) {
                 self.agu.check_bounds(access)?;
             }
-            let base = self.flat_base(access);
-            scatter(self.banks.flat_mut(), base, &memo.fold, data);
-            memo.pending += 1;
-            return Ok(());
+            let m = if memo.fits(run_access(first, n - 1, lanes)) {
+                n - k
+            } else {
+                1
+            };
+            let (base, step) = (self.flat_base(access), self.run_step());
+            let words = &mut out[k * lanes..][..m * lanes];
+            gather(self.banks.flat(), base, step, &memo.fold, words);
+            memo.pending += m as u64;
+            k += m;
         }
-        self.settle(memo);
-        self.write(access, data)?;
-        self.remember(memo, None, access);
+        Ok(())
+    }
+
+    /// [`Self::write_replayed`] over a run: the scatter mirror of
+    /// [`Self::read_run`], word `k` of `data` stored at the run's access
+    /// `k`.
+    pub fn write_run(
+        &mut self,
+        memo: &mut AccessReplay,
+        first: ParallelAccess,
+        n: usize,
+        data: &[T],
+    ) -> Result<()> {
+        self.check_run(n, data.len())?;
+        let lanes = self.lanes();
+        let mut k = 0;
+        while k < n {
+            let access = run_access(first, k, lanes);
+            if !self.replays(memo, None, access) {
+                self.settle(memo);
+                self.write(access, &data[k * lanes..][..lanes])?;
+                self.remember(memo, None, access);
+                k += 1;
+                continue;
+            }
+            if !memo.fits(access) {
+                self.agu.check_bounds(access)?;
+            }
+            let m = if memo.fits(run_access(first, n - 1, lanes)) {
+                n - k
+            } else {
+                1
+            };
+            let (base, step) = (self.flat_base(access), self.run_step());
+            let words = &data[k * lanes..][..m * lanes];
+            scatter(self.banks.flat_mut(), base, step, &memo.fold, words);
+            memo.pending += m as u64;
+            k += m;
+        }
         Ok(())
     }
 
@@ -843,10 +1002,10 @@ impl<T: Copy + Default> PolyMem<T> {
     /// The `p`-row strip region starting at row `i`: a `Block` whose
     /// canonical order is row-major, so one strip of host data replays
     /// through one cached plan (strip origins fall in at most `q` residue
-    /// classes).
+    /// classes). Unnamed, so building one allocates nothing.
     fn strip_region(&self, i: usize) -> Region {
         Region::new(
-            "__strip",
+            String::new(),
             i,
             0,
             RegionShape::Block {
@@ -868,19 +1027,30 @@ impl<T: Copy + Default> PolyMem<T> {
     /// [`PolyMemError::OutOfBounds`] for rows past the end, writing
     /// nothing in either case. An empty slice is a no-op.
     pub fn load_rows(&mut self, first_row: usize, data: &[T]) -> Result<()> {
+        self.load_rows_with(first_row, data, |v| v)
+    }
+
+    /// [`Self::load_rows`] storing `map(v)` for each host value `v`: the
+    /// rows convert as they scatter, with no staging copy.
+    pub fn load_rows_with<S: Copy>(
+        &mut self,
+        first_row: usize,
+        data: &[S],
+        map: impl Fn(S) -> T + Copy,
+    ) -> Result<()> {
         let (a, b, end) = self.row_strips(first_row, data.len())?;
         let cols = self.config.cols;
         let at = |i: usize| (i - first_row) * cols;
         for i in (first_row..a).chain(b..end) {
             for (j, &v) in data[at(i)..at(i) + cols].iter().enumerate() {
-                self.set(i, j, v)?;
+                self.set(i, j, map(v))?;
             }
         }
         let mut strip = self.strip_region(a);
         for rows in data[at(a)..at(b)].chunks_exact(self.config.p * cols) {
             let base = self.afn.address(strip.i, 0) as isize;
             let scatter = |plan: &RegionPlan, banks: &mut BankArray<T>| {
-                plan.scatter_from(banks.flat_mut(), base, rows)
+                plan.scatter_from_map(banks.flat_mut(), base, rows, map)
             };
             self.with_plan(PlanTarget::Region(&strip), scatter)?;
             strip.i += self.config.p;
@@ -1377,6 +1547,71 @@ mod tests {
                     assert_eq!(mem.take_trace(), full.take_trace(), "{ctx}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn runs_match_their_accesses_one_by_one() {
+        use crate::banks::BankLayout;
+        // Row runs of 8-lane accesses on 64 columns, each from a warm or a
+        // cold memo, some running off the row's end and one off the
+        // memory: data, errors, stats and plan counts are those of one
+        // `read_into`/`write` per access, stopping at the first error.
+        // (row, first column, accesses, how many fit the memory)
+        let runs = [
+            (0, 0, 8, 8),
+            (0, 8, 7, 7),
+            (3, 16, 7, 6),
+            (3, 48, 2, 2),
+            (2, 40, 3, 3),
+            (8, 0, 2, 0),
+        ];
+        for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+            let cfg = PolyMemConfig::new(8, 64, 2, 4, AccessScheme::RoCo, 2)
+                .unwrap()
+                .with_layout(layout);
+            let cells: Vec<u64> = (0..8 * 64).collect();
+            let twin = || {
+                let mut m = PolyMem::<u64>::new(cfg).unwrap();
+                m.load_row_major(&cells).unwrap();
+                m
+            };
+            let (mut full, mut mem) = (twin(), twin());
+            let (mut reads, mut writes) = (AccessReplay::new(), AccessReplay::new());
+            for (t, &(i, j, n, span)) in runs.iter().enumerate() {
+                let ctx = format!("{layout:?} run {t}: row {i} from {j}, {n} accesses");
+                let first = PA::row(i, j);
+                assert_eq!(mem.run_span(first, n), span, "{ctx}");
+                let mut got = vec![0; n * 8];
+                let read = mem.read_run(1, &mut reads, first, n, &mut got);
+                let mut want = vec![0; n * 8];
+                let want_read = want
+                    .chunks_exact_mut(8)
+                    .enumerate()
+                    .try_for_each(|(k, w)| full.read_into(1, run_access(first, k, 8), w));
+                assert_eq!(read, want_read, "{ctx}");
+                assert_eq!(got, want, "{ctx}");
+                let data: Vec<u64> = (0..n as u64 * 8).map(|l| 1000 * t as u64 + l).collect();
+                let wrote = mem.write_run(&mut writes, PA::row(7 - i % 8, j), n, &data);
+                let want_wrote = data
+                    .chunks_exact(8)
+                    .enumerate()
+                    .try_for_each(|(k, w)| full.write(run_access(PA::row(7 - i % 8, j), k, 8), w));
+                assert_eq!(wrote, want_wrote, "{ctx}");
+            }
+            assert!(matches!(
+                mem.read_run(0, &mut reads, PA::row(0, 0), 2, &mut [0; 8]),
+                Err(PolyMemError::WrongLaneCount {
+                    got: 8,
+                    expected: 16
+                })
+            ));
+            mem.settle(&mut reads);
+            mem.settle(&mut writes);
+            assert_eq!(mem.dump_row_major(), full.dump_row_major(), "{layout:?}");
+            assert_eq!(mem.stats(), full.stats(), "{layout:?}");
+            let (p, f) = (mem.plan_stats(), full.plan_stats());
+            assert_eq!((p.hits, p.misses), (f.hits, f.misses), "{layout:?}");
         }
     }
 

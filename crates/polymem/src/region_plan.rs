@@ -447,11 +447,24 @@ impl RegionPlan {
     /// Motif-run scatter: the write mirror of [`Self::gather_into`].
     #[inline]
     pub fn scatter_from<T: Copy>(&self, flat: &mut [T], base: isize, values: &[T]) {
+        self.scatter_from_map(flat, base, values, |v| v)
+    }
+
+    /// [`Self::scatter_from`] storing `map(v)` for each value `v`, so host
+    /// data of another type converts as it moves, with no staging copy.
+    #[inline]
+    pub fn scatter_from_map<S: Copy, T>(
+        &self,
+        flat: &mut [T],
+        base: isize,
+        values: &[S],
+        map: impl Fn(S) -> T + Copy,
+    ) {
         let fbase = self.flat_base(base);
         if self.lanes == 8 {
-            self.scatter_motifs::<T, 8>(flat, fbase, values)
+            self.scatter_motifs::<S, T, 8>(flat, fbase, values, map)
         } else {
-            self.scatter_motifs::<T, 0>(flat, fbase, values)
+            self.scatter_motifs::<S, T, 0>(flat, fbase, values, map)
         }
     }
 
@@ -486,7 +499,13 @@ impl RegionPlan {
     /// The scatter kernel for lane width `L`: the write mirror of
     /// [`Self::gather_motifs`].
     #[inline]
-    fn scatter_motifs<T: Copy, const L: usize>(&self, flat: &mut [T], fbase: isize, values: &[T]) {
+    fn scatter_motifs<S: Copy, T, const L: usize>(
+        &self,
+        flat: &mut [T],
+        fbase: isize,
+        values: &[S],
+        map: impl Fn(S) -> T + Copy,
+    ) {
         let lanes = if L == 0 { self.lanes } else { L };
         for run in &self.motif_runs {
             let start = run.start as usize;
@@ -495,7 +514,9 @@ impl RegionPlan {
             let mut dst = fbase + run.offset;
             if run.is_block_move(lanes) {
                 let d = dst as usize;
-                flat[d..d + len].copy_from_slice(src);
+                for (o, &v) in flat[d..d + len].iter_mut().zip(src) {
+                    *o = map(v);
+                }
                 continue;
             }
             let m0 = run.motif as usize * lanes;
@@ -503,7 +524,7 @@ impl RegionPlan {
             for group in src.chunks_exact(lanes) {
                 let d = dst as usize;
                 for (&v, &m) in group.iter().zip(motif) {
-                    flat[d + m] = v;
+                    flat[d + m] = map(v);
                 }
                 dst += run.step;
             }

@@ -181,6 +181,8 @@ pub struct StreamApp {
     sched_stats: SchedulerStats,
     tlm: Option<AppTelemetry>,
     trc: Option<AppTracing>,
+    /// [`Self::offload`]'s scratch: one `p`-row strip.
+    strip: Vec<u64>,
 }
 
 impl StreamApp {
@@ -281,6 +283,7 @@ impl StreamApp {
             sched_stats: SchedulerStats::default(),
             tlm: None,
             trc: None,
+            strip: Vec::new(),
         })
     }
 
@@ -380,11 +383,10 @@ impl StreamApp {
                 expected: n,
             });
         }
-        let mut bits = Vec::with_capacity(n);
         for (vals, lay) in [(a, self.layout.a), (b, self.layout.b), (c, self.layout.c)] {
-            bits.clear();
-            bits.extend(vals.iter().map(|v| v.to_bits()));
-            self.polymem.mem().load_rows(lay.base_row, &bits)?;
+            self.polymem
+                .mem()
+                .load_rows_with(lay.base_row, vals, f64::to_bits)?;
         }
         Ok(self.host.send(3 * n * 8))
     }
@@ -456,6 +458,11 @@ impl StreamApp {
             }
         }
         let cycles = self.clock.cycle() - start;
+        if let Driver::Burst(b) = &mut self.driver {
+            for spent in b.take_spent() {
+                self.polymem.recycle(spent);
+            }
+        }
         if let Some(tr) = &mut self.trc {
             self.polymem.finish_tracing();
             tr.journal.set_cycle(self.clock.cycle());
@@ -520,13 +527,23 @@ impl StreamApp {
             _ => self.layout.a,
         };
         let n = lay.len;
-        let mut bits = vec![0u64; n];
-        self.polymem
-            .mem()
-            .dump_rows_into(lay.base_row, &mut bits)
-            .expect("layout vectors are whole in-bounds rows");
-        // Same size and alignment: the collect reuses `bits`' allocation.
-        let out = bits.into_iter().map(f64::from_bits).collect();
+        // One `p`-row strip at a time through a reused scratch, converted
+        // as it lands in the result.
+        let strip = self.layout.config.p * lay.cols;
+        self.strip.resize(strip, 0);
+        let mut out = Vec::with_capacity(n);
+        for row in (lay.base_row..).step_by(self.layout.config.p) {
+            let rest = n - out.len();
+            if rest == 0 {
+                break;
+            }
+            let bits = &mut self.strip[..rest.min(strip)];
+            self.polymem
+                .mem()
+                .dump_rows_into(row, bits)
+                .expect("layout vectors are whole in-bounds rows");
+            out.extend(bits.iter().map(|&b| f64::from_bits(b)));
+        }
         let t = self.host.receive(n * 8);
         (out, t)
     }
@@ -1019,6 +1036,25 @@ mod tests {
         app.load(&a, &b, &c).unwrap();
         assert_eq!(app.run_pass(), 10_895);
         assert_eq!(app.polymem.lockstep_cycles(), 10_865);
+    }
+
+    #[test]
+    fn runs_serve_all_of_a_paper_size_window() {
+        // The window serves a paper-size pass in row runs: each ends where
+        // a read port's or the write port's row does, and the next opens
+        // in the new residue class, so no window cycle is served alone.
+        let paper = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap();
+        for op in [StreamOp::Copy, StreamOp::Triad(2.5)] {
+            let mut app = StreamApp::new(op, paper, PAPER_STREAM_FREQ_MHZ).unwrap();
+            let (a, b, c) = vectors(paper.a.len);
+            app.load(&a, &b, &c).unwrap();
+            for pass in 1..=2 {
+                assert_eq!(app.run_pass(), 10_895, "{}", op.name());
+                assert_eq!(app.polymem.lockstep_cycles(), pass * 10_865);
+                assert_eq!(app.polymem.run_cycles(), pass * 10_865, "{}", op.name());
+            }
+            assert_eq!(app.offload().0, scalar_reference(op, &a, &b, &c));
+        }
     }
 
     #[test]

@@ -82,6 +82,9 @@ pub struct BurstController {
     stash: Option<Vec<u64>>,
     /// Computed burst held back by write-FIFO backpressure.
     pending_write: Option<(usize, Vec<u64>)>,
+    /// Second-operand bursts already combined, for the host to hand back
+    /// to the kernel ([`Self::take_spent`]).
+    spent: Vec<Vec<u64>>,
     /// Occupancy/issue telemetry, when attached.
     tlm: Option<BurstTelemetry>,
 }
@@ -136,6 +139,7 @@ impl BurstController {
             reads_issued: 0,
             stash: None,
             pending_write: None,
+            spent: Vec::new(),
             tlm: None,
         }
     }
@@ -159,6 +163,15 @@ impl BurstController {
     /// Bursts (regions) per pass.
     pub fn bursts(&self) -> usize {
         self.dst.len()
+    }
+
+    /// The second-operand bursts combined so far, each done with; the host
+    /// hands them back to the kernel ([`PolyMemKernel::recycle`]) so the
+    /// next pass reads into them.
+    ///
+    /// [`PolyMemKernel::recycle`]: dfe_sim::polymem_kernel::PolyMemKernel::recycle
+    pub fn take_spent(&mut self) -> std::vec::Drain<'_, Vec<u64>> {
+        self.spent.drain(..)
     }
 
     /// Reset per-pass bookkeeping (the shared state is reset by the host).
@@ -232,20 +245,18 @@ impl BurstController {
                 if reads_per_burst > 1 && self.stash.is_none() {
                     self.stash = Some(data);
                 } else {
+                    // The result overwrites the first operand in place.
                     let burst = match self.stash.take() {
-                        Some(x) => x
-                            .iter()
-                            .zip(&data)
-                            .map(|(&xb, &yb)| {
-                                self.op
-                                    .apply(f64::from_bits(xb), f64::from_bits(yb))
-                                    .to_bits()
-                            })
-                            .collect(),
-                        None => data
-                            .iter()
-                            .map(|&xb| self.op.apply(f64::from_bits(xb), 0.0).to_bits())
-                            .collect(),
+                        Some(mut x) => {
+                            self.op.combine(&mut x, Some(&data));
+                            self.spent.push(data);
+                            x
+                        }
+                        None => {
+                            let mut x = data;
+                            self.op.combine(&mut x, None);
+                            x
+                        }
                     };
                     let r = self.state.borrow().written;
                     self.pending_write = Some((r, burst));

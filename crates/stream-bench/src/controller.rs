@@ -9,10 +9,10 @@
 //! data emerges from the memory's pipeline, which is the paper's
 //! "delay ... applied on the output data ... 14 clock cycles" alignment.
 
-use crate::layout::StreamLayout;
+use crate::layout::{StreamLayout, VectorLayout};
 use crate::op::StreamOp;
 use dfe_sim::kernel::Kernel;
-use dfe_sim::polymem_kernel::{PolyMemKernel, ReadRequest, ReadResponse, WriteRequest};
+use dfe_sim::polymem_kernel::{PolyMemKernel, ReadRequest, ReadResponse, RowRun, WriteRequest};
 use dfe_sim::stream::StreamRef;
 use polymem::PolyMemError;
 use std::cell::RefCell;
@@ -94,7 +94,7 @@ impl Controller {
     }
 
     /// Source vector(s) and destination for the configured op.
-    fn source(&self, port: usize) -> crate::layout::VectorLayout {
+    fn source(&self, port: usize) -> VectorLayout {
         match (self.op, port) {
             (StreamOp::Copy, _) => self.layout.a,
             (StreamOp::Scale(_), _) => self.layout.b,
@@ -103,28 +103,10 @@ impl Controller {
         }
     }
 
-    fn dest(&self) -> crate::layout::VectorLayout {
+    fn dest(&self) -> VectorLayout {
         match self.op {
             StreamOp::Copy => self.layout.c,
             _ => self.layout.a,
-        }
-    }
-
-    /// Compute one chunk's result lanes in place over the first operand's
-    /// word `x`; `y` is the second operand's word for Sum and Triad.
-    fn combine(&self, x: &mut [u64], y: Option<&[u64]>) {
-        let op = |xb: u64, yv: f64| self.op.apply(f64::from_bits(xb), yv).to_bits();
-        match y {
-            Some(y) => {
-                for (x, &yb) in x.iter_mut().zip(y) {
-                    *x = op(*x, f64::from_bits(yb));
-                }
-            }
-            None => {
-                for x in x.iter_mut() {
-                    *x = op(*x, 0.0);
-                }
-            }
         }
     }
 
@@ -150,18 +132,27 @@ impl Controller {
             cycle,
             (self.chunks - issued) as u64,
             self.op.reads(),
-            |port, k| self.source(port).access(issued + k as usize),
-            |k, words| {
-                if let [x, rest @ ..] = words {
-                    self.combine(x, rest.first().map(|y| &y[..]));
-                }
-                self.dest().access(written + k as usize)
+            |port, k| row_run(self.source(port), issued + k as usize),
+            |k| row_run(self.dest(), written + k as usize),
+            |mut words| {
+                let (x, mut rest) = words.split();
+                self.op.combine(x, rest.next());
             },
         );
         let mut st = self.state.borrow_mut();
         st.issued += served as usize;
         st.written += served as usize;
         served
+    }
+}
+
+/// The chunks of `v` from chunk `c` to the end of its row, as the run of
+/// row accesses that moves them.
+fn row_run(v: VectorLayout, c: usize) -> RowRun {
+    let first = v.access(c);
+    RowRun {
+        first,
+        cycles: ((v.cols - first.j) / v.lanes) as u64,
     }
 }
 
@@ -198,9 +189,9 @@ impl Kernel for Controller {
                 let Some(y) = self.read_resp[1].borrow_mut().pop() else {
                     return;
                 };
-                self.combine(&mut data, Some(&y));
+                self.op.combine(&mut data, Some(&y));
             } else {
-                self.combine(&mut data, None);
+                self.op.combine(&mut data, None);
             }
             let access = self.dest().access(st.written);
             self.write_req.borrow_mut().push((access, data));

@@ -52,6 +52,25 @@ impl StreamOp {
         }
     }
 
+    /// Combine the raw 64-bit lanes of a chunk, run or burst in place over
+    /// the first operand's `x`; `y` holds the second operand's lanes for
+    /// Sum and Triad.
+    pub fn combine(&self, x: &mut [u64], y: Option<&[u64]>) {
+        let op = |xb: u64, yv: f64| self.apply(f64::from_bits(xb), yv).to_bits();
+        match y {
+            Some(y) => {
+                for (x, &yb) in x.iter_mut().zip(y) {
+                    *x = op(*x, f64::from_bits(yb));
+                }
+            }
+            None => {
+                for x in x.iter_mut() {
+                    *x = op(*x, 0.0);
+                }
+            }
+        }
+    }
+
     /// Combine one element's operands. `x` is the first operand (A for
     /// Copy, B otherwise); `y` the second (C), ignored for 1-read ops.
     #[inline]

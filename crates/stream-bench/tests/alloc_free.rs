@@ -1,10 +1,11 @@
 //! The allocation contract of the per-access datapath: once its plans are
 //! compiled, a single planned access and a steady-state per-chunk STREAM
-//! pass make no heap allocation.
+//! pass make no heap allocation, host staging allocates only the offloaded
+//! result, and a burst pass allocates nothing vector-sized.
 //!
-//! A counting global allocator tallies allocations per thread, so the test
-//! harness's other threads (and other tests running beside these) never
-//! count against the thread being measured.
+//! A counting global allocator tallies allocations, and the largest one,
+//! per thread, so the test harness's other threads (and other tests
+//! running beside these) never count against the thread being measured.
 
 use dfe_sim::SchedulerMode;
 use polymem::{AccessScheme, ConcurrentPolyMem, ParallelAccess, PolyMem, PolyMemConfig};
@@ -16,31 +17,33 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     // `try_with` fails only while the thread is being torn down; a const
     // initialised `Cell` has no destructor, so counting never allocates.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,9 +59,19 @@ static GLOBAL: Counting = Counting;
 
 /// Heap allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> u64 {
+    sized_allocations(f).0
+}
+
+/// Heap allocations `f` makes on the calling thread, and the size in bytes
+/// of the largest.
+fn sized_allocations(f: impl FnOnce()) -> (u64, usize) {
+    LARGEST.with(|l| l.set(0));
     let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    (
+        ALLOCATIONS.with(Cell::get) - before,
+        LARGEST.with(Cell::get),
+    )
 }
 
 /// Every access of the scheme's supported patterns with its origin in the
@@ -118,22 +131,44 @@ fn warmed_concurrent_writes_do_not_allocate() {
     }
 }
 
-/// Load a paper-size STREAM design driven by `mode`, run one pass to warm
-/// its plans, queues and lockstep rings, and count the second pass's
-/// allocations.
-fn steady_pass_allocations(op: StreamOp, mode: SchedulerMode) -> u64 {
+/// A paper-size STREAM design for `op`, per-chunk or burst, loaded.
+fn paper_app(op: StreamOp, burst: bool) -> StreamApp {
     let layout = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN).unwrap();
-    let mut app = StreamApp::new(op, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
-    app.set_scheduler_mode(mode);
-    let n = layout.a.len;
+    let mut app = if burst {
+        StreamApp::new_burst(op, layout, PAPER_STREAM_FREQ_MHZ)
+    } else {
+        StreamApp::new(op, layout, PAPER_STREAM_FREQ_MHZ)
+    }
+    .unwrap();
+    let (a, b, c) = vectors();
+    app.load(&a, &b, &c).unwrap();
+    app
+}
+
+/// Three paper-size vectors.
+fn vectors() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let n = StreamLayout::PAPER_MAX_LEN;
     let v = |s: f64| (0..n).map(|k| s + k as f64).collect::<Vec<_>>();
-    app.load(&v(1.0), &v(2.0), &v(3.0)).unwrap();
+    (v(1.0), v(2.0), v(3.0))
+}
+
+/// Run one pass of `app` to warm its plans, queues, lockstep buffers and
+/// burst buffers, and count the second pass's allocations (and the size
+/// of the largest).
+fn second_pass_allocations(app: &mut StreamApp) -> (u64, usize) {
     let warm = app.run_pass();
     let mut cycles = 0;
-    let count = allocations(|| cycles = app.run_pass());
-    assert_eq!(cycles, warm, "{} passes are deterministic", op.name());
+    let count = sized_allocations(|| cycles = app.run_pass());
+    assert_eq!(cycles, warm, "{} passes are deterministic", app.op().name());
     assert!(app.errors().is_empty(), "{:?}", app.errors());
     count
+}
+
+/// [`second_pass_allocations`] of a per-chunk design driven by `mode`.
+fn steady_pass_allocations(op: StreamOp, mode: SchedulerMode) -> u64 {
+    let mut app = paper_app(op, false);
+    app.set_scheduler_mode(mode);
+    second_pass_allocations(&mut app).0
 }
 
 #[test]
@@ -163,5 +198,39 @@ fn paper_size_ticked_passes_do_not_allocate() {
             "{}",
             op.name()
         );
+    }
+}
+
+#[test]
+fn paper_size_burst_passes_make_no_vector_sized_allocation() {
+    // The region engine reads each burst into a spent buffer, Triad
+    // combines over its first operand, and the second goes back to the
+    // kernel. What still allocates is each burst's `Region` clone: its
+    // name, a few bytes.
+    for op in [StreamOp::Copy, StreamOp::Triad(3.0)] {
+        let (count, largest) = second_pass_allocations(&mut paper_app(op, true));
+        assert!(
+            largest < 64,
+            "{}: {count} allocations, up to {largest} B",
+            op.name()
+        );
+    }
+}
+
+#[test]
+fn warmed_host_staging_allocates_only_the_offloaded_result() {
+    // Load converts each vector as it scatters; offload gathers strips
+    // into a reused scratch and extends its result.
+    let (a, b, c) = vectors();
+    for burst in [false, true] {
+        let mut app = paper_app(StreamOp::Triad(3.0), burst);
+        app.offload();
+        let mut load = || {
+            app.load(&a, &b, &c).unwrap();
+        };
+        assert_eq!(allocations(&mut load), 0);
+        let mut out = Vec::new();
+        assert_eq!(allocations(|| out = app.offload().0), 1);
+        assert_eq!(out, a, "no pass ran: Triad's destination A reads back");
     }
 }

@@ -32,8 +32,12 @@ const HOT: &[(&str, &[&str])] = &[
             "write_planned",
             "read_replayed",
             "write_replayed",
+            "run_span",
+            "read_run",
+            "write_run",
             "settle",
             "load_rows",
+            "load_rows_with",
             "dump_rows_into",
         ],
     ),
@@ -72,18 +76,20 @@ const HOT: &[(&str, &[&str])] = &[
     ),
     (
         "crates/dfe-sim/src/polymem_kernel.rs",
-        &["tick", "lockstep_ready", "lockstep"],
+        &["tick", "lockstep_ready", "lockstep", "unhazarded", "split"],
     ),
     (
         "crates/stream-bench/src/controller.rs",
-        &["tick", "combine", "lockstep"],
+        &["tick", "lockstep"],
     ),
+    ("crates/stream-bench/src/op.rs", &["combine"]),
     (
         "crates/polymem/src/region_plan.rs",
         &[
             "check_bounds",
             "gather_into",
             "scatter_from",
+            "scatter_from_map",
             "gather_motifs",
             "scatter_motifs",
             "copy_store_runs_within",
