@@ -36,14 +36,17 @@ use crate::agu::Agu;
 use crate::banks::BankLayout;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{PlanCache, PlanShape, PlanTarget};
+use crate::plan::{residue, PlanCache, PlanShape, PlanTarget};
 use crate::region::Region;
 use crate::scheme::ParallelAccess;
 use crate::shuffle::Crossbar;
 use std::collections::HashMap;
 
 #[cfg(test)]
-use crate::{region::RegionShape, scheme::AccessScheme};
+use crate::{
+    region::RegionShape,
+    scheme::{AccessPattern, AccessScheme},
+};
 
 /// One lane-wide motif run of the canonical gather map: `reps` consecutive
 /// groups of `lanes` canonical elements from `start` on, where lane `k` of
@@ -133,6 +136,115 @@ pub struct RegionPlan {
     pub lanes: usize,
 }
 
+/// Marks a canonical element no access of a region compile has covered.
+const UNCOVERED: isize = isize::MIN;
+
+/// The gather maps of a region compile as its accesses fill them in.
+struct Cover<'r> {
+    region: &'r Region,
+    /// [`RegionPlan::fold`], [`UNCOVERED`] where no access has landed yet.
+    fold: Vec<isize>,
+    /// [`RegionPlan::afold`], one access after the other.
+    afold: Vec<isize>,
+}
+
+impl Cover<'_> {
+    /// Store the next lane, at flat offset `f`, as canonical element `c`.
+    #[inline]
+    fn put(&mut self, c: usize, f: isize) -> Result<()> {
+        let slot = &mut self.fold[c];
+        if *slot != UNCOVERED {
+            return Err(PolyMemError::InvalidGeometry {
+                reason: format!(
+                    "region {}: canonical element {c} covered twice",
+                    self.region.name
+                ),
+            });
+        }
+        *slot = f;
+        self.afold.push(f);
+        Ok(())
+    }
+
+    /// Store every lane of access `a`, lane `k` at `coords[k]` and flat
+    /// offset `fold[k] + abase`, placing each through
+    /// [`Region::canonical_index`]. Returns the lanes' canonical indices.
+    fn put_lanes(
+        &mut self,
+        coords: &[(usize, usize)],
+        fold: &[isize],
+        abase: isize,
+        a: usize,
+    ) -> Result<Vec<usize>> {
+        let mut canon = Vec::with_capacity(coords.len());
+        for (k, (&(i, j), &f)) in coords.iter().zip(fold).enumerate() {
+            let Some(c) = self.region.canonical_index(i, j) else {
+                return Err(PolyMemError::InvalidGeometry {
+                    reason: format!(
+                        "region {}: access {a} lane {k} at ({i}, {j}) falls outside the \
+                         region",
+                        self.region.name
+                    ),
+                });
+            };
+            self.put(c, f + abase)?;
+            canon.push(c);
+        }
+        Ok(canon)
+    }
+}
+
+/// One access class `(i0 mod p·q, j0 mod p·q, pattern)` of a region
+/// compile, resolved at its first access.
+struct AccessClass {
+    /// The class's one-access plan: lane `k`'s flat offset from its
+    /// access's tile.
+    fold: Vec<isize>,
+    /// Lane `k`'s canonical index minus lane 0's.
+    canon: Vec<isize>,
+    /// Coordinates of lane `p·q − 1` minus those of lane 0, the access
+    /// origin.
+    reach: (isize, isize),
+}
+
+impl AccessClass {
+    /// The class of `acc`, whose lanes sit at `coords` and canonical
+    /// indices `canon`, routed by the one-access plan `fold`.
+    fn new(
+        acc: ParallelAccess,
+        fold: &[isize],
+        canon: &[usize],
+        coords: &[(usize, usize)],
+    ) -> Self {
+        let c0 = canon.first().copied().unwrap_or(0);
+        let (i, j) = coords.last().copied().unwrap_or((acc.i, acc.j));
+        Self {
+            fold: fold.to_vec(),
+            canon: canon.iter().map(|&c| c.wrapping_sub(c0) as isize).collect(),
+            reach: (
+                i.wrapping_sub(acc.i) as isize,
+                j.wrapping_sub(acc.j) as isize,
+            ),
+        }
+    }
+
+    /// Canonical index of `acc`'s lane 0, when `acc` is of this class and
+    /// its lanes 0 and `p·q − 1` sit inside `region` at the canonical
+    /// offsets this class proved. The pattern of every region shape spans
+    /// the box or segment between those two lanes, so its other lanes then
+    /// sit at their proved offsets too.
+    #[inline]
+    fn place(&self, region: &Region, acc: ParallelAccess) -> Option<usize> {
+        let c0 = region.canonical_index(acc.i, acc.j)?;
+        let (i, j) = (
+            acc.i.checked_add_signed(self.reach.0)?,
+            acc.j.checked_add_signed(self.reach.1)?,
+        );
+        let last = c0.checked_add_signed(*self.canon.last()?)?;
+        (region.canonical_index(i, j)? == last).then_some(c0)
+    }
+}
+
 /// Greedy segmentation of the canonical gather map into motif runs: a
 /// group of `lanes` elements joins the current run while every lane sits
 /// exactly `step` flat slots past the same lane of the previous group.
@@ -188,22 +300,67 @@ fn build_motif_runs(fold: &[isize], lanes: usize) -> (Vec<MotifRun>, Vec<usize>)
     (runs, motifs)
 }
 
-/// Merge the sorted storage image into maximal unit-stride intervals.
+/// Merge the storage image of the injective map `fold` into maximal
+/// unit-stride intervals, in ascending order: one bit per slot of its span
+/// marks what it touches, and the runs read off the bitmap a word at a
+/// time. Where that bitmap would outgrow `fold` itself (a span of more
+/// than 64 slots per element, such as a short column of a deep bank-major
+/// memory), sorting a copy is cheaper.
 fn build_store_runs(fold: &[isize]) -> Vec<StoreRun> {
-    let mut sorted = fold.to_vec();
-    sorted.sort_unstable();
+    let Some(&first) = fold.first() else {
+        return Vec::new();
+    };
+    let (lo, hi) = fold
+        .iter()
+        .fold((first, first), |(lo, hi), &f| (lo.min(f), hi.max(f)));
+    let span = hi.abs_diff(lo) + 1;
+    if span > fold.len().saturating_mul(64) {
+        return sorted_store_runs(fold);
+    }
+    let mut bits = vec![0u64; span.div_ceil(64)];
+    for &f in fold {
+        let s = f.abs_diff(lo);
+        bits[s / 64] |= 1 << (s % 64);
+    }
+    let end = bits.len() * 64;
     let mut runs = Vec::new();
-    let mut i = 0usize;
-    while i < sorted.len() {
-        let mut last = i;
-        while last + 1 < sorted.len() && sorted[last + 1] == sorted[last] + 1 {
-            last += 1;
+    let mut s = 0usize;
+    while s < end {
+        let word = bits[s / 64] >> (s % 64);
+        if word == 0 {
+            s = (s / 64 + 1) * 64;
+            continue;
+        }
+        s += word.trailing_zeros() as usize;
+        let start = s;
+        // Count the run's ones, a word at a time while it fills words to
+        // their last bit.
+        loop {
+            let r = s % 64;
+            let ones = (bits[s / 64] >> r).trailing_ones() as usize;
+            s += ones;
+            if ones < 64 - r || s == end {
+                break;
+            }
         }
         runs.push(StoreRun {
-            offset: sorted[i],
-            len: (last - i + 1) as u32,
+            offset: lo + start as isize,
+            len: (s - start) as u32,
         });
-        i = last + 1;
+    }
+    runs
+}
+
+/// [`build_store_runs`] by sorting a copy of `fold` and merging neighbours.
+fn sorted_store_runs(fold: &[isize]) -> Vec<StoreRun> {
+    let mut sorted = fold.to_vec();
+    sorted.sort_unstable();
+    let mut runs: Vec<StoreRun> = Vec::new();
+    for &f in &sorted {
+        match runs.last_mut() {
+            Some(run) if run.offset + run.len as isize == f => run.len += 1,
+            _ => runs.push(StoreRun { offset: f, len: 1 }),
+        }
     }
     runs
 }
@@ -275,11 +432,18 @@ impl RegionPlan {
 
     /// Compile the plan for `region`'s residue class.
     ///
-    /// Runs the full checked pipeline once per access — scheme/alignment
-    /// check, AGU bounds check, the access's one-access plan through `cache`
-    /// (compiled and crossbar-verified on first use) — then splices every
-    /// lane into canonical order. Errors surface in the same order the
-    /// naive per-access loop would hit them.
+    /// The region's accesses fall into a few access classes `(i0 mod p·q,
+    /// j0 mod p·q, pattern)` (see [`crate::plan`]), and each class is
+    /// resolved once, at its first access: its one-access plan through
+    /// `cache` (compiled and crossbar-verified on a miss) and one AGU
+    /// expansion through [`Region::canonical_index`]. Every access still
+    /// passes its own scheme/alignment and bounds checks, and its lanes
+    /// are checked into canonical order: a later access of a class whose
+    /// lanes 0 and `p·q − 1` sit inside the region at the offsets the class
+    /// proved has every lane there too, since each shape's own pattern
+    /// spans the box or segment between those two lanes. The cache probes a
+    /// per-access loop would make count as hits, failed compiles included,
+    /// and errors surface in the order that loop would hit them.
     pub fn compile(
         region: &Region,
         agu: &Agu,
@@ -287,52 +451,67 @@ impl RegionPlan {
         afn: &AddressingFunction,
         cache: &mut PlanCache,
     ) -> Result<Self> {
+        let mut hits = 0;
+        let plan = Self::compile_classes(region, agu, maf, afn, cache, &mut hits);
+        if hits > 0 {
+            cache.count_hits(PlanShape::Access(region.shape.pattern()), hits);
+        }
+        plan
+    }
+
+    /// [`Self::compile`]'s access loop, tallying into `hits` the probes of
+    /// accesses whose class was already resolved.
+    fn compile_classes(
+        region: &Region,
+        agu: &Agu,
+        maf: &ModuleAssignment,
+        afn: &AddressingFunction,
+        cache: &mut PlanCache,
+        hits: &mut u64,
+    ) -> Result<Self> {
         let (p, q) = (agu.p(), agu.q());
         let accesses = region.plan_accesses(p, q)?;
         let lanes = agu.lanes();
-        let len = region.len();
         let base0 = afn.address(region.i, region.j) as isize;
         let layout = cache.layout();
         // Under an interleaved layout one intra-bank address step moves
         // `lanes` flat slots, so access-base offsets scale before folding.
         let scale = layout.base_scale(lanes);
 
-        let mut fold = vec![0isize; len];
-        let mut afold = vec![0isize; len];
-        let mut seen = vec![false; len];
+        let mut cover = Cover {
+            region,
+            fold: vec![UNCOVERED; region.len()],
+            afold: Vec::with_capacity(region.len()),
+        };
+        // `class_of[ri * lanes + rj]` indexes `classes` by the residues of
+        // an access origin: every access of a region has its pattern.
+        let mut class_of = vec![u32::MAX; lanes * lanes];
+        let mut classes: Vec<AccessClass> = Vec::new();
         let mut coords = Vec::with_capacity(lanes);
         for (a, &acc) in accesses.iter().enumerate() {
             maf.scheme().check_access(acc, p, q)?;
             agu.check_bounds(acc)?;
             let abase = (afn.address(acc.i, acc.j) as isize - base0) * scale;
-            // Expand coordinates (compile-time only; replays never expand).
+            let key = residue(acc.i, lanes) * lanes + residue(acc.j, lanes);
+            if let Some(class) = classes.get(class_of[key] as usize) {
+                *hits += 1;
+                if let Some(c0) = class.place(region, acc) {
+                    for (&f, &dc) in class.fold.iter().zip(&class.canon) {
+                        cover.put(c0.wrapping_add_signed(dc), f + abase)?;
+                    }
+                } else {
+                    agu.expand_into(acc, &mut coords)?;
+                    cover.put_lanes(&coords, &class.fold, abase, a)?;
+                }
+                continue;
+            }
             let (plan, _) = cache.get_or_compile(PlanTarget::Access(acc), agu, maf, afn)?;
             agu.expand_into(acc, &mut coords)?;
-            for (k, &(i, j)) in coords.iter().enumerate() {
-                let c =
-                    region
-                        .canonical_index(i, j)
-                        .ok_or_else(|| PolyMemError::InvalidGeometry {
-                            reason: format!(
-                                "region {}: access {a} lane {k} at ({i}, {j}) falls \
-                             outside the region",
-                                region.name
-                            ),
-                        })?;
-                if seen[c] {
-                    return Err(PolyMemError::InvalidGeometry {
-                        reason: format!(
-                            "region {}: canonical element {c} covered twice",
-                            region.name
-                        ),
-                    });
-                }
-                seen[c] = true;
-                fold[c] = plan.fold[k] + abase;
-                afold[a * lanes + k] = plan.fold[k] + abase;
-            }
+            let canon = cover.put_lanes(&coords, &plan.fold, abase, a)?;
+            class_of[key] = classes.len() as u32;
+            classes.push(AccessClass::new(acc, &plan.fold, &canon, &coords));
         }
-        if let Some(c) = seen.iter().position(|&s| !s) {
+        if let Some(c) = cover.fold.iter().position(|&f| f == UNCOVERED) {
             return Err(PolyMemError::InvalidGeometry {
                 reason: format!(
                     "region {}: canonical element {c} not covered by any access",
@@ -344,7 +523,7 @@ impl RegionPlan {
             PlanShape::Region(region.shape),
             layout,
             lanes,
-            (fold, afold),
+            (cover.fold, cover.afold),
             accesses.len(),
         ))
     }
@@ -772,8 +951,9 @@ pub(crate) fn replay_copy<T: Copy + Default>(
         sp.copy_store_runs_within(flat, sbase, dbase);
         return (both, 0);
     }
+    // Every staged element is written before it is read (the motif runs
+    // tile `0..len`, as `validate` proves), so the scratch only resizes.
     if !overlap && src.shape == dst.shape {
-        scratch.clear();
         scratch.resize(sp.len(), T::default());
         sp.gather_into(flat, sbase, scratch);
         dp.scatter_from(flat, dbase, scratch);
@@ -782,7 +962,6 @@ pub(crate) fn replay_copy<T: Copy + Default>(
     }
     let lanes = sp.lanes;
     let (sfb, dfb) = (sp.flat_base(sbase), dp.flat_base(dbase));
-    scratch.clear();
     scratch.resize(lanes, T::default());
     for (sa, da) in sp
         .afold
@@ -1316,5 +1495,326 @@ mod tests {
             },
         );
         assert!(split.validate(base, depth).is_err());
+    }
+
+    /// The access classes `(pattern, i0 mod p·q, j0 mod p·q)` a per-access
+    /// compile loop probes, in order, and what it builds: a plan assembled
+    /// element by element, or the first error it returns. A bank conflict
+    /// fails the last probe's compile.
+    struct Reference {
+        probes: Vec<(AccessPattern, usize, usize)>,
+        plan: Result<RegionPlan>,
+    }
+
+    fn reference(
+        region: &Region,
+        (agu, maf, afn): (&Agu, &ModuleAssignment, &AddressingFunction),
+        depth: usize,
+        layout: BankLayout,
+    ) -> Reference {
+        let mut probes = Vec::new();
+        let plan = (|| {
+            let (p, q, lanes) = (agu.p(), agu.q(), agu.lanes());
+            let accesses = region.plan_accesses(p, q)?;
+            let base = afn.address(region.i, region.j) as isize;
+            // Each element's flat slot straight from the MAF's bank and the
+            // addressing function's intra-bank address.
+            let slot = |(i, j): (usize, usize)| {
+                let delta = afn.address(i, j) as isize - base;
+                layout.fold(maf.assign_linear(i, j) as isize, delta, lanes, depth)
+            };
+            let mut afold = Vec::new();
+            let mut covered = vec![false; region.len()];
+            for &acc in &accesses {
+                maf.scheme().check_access(acc, p, q)?;
+                agu.check_bounds(acc)?;
+                probes.push((acc.pattern, acc.i % lanes, acc.j % lanes));
+                let coords = agu.expand(acc)?;
+                let banks: Vec<usize> = coords
+                    .iter()
+                    .map(|&(i, j)| maf.assign_linear(i, j))
+                    .collect();
+                for (k, &bank) in banks.iter().enumerate() {
+                    if let Some(lane_a) = banks[..k].iter().position(|&b| b == bank) {
+                        return Err(PolyMemError::BankConflict {
+                            bank,
+                            lane_a,
+                            lane_b: k,
+                        });
+                    }
+                }
+                for &(i, j) in &coords {
+                    let c = region.canonical_index(i, j).expect("accesses stay inside");
+                    assert!(!std::mem::replace(&mut covered[c], true), "tiled once");
+                    afold.push(slot((i, j)));
+                }
+            }
+            assert!(covered.iter().all(|&c| c), "accesses cover the region");
+            let fold: Vec<isize> = region.coords_iter()?.map(slot).collect();
+            let mut sorted = fold.clone();
+            sorted.sort_unstable();
+            let mut store_runs: Vec<StoreRun> = Vec::new();
+            for f in sorted {
+                match store_runs.last_mut() {
+                    Some(run) if run.offset + run.len as isize == f => run.len += 1,
+                    _ => store_runs.push(StoreRun { offset: f, len: 1 }),
+                }
+            }
+            let (motif_runs, motifs) = build_motif_runs(&fold, lanes);
+            let contiguous_elems = motif_runs
+                .iter()
+                .filter(|r| r.is_block_move(lanes))
+                .map(|r| r.reps as usize * lanes)
+                .sum();
+            Ok(RegionPlan {
+                shape: PlanShape::Region(region.shape),
+                layout,
+                fold,
+                afold,
+                motif_runs,
+                motifs,
+                store_runs,
+                contiguous_elems,
+                accesses: accesses.len(),
+                lanes,
+            })
+        })();
+        Reference { probes, plan }
+    }
+
+    /// Which classes a cache holds and the hits and misses it has
+    /// counted, as the per-access loop would leave them.
+    #[derive(Default)]
+    struct Expected {
+        access: std::collections::HashSet<(AccessPattern, usize, usize)>,
+        /// Each compiled region class, with the region it compiled for.
+        regions: HashMap<(RegionShape, usize, usize), Region>,
+        access_hm: (u64, u64),
+        region_hm: (u64, u64),
+    }
+
+    /// Compile `region` through `cache` and check the plan (or error) and
+    /// both kinds of cache statistics against [`reference`].
+    fn check_compile(
+        cache: &mut PlanCache,
+        blocks: (&Agu, &ModuleAssignment, &AddressingFunction),
+        depth: usize,
+        region: &Region,
+        expected: &mut Expected,
+    ) {
+        let (agu, maf, afn) = blocks;
+        let lanes = agu.lanes();
+        let ctx = format!("{} {:?} {region:?}", maf.scheme(), cache.layout());
+        let got = cache
+            .get_or_compile(PlanTarget::Region(region), agu, maf, afn)
+            .map(|(plan, compiled)| (plan.clone(), compiled));
+        let key = (region.shape, region.i % lanes, region.j % lanes);
+        // A hit serves the plan of the region that compiled the class,
+        // whatever this origin's bounds.
+        let rep = expected.regions.get(&key).unwrap_or(region);
+        let want = reference(rep, blocks, depth, cache.layout());
+        let hit = expected.regions.contains_key(&key);
+        if hit {
+            expected.region_hm.0 += 1;
+        } else {
+            expected.region_hm.1 += 1;
+            let conflict = matches!(want.plan, Err(PolyMemError::BankConflict { .. }));
+            for (n, class) in want.probes.iter().enumerate() {
+                if expected.access.contains(class) {
+                    expected.access_hm.0 += 1;
+                } else {
+                    expected.access_hm.1 += 1;
+                    if !(conflict && n + 1 == want.probes.len()) {
+                        expected.access.insert(*class);
+                    }
+                }
+            }
+            if want.plan.is_ok() {
+                expected.regions.insert(key, region.clone());
+            }
+        }
+        match (got, want.plan) {
+            (Ok((plan, compiled)), Ok(want)) => {
+                assert_eq!(compiled, !hit, "{ctx}");
+                assert_eq!(
+                    (plan.shape, plan.layout, plan.accesses, plan.lanes),
+                    (want.shape, want.layout, want.accesses, want.lanes),
+                    "{ctx}"
+                );
+                assert_eq!(plan.fold, want.fold, "{ctx}");
+                assert_eq!(plan.afold, want.afold, "{ctx}");
+                assert_eq!(plan.motif_runs, want.motif_runs, "{ctx}");
+                assert_eq!(plan.motifs, want.motifs, "{ctx}");
+                assert_eq!(plan.store_runs, want.store_runs, "{ctx}");
+                assert_eq!(plan.contiguous_elems, want.contiguous_elems, "{ctx}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{ctx}"),
+            (got, want) => panic!(
+                "{ctx}: compiled {:?}, reference {:?}",
+                got.err(),
+                want.err()
+            ),
+        }
+        let (a, r) = (cache.access_stats(), cache.region_stats());
+        assert_eq!(
+            (a.hits, a.misses, a.entries),
+            (
+                expected.access_hm.0,
+                expected.access_hm.1,
+                expected.access.len()
+            ),
+            "access stats after {ctx}"
+        );
+        assert_eq!(
+            (r.hits, r.misses, r.entries),
+            (
+                expected.region_hm.0,
+                expected.region_hm.1,
+                expected.regions.len()
+            ),
+            "region stats after {ctx}"
+        );
+    }
+
+    /// Compile `regions` in order on a fresh `rows x cols` memory, checking
+    /// each against [`reference`]; returns what the cache should hold.
+    fn check_compiles(
+        (p, q): (usize, usize),
+        (rows, cols): (usize, usize),
+        maf: ModuleAssignment,
+        layout: BankLayout,
+        regions: &[Region],
+    ) -> Expected {
+        let agu = Agu::new(p, q, rows, cols);
+        let afn = AddressingFunction::new(p, q, rows, cols);
+        let depth = (rows / p) * (cols / q);
+        let mut cache = PlanCache::new(p * q, depth, layout);
+        let mut expected = Expected::default();
+        for region in regions {
+            check_compile(&mut cache, (&agu, &maf, &afn), depth, region, &mut expected);
+        }
+        expected
+    }
+
+    #[test]
+    fn compile_builds_the_per_access_plan() {
+        let layouts = [BankLayout::BankMajor, BankLayout::AddrInterleaved];
+        for (grid, scheme, regions) in replay_matrix() {
+            let n = 4 * grid.0 * grid.1;
+            // Each region, again in its class (a region hit), then one row
+            // and one column further (new classes, misaligned for RoCo
+            // blocks).
+            let mut calls = Vec::new();
+            for r in &regions {
+                for (di, dj) in [(0, 0), (n / 2, n / 2), (1, 0), (0, 1)] {
+                    calls.push(Region::new(r.name.clone(), r.i + di, r.j + dj, r.shape));
+                }
+            }
+            for layout in layouts {
+                let maf = ModuleAssignment::new(scheme, grid.0, grid.1);
+                check_compiles(grid, (n, n), maf, layout, &calls);
+            }
+        }
+        let roco = ModuleAssignment::new(AccessScheme::RoCo, 2, 4);
+        let vector = |i, rows| Region::new("v", i, 0, RegionShape::Block { rows, cols: 512 });
+        for layout in layouts {
+            // `stream-host`'s vectors, and the paper-size ones in three
+            // classes.
+            let host = [vector(0, 160), vector(160, 160), vector(320, 160)];
+            let e = check_compiles((2, 4), (480, 512), roco, layout, &host);
+            assert_eq!((e.regions.len(), e.region_hm), (1, (2, 1)));
+            let paper = [vector(0, 170), vector(170, 170), vector(340, 170)];
+            let e = check_compiles((2, 4), (510, 512), roco, layout, &paper);
+            assert_eq!(e.regions.len(), 3);
+
+            // Failing compiles: an unsupported pattern, a misaligned class,
+            // a block whose second row of accesses leaves the space after
+            // the first row's hits, and a bank conflict (the MAF of the
+            // transposed grid).
+            let reo = ModuleAssignment::new(AccessScheme::ReO, 2, 4);
+            let row = Region::new("row", 0, 0, RegionShape::Row { len: 16 });
+            let e = check_compiles((2, 4), (32, 32), reo, layout, &[row]);
+            assert_eq!((e.access_hm, e.region_hm), ((0, 0), (0, 1)));
+            let block = |i, j| Region::new("b", i, j, RegionShape::Block { rows: 4, cols: 16 });
+            let e = check_compiles((2, 4), (32, 32), roco, layout, &[block(1, 0)]);
+            assert_eq!(e.access_hm, (0, 0));
+            let e = check_compiles((2, 4), (32, 32), reo, layout, &[block(28, 0), block(30, 8)]);
+            assert_eq!((e.access_hm, e.regions.len()), ((4 + 4, 4), 1));
+            let transposed = ModuleAssignment::new(AccessScheme::ReO, 4, 2);
+            let e = check_compiles((2, 4), (32, 32), transposed, layout, &[block(0, 0)]);
+            assert_eq!((e.access_hm, e.access.len()), ((0, 1), 0));
+        }
+    }
+
+    #[test]
+    fn a_class_places_an_access_only_when_both_end_lanes_fit() {
+        // The rectangle class proved at the top-left tile of a 4x8 block.
+        let region = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
+        let first = ParallelAccess::rect(0, 0);
+        let coords = Agu::new(2, 4, 16, 16).expand(first).unwrap();
+        let canon: Vec<usize> = coords
+            .iter()
+            .map(|&(i, j)| region.canonical_index(i, j).unwrap())
+            .collect();
+        let class = AccessClass::new(first, &[0; 8], &canon, &coords);
+        assert_eq!(
+            class.place(&region, ParallelAccess::rect(2, 4)),
+            Some(2 * 8 + 4)
+        );
+        // Lane 0 inside, the last lane past the right or the bottom edge.
+        assert_eq!(class.place(&region, ParallelAccess::rect(2, 6)), None);
+        assert_eq!(class.place(&region, ParallelAccess::rect(3, 0)), None);
+        // Lane 0 outside.
+        assert_eq!(class.place(&region, ParallelAccess::rect(4, 0)), None);
+    }
+
+    #[test]
+    fn store_runs_from_bitmap_match_sort() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let runs = |fold: &[isize]| {
+            let got = build_store_runs(fold);
+            assert_eq!(got, sorted_store_runs(fold), "{fold:?}");
+            got
+        };
+        let run = |offset, len| StoreRun { offset, len };
+        // Negative offsets, single slots and a run across a word boundary.
+        assert_eq!(
+            runs(&[-70, -3, -5, -4, 60, 61, 62, 63, 64, 65]),
+            [run(-70, 1), run(-5, 3), run(60, 6)]
+        );
+        // Runs that end on bit 63 of a word, and one that fills whole
+        // words to the bitmap's last bit.
+        assert_eq!(
+            runs(&[0, 61, 62, 63, 65]),
+            [run(0, 1), run(61, 3), run(65, 1)]
+        );
+        assert_eq!(runs(&(0..128).rev().collect::<Vec<_>>()), [run(0, 128)]);
+        assert_eq!(runs(&[127, 0]), [run(0, 1), run(127, 1)]);
+        assert!(runs(&[]).is_empty());
+        // A sparse fold: its span exceeds 64 slots per element, so the
+        // sort builds its runs.
+        let sparse = [5, -1_000_000, 6, 1_000_000];
+        assert!(2_000_001 > 64 * sparse.len());
+        assert_eq!(
+            runs(&sparse),
+            [run(-1_000_000, 1), run(5, 2), run(1_000_000, 1)]
+        );
+        // Random injective folds: a shuffled subset of a window, at
+        // densities from sparse to full, around a random (often negative)
+        // origin.
+        let mut rng = StdRng::seed_from_u64(27);
+        for _ in 0..500 {
+            let span = rng.gen_range(1..600usize);
+            let lo = rng.gen_range(-300..300isize);
+            let density = rng.gen_range(0.0..1.0);
+            let mut fold: Vec<isize> = (0..span as isize)
+                .filter(|_| rng.gen_bool(density))
+                .map(|s| lo + s)
+                .collect();
+            for i in (1..fold.len()).rev() {
+                fold.swap(i, rng.gen_range(0..i + 1));
+            }
+            runs(&fold);
+        }
     }
 }

@@ -22,8 +22,9 @@ use crate::locks::{extract_fns, line_of, mask_source, strip_test_mods};
 use std::path::Path;
 
 /// Hot functions per file (path relative to the repo root): plan replay,
-/// the Table I check every planned access makes, and the per-cycle ticks
-/// and lockstep windows of the simulated per-chunk STREAM datapath.
+/// the plan compilers a cache miss runs, the Table I check every planned
+/// access makes, and the per-cycle ticks and lockstep windows of the
+/// simulated per-chunk STREAM datapath.
 const HOT: &[(&str, &[&str])] = &[
     (
         "crates/polymem/src/mem.rs",
@@ -86,6 +87,16 @@ const HOT: &[(&str, &[&str])] = &[
     (
         "crates/polymem/src/region_plan.rs",
         &[
+            "compile",
+            "compile_classes",
+            "compile_access",
+            "assemble",
+            "put",
+            "put_lanes",
+            "place",
+            "build_motif_runs",
+            "build_store_runs",
+            "sorted_store_runs",
             "check_bounds",
             "gather_into",
             "scatter_from",

@@ -5,8 +5,9 @@
 //!
 //! Whole-API programs mix single reads and writes, region reads and writes
 //! on all five shapes (the secondary diagonal's column-0 edge included),
-//! `copy_region` with overlap in both directions and across shapes, and
-//! whole-row fills and drains. They run on `PolyMem` (compiled region
+//! `copy_region` with overlap in both directions and across shapes,
+//! whole-row fills and drains, whole-space loads and dumps, and scheme
+//! conversions there and back. They run on `PolyMem` (compiled region
 //! plans, the per-access path and the interpreted pipeline) and on
 //! `ConcurrentPolyMem` (planned and interpreted), under both `BankLayout`s
 //! on a 2x4 and a 4x2 bank grid. The pipelined kernel runs the programs'
@@ -42,6 +43,12 @@ enum Op {
     LoadRows(usize, Vec<u64>),
     /// `dump_rows_into(first, ..)` of `rows` whole rows.
     DumpRows(usize, usize),
+    /// `load_row_major(data)`: the whole space.
+    LoadRowMajor(Vec<u64>),
+    /// `dump_row_major()`.
+    DumpRowMajor,
+    /// `convert_scheme` to this scheme, a dump there, and back.
+    ConvertScheme(AccessScheme),
 }
 
 /// The cells one parallel access of `pattern` covers, as a region whose
@@ -226,7 +233,7 @@ impl ProgramGen {
     fn op(&mut self) -> Option<Op> {
         let (n, k) = (self.p * self.q, 1 + self.below(2));
         let rows = 1 + self.below(2 * self.p + 1);
-        Some(match self.below(10) {
+        Some(match self.below(13) {
             0 => Op::Read(self.access()),
             1 => Op::Write(self.access(), self.values(n)),
             2 => Op::ReadRegion(self.shaped(k)?),
@@ -249,7 +256,16 @@ impl ProgramGen {
                 let first = self.below(SPACE - rows + 1);
                 Op::LoadRows(first, self.values(rows * SPACE))
             }
-            _ => Op::DumpRows(self.below(SPACE - rows + 1), rows),
+            9 => Op::DumpRows(self.below(SPACE - rows + 1), rows),
+            10 => Op::LoadRowMajor(self.values(SPACE * SPACE)),
+            11 => Op::DumpRowMajor,
+            _ => {
+                let others: Vec<_> = AccessScheme::ALL
+                    .into_iter()
+                    .filter(|&s| s != self.scheme)
+                    .collect();
+                Op::ConvertScheme(others[self.below(others.len())])
+            }
         })
     }
 }
@@ -303,6 +319,8 @@ fn run_model(ops: &[Op], (p, q): (usize, usize)) -> Vec<Vec<u64>> {
             Op::DumpRows(first, rows) => {
                 reads.push(m.0[first * SPACE..(first + rows) * SPACE].to_vec())
             }
+            Op::LoadRowMajor(data) => m.0.copy_from_slice(data),
+            Op::DumpRowMajor | Op::ConvertScheme(_) => reads.push(m.0.clone()),
         }
     }
     reads.push(m.0);
@@ -311,9 +329,12 @@ fn run_model(ops: &[Op], (p, q): (usize, usize)) -> Vec<Vec<u64>> {
 
 /// Run `ops` on `PolyMem` with the given plan switches.
 fn run_polymem(ops: &[Op], cfg: PolyMemConfig, planning: bool, regions: bool) -> Vec<Vec<u64>> {
-    let mut mem = PolyMem::<u64>::new(cfg).unwrap();
-    mem.set_planning(planning);
-    mem.set_region_planning(regions);
+    let switched = |mut mem: PolyMem<u64>| {
+        mem.set_planning(planning);
+        mem.set_region_planning(regions);
+        mem
+    };
+    let mut mem = switched(PolyMem::<u64>::new(cfg).unwrap());
     mem.load_row_major(&initial()).unwrap();
     let mut reads = Vec::new();
     for op in ops {
@@ -329,6 +350,13 @@ fn run_polymem(ops: &[Op], cfg: PolyMemConfig, planning: bool, regions: bool) ->
                 let mut out = vec![0; rows * SPACE];
                 mem.dump_rows_into(*first, &mut out).expect(&ctx);
                 reads.push(out);
+            }
+            Op::LoadRowMajor(data) => mem.load_row_major(data).expect(&ctx),
+            Op::DumpRowMajor => reads.push(mem.dump_row_major()),
+            Op::ConvertScheme(scheme) => {
+                let mut there = switched(mem.convert_scheme(*scheme).expect(&ctx));
+                reads.push(there.dump_row_major());
+                mem = switched(there.convert_scheme(cfg.scheme).expect(&ctx));
             }
         }
     }
@@ -367,6 +395,15 @@ fn run_concurrent_mem(ops: &[Op], cfg: PolyMemConfig, planning: bool) -> Vec<Vec
                     .map(|k| get(k).expect(&ctx))
                     .collect(),
             ),
+            Op::LoadRowMajor(data) => {
+                for (k, &v) in data.iter().enumerate() {
+                    set(k, v).expect(&ctx);
+                }
+            }
+            // It has no whole-space operations: check the content instead.
+            Op::DumpRowMajor | Op::ConvertScheme(_) => {
+                reads.push((0..SPACE * SPACE).map(|k| get(k).expect(&ctx)).collect())
+            }
         }
     }
     reads.push((0..SPACE * SPACE).map(|k| get(k).unwrap()).collect());
@@ -467,7 +504,7 @@ fn deterministic_case_all_schemes() {
         }
     }
     let kinds: HashSet<_> = ops.iter().map(std::mem::discriminant).collect();
-    assert_eq!(kinds.len(), 7, "operation kinds generated");
+    assert_eq!(kinds.len(), 10, "operation kinds generated");
     let edge = |r: &Region| matches!(r.shape, RegionShape::SecondaryDiag { len } if r.j + 1 == len);
     let copy = |forward: bool| {
         ops.iter().any(|op| {
