@@ -198,9 +198,10 @@ impl<T: Copy + Default> PolyMem<T> {
                 tlm,
                 trc,
                 copy_scratch,
+                copy_lanes,
                 ..
             } = self;
-            let [(sp, s_compiled), (dp, d_compiled)] =
+            let ([(sp, s_compiled), (dp, d_compiled)], plans) =
                 plans.get_or_compile_pair([src, dst], agu, maf, afn)?;
             if let Some(tr) = trc.as_ref() {
                 tr.lookup(s_compiled);
@@ -214,11 +215,17 @@ impl<T: Copy + Default> PolyMem<T> {
             let span = trc
                 .as_ref()
                 .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
-            let (coalesced, strided) =
-                replay_copy(banks.flat_mut(), afn, (src, sp), (dst, dp), copy_scratch);
+            let copied = replay_copy(
+                banks.flat_mut(),
+                (agu, afn, plans),
+                (src, sp),
+                (dst, dp),
+                (copy_scratch, copy_lanes),
+            );
             if let (Some(tr), Some(s)) = (trc.as_ref(), span) {
                 tr.writer.end(tr.copy_replay, s);
             }
+            let (coalesced, strided) = copied?;
             stats.reads += sp.accesses as u64;
             stats.writes += dp.accesses as u64;
             stats.elements_read += sp.len() as u64;

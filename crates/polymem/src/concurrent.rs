@@ -6,7 +6,7 @@
 //! [`crate::PolyMem`]: one flat [`BankArray`] laid out by the
 //! configuration's [`crate::BankLayout`], one [`PlanCache`] compiled against
 //! that layout, single accesses replayed through their one-access plan's
-//! [`RegionPlan::fold`], and region operations replayed on the caller's
+//! one motif group, and region operations replayed on the caller's
 //! thread through [`RegionPlan::gather_into`], [`RegionPlan::scatter_from`]
 //! and the copy selection [`crate::PolyMem::copy_region`] runs as well.
 //!
@@ -39,7 +39,7 @@ use crate::maf::ModuleAssignment;
 use crate::mem::MemTracing;
 use crate::plan::{PlanCache, PlanCacheStats, PlanHits, PlanKey, PlanTarget};
 use crate::region::Region;
-use crate::region_plan::{replay_copy, RegionPlan};
+use crate::region_plan::{replay_copy, CopyLanes, RegionPlan};
 use crate::scheme::ParallelAccess;
 use crate::sync::{AtomicBool, Ordering, RwLock};
 use crate::telemetry::{Counter, TelemetryRegistry};
@@ -114,12 +114,13 @@ impl ConcTelemetry {
     }
 }
 
-/// What the one storage guard covers: the bank array and the plans
-/// compiled against it.
+/// What the one storage guard covers: the bank array, the plans compiled
+/// against it, and the lanes interleaved copies have read out of them.
 #[derive(Debug)]
 struct Store<T> {
     banks: BankArray<T>,
     plans: PlanCache,
+    copy_lanes: CopyLanes,
 }
 
 /// A PolyMem whose ports can be driven from multiple threads through `&self`.
@@ -163,6 +164,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             storage: RwLock::new(Store {
                 banks: BankArray::with_layout(lanes, depth, layout),
                 plans,
+                copy_lanes: CopyLanes::default(),
             }),
             planning: AtomicBool::new(true),
             tlm: None,
@@ -282,7 +284,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             }
         }
         let mut store = self.storage.write();
-        let Store { banks, plans } = &mut *store;
+        let Store { banks, plans, .. } = &mut *store;
         let (plan, compiled) = plans.get_or_compile(target, &self.agu, &self.maf, &self.afn)?;
         Ok((f(plan, banks.flat()), compiled))
     }
@@ -299,7 +301,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         let key = PlanKey::of(target, self.config.lanes());
         let (r, looked_up) = {
             let mut store = self.storage.write();
-            let Store { banks, plans } = &mut *store;
+            let Store { banks, plans, .. } = &mut *store;
             match plans.peek(&key) {
                 Some(plan) => (f(plan, banks.flat_mut()), None),
                 None => {
@@ -315,7 +317,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         Ok((r, looked_up.unwrap_or(false)))
     }
 
-    /// The flat slot a bounds-checked `access`'s fold offsets are relative
+    /// The flat slot a bounds-checked `access`'s plan offsets are relative
     /// to (`A(origin)` scaled by the layout).
     fn access_base(&self, access: ParallelAccess) -> Result<isize> {
         self.agu.check_bounds(access)?;
@@ -337,7 +339,9 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         if self.planning() {
             let base = self.access_base(access)?;
             let gather = |plan: &RegionPlan, flat: &[T]| {
-                out.extend(plan.fold.iter().map(|&f| flat[(base + f) as usize]));
+                let (offset, motif) = plan.access_lanes();
+                let at = (base + offset) as usize;
+                out.extend(motif.iter().map(|&m| flat[at + m]));
             };
             self.replay(PlanTarget::Access(access), gather)?;
         } else {
@@ -368,8 +372,10 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         if self.planning() {
             let base = self.access_base(access)?;
             let scatter = |plan: &RegionPlan, flat: &mut [T]| {
-                for (&f, &v) in plan.fold.iter().zip(data) {
-                    flat[(base + f) as usize] = v;
+                let (offset, motif) = plan.access_lanes();
+                let at = (base + offset) as usize;
+                for (&m, &v) in motif.iter().zip(data) {
+                    flat[at + m] = v;
                 }
             };
             self.replay_mut(PlanTarget::Access(access), scatter)?;
@@ -479,27 +485,33 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// gather+scatter staged in `scratch` for other disjoint same-shape
     /// regions, and the exact access-interleaved order for overlapping or
     /// cross-shape ones, so results match the sequential memory element
-    /// for element. `scratch` is reused across calls, so steady-state
-    /// copies are allocation-free.
+    /// for element. `scratch` is reused across calls, and the lanes the
+    /// interleaved order reads out of the plan cache stay with the memory,
+    /// so steady-state copies are allocation-free.
     pub fn copy_region_with(&self, src: &Region, dst: &Region, scratch: &mut Vec<T>) -> Result<()> {
         let (rows, cols) = (self.config.rows, self.config.cols);
         let replay = || {
             let mut store = self.storage.write();
-            let Store { banks, plans } = &mut *store;
+            let Store {
+                banks,
+                plans,
+                copy_lanes,
+            } = &mut *store;
             plans
                 .get_or_compile_pair([src, dst], &self.agu, &self.maf, &self.afn)
-                .map(|[(sp, s_compiled), (dp, d_compiled)]| {
+                .map(|([(sp, s_compiled), (dp, d_compiled)], plans)| {
                     let copied = if sp.accesses != dp.accesses {
                         Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses))
                     } else {
                         sp.check_bounds(src, rows, cols)
                             .and_then(|()| dp.check_bounds(dst, rows, cols))
-                            .map(|()| {
+                            .and_then(|()| {
                                 let flat = banks.flat_mut();
-                                let bytes =
-                                    replay_copy(flat, &self.afn, (src, sp), (dst, dp), scratch);
-                                (sp.accesses, sp.len(), bytes)
+                                let blocks = (&self.agu, &self.afn, plans);
+                                let scratch = (&mut *scratch, &mut *copy_lanes);
+                                replay_copy(flat, blocks, (src, sp), (dst, dp), scratch)
                             })
+                            .map(|bytes| (sp.accesses, sp.len(), bytes))
                     };
                     (copied, [s_compiled, d_compiled])
                 })

@@ -21,7 +21,7 @@ use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
 use crate::plan::{residue, PlanCache, PlanCacheStats, PlanKey, PlanShape, PlanTarget};
 use crate::region::{Region, RegionShape};
-use crate::region_plan::RegionPlan;
+use crate::region_plan::{CopyLanes, RegionPlan};
 use crate::scheme::{AccessPattern, ParallelAccess};
 use crate::shuffle::Crossbar;
 use crate::telemetry::{Counter, TelemetryRegistry};
@@ -201,9 +201,11 @@ impl MemTracing {
 pub struct AccessReplay {
     /// The memoised class; `None` until a planned access fills it.
     class: Option<ReplayClass>,
-    /// The class plan's per-lane flat offsets; the buffer is reused, so a
-    /// warm memo refills without allocating.
-    fold: Vec<isize>,
+    /// The class plan's access: lane `k` at flat offset `offset +
+    /// motif[k]` ([`RegionPlan::access_lanes`]).
+    offset: isize,
+    /// The buffer is reused, so a warm memo refills without allocating.
+    motif: Vec<usize>,
     /// The origins at which the class's pattern fits the memory:
     /// `(i_max, j_min, j_max)` (`Agu::origins`).
     origins: (usize, usize, usize),
@@ -250,30 +252,32 @@ fn run_access(first: ParallelAccess, k: usize, lanes: usize) -> ParallelAccess {
 }
 
 /// Planned accesses' gather: lane `l` of word `k` of `out` reads
-/// `flat[base + k * step + fold[l]]`. The 2x4 grid gets a fixed-width
-/// kernel, as [`RegionPlan::gather_into`] does.
+/// `flat[at + k * step + motif[l]]`, `at` being the flat slot of word 0's
+/// lowest lane. The 2x4 grid gets a fixed-width kernel, as
+/// [`RegionPlan::gather_into`] does.
 #[inline]
-fn gather<T: Copy>(flat: &[T], base: isize, step: isize, fold: &[isize], out: &mut [T]) {
-    if fold.len() == 8 {
-        gather_words::<T, 8>(flat, base, step, fold, out)
+fn gather<T: Copy>(flat: &[T], at: isize, step: isize, motif: &[usize], out: &mut [T]) {
+    if motif.len() == 8 {
+        gather_words::<T, 8>(flat, at, step, motif, out)
     } else {
-        gather_words::<T, 0>(flat, base, step, fold, out)
+        gather_words::<T, 0>(flat, at, step, motif, out)
     }
 }
 
-/// [`gather`] for lane width `L` (`0`: `fold`'s width).
+/// [`gather`] for lane width `L` (`0`: `motif`'s width).
 #[inline]
 fn gather_words<T: Copy, const L: usize>(
     flat: &[T],
     mut at: isize,
     step: isize,
-    fold: &[isize],
+    motif: &[usize],
     out: &mut [T],
 ) {
-    let fold = &fold[..if L == 0 { fold.len() } else { L }];
-    for word in out.chunks_exact_mut(fold.len()) {
-        for (o, &f) in word.iter_mut().zip(fold) {
-            *o = flat[(at + f) as usize];
+    let motif = &motif[..if L == 0 { motif.len() } else { L }];
+    for word in out.chunks_exact_mut(motif.len()) {
+        let s = at as usize;
+        for (o, &m) in word.iter_mut().zip(motif) {
+            *o = flat[s + m];
         }
         at += step;
     }
@@ -281,27 +285,28 @@ fn gather_words<T: Copy, const L: usize>(
 
 /// Planned accesses' scatter: the mirror of [`gather`].
 #[inline]
-fn scatter<T: Copy>(flat: &mut [T], base: isize, step: isize, fold: &[isize], data: &[T]) {
-    if fold.len() == 8 {
-        scatter_words::<T, 8>(flat, base, step, fold, data)
+fn scatter<T: Copy>(flat: &mut [T], at: isize, step: isize, motif: &[usize], data: &[T]) {
+    if motif.len() == 8 {
+        scatter_words::<T, 8>(flat, at, step, motif, data)
     } else {
-        scatter_words::<T, 0>(flat, base, step, fold, data)
+        scatter_words::<T, 0>(flat, at, step, motif, data)
     }
 }
 
-/// [`scatter`] for lane width `L` (`0`: `fold`'s width).
+/// [`scatter`] for lane width `L` (`0`: `motif`'s width).
 #[inline]
 fn scatter_words<T: Copy, const L: usize>(
     flat: &mut [T],
     mut at: isize,
     step: isize,
-    fold: &[isize],
+    motif: &[usize],
     data: &[T],
 ) {
-    let fold = &fold[..if L == 0 { fold.len() } else { L }];
-    for word in data.chunks_exact(fold.len()) {
-        for (&f, &v) in fold.iter().zip(word) {
-            flat[(at + f) as usize] = v;
+    let motif = &motif[..if L == 0 { motif.len() } else { L }];
+    for word in data.chunks_exact(motif.len()) {
+        let d = at as usize;
+        for (&m, &v) in motif.iter().zip(word) {
+            flat[d + m] = v;
         }
         at += step;
     }
@@ -333,6 +338,9 @@ pub struct PolyMem<T> {
     /// The staging of a planned `copy_region` between two plans, reused
     /// across copies.
     pub(crate) copy_scratch: Vec<T>,
+    /// The lanes an interleaved `copy_region` reads out of the plan cache,
+    /// kept across copies.
+    pub(crate) copy_lanes: CopyLanes,
     pub(crate) stats: AccessStats,
     /// When `Some`, every touched coordinate is appended (profiling mode
     /// for the scheduler's application analysis). Tracing needs the
@@ -383,6 +391,7 @@ impl<T: Copy + Default> PolyMem<T> {
             bank_addrs: vec![0; lanes],
             banked: vec![T::default(); lanes],
             copy_scratch: Vec::new(),
+            copy_lanes: CopyLanes::default(),
             stats: AccessStats::default(),
             trace_log: None,
             plans: PlanCache::new(lanes, config.bank_depth(), config.layout),
@@ -592,7 +601,8 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            gather(banks.flat(), base, 0, &plan.fold, out)
+            let (offset, motif) = plan.access_lanes();
+            gather(banks.flat(), base + offset, 0, motif, out)
         })
     }
 
@@ -602,7 +612,8 @@ impl<T: Copy + Default> PolyMem<T> {
         self.agu.check_bounds(access)?;
         let base = self.flat_base(access);
         self.with_plan(PlanTarget::Access(access), |plan, banks| {
-            scatter(banks.flat_mut(), base, 0, &plan.fold, data)
+            let (offset, motif) = plan.access_lanes();
+            scatter(banks.flat_mut(), base + offset, 0, motif, data)
         })
     }
 
@@ -624,7 +635,7 @@ impl<T: Copy + Default> PolyMem<T> {
     #[inline]
     fn replays(&self, memo: &AccessReplay, port: Option<usize>, access: ParallelAccess) -> bool {
         memo.class == Some(self.replay_class(port, access))
-            && memo.fold.len() == self.lanes()
+            && memo.motif.len() == self.lanes()
             && self.use_plan()
     }
 
@@ -637,9 +648,11 @@ impl<T: Copy + Default> PolyMem<T> {
         let key = PlanKey::of(PlanTarget::Access(access), self.config.lanes());
         let origins = self.agu.origins(access.pattern);
         if let (Some(plan), Some(origins)) = (self.plans.peek(&key), origins) {
+            let (offset, motif) = plan.access_lanes();
             memo.origins = origins;
-            memo.fold.clear();
-            memo.fold.extend_from_slice(&plan.fold);
+            memo.offset = offset;
+            memo.motif.clear();
+            memo.motif.extend_from_slice(motif);
             memo.class = Some(self.replay_class(port, access));
         }
     }
@@ -746,9 +759,9 @@ impl<T: Copy + Default> PolyMem<T> {
             } else {
                 1
             };
-            let (base, step) = (self.flat_base(access), self.run_step());
+            let (at, step) = (self.flat_base(access) + memo.offset, self.run_step());
             let words = &mut out[k * lanes..][..m * lanes];
-            gather(self.banks.flat(), base, step, &memo.fold, words);
+            gather(self.banks.flat(), at, step, &memo.motif, words);
             memo.pending += m as u64;
             k += m;
         }
@@ -785,9 +798,9 @@ impl<T: Copy + Default> PolyMem<T> {
             } else {
                 1
             };
-            let (base, step) = (self.flat_base(access), self.run_step());
+            let (at, step) = (self.flat_base(access) + memo.offset, self.run_step());
             let words = &data[k * lanes..][..m * lanes];
-            scatter(self.banks.flat_mut(), base, step, &memo.fold, words);
+            scatter(self.banks.flat_mut(), at, step, &memo.motif, words);
             memo.pending += m as u64;
             k += m;
         }

@@ -199,7 +199,7 @@ pub struct PlanCacheStats {
     pub entries: usize,
     /// Maximum number of region plans the cache holds.
     pub capacity: usize,
-    /// Heap bytes held by the cached plans' index arrays.
+    /// Heap bytes held by the cached plans' run tables.
     pub bytes: u64,
 }
 
@@ -322,6 +322,12 @@ impl PlanCache {
         self.layout
     }
 
+    /// Lanes per access (`p * q`): the period of every residue class.
+    #[inline]
+    pub(crate) fn period(&self) -> usize {
+        self.period
+    }
+
     /// The cached plan of `key`, without compiling; counts a hit when
     /// present (misses are counted by the compile path). Callable through
     /// `&self`: the hit counter is the only state it writes.
@@ -372,20 +378,26 @@ impl PlanCache {
     }
 
     /// The plans of a copy's source and destination regions, compiling
-    /// either on first use, with whether each call compiled. Compiling the
-    /// destination never evicts the source.
+    /// either on first use, with whether each call compiled, and the cache
+    /// itself, read-only: a copy replay reads the one-access plans the
+    /// region compiles left resident. Compiling the destination never
+    /// evicts the source.
     pub fn get_or_compile_pair(
         &mut self,
         [src, dst]: [&Region; 2],
         agu: &Agu,
         maf: &ModuleAssignment,
         afn: &AddressingFunction,
-    ) -> Result<[(&RegionPlan, bool); 2]> {
+    ) -> Result<([(&RegionPlan, bool); 2], &Self)> {
         let skey = PlanKey::of(PlanTarget::Region(src), self.period);
         let dkey = PlanKey::of(PlanTarget::Region(dst), self.period);
         let s = self.ensure(PlanTarget::Region(src), None, agu, maf, afn)?;
         let d = self.ensure(PlanTarget::Region(dst), Some(&skey), agu, maf, afn)?;
-        Ok([(self.resident(&skey)?, s), (self.resident(&dkey)?, d)])
+        let this = &*self;
+        Ok((
+            [(this.resident(&skey)?, s), (this.resident(&dkey)?, d)],
+            this,
+        ))
     }
 
     /// Make `target`'s plan resident, counting a hit or a miss; returns
@@ -627,10 +639,12 @@ mod tests {
         for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
             let plan = RegionPlan::compile_access(access, &agu, &maf, &afn, depth, layout).unwrap();
             assert_eq!((plan.accesses, plan.lanes, plan.len()), (1, 8, 8));
-            assert_eq!(plan.fold, plan.afold, "one access: canonical = lane order");
-            let fbase = plan.flat_base(afn.address(3, 5) as isize);
-            for (k, &(i, j)) in agu.expand(access).unwrap().iter().enumerate() {
-                let slot = (fbase + plan.fold[k]) as usize;
+            // One access is one group, its lanes in AGU lane order.
+            assert_eq!(plan.motif_runs.len(), 1);
+            let (offset, motif) = plan.access_lanes();
+            let fbase = plan.flat_base(afn.address(3, 5) as isize) + offset;
+            for (&(i, j), &m) in agu.expand(access).unwrap().iter().zip(motif) {
+                let slot = fbase as usize + m;
                 assert_eq!(layout.bank_of(slot, 8, depth), maf.assign_linear(i, j));
                 assert_eq!(layout.addr_of(slot, 8, depth), afn.address(i, j));
             }
@@ -649,9 +663,8 @@ mod tests {
         let base = b.2.address(0, 9);
         let fbase = plan.flat_base(base as isize);
         let addrs: Vec<usize> = plan
-            .fold
-            .iter()
-            .map(|&f| BankLayout::BankMajor.addr_of((fbase + f) as usize, 8, depth))
+            .offsets()
+            .map(|f| BankLayout::BankMajor.addr_of((fbase + f) as usize, 8, depth))
             .collect();
         assert!(
             addrs.iter().any(|&a| a < base),
@@ -666,8 +679,8 @@ mod tests {
         let depth = (32 / 2) * (32 / 4);
         let a = compile(PA::row(3, 5), &b, depth).unwrap();
         let c = compile(PA::row(3 + 8, 5 + 16), &b, depth).unwrap();
-        assert_eq!(a.fold, c.fold);
         assert_eq!(a.motif_runs, c.motif_runs);
+        assert_eq!(a.motifs, c.motifs);
         assert_eq!(a.store_runs, c.store_runs);
     }
 
@@ -731,25 +744,37 @@ mod tests {
         let base = b.2.address(3, 5) as isize;
         plan.validate(base, depth).unwrap();
 
-        // Lane 1 moved to another address of lane 0's bank, in both maps.
+        // The access's motif, at pool index 1 (a bank-major access never
+        // sits in consecutive slots, so it is not the identity).
+        assert_eq!(plan.motif_runs[0].motif, 1);
+        let lane = |k: usize| plan.lanes + k;
+
+        // Lane 1 moved to another address of lane 0's bank: the storage
+        // image no longer matches the store runs.
         let mut dup = plan.clone();
-        dup.fold[1] = dup.fold[0] + 1;
-        dup.afold[1] = dup.afold[0] + 1;
+        dup.motifs[lane(1)] = dup.motifs[lane(0)] + 1;
         assert!(matches!(
             dup.validate(base, depth),
-            Err(PolyMemError::BankConflict { .. })
-        ));
-
-        let mut skew = plan.clone();
-        skew.fold[2] += 1;
-        assert!(matches!(
-            skew.validate(base, depth),
             Err(PolyMemError::InvalidGeometry { .. })
         ));
 
+        // Lane 2 onto lane 3's slot: two lanes gather from one slot.
+        let mut twice = plan.clone();
+        twice.motifs[lane(2)] = twice.motifs[lane(3)];
+        assert!(twice.validate(base, depth).is_err());
+
+        // Two lanes swapped keep the storage image: structurally sound, so
+        // only the verifier's model check can tell (by design).
         let mut swapped = plan.clone();
-        swapped.fold.swap(0, 1);
-        assert!(swapped.validate(base, depth).is_err());
+        swapped.motifs.swap(lane(0), lane(1));
+        assert!(swapped.validate(base, depth).is_ok());
+
+        // A single access replays its pool's last motif, so a run naming
+        // another one is rejected even when the image matches.
+        let mut hidden = plan.clone();
+        hidden.motifs.extend_from_within(..plan.lanes);
+        let err = hidden.validate(base, depth).unwrap_err().to_string();
+        assert!(err.contains("last motif"), "{err}");
     }
 
     #[test]

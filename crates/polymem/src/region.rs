@@ -252,74 +252,52 @@ impl Region {
                 ),
             })
         };
-        match self.shape {
+        let (what, len) = match self.shape {
             RegionShape::Block { rows, cols } => {
                 if rows % p != 0 || cols % q != 0 {
                     return ragged("block");
                 }
-                let mut v = Vec::with_capacity((rows / p) * (cols / q));
-                for a in (0..rows).step_by(p) {
-                    for b in (0..cols).step_by(q) {
-                        v.push(ParallelAccess::rect(self.i + a, self.j + b));
-                    }
-                }
-                Ok(v)
+                ("block", (rows / p) * (cols / q) * n)
             }
-            RegionShape::Row { len } => {
-                if len % n != 0 {
-                    return ragged("row");
-                }
-                Ok((0..len)
-                    .step_by(n)
-                    .map(|k| ParallelAccess::row(self.i, self.j + k))
-                    .collect())
-            }
-            RegionShape::Col { len } => {
-                if len % n != 0 {
-                    return ragged("column");
-                }
-                Ok((0..len)
-                    .step_by(n)
-                    .map(|k| ParallelAccess::col(self.i + k, self.j))
-                    .collect())
-            }
-            RegionShape::MainDiag { len } => {
-                if len % n != 0 {
-                    return ragged("main diagonal");
-                }
-                Ok((0..len)
-                    .step_by(n)
-                    .map(|k| {
-                        ParallelAccess::new(self.i + k, self.j + k, AccessPattern::MainDiagonal)
-                    })
-                    .collect())
-            }
-            RegionShape::SecondaryDiag { len } => {
-                if len % n != 0 {
-                    return ragged("secondary diagonal");
-                }
-                self.validate()?;
-                // validate() proves j >= len - 1, so every k below is
-                // subtractable; keep the checked form anyway so a future
-                // validate() regression degrades to an error, not underflow.
-                (0..len)
-                    .step_by(n)
-                    .map(|k| {
-                        let j = self.j.checked_sub(k).ok_or(PolyMemError::OutOfBounds {
-                            i: (self.i + k) as i64,
-                            j: self.j as i64 - k as i64,
-                            rows: 0,
-                            cols: 0,
-                        })?;
-                        Ok(ParallelAccess::new(
-                            self.i + k,
-                            j,
-                            AccessPattern::SecondaryDiagonal,
-                        ))
-                    })
-                    .collect()
-            }
+            RegionShape::Row { len } => ("row", len),
+            RegionShape::Col { len } => ("column", len),
+            RegionShape::MainDiag { len } => ("main diagonal", len),
+            RegionShape::SecondaryDiag { len } => ("secondary diagonal", len),
+        };
+        if len % n != 0 {
+            return ragged(what);
         }
+        // Proves a secondary diagonal's origin column is at least `len - 1`,
+        // so no access below walks left of column 0.
+        self.validate()?;
+        let mut accesses = Vec::with_capacity(len / n);
+        accesses.extend(self.accesses(p, q));
+        Ok(accesses)
+    }
+
+    /// The accesses of [`Self::plan_accesses`]'s decomposition, in order,
+    /// without allocating: a block's `p x q` tiles row by row, every other
+    /// shape's accesses `p * q` elements apart along it. Meaningful for a
+    /// region that decomposition accepts; for one it rejects, a secondary
+    /// diagonal's columns wrap to origins outside every space.
+    pub(crate) fn accesses(&self, p: usize, q: usize) -> impl Iterator<Item = ParallelAccess> {
+        let n = p * q;
+        // `outer` rows of `inner` accesses: each row `down` rows below the
+        // last, each access `step` (rows, columns) past the last.
+        let (outer, inner, down, step) = match self.shape {
+            RegionShape::Block { rows, cols } => (rows / p, cols / q, p, (0, q as isize)),
+            RegionShape::Row { len } => (1, len / n, 0, (0, n as isize)),
+            RegionShape::Col { len } => (1, len / n, 0, (n, 0)),
+            RegionShape::MainDiag { len } => (1, len / n, 0, (n, n as isize)),
+            RegionShape::SecondaryDiag { len } => (1, len / n, 0, (n, -(n as isize))),
+        };
+        let (i0, j0, pattern) = (self.i, self.j, self.shape.pattern());
+        (0..outer).flat_map(move |a| {
+            (0..inner).map(move |b| {
+                let (i, j) = (i0 + a * down + b * step.0, b as isize * step.1);
+                ParallelAccess::new(i, j0.wrapping_add_signed(j), pattern)
+            })
+        })
     }
 
     /// Extents of the region relative to its origin:

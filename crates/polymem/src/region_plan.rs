@@ -16,37 +16,35 @@
 //! * each access's per-lane routing comes from its cached one-access plan
 //!   in the [`PlanCache`] (crossbar-verified at compile);
 //! * the canonical-order permutation is folded in at compile time via
-//!   [`Region::canonical_index`] (closed form, no `HashMap`): `fold[c]` is
-//!   the flat-storage offset of canonical element `c` relative to
-//!   `A(origin)`.
+//!   [`Region::canonical_index`] (closed form, no `HashMap`): the compile
+//!   fills a scratch gather map whose entry `c` is the flat-storage offset
+//!   of canonical element `c` relative to `A(origin)`.
 //!
-//! Replay does not walk `fold` element by element. The compiler segments it
-//! into [`MotifRun`]s: each run covers `reps` consecutive groups of `lanes`
+//! A plan does not keep that map. The compiler segments it into
+//! [`MotifRun`]s: each run covers `reps` consecutive groups of `lanes`
 //! canonical elements that repeat one lane pattern (a *motif*, pooled per
 //! plan) at a constant flat step — the way PolyMem drives its crossbar
-//! with one fixed permutation per parallel access (paper Fig. 3). A
-//! row-major `Block` under a row-periodic scheme is one run per row.
-//! [`RegionPlan::gather_into`]/[`RegionPlan::scatter_from`] replay the
-//! table with one kernel, instantiated at a fixed 8 lanes for the 2x4 grid
-//! and as a runtime-width loop for every other grid; an identity motif
-//! stepping by `lanes` is a single `copy_from_slice`.
+//! with one fixed permutation per parallel access (paper Fig. 3) — and
+//! frees the map before the plan is returned, so a plan's size follows its
+//! runs, not its elements. A row-major `Block` under a row-periodic scheme
+//! is one run per row. [`RegionPlan::gather_into`]/[`RegionPlan::scatter_from`]
+//! replay the table with one kernel, instantiated at a fixed 8 lanes for
+//! the 2x4 grid and as a runtime-width loop for every other grid; an
+//! identity motif stepping by `lanes` is a single `copy_from_slice`.
 
 use crate::addressing::AddressingFunction;
 use crate::agu::Agu;
 use crate::banks::BankLayout;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
-use crate::plan::{residue, PlanCache, PlanShape, PlanTarget};
+use crate::plan::{residue, PlanCache, PlanKey, PlanShape, PlanTarget};
 use crate::region::Region;
-use crate::scheme::ParallelAccess;
+use crate::scheme::{AccessPattern, ParallelAccess};
 use crate::shuffle::Crossbar;
 use std::collections::HashMap;
 
 #[cfg(test)]
-use crate::{
-    region::RegionShape,
-    scheme::{AccessPattern, AccessScheme},
-};
+use crate::{region::RegionShape, scheme::AccessScheme};
 
 /// One lane-wide motif run of the canonical gather map: `reps` consecutive
 /// groups of `lanes` canonical elements from `start` on, where lane `k` of
@@ -90,32 +88,28 @@ pub struct StoreRun {
 }
 
 /// A compiled transfer: every index a single access, `read_region`,
-/// `write_region` or `copy_region` needs, in flat precomputed arrays.
+/// `write_region` or `copy_region` needs, as run tables.
 ///
 /// All offsets are relative to `A(i0, j0)` of the *region origin*; a replay
-/// computes that one address and gathers/scatters through [`Self::fold`].
+/// computes that one address and gathers/scatters through
+/// [`Self::motif_runs`]. The plan holds no per-element array: canonical
+/// element `c`'s flat offset (`layout.fold(bank, addr_delta)`, whose bank
+/// and intra-bank address decode through
+/// [`BankLayout::bank_of`]/[`BankLayout::addr_of`]) expands from its run
+/// ([`Self::offsets`]), so a plan's heap is its run tables: 6,144 bytes for
+/// the 87,040 elements of the paper's 170×512 STREAM vector.
 #[derive(Debug, Clone)]
 pub struct RegionPlan {
     /// What this plan moves (for diagnostics).
     pub shape: PlanShape,
-    /// The flat backing layout `fold`/`afold` were compiled against. All
-    /// flat offsets below are relative to `A(origin) * layout.base_scale`.
+    /// The flat backing layout the plan was compiled against. All flat
+    /// offsets below are relative to `A(origin) * layout.base_scale`.
     pub layout: BankLayout,
-    /// Per canonical element `c`: flat storage offset
-    /// (`layout.fold(bank, addr_delta)`) relative to the scaled origin
-    /// address. The gather map of reads and, read right-to-left, the
-    /// scatter map of writes. The owning bank and intra-bank address of a
-    /// slot decode through [`BankLayout::bank_of`]/[`BankLayout::addr_of`].
-    pub fold: Vec<isize>,
-    /// Access-major mirror of [`Self::fold`]: slot `a * lanes + k` is the
-    /// flat offset of lane `k` of access `a`, in AGU lane order. `copy_region`
-    /// pairs source and destination slots positionally through this, which
-    /// preserves the per-access interleaved overlap semantics of the naive
-    /// read-one-access/write-one-access loop.
-    pub afold: Vec<isize>,
-    /// Motif-run table of [`Self::fold`], in canonical order, tiling
-    /// `0..len` exactly (proven by [`Self::validate`]): what
-    /// [`Self::gather_into`] and [`Self::scatter_from`] replay.
+    /// The canonical gather map as motif runs, tiling `0..len` exactly
+    /// (proven by [`Self::validate`]): what [`Self::gather_into`] and
+    /// [`Self::scatter_from`] replay, and, read right-to-left, the scatter
+    /// map of writes. A one-access plan is one run of one group, its lanes
+    /// in AGU lane order.
     pub motif_runs: Vec<MotifRun>,
     /// Motif pool of [`Self::motif_runs`]: `lanes` flat offsets per motif,
     /// each relative to its group's lowest slot. Motif 0 is the identity
@@ -139,13 +133,13 @@ pub struct RegionPlan {
 /// Marks a canonical element no access of a region compile has covered.
 const UNCOVERED: isize = isize::MIN;
 
-/// The gather maps of a region compile as its accesses fill them in.
+/// The gather map of a region compile as its accesses fill it in: scratch,
+/// freed once the run tables are cut from it.
 struct Cover<'r> {
     region: &'r Region,
-    /// [`RegionPlan::fold`], [`UNCOVERED`] where no access has landed yet.
+    /// Canonical element `c`'s flat offset, [`UNCOVERED`] where no access
+    /// has landed yet.
     fold: Vec<isize>,
-    /// [`RegionPlan::afold`], one access after the other.
-    afold: Vec<isize>,
 }
 
 impl Cover<'_> {
@@ -162,7 +156,6 @@ impl Cover<'_> {
             });
         }
         *slot = f;
-        self.afold.push(f);
         Ok(())
     }
 
@@ -197,8 +190,8 @@ impl Cover<'_> {
 /// One access class `(i0 mod p·q, j0 mod p·q, pattern)` of a region
 /// compile, resolved at its first access.
 struct AccessClass {
-    /// The class's one-access plan: lane `k`'s flat offset from its
-    /// access's tile.
+    /// The class's one-access plan, expanded: lane `k`'s flat offset from
+    /// its access's tile.
     fold: Vec<isize>,
     /// Lane `k`'s canonical index minus lane 0's.
     canon: Vec<isize>,
@@ -209,17 +202,17 @@ struct AccessClass {
 
 impl AccessClass {
     /// The class of `acc`, whose lanes sit at `coords` and canonical
-    /// indices `canon`, routed by the one-access plan `fold`.
+    /// indices `canon`, routed by the one-access plan's lane offsets `fold`.
     fn new(
         acc: ParallelAccess,
-        fold: &[isize],
+        fold: Vec<isize>,
         canon: &[usize],
         coords: &[(usize, usize)],
     ) -> Self {
         let c0 = canon.first().copied().unwrap_or(0);
         let (i, j) = coords.last().copied().unwrap_or((acc.i, acc.j));
         Self {
-            fold: fold.to_vec(),
+            fold,
             canon: canon.iter().map(|&c| c.wrapping_sub(c0) as isize).collect(),
             reach: (
                 i.wrapping_sub(acc.i) as isize,
@@ -420,12 +413,11 @@ impl RegionPlan {
                 });
             }
         }
-        let afold = fold.clone();
         Ok(Self::assemble(
             PlanShape::Access(access.pattern),
             layout,
             lanes,
-            (fold, afold),
+            &fold,
             1,
         ))
     }
@@ -481,7 +473,6 @@ impl RegionPlan {
         let mut cover = Cover {
             region,
             fold: vec![UNCOVERED; region.len()],
-            afold: Vec::with_capacity(region.len()),
         };
         // `class_of[ri * lanes + rj]` indexes `classes` by the residues of
         // an access origin: every access of a region has its pattern.
@@ -506,10 +497,11 @@ impl RegionPlan {
                 continue;
             }
             let (plan, _) = cache.get_or_compile(PlanTarget::Access(acc), agu, maf, afn)?;
+            let fold: Vec<isize> = plan.offsets().collect();
             agu.expand_into(acc, &mut coords)?;
-            let canon = cover.put_lanes(&coords, &plan.fold, abase, a)?;
+            let canon = cover.put_lanes(&coords, &fold, abase, a)?;
             class_of[key] = classes.len() as u32;
-            classes.push(AccessClass::new(acc, &plan.fold, &canon, &coords));
+            classes.push(AccessClass::new(acc, fold, &canon, &coords));
         }
         if let Some(c) = cover.fold.iter().position(|&f| f == UNCOVERED) {
             return Err(PolyMemError::InvalidGeometry {
@@ -523,23 +515,29 @@ impl RegionPlan {
             PlanShape::Region(region.shape),
             layout,
             lanes,
-            (cover.fold, cover.afold),
+            &cover.fold,
             accesses.len(),
         ))
     }
 
     /// The layout/coalescing pass both compilers end with: segment the
-    /// gather map into motif runs once, so every replay moves whole lane
-    /// groups, and merge the storage image into block-move intervals.
+    /// gather map `fold` into motif runs once, so every replay moves whole
+    /// lane groups, and merge the storage image into block-move intervals.
+    /// The plan keeps the tables only; the caller frees `fold`.
     fn assemble(
         shape: PlanShape,
         layout: BankLayout,
         lanes: usize,
-        (fold, afold): (Vec<isize>, Vec<isize>),
+        fold: &[isize],
         accesses: usize,
     ) -> Self {
-        let (motif_runs, motifs) = build_motif_runs(&fold, lanes);
-        let store_runs = build_store_runs(&fold);
+        let (mut motif_runs, mut motifs) = build_motif_runs(fold, lanes);
+        let mut store_runs = build_store_runs(fold);
+        // The tables grew by pushes; a plan lives as long as its cache
+        // entry, so it keeps no spare capacity.
+        motif_runs.shrink_to_fit();
+        motifs.shrink_to_fit();
+        store_runs.shrink_to_fit();
         let contiguous_elems = motif_runs
             .iter()
             .filter(|r| r.is_block_move(lanes))
@@ -548,8 +546,6 @@ impl RegionPlan {
         Self {
             shape,
             layout,
-            fold,
-            afold,
             motif_runs,
             motifs,
             store_runs,
@@ -559,16 +555,17 @@ impl RegionPlan {
         }
     }
 
-    /// Elements the plan moves (the region length).
+    /// Elements the plan moves (the region length): every access moves
+    /// `lanes` of them.
     #[inline]
     pub fn len(&self) -> usize {
-        self.fold.len()
+        self.accesses * self.lanes
     }
 
     /// Whether the plan moves nothing (zero-sized region).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.fold.is_empty()
+        self.accesses == 0
     }
 
     /// Bounds-check the concrete origin of `region`, whose residue class
@@ -600,16 +597,52 @@ impl RegionPlan {
     }
 
     /// Flat slot of logical base address `base` under this plan's layout —
-    /// the origin every `fold`/`afold`/`store_runs` offset is relative to.
+    /// the origin every run-table offset is relative to.
     #[inline]
     pub fn flat_base(&self, base: isize) -> isize {
         base * self.layout.base_scale(self.lanes)
     }
 
+    /// Motif `m` of the pool, or `None` outside it.
+    #[inline]
+    fn motif(&self, m: u32) -> Option<&[usize]> {
+        let m0 = (m as usize).checked_mul(self.lanes)?;
+        self.motifs.get(m0..m0.checked_add(self.lanes)?)
+    }
+
+    /// The canonical gather map, expanded from the motif runs: canonical
+    /// element `c`'s flat offset, in order. Allocation-free; a run naming
+    /// a motif outside the pool expands to nothing (which
+    /// [`Self::validate`] rejects).
+    pub fn offsets(&self) -> impl Iterator<Item = isize> + '_ {
+        self.motif_runs.iter().flat_map(move |run| {
+            let motif = self.motif(run.motif).unwrap_or(&[]);
+            (0..run.reps as isize).flat_map(move |t| {
+                let at = run.offset + t * run.step;
+                motif.iter().map(move |&m| at + m as isize)
+            })
+        })
+    }
+
+    /// A one-access plan's access: the flat offset of its lowest slot and
+    /// its motif, lane `k`, in AGU lane order, at `offset + motif[k]`.
+    /// Empty for an empty plan. A one-group plan's motif is the last of
+    /// its pool ([`Self::validate`] proves it), so the motif is found
+    /// without waiting on the run: a single planned access costs two
+    /// independent loads, as the per-lane array it replaces did.
+    #[inline]
+    pub(crate) fn access_lanes(&self) -> (isize, &[usize]) {
+        let motif = self.motifs.len().checked_sub(self.lanes);
+        match (self.motif_runs.first(), motif) {
+            (Some(run), Some(m0)) => (run.offset, &self.motifs[m0..]),
+            _ => (0, &[]),
+        }
+    }
+
     /// Motif-run gather: replay the whole region out of `flat` (at logical
     /// base address `base`) into `out` in canonical order. Equivalent to
-    /// the per-element `out[c] = flat[base + fold[c]]` oracle, element for
-    /// element.
+    /// the per-element oracle `out[c] = flat[base + offset(c)]` over
+    /// [`Self::offsets`], element for element.
     #[inline]
     pub fn gather_into<T: Copy>(&self, flat: &[T], base: isize, out: &mut [T]) {
         let fbase = self.flat_base(base);
@@ -743,83 +776,34 @@ impl RegionPlan {
     /// into banks of `depth` elements.
     ///
     /// Verifies, without touching any memory:
-    /// * every canonical element's gather slot `base + fold[c]` is in
-    ///   bounds;
-    /// * `fold` is injective (the gather is a permutation, so a scatter
-    ///   through it can never lose a write);
-    /// * `afold` is a bijective rearrangement of `fold` whose `lanes` slots
-    ///   are bank-disjoint within every access — each replayed cycle still
-    ///   hits `p*q` distinct banks (so every bank serves exactly
-    ///   `accesses` elements of the region);
-    /// * the motif-run table exactly tiles the fold map — `motif_runs`
-    ///   covers `0..len` contiguously with no overlap and no gap, every run
-    ///   names a pooled motif, and every run expands to precisely the fold
-    ///   offsets it claims; the pool's motif 0 is the identity (the
-    ///   block-move replay relies on it) and every motif has a lane at 0;
+    /// * the motif pool opens with the identity (the block-move replay
+    ///   relies on it) and anchors every motif at 0 (a group's base is its
+    ///   lowest slot, so replay bases never go negative);
+    /// * the motif-run table tiles `0..len` exactly — contiguous, no
+    ///   overlap, no gap, no empty run — and every run names a pooled
+    ///   motif (a one-group plan the pool's last, where a single planned
+    ///   access looks it up);
+    /// * every canonical element's gather slot `base + offset`, expanded
+    ///   from its run, is in bounds;
+    /// * the expanded gather map is injective (the gather is a
+    ///   permutation, so a scatter through it can never lose a write);
     /// * `store_runs` exactly tiles the sorted storage image (maximal
     ///   intervals: adjacent intervals never merge).
     ///
-    /// Compiled plans satisfy this by construction; the `polymem-verify`
-    /// static analyzer re-proves it per cached class and trips it on
-    /// deliberately corrupted plans in `--inject` mode.
+    /// Which element sits in which slot, and so the per-cycle bank
+    /// disjointness of every access, is not structural: a plan whose runs
+    /// permute two lanes passes. The `polymem-verify` static analyzer
+    /// re-proves this per cached class, checks each element against the
+    /// MAF and addressing model and each access of the region for bank
+    /// disjointness, and trips on deliberately corrupted plans in
+    /// `--inject` mode. Compiled plans satisfy all of it by construction.
     pub fn validate(&self, base: isize, depth: usize) -> Result<()> {
-        let len = self.len();
+        let (len, lanes) = (self.len(), self.lanes);
         let structural = |reason: String| PolyMemError::InvalidGeometry { reason };
         let nm = |what: &str| format!("region plan for {:?}: {what}", self.shape);
-        if self.afold.len() != len || self.accesses * self.lanes != len || self.lanes == 0 {
-            return Err(structural(nm(
-                "array lengths disagree with the region size",
-            )));
+        if lanes == 0 {
+            return Err(structural(nm("plan has zero lanes")));
         }
-        let total = (self.lanes * depth) as isize;
-        let fbase = self.flat_base(base);
-        for (c, &f) in self.fold.iter().enumerate() {
-            let abs = fbase + f;
-            if abs < 0 || abs >= total {
-                return Err(structural(nm(&format!(
-                    "element {c} gathers from flat slot {abs} outside storage of {total}"
-                ))));
-            }
-        }
-        // fold injective + afold a permutation of fold.
-        let mut sorted_fold = self.fold.clone();
-        sorted_fold.sort_unstable();
-        if sorted_fold.windows(2).any(|w| w[0] == w[1]) {
-            return Err(structural(nm(
-                "two elements gather from the same flat slot",
-            )));
-        }
-        let mut sorted_afold = self.afold.clone();
-        sorted_afold.sort_unstable();
-        if sorted_fold != sorted_afold {
-            return Err(structural(nm(
-                "afold is not a rearrangement of the canonical gather map",
-            )));
-        }
-        // Per-access (per-cycle) bank disjointness through afold.
-        for a in 0..self.accesses {
-            let mut seen = vec![false; self.lanes];
-            for k in 0..self.lanes {
-                let bank = self.layout.bank_of(
-                    (fbase + self.afold[a * self.lanes + k]) as usize,
-                    self.lanes,
-                    depth,
-                );
-                if seen[bank] {
-                    return Err(PolyMemError::BankConflict {
-                        bank,
-                        lane_a: a * self.lanes,
-                        lane_b: a * self.lanes + k,
-                    });
-                }
-                seen[bank] = true;
-            }
-        }
-        // Motif-run table tiles the fold map: identity motif first, every
-        // motif anchored at its group's lowest slot (so replay bases never
-        // go negative), contiguous cover of 0..len, no overlap, no gap, and
-        // every run expands to exactly the fold offsets it claims.
-        let lanes = self.lanes;
         if !self.motifs.len().is_multiple_of(lanes)
             || !self.motifs.iter().take(lanes).copied().eq(0..lanes)
             || !self.motifs.chunks(lanes).all(|m| m.contains(&0))
@@ -840,38 +824,47 @@ impl RegionPlan {
                     run.start
                 ))));
             }
-            let m0 = run.motif as usize * lanes;
-            let Some(motif) = self.motifs.get(m0..m0 + lanes) else {
+            if self.motif(run.motif).is_none() {
                 return Err(structural(nm(&format!(
                     "motif run {r} names motif {} outside the pool",
                     run.motif
                 ))));
-            };
-            let span = run.reps as usize * lanes;
-            if next + span > len {
+            }
+            next += run.reps as usize * lanes;
+            if next > len {
                 return Err(structural(nm(&format!(
                     "motif run {r} overruns the region's {len} elements (mis-tiled run table)"
                 ))));
             }
-            for t in 0..run.reps as usize {
-                for (k, &m) in motif.iter().enumerate() {
-                    let c = next + t * lanes + k;
-                    let want = run.offset + t as isize * run.step + m as isize;
-                    if self.fold[c] != want {
-                        return Err(structural(nm(&format!(
-                            "motif run {r} claims element {c} gathers from offset {want} but \
-                             the fold map says {}",
-                            self.fold[c]
-                        ))));
-                    }
-                }
-            }
-            next += span;
         }
         if next != len {
             return Err(structural(nm(&format!(
                 "run table covers {next} of {len} elements (mis-tiled run table)"
             ))));
+        }
+        if len == lanes && self.motif_runs[0].motif as usize + 1 != self.motifs.len() / lanes {
+            return Err(structural(nm(
+                "a one-group plan must replay the last motif of its pool",
+            )));
+        }
+        let total = (lanes * depth) as isize;
+        let fbase = self.flat_base(base);
+        let mut image: Vec<isize> = self.offsets().collect();
+        if let Some((c, abs)) = image
+            .iter()
+            .map(|&f| fbase + f)
+            .enumerate()
+            .find(|&(_, abs)| abs < 0 || abs >= total)
+        {
+            return Err(structural(nm(&format!(
+                "element {c} gathers from flat slot {abs} outside storage of {total}"
+            ))));
+        }
+        image.sort_unstable();
+        if image.windows(2).any(|w| w[0] == w[1]) {
+            return Err(structural(nm(
+                "two elements gather from the same flat slot",
+            )));
         }
         // store_runs tile the sorted storage image exactly, as maximal
         // (non-mergeable) intervals.
@@ -891,7 +884,7 @@ impl RegionPlan {
             }
             for t in 0..run.len as usize {
                 let slot = run.offset + t as isize;
-                if expanded + t >= len || sorted_fold[expanded + t] != slot {
+                if image.get(expanded + t) != Some(&slot) {
                     return Err(structural(nm(&format!(
                         "storage interval {r} claims flat offset {slot} the region does \
                          not gather from"
@@ -908,13 +901,12 @@ impl RegionPlan {
         Ok(())
     }
 
-    /// Approximate heap footprint of the precomputed arrays, in bytes.
+    /// Heap footprint of the run tables (their allocated capacity), in
+    /// bytes: nothing in a plan grows with its element count.
     pub fn heap_bytes(&self) -> usize {
-        self.fold.len() * size_of::<isize>()
-            + self.afold.len() * size_of::<isize>()
-            + self.motif_runs.len() * size_of::<MotifRun>()
-            + self.motifs.len() * size_of::<usize>()
-            + self.store_runs.len() * size_of::<StoreRun>()
+        self.motif_runs.capacity() * size_of::<MotifRun>()
+            + self.motifs.capacity() * size_of::<usize>()
+            + self.store_runs.capacity() * size_of::<StoreRun>()
     }
 }
 
@@ -930,18 +922,21 @@ impl RegionPlan {
 ///   source's motif runs into `scratch` and scatter through the
 ///   destination's (same-shape regions decompose at fixed offsets from
 ///   their origins, so canonical pairing is the per-access pairing);
-/// * overlapping or cross-shape pairs walk the access-interleaved
-///   [`RegionPlan::afold`] order, element for element the per-access loop.
+/// * overlapping or cross-shape pairs walk the two regions' accesses
+///   ([`Region::accesses`]) side by side, each through its class's
+///   one-access plan in `plans` ([`CopyLanes`]): element for element the
+///   per-access loop, which reads source access `t` whole before it writes
+///   destination access `t`.
 ///
 /// Callers check that both plans have the same access count and both
 /// origins are in bounds. Returns the coalesced/strided byte split.
 pub(crate) fn replay_copy<T: Copy + Default>(
     flat: &mut [T],
-    afn: &AddressingFunction,
+    (agu, afn, plans): (&Agu, &AddressingFunction, &PlanCache),
     (src, sp): (&Region, &RegionPlan),
     (dst, dp): (&Region, &RegionPlan),
-    scratch: &mut Vec<T>,
-) -> (u64, u64) {
+    (scratch, lanes): (&mut Vec<T>, &mut CopyLanes),
+) -> Result<(u64, u64)> {
     let sbase = afn.address(src.i, src.j) as isize;
     let dbase = afn.address(dst.i, dst.j) as isize;
     // Both directions of the whole region, as block moves or lane by lane.
@@ -949,7 +944,7 @@ pub(crate) fn replay_copy<T: Copy + Default>(
     let overlap = src.overlaps(dst);
     if !overlap && std::ptr::eq(sp, dp) {
         sp.copy_store_runs_within(flat, sbase, dbase);
-        return (both, 0);
+        return Ok((both, 0));
     }
     // Every staged element is written before it is read (the motif runs
     // tile `0..len`, as `validate` proves), so the scratch only resizes.
@@ -958,24 +953,75 @@ pub(crate) fn replay_copy<T: Copy + Default>(
         sp.gather_into(flat, sbase, scratch);
         dp.scatter_from(flat, dbase, scratch);
         let ((sc, ss), (dc, ds)) = (sp.byte_split::<T>(), dp.byte_split::<T>());
-        return (sc + dc, ss + ds);
+        return Ok((sc + dc, ss + ds));
     }
-    let lanes = sp.lanes;
-    let (sfb, dfb) = (sp.flat_base(sbase), dp.flat_base(dbase));
-    scratch.resize(lanes, T::default());
-    for (sa, da) in sp
-        .afold
-        .chunks_exact(lanes)
-        .zip(dp.afold.chunks_exact(lanes))
-    {
-        for (v, &f) in scratch.iter_mut().zip(sa) {
-            *v = flat[(sfb + f) as usize];
+    let (p, q) = (agu.p(), agu.q());
+    scratch.resize(sp.lanes, T::default());
+    for (sa, da) in src.accesses(p, q).zip(dst.accesses(p, q)) {
+        let (at, offsets) = lanes.of(plans, afn, sa)?;
+        for (v, &o) in scratch.iter_mut().zip(offsets) {
+            *v = flat[(at + o) as usize];
         }
-        for (&f, &v) in da.iter().zip(scratch.iter()) {
-            flat[(dfb + f) as usize] = v;
+        let (at, offsets) = lanes.of(plans, afn, da)?;
+        for (&o, &v) in offsets.iter().zip(scratch.iter()) {
+            flat[(at + o) as usize] = v;
         }
     }
-    (0, both)
+    Ok((0, both))
+}
+
+/// The lanes of every access class an interleaved copy has met, copied out
+/// of the classes' one-access plans ([`RegionPlan::access_lanes`]), which
+/// a region compile leaves resident in its [`PlanCache`]. A memory keeps
+/// one and reuses it, so a warmed interleaved copy allocates nothing; it
+/// starts over when the cache's plans are renewed ([`PlanCache::clear`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CopyLanes {
+    /// The cache generation the lanes below were read under.
+    generation: Option<u64>,
+    /// `class[(pattern · p·q + i0 mod p·q) · p·q + j0 mod p·q]`: where a
+    /// met class's lanes start in `offsets`, `u32::MAX` before.
+    class: Vec<u32>,
+    /// Each met class's lane offsets from its access's tile slot, in AGU
+    /// lane order.
+    offsets: Vec<isize>,
+}
+
+impl CopyLanes {
+    /// `acc`'s lanes: the flat slot of its tile and each lane's offset
+    /// from it, in AGU lane order, from its class's plan in `plans`.
+    fn of(
+        &mut self,
+        plans: &PlanCache,
+        afn: &AddressingFunction,
+        acc: ParallelAccess,
+    ) -> Result<(isize, &[isize])> {
+        let n = plans.period();
+        if self.generation != Some(plans.generation()) {
+            self.generation = Some(plans.generation());
+            self.class.clear();
+            self.class.resize(AccessPattern::COUNT * n * n, u32::MAX);
+            self.offsets.clear();
+        }
+        let key = (acc.pattern.index() * n + residue(acc.i, n)) * n + residue(acc.j, n);
+        if self.class[key] == u32::MAX {
+            let Some(plan) = plans.peek(&PlanKey::of(PlanTarget::Access(acc), n)) else {
+                return Err(PolyMemError::InvalidGeometry {
+                    reason: format!(
+                        "plan cache holds no {:?} plan for the access at ({}, {})",
+                        acc.pattern, acc.i, acc.j
+                    ),
+                });
+            };
+            let (offset, motif) = plan.access_lanes();
+            self.class[key] = self.offsets.len() as u32;
+            self.offsets
+                .extend(motif.iter().map(|&m| offset + m as isize));
+        }
+        let at = afn.address(acc.i, acc.j) as isize * plans.layout().base_scale(n);
+        let start = self.class[key] as usize;
+        Ok((at, &self.offsets[start..start + n]))
+    }
 }
 
 /// The replay test matrix: the 2x4 grid of the fixed 8-lane kernel and
@@ -1026,7 +1072,6 @@ pub(crate) fn replay_matrix() -> Vec<((usize, usize), AccessScheme, Vec<Region>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanKey;
 
     fn blocks(
         scheme: AccessScheme,
@@ -1056,8 +1101,8 @@ mod tests {
             assert_eq!(plan.len(), 32);
             assert_eq!(plan.accesses, 4);
             let fbase = plan.flat_base(base);
-            for (c, (i, j)) in r.coords_iter().unwrap().enumerate() {
-                let slot = (fbase + plan.fold[c]) as usize;
+            for ((i, j), f) in r.coords_iter().unwrap().zip(plan.offsets()) {
+                let slot = (fbase + f) as usize;
                 assert_eq!(
                     layout.bank_of(slot, 8, depth),
                     maf.assign_linear(i, j),
@@ -1079,8 +1124,9 @@ mod tests {
         let b = Region::new("b", 3 + 8, 8 + 16, RegionShape::Row { len: 16 });
         let pa = RegionPlan::compile(&a, &agu, &maf, &afn, &mut cache).unwrap();
         let pb = RegionPlan::compile(&b, &agu, &maf, &afn, &mut cache).unwrap();
-        assert_eq!(pa.fold, pb.fold);
-        assert_eq!(pa.afold, pb.afold);
+        assert_eq!(pa.motif_runs, pb.motif_runs);
+        assert_eq!(pa.motifs, pb.motifs);
+        assert_eq!(pa.store_runs, pb.store_runs);
     }
 
     #[test]
@@ -1093,7 +1139,7 @@ mod tests {
                 compile_in((2, 4), 16, AccessScheme::RoCo, layout, &r).unwrap();
             let fbase = plan.flat_base(base);
             let mut per_bank = vec![0usize; plan.lanes];
-            for &f in &plan.fold {
+            for f in plan.offsets() {
                 per_bank[layout.bank_of((fbase + f) as usize, plan.lanes, depth)] += 1;
             }
             assert_eq!(per_bank, vec![plan.accesses; plan.lanes], "{layout:?}");
@@ -1188,31 +1234,49 @@ mod tests {
         let base = afn.address(r.i, r.j) as isize;
         plan.validate(base, depth).unwrap();
 
-        let mut dup = plan.clone();
-        dup.fold[1] = dup.fold[0];
-        assert!(dup.validate(base, depth).is_err());
+        // Run 0 retargeted at a pooled copy of its motif, edited.
+        let remotif = |edit: &dyn Fn(&mut [usize])| {
+            let mut bad = plan.clone();
+            let m0 = bad.motif_runs[0].motif as usize * bad.lanes;
+            let mut motif = bad.motifs[m0..m0 + bad.lanes].to_vec();
+            edit(&mut motif);
+            bad.motif_runs[0].motif = (bad.motifs.len() / bad.lanes) as u32;
+            bad.motifs.extend(motif);
+            bad
+        };
+        let err = |bad: &RegionPlan| bad.validate(base, depth).unwrap_err().to_string();
+
+        // A second lane on the group's lowest slot.
+        let dup = remotif(&|m| {
+            let zero = m.iter().position(|&x| x == 0).unwrap();
+            m[(zero + 1) % m.len()] = 0;
+        });
+        assert!(err(&dup).contains("same flat slot"), "{}", err(&dup));
 
         let mut outside = plan.clone();
-        outside.fold[3] += (plan.lanes * depth) as isize;
-        assert!(outside.validate(base, depth).is_err());
+        outside.motif_runs[0].offset += (plan.lanes * depth) as isize;
+        assert!(
+            err(&outside).contains("outside storage"),
+            "{}",
+            err(&outside)
+        );
 
-        let mut bad_afold = plan.clone();
-        bad_afold.afold[0] += 1;
-        assert!(bad_afold.validate(base, depth).is_err());
+        // A run skewed one slot over: the store runs no longer tile the
+        // image.
+        let mut skew = plan.clone();
+        let last = skew.motif_runs.len() - 1;
+        skew.motif_runs[last].offset += 1;
+        assert!(skew.validate(base, depth).is_err());
 
-        // Swapping lanes across two accesses keeps afold a permutation of
-        // fold but puts two slots of one bank into the same cycle.
-        let mut clash = plan.clone();
-        let (lanes, fbase) = (plan.lanes, plan.flat_base(base));
-        let bank = |f: isize| plan.layout.bank_of((fbase + f) as usize, lanes, depth);
-        let k = (0..lanes)
-            .find(|&k| bank(plan.afold[lanes + k]) != bank(plan.afold[0]))
-            .unwrap();
-        clash.afold.swap(0, lanes + k);
-        assert!(matches!(
-            clash.validate(base, depth),
-            Err(PolyMemError::BankConflict { .. })
-        ));
+        // Two lanes swapped: the storage image is unchanged, so the plan is
+        // structurally sound. Only a check against the MAF and addressing
+        // model (the verifier's) can tell.
+        let swapped = remotif(&|m| m.swap(0, 1));
+        swapped.validate(base, depth).unwrap();
+        assert_ne!(
+            swapped.offsets().collect::<Vec<_>>(),
+            plan.offsets().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1232,7 +1296,7 @@ mod tests {
         assert_eq!(cache.access_stats().entries, 1);
         // A copy's destination compile never evicts its source.
         for (src, dst) in [(32, 40), (48, 56), (8, 16)] {
-            let [(sp, _), (dp, _)] = cache
+            let ([(sp, _), (dp, _)], _) = cache
                 .get_or_compile_pair([&row(src), &row(dst)], &agu, &maf, &afn)
                 .unwrap();
             assert_eq!((sp.len(), dp.len()), (src, dst));
@@ -1288,6 +1352,29 @@ mod tests {
         Ok((plan, afn.address(region.i, region.j) as isize, depth))
     }
 
+    /// `region`'s gather map straight from the model: each element's flat
+    /// slot from the MAF's bank and the addressing function's intra-bank
+    /// address, relative to the origin's.
+    fn model_fold(
+        (p, q): (usize, usize),
+        n: usize,
+        scheme: AccessScheme,
+        layout: BankLayout,
+        region: &Region,
+    ) -> Vec<isize> {
+        let maf = ModuleAssignment::new(scheme, p, q);
+        let afn = AddressingFunction::new(p, q, n, n);
+        let (lanes, depth) = (p * q, (n / p) * (n / q));
+        let base = afn.address(region.i, region.j) as isize;
+        let coords = region.coords_iter().unwrap();
+        coords
+            .map(|(i, j)| {
+                let delta = afn.address(i, j) as isize - base;
+                layout.fold(maf.assign_linear(i, j) as isize, delta, lanes, depth)
+            })
+            .collect()
+    }
+
     fn compile_on(
         scheme: AccessScheme,
         layout: BankLayout,
@@ -1312,7 +1399,10 @@ mod tests {
                     };
                     plan.validate(base, depth).unwrap();
                     widths.push(plan.lanes);
-                    // Motif runs tile the canonical range and mirror fold.
+                    // Motif runs tile the canonical range and expand to the
+                    // model's gather map.
+                    let fold = model_fold(grid, n, scheme, layout, region);
+                    assert_eq!(plan.offsets().collect::<Vec<_>>(), fold, "{ctx}");
                     let lanes = plan.lanes;
                     let mut covered = 0usize;
                     for run in &plan.motif_runs {
@@ -1321,7 +1411,7 @@ mod tests {
                         for t in 0..run.reps as usize {
                             for (k, &m) in motif.iter().enumerate() {
                                 assert_eq!(
-                                    plan.fold[covered + t * lanes + k],
+                                    fold[covered + t * lanes + k],
                                     run.offset + t as isize * run.step + m as isize,
                                     "{ctx}"
                                 );
@@ -1339,19 +1429,16 @@ mod tests {
                     let mut out = vec![0u64; plan.len()];
                     plan.gather_into(&flat, base, &mut out);
                     let fbase = plan.flat_base(base);
-                    let oracle: Vec<u64> = plan
-                        .fold
-                        .iter()
-                        .map(|&f| flat[(fbase + f) as usize])
-                        .collect();
+                    let oracle: Vec<u64> =
+                        fold.iter().map(|&f| flat[(fbase + f) as usize]).collect();
                     assert_eq!(out, oracle, "{ctx}");
                     // Motif-run scatter == per-element oracle.
                     let values: Vec<u64> = (0..plan.len() as u64).map(|x| x + 1000).collect();
                     let mut flat_a = flat.clone();
                     plan.scatter_from(&mut flat_a, base, &values);
                     let mut flat_b = flat;
-                    for (c, &f) in plan.fold.iter().enumerate() {
-                        flat_b[(fbase + f) as usize] = values[c];
+                    for (&f, &v) in fold.iter().zip(&values) {
+                        flat_b[(fbase + f) as usize] = v;
                     }
                     assert_eq!(flat_a, flat_b, "{ctx}");
                 }
@@ -1368,7 +1455,7 @@ mod tests {
     #[test]
     fn same_plan_copy_store_runs_matches_element_copy() {
         // Two origins in the same residue class: the store-run copy must
-        // equal the per-element dst[fold] = src[fold] oracle.
+        // equal the per-element dst[offset] = src[offset] oracle.
         let region = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
         let shifted = Region::new("b2", 16, 8, region.shape);
         for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
@@ -1379,7 +1466,7 @@ mod tests {
             let mut flat_b = flat_a.clone();
             plan.copy_store_runs_within(&mut flat_a, sbase, dbase);
             let (sf, df) = (plan.flat_base(sbase), plan.flat_base(dbase));
-            for &f in &plan.fold {
+            for f in plan.offsets() {
                 flat_b[(df + f) as usize] = flat_b[(sf + f) as usize];
             }
             assert_eq!(flat_a, flat_b, "{layout:?}");
@@ -1500,10 +1587,14 @@ mod tests {
     /// The access classes `(pattern, i0 mod p·q, j0 mod p·q)` a per-access
     /// compile loop probes, in order, and what it builds: a plan assembled
     /// element by element, or the first error it returns. A bank conflict
-    /// fails the last probe's compile.
+    /// fails the last probe's compile. With the plan come its gather maps:
+    /// each canonical element's flat offset, and each access lane's in
+    /// access-major order.
     struct Reference {
         probes: Vec<(AccessPattern, usize, usize)>,
         plan: Result<RegionPlan>,
+        fold: Vec<isize>,
+        afold: Vec<isize>,
     }
 
     fn reference(
@@ -1512,7 +1603,7 @@ mod tests {
         depth: usize,
         layout: BankLayout,
     ) -> Reference {
-        let mut probes = Vec::new();
+        let (mut probes, mut maps) = (Vec::new(), (Vec::new(), Vec::new()));
         let plan = (|| {
             let (p, q, lanes) = (agu.p(), agu.q(), agu.lanes());
             let accesses = region.plan_accesses(p, q)?;
@@ -1566,11 +1657,10 @@ mod tests {
                 .filter(|r| r.is_block_move(lanes))
                 .map(|r| r.reps as usize * lanes)
                 .sum();
+            maps = (fold, afold);
             Ok(RegionPlan {
                 shape: PlanShape::Region(region.shape),
                 layout,
-                fold,
-                afold,
                 motif_runs,
                 motifs,
                 store_runs,
@@ -1579,7 +1669,13 @@ mod tests {
                 lanes,
             })
         })();
-        Reference { probes, plan }
+        let (fold, afold) = maps;
+        Reference {
+            probes,
+            plan,
+            fold,
+            afold,
+        }
     }
 
     /// Which classes a cache holds and the hits and misses it has
@@ -1611,8 +1707,8 @@ mod tests {
         let key = (region.shape, region.i % lanes, region.j % lanes);
         // A hit serves the plan of the region that compiled the class,
         // whatever this origin's bounds.
-        let rep = expected.regions.get(&key).unwrap_or(region);
-        let want = reference(rep, blocks, depth, cache.layout());
+        let rep = expected.regions.get(&key).unwrap_or(region).clone();
+        let want = reference(&rep, blocks, depth, cache.layout());
         let hit = expected.regions.contains_key(&key);
         if hit {
             expected.region_hm.0 += 1;
@@ -1634,15 +1730,32 @@ mod tests {
             }
         }
         match (got, want.plan) {
-            (Ok((plan, compiled)), Ok(want)) => {
+            (Ok((plan, compiled)), Ok(want_plan)) => {
                 assert_eq!(compiled, !hit, "{ctx}");
                 assert_eq!(
                     (plan.shape, plan.layout, plan.accesses, plan.lanes),
-                    (want.shape, want.layout, want.accesses, want.lanes),
+                    (
+                        want_plan.shape,
+                        want_plan.layout,
+                        want_plan.accesses,
+                        want_plan.lanes
+                    ),
                     "{ctx}"
                 );
-                assert_eq!(plan.fold, want.fold, "{ctx}");
-                assert_eq!(plan.afold, want.afold, "{ctx}");
+                assert_eq!(plan.offsets().collect::<Vec<_>>(), want.fold, "{ctx}");
+                // The interleaved copy, reading each access's class plan
+                // out of the cache, pairs lanes as the access-major map
+                // does.
+                let fbase = plan.flat_base(afn.address(rep.i, rep.j) as isize);
+                let mut copy_lanes = CopyLanes::default();
+                let accesses = rep.plan_accesses(agu.p(), agu.q()).unwrap();
+                for (acc, lanes) in accesses.into_iter().zip(want.afold.chunks(lanes)) {
+                    let (at, offsets) = copy_lanes.of(cache, afn, acc).unwrap();
+                    let slots: Vec<isize> = offsets.iter().map(|&o| at + o).collect();
+                    let want: Vec<isize> = lanes.iter().map(|&f| fbase + f).collect();
+                    assert_eq!(slots, want, "{ctx} {acc:?}");
+                }
+                let want = want_plan;
                 assert_eq!(plan.motif_runs, want.motif_runs, "{ctx}");
                 assert_eq!(plan.motifs, want.motifs, "{ctx}");
                 assert_eq!(plan.store_runs, want.store_runs, "{ctx}");
@@ -1747,6 +1860,34 @@ mod tests {
     }
 
     #[test]
+    fn plan_size_follows_runs_not_elements() {
+        // The STREAM vectors (16×512 quick, 160×512 `stream-host`, 170×512
+        // paper) and the whole space, on the paper's RoCo 2x4 grid. A plan
+        // holds no per-element array (it held 16 bytes per element while
+        // it kept its gather maps): one 32-byte motif run per row, plus a
+        // motif pool and store runs that do not grow with the rows (704
+        // bytes for a bank-major vector).
+        const FIXED: usize = 1 << 10;
+        let vector = |rows| Region::new("v", 0, 0, RegionShape::Block { rows, cols: 512 });
+        for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
+            for region in [vector(16), vector(160), vector(170), vector(512)] {
+                let (plan, base, depth) =
+                    compile_in((2, 4), 512, AccessScheme::RoCo, layout, &region).unwrap();
+                plan.validate(base, depth).unwrap();
+                let (bytes, len) = (plan.heap_bytes(), plan.len());
+                let ctx = format!("{layout:?} {region:?}: {bytes} B for {len} elements");
+                assert!(bytes <= len / 8 + FIXED, "{ctx}");
+                if len >= 160 * 512 {
+                    assert!(bytes <= len / 8, "{ctx}");
+                }
+                if len == 170 * 512 {
+                    assert!(bytes <= 8 << 10, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_class_places_an_access_only_when_both_end_lanes_fit() {
         // The rectangle class proved at the top-left tile of a 4x8 block.
         let region = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
@@ -1756,7 +1897,7 @@ mod tests {
             .iter()
             .map(|&(i, j)| region.canonical_index(i, j).unwrap())
             .collect();
-        let class = AccessClass::new(first, &[0; 8], &canon, &coords);
+        let class = AccessClass::new(first, vec![0; 8], &canon, &coords);
         assert_eq!(
             class.place(&region, ParallelAccess::rect(2, 4)),
             Some(2 * 8 + 4)

@@ -1,14 +1,17 @@
 //! The allocation contract of the per-access datapath: once its plans are
-//! compiled, a single planned access and a steady-state per-chunk STREAM
-//! pass make no heap allocation, host staging allocates only the offloaded
-//! result, and a burst pass allocates nothing vector-sized.
+//! compiled, a single planned access, an interleaved region copy and a
+//! steady-state per-chunk STREAM pass make no heap allocation, host staging
+//! allocates only the offloaded result, and a burst pass allocates nothing
+//! vector-sized.
 //!
 //! A counting global allocator tallies allocations, and the largest one,
 //! per thread, so the test harness's other threads (and other tests
 //! running beside these) never count against the thread being measured.
 
 use dfe_sim::SchedulerMode;
-use polymem::{AccessScheme, ConcurrentPolyMem, ParallelAccess, PolyMem, PolyMemConfig};
+use polymem::{
+    AccessScheme, ConcurrentPolyMem, ParallelAccess, PolyMem, PolyMemConfig, Region, RegionShape,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
@@ -129,6 +132,47 @@ fn warmed_concurrent_writes_do_not_allocate() {
         sweep();
         assert_eq!(allocations(sweep), 0, "{scheme}");
     }
+}
+
+/// Copies that take the interleaved replay, access by access: an
+/// overlapping block, a block into a transposed block, and a row into a
+/// column, each pair with the same access count.
+fn interleaved_copies() -> [(Region, Region); 3] {
+    let block = |i, j, rows, cols| Region::new("b", i, j, RegionShape::Block { rows, cols });
+    [
+        (block(0, 0, 16, 16), block(2, 4, 16, 16)),
+        (block(32, 0, 8, 16), block(32, 32, 16, 8)),
+        (
+            Region::new("r", 56, 0, RegionShape::Row { len: 16 }),
+            Region::new("c", 40, 56, RegionShape::Col { len: 16 }),
+        ),
+    ]
+}
+
+#[test]
+fn warmed_interleaved_copies_do_not_allocate() {
+    // Each access's lanes come from its class's one-access plan, read out
+    // of the plan cache once and kept by the memory.
+    let cfg = PolyMemConfig::new(64, 64, 2, 4, AccessScheme::RoCo, 1).unwrap();
+    let copies = interleaved_copies();
+    let mut mem = PolyMem::<f64>::new(cfg).unwrap();
+    let sweep = |mem: &mut PolyMem<f64>| {
+        for (src, dst) in &copies {
+            mem.copy_region(0, src, dst).unwrap();
+        }
+    };
+    sweep(&mut mem);
+    assert_eq!(allocations(|| sweep(&mut mem)), 0);
+
+    let mem = ConcurrentPolyMem::<f64>::new(cfg).unwrap();
+    let mut scratch = Vec::new();
+    let mut sweep = || {
+        for (src, dst) in &copies {
+            mem.copy_region_with(src, dst, &mut scratch).unwrap();
+        }
+    };
+    sweep();
+    assert_eq!(allocations(sweep), 0);
 }
 
 /// A paper-size STREAM design for `op`, per-chunk or burst, loaded.

@@ -3,9 +3,10 @@
 //! A static analyzer that never fires is indistinguishable from one that
 //! proves things. This module seeds one representative violation per
 //! hazard class — a false support claim, a corrupted one-access plan, a
-//! corrupted region plan, a mis-tiled run table, a second storage guard
-//! taken under the first, a spawned port thread, a locked telemetry call
-//! under the storage
+//! corrupted region plan, a mis-tiled run table, a region plan with two
+//! lanes of a motif swapped within one access and one with two swapped
+//! across accesses, a second storage guard taken under the first,
+//! a spawned port thread, a locked telemetry call under the storage
 //! guard, a panicking hot path, a deregistered stream feedback loop, a
 //! downgraded Acquire ordering, a write that drops its guard between its
 //! two stores, a base skipped at snapshot fold-in, and a trace span begun
@@ -17,7 +18,7 @@
 
 use crate::findings::{Finding, Severity};
 use crate::locks;
-use crate::{lint, races, schemes, streams, telemetry};
+use crate::{lint, plans, races, schemes, streams, telemetry};
 use polymem::{
     AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
     ParallelAccess, PlanCache, PlanTarget, Region, RegionPlan, RegionShape,
@@ -77,10 +78,12 @@ fn false_support_claim() -> Mutation {
 }
 
 /// Compile `target` through a 2x4 ReRo memory's plan cache, corrupt a copy
-/// of the plan with `corrupt`, and feed it to the structural validator.
+/// of the plan's run tables with `corrupt`, and re-prove it through the
+/// `plans` pass, which must raise `expected_code`.
 fn corrupted_plan(
     name: &'static str,
     target: PlanTarget<'_>,
+    expected_code: &'static str,
     corrupt: impl FnOnce(&mut RegionPlan),
 ) -> Mutation {
     let (p, q) = (2usize, 4usize);
@@ -95,55 +98,107 @@ fn corrupted_plan(
         .expect("supported target compiles");
     let mut bad = plan.clone();
     corrupt(&mut bad);
-    let (i, j) = match target {
+    let cells = |i, j| match target {
+        PlanTarget::Access(a) => schemes::pattern_coords(a.pattern, i, j, p, q),
+        PlanTarget::Region(r) => Region::new("inject", i, j, r.shape)
+            .coords()
+            .unwrap_or_default(),
+    };
+    let origin = match target {
         PlanTarget::Access(a) => (a.i, a.j),
         PlanTarget::Region(r) => (r.i, r.j),
     };
     let mut findings = Vec::new();
-    if let Err(e) = bad.validate(afn.address(i, j) as isize, depth) {
-        findings.push(Finding::new(
-            "plans",
-            Severity::Error,
-            "plan-corrupt",
-            format!("injected {name}"),
-            format!("{e}"),
-        ));
-    }
-    record(name, "plan-corruption", "plans", "plan-corrupt", &findings)
+    let at = format!("injected {name}");
+    let blocks = (&agu, &maf, &afn);
+    plans::check_plan(
+        &bad,
+        target,
+        &[origin],
+        cells,
+        blocks,
+        depth,
+        &at,
+        &mut findings,
+    );
+    record(name, "plan-corruption", "plans", expected_code, &findings)
 }
 
-/// Mutation 2: corrupt a compiled one-access plan (move lane 1 to another
-/// address of lane 0's bank).
+/// Where in `bad`'s motif pool the motif its run 0 replays starts.
+fn first_motif(bad: &RegionPlan) -> usize {
+    bad.motif_runs[0].motif as usize * bad.lanes
+}
+
+/// Mutation 2: corrupt a compiled one-access plan (move lane 1 of its
+/// motif to another address of lane 0's bank). Its storage image no longer
+/// matches its store runs.
 fn corrupt_one_access_plan() -> Mutation {
     let access = ParallelAccess::new(1, 2, AccessPattern::Row);
+    let target = PlanTarget::Access(access);
+    corrupted_plan("corrupt-one-access-plan", target, "plan-corrupt", |bad| {
+        let m0 = first_motif(bad);
+        bad.motifs[m0 + 1] = bad.motifs[m0] + 1;
+    })
+}
+
+/// Mutation 3: corrupt a compiled region plan (skew one motif run's flat
+/// offset by a slot).
+fn corrupt_region_plan() -> Mutation {
+    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
+    let target = PlanTarget::Region(&region);
+    corrupted_plan("corrupt-region-plan", target, "plan-corrupt", |bad| {
+        bad.motif_runs[0].offset += 1;
+    })
+}
+
+/// Mutation 3b: mis-tile a compiled region plan's motif-run table (drop a
+/// group from its two-group run). The run-tiling proof must notice the
+/// table no longer covers the region.
+fn mistiled_run_table() -> Mutation {
+    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
+    let target = PlanTarget::Region(&region);
+    corrupted_plan("mistiled-run-table", target, "plan-corrupt", |bad| {
+        if let Some(run) = bad.motif_runs.iter_mut().find(|r| r.reps >= 2) {
+            run.reps -= 1;
+        }
+    })
+}
+
+/// Mutation 3c: swap two lanes of a compiled region plan's motif. The
+/// storage image is unchanged, so the structural proof passes it by
+/// design; the ground-truth model check must see elements in the wrong
+/// place.
+fn swapped_motif_lanes() -> Mutation {
+    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
+    let target = PlanTarget::Region(&region);
     corrupted_plan(
-        "corrupt-one-access-plan",
-        PlanTarget::Access(access),
+        "swapped-motif-lanes",
+        target,
+        "plan-model-divergence",
         |bad| {
-            bad.fold[1] = bad.fold[0] + 1;
-            bad.afold[1] = bad.afold[0] + 1;
+            let m0 = first_motif(bad);
+            bad.motifs.swap(m0, m0 + 1);
         },
     )
 }
 
-/// Mutation 3: corrupt a compiled region plan (skew one fold slot).
-fn corrupt_region_plan() -> Mutation {
-    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
-    corrupted_plan("corrupt-region-plan", PlanTarget::Region(&region), |bad| {
-        bad.fold[0] += 1;
-    })
-}
-
-/// Mutation 3b: mis-tile a compiled region plan's motif-run table (stretch
-/// the step of its two-group run). The run-tiling proof must notice the
-/// run no longer expands to the fold offsets it claims.
-fn mistiled_run_table() -> Mutation {
-    let region = Region::new("inject", 1, 2, RegionShape::Row { len: 16 });
-    corrupted_plan("mistiled-run-table", PlanTarget::Region(&region), |bad| {
-        if let Some(run) = bad.motif_runs.iter_mut().find(|r| r.reps >= 2) {
-            run.step += 1;
-        }
-    })
+/// Mutation 3d: swap two motif lanes of a compiled block plan that belong
+/// to different accesses: lane 0 of the canonical row is the first 2x4
+/// rectangle's, lane 5 the second's. The storage image is unchanged, so
+/// the structural proof passes it; the per-access bank check must see an
+/// access with two lanes in one bank.
+fn clashing_motif_lanes() -> Mutation {
+    let region = Region::new("inject", 1, 2, RegionShape::Block { rows: 2, cols: 8 });
+    let target = PlanTarget::Region(&region);
+    corrupted_plan(
+        "clashing-motif-lanes",
+        target,
+        "plan-bank-conflict",
+        |bad| {
+            let m0 = first_motif(bad);
+            bad.motifs.swap(m0, m0 + 5);
+        },
+    )
 }
 
 /// Mutation 4: append a function that takes a second storage guard while
@@ -333,6 +388,8 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
         corrupt_one_access_plan(),
         corrupt_region_plan(),
         mistiled_run_table(),
+        swapped_motif_lanes(),
+        clashing_motif_lanes(),
         nested_storage_guard(&concurrent_src),
         spawned_port_thread(&concurrent_src),
         locked_telemetry_in_guard(&concurrent_src),
@@ -369,7 +426,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut findings = Vec::new();
         let mutations = run(&root, &mut findings);
-        assert_eq!(mutations.len(), 13);
+        assert_eq!(mutations.len(), 15);
         for m in &mutations {
             assert!(m.caught, "{} survived: {}", m.name, m.detail);
         }

@@ -70,7 +70,10 @@ const HOT: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/polymem/src/banded.rs", &["band", "spmv"]),
-    ("crates/polymem/src/region.rs", &["plan_accesses"]),
+    (
+        "crates/polymem/src/region.rs",
+        &["plan_accesses", "accesses"],
+    ),
     (
         "crates/polymem/src/scheme.rs",
         &["supports", "check_access"],
@@ -104,7 +107,11 @@ const HOT: &[(&str, &[&str])] = &[
             "gather_motifs",
             "scatter_motifs",
             "copy_store_runs_within",
+            "motif",
+            "offsets",
+            "access_lanes",
             "replay_copy",
+            "of",
         ],
     ),
 ];

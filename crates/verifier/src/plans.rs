@@ -7,13 +7,17 @@
 //! compiles all of them through the production [`PlanCache`] and, for each:
 //!
 //! * re-proves the permutation structure via [`RegionPlan::validate`]
-//!   (in-bounds gather/scatter slots, bank-disjoint lanes per cycle,
-//!   `afold` bijective onto the canonical order, run tables tiling the
-//!   fold map);
-//! * cross-checks every cached lane against the ground-truth model (MAF
-//!   bank + addressing function), decoding each fold slot through the
+//!   (run tables tiling the canonical order, in-bounds gather/scatter
+//!   slots, an injective gather map, store runs tiling its image);
+//! * re-proves that every access of the class lands its lanes in distinct
+//!   banks: the accesses come from [`Region::plan_accesses`], each lane's
+//!   canonical element from [`Region::canonical_index`], and its bank from
+//!   the slot the run tables give that element;
+//! * cross-checks every element against the ground-truth model (MAF bank +
+//!   addressing function), decoding the slot its run gives it through the
 //!   plan's layout, so a corrupted cache entry cannot hide behind
-//!   self-consistency;
+//!   self-consistency (a plan that swaps two lanes keeps its storage image
+//!   and passes the structural proof; only this check sees it);
 //! * asserts cache keys stay collision-free (distinct classes map to
 //!   distinct keys) and reports raw 64-bit hash collisions of the
 //!   fast-path hasher as info;
@@ -86,8 +90,8 @@ fn shapes_for(pattern: AccessPattern, p: usize, q: usize) -> Vec<RegionShape> {
 /// Ground-truth cross-check of one compiled plan replayed at `(i0, j0)`:
 /// canonical element `c`, at cell `coords[c]`, must gather from exactly the
 /// MAF's bank and the addressing function's intra-bank address, both
-/// decoded from its fold slot through the plan's layout. Returns the first
-/// divergence.
+/// decoded through the plan's layout from the slot its run gives it.
+/// Returns the first divergence.
 fn model_divergence(
     plan: &RegionPlan,
     (i0, j0): (usize, usize),
@@ -97,7 +101,7 @@ fn model_divergence(
     depth: usize,
 ) -> Option<String> {
     let fbase = plan.flat_base(afn.address(i0, j0) as isize);
-    for ((c, &(i, j)), &f) in coords.iter().enumerate().zip(&plan.fold) {
+    for ((c, &(i, j)), f) in coords.iter().enumerate().zip(plan.offsets()) {
         let slot = usize::try_from(fbase + f).unwrap_or(usize::MAX);
         let bank = plan.layout.bank_of(slot, plan.lanes, depth);
         let addr = plan.layout.addr_of(slot, plan.lanes, depth);
@@ -112,39 +116,80 @@ fn model_divergence(
     None
 }
 
-/// Compile `target` through `cache` and re-prove its plan: structural
-/// validation at the first of `origins`, then the ground-truth cross-check
-/// at every origin `(i, j)` against the cells `cells(i, j)`, reporting
-/// under `at`. Returns whether the class compiled.
+/// Per-cycle bank disjointness of `plan`, compiled for `target` and
+/// replayed at `target`'s origin: the lanes of each access `target`
+/// decomposes into (a region's [`Region::plan_accesses`], or the access
+/// itself) must sit in distinct banks, each lane's bank decoded through the
+/// layout from the slot the run tables give its canonical element
+/// ([`Region::canonical_index`]; an access's lane order is its canonical
+/// order). Returns the first clash.
+fn bank_clash(
+    plan: &RegionPlan,
+    target: PlanTarget<'_>,
+    agu: &Agu,
+    afn: &AddressingFunction,
+    depth: usize,
+) -> Option<String> {
+    let (origin, accesses, region) = match target {
+        PlanTarget::Access(a) => ((a.i, a.j), vec![a], None),
+        PlanTarget::Region(r) => match r.plan_accesses(agu.p(), agu.q()) {
+            Ok(accesses) => ((r.i, r.j), accesses, Some(r)),
+            Err(e) => return Some(format!("region does not decompose into accesses: {e}")),
+        },
+    };
+    let fbase = plan.flat_base(afn.address(origin.0, origin.1) as isize);
+    let slots: Vec<isize> = plan.offsets().map(|f| fbase + f).collect();
+    let mut owner = vec![usize::MAX; plan.lanes];
+    for (a, &acc) in accesses.iter().enumerate() {
+        let coords = match agu.expand(acc) {
+            Ok(coords) => coords,
+            Err(e) => return Some(format!("access {a} ({acc:?}) does not expand: {e}")),
+        };
+        owner.fill(usize::MAX);
+        for (k, &(i, j)) in coords.iter().enumerate() {
+            let c = match region {
+                Some(r) => r.canonical_index(i, j),
+                None => Some(k),
+            };
+            let Some(&slot) = c.and_then(|c| slots.get(c)) else {
+                return Some(format!(
+                    "access {a} lane {k} at ({i},{j}) has no element in the plan"
+                ));
+            };
+            let bank = plan.layout.bank_of(slot as usize, plan.lanes, depth);
+            match owner.get_mut(bank) {
+                Some(o) if *o == usize::MAX => *o = k,
+                Some(o) => {
+                    return Some(format!(
+                        "access {a} at ({},{}): lanes {} and {k} both in bank {bank}",
+                        acc.i, acc.j, *o
+                    ))
+                }
+                None => return Some(format!("access {a} lane {k} decodes to bank {bank}")),
+            }
+        }
+    }
+    None
+}
+
+/// Re-prove `plan`, compiled for `target`'s class: structural validation
+/// and per-access bank disjointness at the first of `origins`, then the
+/// ground-truth cross-check at every origin `(i, j)` against the cells
+/// `cells(i, j)`, reporting under `at`. The `--inject` plan seeds run
+/// corrupted plans through this.
 #[allow(clippy::too_many_arguments)]
-fn prove(
-    cache: &mut PlanCache,
+pub(crate) fn check_plan(
+    plan: &RegionPlan,
     target: PlanTarget<'_>,
     origins: &[(usize, usize)],
     cells: impl Fn(usize, usize) -> Vec<(usize, usize)>,
     (agu, maf, afn): (&Agu, &ModuleAssignment, &AddressingFunction),
     depth: usize,
-    at: String,
+    at: &str,
     findings: &mut Vec<Finding>,
-) -> bool {
+) {
     let mut report = |code, message| {
-        findings.push(Finding::new(
-            "plans",
-            Severity::Error,
-            code,
-            at.clone(),
-            message,
-        ));
-    };
-    let plan = match cache.get_or_compile(target, agu, maf, afn) {
-        Ok((plan, _)) => plan,
-        Err(e) => {
-            report(
-                "compile-failed",
-                format!("claimed class failed to compile: {e}"),
-            );
-            return false;
-        }
+        findings.push(Finding::new("plans", Severity::Error, code, at, message));
     };
     let (i, j) = origins[0];
     if let Err(e) = plan.validate(afn.address(i, j) as isize, depth) {
@@ -152,14 +197,48 @@ fn prove(
             "plan-corrupt",
             format!("compiled plan failed structural validation: {e}"),
         );
-        return true;
+        return;
+    }
+    if let Some(why) = bank_clash(plan, target, agu, afn, depth) {
+        report("plan-bank-conflict", why);
     }
     for &(i, j) in origins {
         if let Some(why) = model_divergence(plan, (i, j), &cells(i, j), maf, afn, depth) {
             report("plan-model-divergence", format!("origin ({i},{j}): {why}"));
         }
     }
-    true
+}
+
+/// Compile `target` through `cache` and re-prove its plan
+/// ([`check_plan`]). Returns whether the class compiled.
+#[allow(clippy::too_many_arguments)]
+fn prove(
+    cache: &mut PlanCache,
+    target: PlanTarget<'_>,
+    origins: &[(usize, usize)],
+    cells: impl Fn(usize, usize) -> Vec<(usize, usize)>,
+    blocks: (&Agu, &ModuleAssignment, &AddressingFunction),
+    depth: usize,
+    at: String,
+    findings: &mut Vec<Finding>,
+) -> bool {
+    let (agu, maf, afn) = blocks;
+    match cache.get_or_compile(target, agu, maf, afn) {
+        Ok((plan, _)) => {
+            check_plan(plan, target, origins, cells, blocks, depth, &at, findings);
+            true
+        }
+        Err(e) => {
+            findings.push(Finding::new(
+                "plans",
+                Severity::Error,
+                "compile-failed",
+                at,
+                format!("claimed class failed to compile: {e}"),
+            ));
+            false
+        }
+    }
 }
 
 /// Verify every single-access class of one (scheme, geometry).
@@ -225,8 +304,8 @@ fn check_access_plans(
 /// Verify every region-plan class of one (scheme, geometry) compiled
 /// against `layout`, plus the soundness of the compile gates (unsupported /
 /// misaligned must fail). Decoding every element through the layout keeps
-/// each layout's coalescing pass honest: its motif-run table must still
-/// exactly tile the (re-segmented) fold map.
+/// each layout's coalescing pass honest: the gather map its motif-run
+/// table expands to must still put every element where the model does.
 #[allow(clippy::too_many_arguments)]
 fn check_region_plans(
     scheme: AccessScheme,
@@ -446,9 +525,12 @@ mod tests {
         assert!(cap.evictions > 0, "capacity exercise must evict");
     }
 
-    #[test]
-    fn corrupted_region_plan_is_caught_by_validate() {
-        // The plans half of --inject in miniature.
+    /// A `shape` region at (1, 2) of a 2x4 ReRo memory, its compiled plan,
+    /// and the codes [`check_plan`] raises on `corrupt`'s copy of the plan.
+    fn check_corrupted(
+        shape: RegionShape,
+        corrupt: impl FnOnce(&mut RegionPlan),
+    ) -> Vec<&'static str> {
         let (p, q) = (2usize, 4usize);
         let n = p * q;
         let agu = Agu::new(p, q, 4 * n, 4 * n);
@@ -456,14 +538,67 @@ mod tests {
         let afn = AddressingFunction::new(p, q, 4 * n, 4 * n);
         let depth = (4 * n / p) * (4 * n / q);
         let mut cache = PlanCache::new(n, depth, BankLayout::BankMajor);
-        let region = Region::new("x", 1, 2, RegionShape::Row { len: 2 * n });
-        let plan = RegionPlan::compile(&region, &agu, &maf, &afn, &mut cache).unwrap();
-        let base = afn.address(region.i, region.j) as isize;
-        plan.validate(base, depth).unwrap();
-        // A pure swap keeps fold's multiset, but the motif-run table no
-        // longer expands to it.
-        let mut bad = plan.clone();
-        bad.fold.swap(0, 1);
-        assert!(bad.validate(base, depth).is_err());
+        let region = Region::new("x", 1, 2, shape);
+        let mut plan = RegionPlan::compile(&region, &agu, &maf, &afn, &mut cache).unwrap();
+        corrupt(&mut plan);
+        let mut findings = Vec::new();
+        let cells = |i, j| Region::new("x", i, j, region.shape).coords().unwrap();
+        let target = PlanTarget::Region(&region);
+        let blocks = (&agu, &maf, &afn);
+        check_plan(
+            &plan,
+            target,
+            &[(1, 2)],
+            cells,
+            blocks,
+            depth,
+            "x",
+            &mut findings,
+        );
+        findings.iter().map(|f| f.code).collect()
+    }
+
+    const ROW: RegionShape = RegionShape::Row { len: 16 };
+    const BLOCK: RegionShape = RegionShape::Block { rows: 2, cols: 8 };
+
+    /// Swap lanes `a` and `b` of the motif `bad`'s first run replays.
+    fn swap_motif_lanes(bad: &mut RegionPlan, a: usize, b: usize) {
+        let m0 = bad.motif_runs[0].motif as usize * bad.lanes;
+        bad.motifs.swap(m0 + a, m0 + b);
+    }
+
+    #[test]
+    fn corrupted_region_plan_is_caught_by_validate() {
+        // The plans half of --inject in miniature: a compiled plan is
+        // clean, a run skewed one slot over no longer tiles its store runs.
+        for shape in [ROW, BLOCK] {
+            assert!(check_corrupted(shape, |_| {}).is_empty(), "{shape:?}");
+        }
+        let codes = check_corrupted(ROW, |bad| bad.motif_runs[0].offset += 1);
+        assert_eq!(codes, ["plan-corrupt"]);
+    }
+
+    #[test]
+    fn swapped_motif_lanes_fail_the_model_check_not_validate() {
+        // Two lanes of the run's motif swapped: the storage image is the
+        // same, so the structure proves sound, and the banks of each access
+        // are still distinct; only the model check sees elements in the
+        // wrong place.
+        let codes = check_corrupted(ROW, |bad| swap_motif_lanes(bad, 0, 1));
+        assert_eq!(codes, ["plan-model-divergence"]);
+    }
+
+    #[test]
+    fn motif_lanes_swapped_across_accesses_fail_the_bank_check() {
+        // A 2x8 block's canonical row is lanes 0-3 of one 2x4 rectangle
+        // access and lanes 0-3 of the next. Swapping lane 0 (the first
+        // access's (1,2)) with lane 5 (the second's (1,7)) keeps the
+        // storage image, so `validate` passes, but hands each access a
+        // bank another of its lanes holds.
+        let codes = check_corrupted(BLOCK, |bad| swap_motif_lanes(bad, 0, 5));
+        assert_eq!(codes, ["plan-bank-conflict", "plan-model-divergence"]);
+        // Lanes of one access keep its banks: the model check alone fires.
+        let codes = check_corrupted(BLOCK, |bad| swap_motif_lanes(bad, 0, 1));
+        assert_eq!(codes, ["plan-model-divergence"]);
     }
 }
