@@ -1,6 +1,7 @@
 //! **Table I** — the PRF memory access schemes and their conflict-free
 //! patterns, *verified in-process*: every claimed (scheme, pattern) pair is
-//! checked at every position of a test address space before being printed.
+//! proved over all origin residue classes (so at every position) by
+//! [`polymem::theory::prove_pair`] before being printed.
 
 use polymem::theory::verify_table1;
 use polymem::{AccessPattern, AccessScheme};
@@ -8,8 +9,7 @@ use polymem_bench::render_table;
 
 pub fn run() {
     let (p, q) = (2, 4);
-    let n = p * q;
-    let verified = verify_table1(p, q, 4 * n, 4 * n);
+    let verified = verify_table1(p, q);
 
     println!("Table I: PRF access schemes (verified on a {p}x{q} bank grid)\n");
     let headers: Vec<&str> = std::iter::once("Scheme")

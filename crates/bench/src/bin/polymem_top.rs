@@ -10,7 +10,7 @@
 //! ```text
 //! polymem-top [--op copy|scale|sum|triad] [--passes N] [--small]
 //!             [--json] [--prom] [--schema TELEMETRY_schema.json]
-//!             [--trace trace.json] [--serve 127.0.0.1:9184]
+//!             [--trace trace.json]
 //! ```
 //!
 //! `--json` prints the structured [`TelemetrySnapshot`]; `--prom` prints
@@ -20,14 +20,11 @@
 //! span journal as Chrome trace-event JSON (open it in Perfetto), after
 //! checking span balance (exit 4 on an unbalanced trace) and reconciling
 //! per-state span sums against the attribution counters (exit 3 on drift).
-//! `--serve ADDR` publishes the snapshots on a live scrape endpoint
-//! (`/metrics`, `/telemetry.json`, `/trace.json`) and blocks.
 
 use polymem::telemetry::{HistogramSample, SampleValue, TelemetrySnapshot};
 use polymem::tracing::TraceJournal;
 use polymem::{AccessScheme, TelemetryRegistry};
 use polymem_bench::render_table;
-use polymem_bench::scrape::{ScrapeServer, ScrapeState};
 use polymem_bench::telemetry_gate::{check, parse_schema};
 use stream_bench::app::{StreamApp, PAPER_STREAM_FREQ_MHZ};
 use stream_bench::layout::StreamLayout;
@@ -116,7 +113,6 @@ fn main() {
     let mut prom = false;
     let mut schema_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -149,12 +145,6 @@ fn main() {
             }
             "--trace" => {
                 trace_path = Some(args.next().unwrap_or_else(|| fail("--trace needs a path")));
-            }
-            "--serve" => {
-                serve_addr = Some(
-                    args.next()
-                        .unwrap_or_else(|| fail("--serve needs an address")),
-                );
             }
             other => fail(&format!("unknown argument {other:?}")),
         }
@@ -264,20 +254,6 @@ fn main() {
             "polymem-top: schema check PASS ({} required metrics present)",
             schema.len()
         );
-    }
-
-    if let Some(addr) = &serve_addr {
-        let state = ScrapeState::new();
-        state.publish_telemetry(&snap);
-        state.publish_trace(&trace);
-        let server = ScrapeServer::serve(addr, state)
-            .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
-        eprintln!(
-            "polymem-top: serving /metrics /telemetry.json /trace.json on http://{}/",
-            server.addr()
-        );
-        server.block();
-        return;
     }
 
     if json {

@@ -10,7 +10,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod gate;
-pub mod scrape;
 pub mod telemetry_gate;
 pub mod toolchain;
 

@@ -76,6 +76,11 @@ impl AccessScheme {
     /// * `RoCo` rectangles are only available *aligned* (see
     ///   [`Self::requires_alignment`]).
     ///
+    /// The outside reference is the scheme comments of the HLS PolyMem
+    /// header (`hls_polymem.h`), which state the same conditions; every
+    /// claim is proved over all origin residue classes by
+    /// [`crate::theory::prove_pair`].
+    ///
     /// Answered from the scheme and the grid alone, without allocating: every
     /// planned access checks it.
     pub fn supports(self, pattern: AccessPattern, p: usize, q: usize) -> bool {

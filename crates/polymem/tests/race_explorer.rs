@@ -9,10 +9,10 @@
 //!
 //! `ConcurrentPolyMem` never spawns threads of its own, so the explorer
 //! owns every thread and the schedule space stays exhaustively coverable.
-//! The three seeded scenarios
-//! from the verifier's hazard model are reproduced here against the real
-//! types (the verifier's `races` pass explores the equivalent models in
-//! normal builds).
+//! These are the only explorations of the three scenarios of the design's
+//! hazard taxonomy (DESIGN.md, hazard 6): the verifier's `races` pass
+//! checks the memory-ordering contract and `unsafe` scoping statically and
+//! explores no models of its own.
 #![cfg(feature = "race-check")]
 
 use interleave::{spawn, Explorer};

@@ -12,9 +12,7 @@
 //! * [`bnb`] — exact branch-and-bound (substituting for the paper's ILP
 //!   solver), with a brute-force ground-truth checker for tests;
 //! * [`metrics`] — speedup and efficiency, on one read port or several;
-//! * [`dse`] — configuration sweep and selection;
-//! * [`support`] — the paper's Table I transcribed literally, the
-//!   support-matrix source of truth cross-checked by `polymem-verify`.
+//! * [`dse`] — configuration sweep and selection.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +26,6 @@ pub mod greedy;
 pub mod lp;
 pub mod metrics;
 pub mod pattern;
-pub mod support;
 
 pub use anneal::{solve as solve_anneal, AnnealOptions};
 pub use bitset::BitSet;
@@ -39,4 +36,3 @@ pub use greedy::solve as solve_greedy;
 pub use lp::{dual_bound, lower_bound};
 pub use metrics::{evaluate, multiport_speedup, ScheduleMetrics};
 pub use pattern::AccessTrace;
-pub use support::{aligned_only, support_matrix, table1};

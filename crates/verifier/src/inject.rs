@@ -8,17 +8,15 @@
 //! across accesses, a second storage guard taken under the first,
 //! a spawned port thread, a locked telemetry call under the storage
 //! guard, a panicking hot path, a deregistered stream feedback loop, a
-//! downgraded Acquire ordering, a write that drops its guard between its
-//! two stores, a base skipped at snapshot fold-in, and a trace span begun
-//! but never ended — and checks that the
-//! corresponding analysis reports the expected finding code. The real
-//! sources on disk are never modified; source mutations run on in-memory
-//! copies, and the concurrency mutations run on the `races` pass's
-//! interleaving models.
+//! downgraded Acquire ordering, and a trace span begun but never ended —
+//! and checks that the corresponding analysis reports the expected finding
+//! code. The real sources on disk are never modified: source mutations run
+//! on in-memory copies.
 
 use crate::findings::{Finding, Severity};
 use crate::locks;
 use crate::{lint, plans, races, schemes, streams, telemetry};
+use polymem::theory::pattern_coords;
 use polymem::{
     AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
     ParallelAccess, PlanCache, PlanTarget, Region, RegionPlan, RegionShape,
@@ -99,7 +97,7 @@ fn corrupted_plan(
     let mut bad = plan.clone();
     corrupt(&mut bad);
     let cells = |i, j| match target {
-        PlanTarget::Access(a) => schemes::pattern_coords(a.pattern, i, j, p, q),
+        PlanTarget::Access(a) => pattern_coords(a.pattern, i, j, p, q),
         PlanTarget::Region(r) => Region::new("inject", i, j, r.shape)
             .coords()
             .unwrap_or_default(),
@@ -327,37 +325,6 @@ fn relaxed_acquire_downgrade(root: &Path) -> Mutation {
     )
 }
 
-/// Mutation 11: the one-guard model's writer drops the storage guard
-/// between its two stores — the interleaving explorer must find the
-/// happens-before race against the guarded reader.
-fn split_storage_write() -> Mutation {
-    let report = races::explore_guarded_read(races::GuardMode::DroppedBetweenStores);
-    let mut findings = Vec::new();
-    let _ = races::digest_report(&report, "oracle-violation", &mut findings);
-    record(
-        "split-storage-write",
-        "unguarded-second-store",
-        "races",
-        "hb-race",
-        &findings,
-    )
-}
-
-/// Mutation 12: the snapshot model skips one base at fold-in — the
-/// explorer's floor oracle must report the torn snapshot.
-fn skipped_fold_in_base() -> Mutation {
-    let report = races::explore_snapshot_fold_in(races::FoldMode::SkipBase);
-    let mut findings = Vec::new();
-    let _ = races::digest_report(&report, "torn-snapshot", &mut findings);
-    record(
-        "skipped-fold-in-base",
-        "torn-snapshot-fold",
-        "races",
-        "torn-snapshot",
-        &findings,
-    )
-}
-
 /// Mutation 13: record a span `begin` into a live journal and never close
 /// it — the span-balance validation must report the dangling begin.
 fn unbalanced_span() -> Mutation {
@@ -396,8 +363,6 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> Vec<Mutation> {
         panicking_hot_path(),
         cyclic_stream_wait(),
         relaxed_acquire_downgrade(root),
-        split_storage_write(),
-        skipped_fold_in_base(),
         unbalanced_span(),
     ];
     for m in &mutations {
@@ -426,7 +391,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut findings = Vec::new();
         let mutations = run(&root, &mut findings);
-        assert_eq!(mutations.len(), 15);
+        assert_eq!(mutations.len(), 13);
         for m in &mutations {
             assert!(m.caught, "{} survived: {}", m.name, m.detail);
         }

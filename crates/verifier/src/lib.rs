@@ -7,10 +7,10 @@
 //! invariant under origin shifts by `p·q`, so each property only has
 //! `(p·q)²` residue classes to check per (scheme, pattern, geometry):
 //!
-//! * [`schemes`] — proves every Table I support claim conflict-free over
-//!   all residue classes, cross-checked against the runtime conflict
-//!   analyzer, and arbitrates between the runtime support matrix and the
-//!   [`scheduler::support`] transcription of the paper's table;
+//! * [`schemes`] — reports [`polymem::theory::prove_pair`]'s proof of
+//!   every Table I support claim over all residue classes, the
+//!   serialization bound of every unclaimed pair, and unclaimed pairs that
+//!   are conflict-free anyway;
 //! * [`plans`] — compiles every one-access and region plan class through
 //!   the production plan cache and proves each a true permutation that
 //!   matches the ground-truth MAF + addressing model, proves the compile
@@ -31,10 +31,9 @@
 //!   or journal writes under the storage lock, no single-writer `*_owned`
 //!   ops in multi-writer code);
 //! * [`races`] — checks every atomic operation in the lock-free datapath
-//!   against a declared memory-ordering contract table, audits `unsafe`
-//!   blocks for held-guard scoping, and exhaustively explores the
-//!   taxonomy's three race scenarios on the vendored `interleave`
-//!   vector-clock checker;
+//!   against a declared memory-ordering contract table and audits `unsafe`
+//!   blocks for held-guard scoping (the race scenarios themselves run
+//!   against the real types under `polymem`'s `race-check` feature);
 //! * [`inject`] — mutation-tests the analyzer itself by seeding one
 //!   violation per hazard class and requiring each to be caught.
 //!

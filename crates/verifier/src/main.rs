@@ -2,6 +2,7 @@
 //! `VERIFY_report.json`, gate CI via the exit code.
 
 use polymem::json::Json;
+use polymem::theory::PairProof;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use verifier::findings::{findings_json, Finding, Severity};
@@ -95,7 +96,7 @@ fn parse_args() -> Result<Options, ExitCode> {
     Ok(opts)
 }
 
-fn pairs_json(pairs: &[schemes::PairResult]) -> Json {
+fn pairs_json(pairs: &[PairProof]) -> Json {
     Json::Arr(
         pairs
             .iter()
@@ -105,13 +106,13 @@ fn pairs_json(pairs: &[schemes::PairResult]) -> Json {
                     ("pattern".into(), Json::s(r.pattern.to_string())),
                     ("p".into(), Json::Int(r.p as i128)),
                     ("q".into(), Json::Int(r.q as i128)),
-                    ("supported".into(), Json::Bool(r.supported)),
+                    ("supported".into(), Json::Bool(r.claimed)),
                     ("aligned_only".into(), Json::Bool(r.aligned_only)),
                     ("classes".into(), Json::Int(r.classes as i128)),
                     ("admissible".into(), Json::Int(r.admissible as i128)),
                     (
                         "conflict_classes".into(),
-                        Json::Int(r.conflict_classes as i128),
+                        Json::Int(r.conflicts.len() as i128),
                     ),
                     ("worst_cycles".into(), Json::Int(r.worst_cycles as i128)),
                 ])
@@ -261,25 +262,6 @@ fn races_json(out: &races::RacesOutput) -> Json {
             Json::Int(out.contract_rules as i128),
         ),
         ("unsafe_blocks".into(), Json::Int(out.unsafe_blocks as i128)),
-        (
-            "scenarios".into(),
-            Json::Arr(
-                out.scenarios
-                    .iter()
-                    .map(|sc| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::s(&sc.name)),
-                            ("schedules".into(), Json::Int(sc.schedules.into())),
-                            ("complete".into(), Json::Bool(sc.complete)),
-                            (
-                                "failures".into(),
-                                Json::Arr(sc.failure_codes.iter().map(|&c| Json::s(c)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 
@@ -337,9 +319,9 @@ fn main() -> ExitCode {
             let pairs = schemes::run(&mut findings);
             let proven = pairs
                 .iter()
-                .filter(|r| r.supported && r.conflict_classes == 0)
+                .filter(|r| r.claimed && r.conflicts.is_empty())
                 .count();
-            let claimed = pairs.iter().filter(|r| r.supported).count();
+            let claimed = pairs.iter().filter(|r| r.claimed).count();
             let classes: u64 = pairs.iter().map(|r| r.classes as u64).sum();
             println!(
                 "  schemes: {proven}/{claimed} claimed (scheme, pattern, geometry) pairs proven \
@@ -427,17 +409,13 @@ fn main() -> ExitCode {
 
         if opts.selected("races") {
             let races_out = races::run(&opts.root, &mut findings);
-            let schedules: u64 = races_out.scenarios.iter().map(|sc| sc.schedules).sum();
             println!(
                 "  races:   {} atomic site(s) in {} file(s) checked against {} contract rule(s), \
-                 {} unsafe block(s) audited, {} interleaving scenario(s) explored exhaustively \
-                 ({} schedules)",
+                 {} unsafe block(s) audited",
                 races_out.atomic_sites,
                 races_out.files,
                 races_out.contract_rules,
                 races_out.unsafe_blocks,
-                races_out.scenarios.len(),
-                schedules
             );
             sections.push(("races".into(), races_json(&races_out)));
         }

@@ -29,6 +29,7 @@
 use crate::findings::{Finding, Severity};
 use crate::schemes::GEOMETRIES;
 use polymem::plan::PlanKeyHasher;
+use polymem::theory::pattern_coords;
 use polymem::{
     AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
     ParallelAccess, PlanCache, PlanCacheStats, PlanKey, PlanTarget, PolyMemError, Region,
@@ -277,7 +278,7 @@ fn check_access_plans(
                 // class: the cached routing must equal MAF + addressing
                 // function lane for lane.
                 let origins = [(ri, j0), (ri + n, j0 + n)];
-                let cells = |i, j| crate::schemes::pattern_coords(pattern, i, j, p, q);
+                let cells = |i, j| pattern_coords(pattern, i, j, p, q);
                 let (target, blocks) = (PlanTarget::Access(access), (agu, maf, afn));
                 if prove(
                     &mut cache, target, &origins, cells, blocks, depth, at, findings,

@@ -1,44 +1,31 @@
-//! Concurrency soundness pass: memory-ordering contract + bounded
-//! interleaving exploration of the lock-free datapath.
+//! Concurrency soundness pass: the memory-ordering contract of the
+//! lock-free datapath and the scoping of its `unsafe` blocks.
 //!
 //! The lock analyzer ([`crate::locks`]) proves the *blocking* protocol
 //! safe; this pass covers everything that deliberately bypasses it — the
 //! atomics in the telemetry counters (the plan cache's hit counters among
-//! them) and the advisory planning flag. Two complementary halves:
+//! them) and the advisory planning flag. Every atomic operation in the
+//! audited files is extracted from source with its `Ordering` and checked
+//! against the declared [`CONTRACT`] table: which counters are
+//! legitimately `Relaxed` (commuting increments whose exact value is only
+//! read through an `Acquire` load) and which reads must stay `Acquire`. An
+//! atomic the table does not declare is an error (`undeclared-atomic`), a
+//! declared site with a different ordering is an error
+//! (`ordering-contract`), and a table row matching no site is an error
+//! (`contract-drift`) — the contract cannot silently rot in either
+//! direction. `unsafe` blocks in `concurrent.rs` must sit inside a held
+//! lock-guard scope (`unsafe-outside-guard`).
 //!
-//! * **Contract scan** — every atomic operation in the audited files is
-//!   extracted from source with its `Ordering` and checked against the
-//!   declared [`CONTRACT`] table: which counters are legitimately
-//!   `Relaxed` (commuting increments whose exact value is only read
-//!   through an `Acquire` load) and which reads must stay `Acquire`. An
-//!   atomic the table does not declare is an error
-//!   (`undeclared-atomic`), a declared site with a different ordering is
-//!   an error (`ordering-contract`), and a table row matching no site is
-//!   an error (`contract-drift`) — the contract cannot silently rot in
-//!   either direction. `unsafe` blocks in `concurrent.rs` must sit inside
-//!   a held lock-guard scope (`unsafe-outside-guard`).
-//!
-//! * **Interleaving exploration** — the three hazard scenarios from the
-//!   design's taxonomy are modelled on the vendored [`interleave`]
-//!   checker (vector-clock happens-before over exhaustively enumerated
-//!   bounded schedules): a one-guard read racing a one-guard two-element
-//!   write, two overlapping `copy_region`s, and a telemetry snapshot
-//!   folding a shared base during a racing add. Every explored schedule
-//!   must be free of happens-before races, lost updates and deadlocks,
-//!   and the serializability oracles must hold. The same scenarios run
-//!   against the *real* `ConcurrentPolyMem`/`TelemetryRegistry` types in
-//!   `cargo test -p polymem --features race-check` (the `polymem::sync`
-//!   facade swaps the raw primitives for the model types there); the
-//!   models here keep the verifier's normal build free of the feature
-//!   while `--inject` mutations 10–12 prove both halves can fire.
+//! The schedules themselves are explored against the real
+//! `ConcurrentPolyMem`/`TelemetryRegistry` types, not models of them:
+//! `crates/polymem/tests/race_explorer.rs` runs the taxonomy's three
+//! hazard scenarios under `cargo test -p polymem --features race-check`,
+//! where the `polymem::sync` facade swaps the raw primitives for the
+//! vendored `interleave` checker's model types.
 
 use crate::findings::{Finding, Severity};
 use crate::locks::{self, extract_fns, line_of, mask_source, strip_test_mods};
-use interleave::sync::{AtomicU64, RaceCell, RwLock};
-use interleave::{spawn, Explorer, FailureKind, Report};
 use std::path::Path;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Kind of atomic operation at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,214 +379,6 @@ pub fn check_unsafe_scopes(src: &str, label: &str, findings: &mut Vec<Finding>) 
     count
 }
 
-// ---------------------------------------------------------------------------
-// Interleaving exploration: the three hazard-model scenarios.
-// ---------------------------------------------------------------------------
-
-/// Whether the one-guard model's writer holds the storage guard across
-/// both of its stores (the sound protocol) or drops it between them
-/// (inject mutation 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardMode {
-    /// Both stores happen under one write guard.
-    Held,
-    /// The guard is released after the first store — the second is a
-    /// happens-before race the explorer must detect.
-    DroppedBetweenStores,
-}
-
-/// One-guard read racing a one-guard two-element write, the protocol of
-/// every `ConcurrentPolyMem` operation: the reader loads both elements of
-/// an access under one read guard while the writer stores both under one
-/// write guard. Oracle: the read is the whole old access or the whole new
-/// one — never a mix.
-pub fn explore_guarded_read(mode: GuardMode) -> Report {
-    Explorer::new().explore("one-guard-read-vs-writer", move || {
-        let storage = Arc::new((
-            RwLock::new(()),
-            [RaceCell::new("storage", 0), RaceCell::new("storage", 1)],
-        ));
-        let w = Arc::clone(&storage);
-        let writer = spawn(move || {
-            let (lock, cells) = &*w;
-            let g = lock.write();
-            cells[0].set(100);
-            if mode == GuardMode::DroppedBetweenStores {
-                drop(g);
-                cells[1].set(101);
-            } else {
-                cells[1].set(101);
-            }
-        });
-        let got = {
-            let (lock, cells) = &*storage;
-            let _g = lock.read();
-            [cells[0].get(), cells[1].get()]
-        };
-        writer.join();
-        assert!(
-            got == [0, 1] || got == [100, 101],
-            "read observed a torn access {got:?} (expected [0, 1] or [100, 101])"
-        );
-    })
-}
-
-/// Two concurrent `copy_region`s over overlapping regions (0 -> 1 and
-/// 1 -> 0), each gathering under a read guard and scattering under a
-/// write guard. Oracle: both regions end with one of the two original
-/// values (the copies serialize).
-pub fn explore_overlapping_copy() -> Report {
-    Explorer::new().explore("overlapping-copy-region", || {
-        let regions: Arc<Vec<(RwLock<()>, RaceCell<u64>)>> = Arc::new(vec![
-            (RwLock::new(()), RaceCell::new("region-data", 10)),
-            (RwLock::new(()), RaceCell::new("region-data", 20)),
-        ]);
-        let r = Arc::clone(&regions);
-        let t = spawn(move || {
-            let v = {
-                let _g = r[0].0.read();
-                r[0].1.get()
-            };
-            let _g = r[1].0.write();
-            r[1].1.set(v);
-        });
-        let v = {
-            let _g = regions[1].0.read();
-            regions[1].1.get()
-        };
-        {
-            let _g = regions[0].0.write();
-            regions[0].1.set(v);
-        }
-        t.join();
-        let a = {
-            let _g = regions[0].0.read();
-            regions[0].1.get()
-        };
-        let b = {
-            let _g = regions[1].0.read();
-            regions[1].1.get()
-        };
-        assert!(a == 10 || a == 20, "region0 = {a}, expected 10 or 20");
-        assert!(b == 10 || b == 20, "region1 = {b}, expected 10 or 20");
-    })
-}
-
-/// Whether the snapshot model folds every base into the counter total
-/// (the sound protocol) or skips one (inject mutation 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldMode {
-    /// `snapshot` sums the cell and every base.
-    FoldAll,
-    /// One base is skipped at fold-in — the snapshot drops published
-    /// counts and the floor oracle must catch it.
-    SkipBase,
-}
-
-/// Telemetry multi-base fold-in during snapshot: a counter with a shared
-/// base is snapshotted while a writer adds to both. Oracle: the folded
-/// total never drops below the pre-published floor and never exceeds the
-/// floor plus both in-flight adds.
-pub fn explore_snapshot_fold_in(mode: FoldMode) -> Report {
-    Explorer::new().explore("snapshot-fold-in", move || {
-        let base = Arc::new(AtomicU64::new(0));
-        let cell = Arc::new(AtomicU64::new(0));
-        base.fetch_add(5, Ordering::Relaxed); // published floor
-        let (b2, c2) = (Arc::clone(&base), Arc::clone(&cell));
-        let writer = spawn(move || {
-            b2.fetch_add(1, Ordering::Relaxed);
-            c2.fetch_add(1, Ordering::Relaxed);
-        });
-        let total = cell.load(Ordering::Acquire)
-            + match mode {
-                FoldMode::FoldAll => base.load(Ordering::Acquire),
-                FoldMode::SkipBase => 0,
-            };
-        writer.join();
-        assert!(
-            (5..=7).contains(&total),
-            "fold-in snapshot torn: total {total}, expected 5..=7"
-        );
-    })
-}
-
-/// One explored scenario, for the report section.
-#[derive(Debug, Clone)]
-pub struct ScenarioReport {
-    /// Scenario name.
-    pub name: String,
-    /// Distinct schedules executed.
-    pub schedules: u64,
-    /// Whether the schedule space was exhausted.
-    pub complete: bool,
-    /// Finding codes raised (empty on a clean scenario).
-    pub failure_codes: Vec<&'static str>,
-}
-
-/// Map an explorer failure to a finding code. `panic_code` names the
-/// scenario's oracle-violation class (a model panic *is* the oracle
-/// firing).
-fn failure_code(kind: &FailureKind, panic_code: &'static str) -> &'static str {
-    match kind {
-        FailureKind::HbRace => "hb-race",
-        FailureKind::LostUpdate => "lost-update",
-        FailureKind::Deadlock => "explorer-deadlock",
-        FailureKind::Panic => panic_code,
-        FailureKind::StepLimit | FailureKind::Nondeterminism => "explorer-incomplete",
-    }
-}
-
-/// Convert one explorer [`Report`] into findings + a report row.
-pub fn digest_report(
-    report: &Report,
-    panic_code: &'static str,
-    findings: &mut Vec<Finding>,
-) -> ScenarioReport {
-    let mut codes = Vec::new();
-    for f in &report.failures {
-        let code = failure_code(&f.kind, panic_code);
-        codes.push(code);
-        findings.push(Finding::new(
-            "races",
-            Severity::Error,
-            code,
-            format!("model `{}` schedule {:?}", report.name, f.schedule),
-            f.detail.clone(),
-        ));
-    }
-    if !report.complete && report.failures.is_empty() {
-        codes.push("explorer-incomplete");
-        findings.push(Finding::new(
-            "races",
-            Severity::Error,
-            "explorer-incomplete",
-            format!("model `{}`", report.name),
-            format!(
-                "schedule space not exhausted within bounds ({} schedules, depth {}); \
-                 shrink the model or raise the bounds — a sampled proof is not a proof",
-                report.schedules, report.max_depth
-            ),
-        ));
-    }
-    if report.schedules < 2 {
-        codes.push("races-scan-blind");
-        findings.push(Finding::new(
-            "races",
-            Severity::Warning,
-            "races-scan-blind",
-            format!("model `{}`", report.name),
-            "the scenario explored only one schedule — it has no concurrency left to \
-             check and needs updating",
-        ));
-    }
-    ScenarioReport {
-        name: report.name.clone(),
-        schedules: report.schedules,
-        complete: report.complete,
-        failure_codes: codes,
-    }
-}
-
 /// What the races pass found (the report section).
 #[derive(Debug, Clone, Default)]
 pub struct RacesOutput {
@@ -611,8 +390,6 @@ pub struct RacesOutput {
     pub contract_rules: usize,
     /// `unsafe` blocks audited in `concurrent.rs`.
     pub unsafe_blocks: usize,
-    /// Explored scenarios.
-    pub scenarios: Vec<ScenarioReport>,
 }
 
 /// Audited files: every file the `polymem::sync` facade's atomics flow
@@ -658,22 +435,6 @@ pub fn run(root: &Path, findings: &mut Vec<Finding>) -> RacesOutput {
     } else {
         check_contract(&sites, findings);
     }
-
-    out.scenarios.push(digest_report(
-        &explore_guarded_read(GuardMode::Held),
-        "oracle-violation",
-        findings,
-    ));
-    out.scenarios.push(digest_report(
-        &explore_overlapping_copy(),
-        "oracle-violation",
-        findings,
-    ));
-    out.scenarios.push(digest_report(
-        &explore_snapshot_fold_in(FoldMode::FoldAll),
-        "torn-snapshot",
-        findings,
-    ));
     out
 }
 
@@ -777,43 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_models_pass_and_branch() {
-        for (report, code) in [
-            (explore_guarded_read(GuardMode::Held), "oracle-violation"),
-            (explore_overlapping_copy(), "oracle-violation"),
-            (explore_snapshot_fold_in(FoldMode::FoldAll), "torn-snapshot"),
-        ] {
-            let mut findings = Vec::new();
-            let row = digest_report(&report, code, &mut findings);
-            assert!(findings.is_empty(), "{}: {findings:#?}", row.name);
-            assert!(row.complete, "{}: {report:?}", row.name);
-            assert!(row.schedules > 1, "{}: {report:?}", row.name);
-        }
-    }
-
-    #[test]
-    fn dropped_guard_model_races() {
-        let report = explore_guarded_read(GuardMode::DroppedBetweenStores);
-        let mut findings = Vec::new();
-        let row = digest_report(&report, "oracle-violation", &mut findings);
-        assert!(
-            row.failure_codes.contains(&"hb-race"),
-            "expected hb-race: {report:?}"
-        );
-    }
-
-    #[test]
-    fn skipped_base_model_tears_the_snapshot() {
-        let report = explore_snapshot_fold_in(FoldMode::SkipBase);
-        let mut findings = Vec::new();
-        let row = digest_report(&report, "torn-snapshot", &mut findings);
-        assert!(
-            row.failure_codes.contains(&"torn-snapshot"),
-            "expected torn-snapshot: {report:?}"
-        );
-    }
-
-    #[test]
     fn run_on_the_real_tree_is_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut findings = Vec::new();
@@ -821,7 +545,5 @@ mod tests {
         assert!(findings.is_empty(), "{findings:#?}");
         assert_eq!(out.files, 2);
         assert!(out.atomic_sites >= 20);
-        assert_eq!(out.scenarios.len(), 3);
-        assert!(out.scenarios.iter().all(|s| s.complete));
     }
 }

@@ -1,21 +1,10 @@
-//! Scheme verification: an exhaustive, finite proof of Table I.
+//! Scheme verification: the Table I proof as findings.
 //!
-//! Every per-lane quantity of a parallel access is periodic in the access
-//! origin with period `N = p*q` in both coordinates (the residue-class
-//! property `polymem::plan` exploits for caching). Conflict-freedom of a
-//! (scheme, pattern) pair is therefore decided by checking the `N²` origin
-//! residue classes once each: if every class's `N` lanes land in `N`
-//! distinct banks, *every* origin in the infinite logical space is
-//! conflict-free. This module runs that check for every scheme, every
-//! pattern (claimed or not), and a suite of geometries — without executing
-//! a single memory access — and cross-checks two independent judges:
-//!
-//! * its own bank-multiplicity count vs [`polymem::analysis::analyse`]'s
-//!   `cycles_needed` (the dynamic profiler must agree with the static
-//!   proof);
-//! * the runtime support matrix [`AccessScheme::supported_patterns`] vs the
-//!   [`scheduler::support`] transcription of Table I (two encodings of the
-//!   paper must agree before either is trusted).
+//! [`polymem::theory::prove_pair`] proves a (scheme, pattern) pair over all
+//! `(p*q)²` origin residue classes, which by periodicity covers every
+//! origin. This pass runs it for every scheme, every pattern (claimed or
+//! not) and a suite of geometries — without executing a single memory
+//! access — and turns each [`PairProof`] into findings.
 //!
 //! Unsupported pairs are not skipped: their worst-case `cycles_needed`
 //! bound is reported, and a pair that is provably conflict-free everywhere
@@ -23,7 +12,7 @@
 //! conservatism — not a soundness problem, claims stay sound).
 
 use crate::findings::{Finding, Severity};
-use polymem::analysis::analyse;
+use polymem::theory::{prove_pair, PairProof};
 use polymem::{AccessPattern, AccessScheme, ModuleAssignment};
 
 /// Bank-grid geometries the proof sweeps: the paper's power-of-two
@@ -40,61 +29,9 @@ pub const GEOMETRIES: &[(usize, usize)] = &[
     (3, 5),
 ];
 
-/// Outcome of the exhaustive check of one (scheme, pattern, geometry).
-#[derive(Debug, Clone)]
-pub struct PairResult {
-    /// The scheme.
-    pub scheme: AccessScheme,
-    /// The pattern.
-    pub pattern: AccessPattern,
-    /// Bank-grid rows.
-    pub p: usize,
-    /// Bank-grid columns.
-    pub q: usize,
-    /// Whether Table I claims the pair.
-    pub supported: bool,
-    /// Whether the claim is restricted to aligned origins.
-    pub aligned_only: bool,
-    /// Residue classes enumerated (`(p*q)²`).
-    pub classes: usize,
-    /// Classes the claim admits (all, or only aligned ones).
-    pub admissible: usize,
-    /// Admissible classes that conflicted (must be 0 for a sound claim).
-    pub conflict_classes: usize,
-    /// Worst `cycles_needed` over every class — 1 means conflict-free
-    /// everywhere; for unsupported pairs this is the serialization bound.
-    pub worst_cycles: usize,
-}
-
-/// The lane coordinates of `pattern` at origin `(i0, j0)` on a `p x q`
-/// grid, written out from the pattern definitions (independently of
-/// [`polymem::Agu`], which the plan-linting analysis proves separately).
-pub fn pattern_coords(
-    pattern: AccessPattern,
-    i0: usize,
-    j0: usize,
-    p: usize,
-    q: usize,
-) -> Vec<(usize, usize)> {
-    let n = p * q;
-    match pattern {
-        AccessPattern::Rectangle => (0..p)
-            .flat_map(|a| (0..q).map(move |b| (i0 + a, j0 + b)))
-            .collect(),
-        AccessPattern::TransposedRectangle => (0..q)
-            .flat_map(|a| (0..p).map(move |b| (i0 + a, j0 + b)))
-            .collect(),
-        AccessPattern::Row => (0..n).map(|k| (i0, j0 + k)).collect(),
-        AccessPattern::Column => (0..n).map(|k| (i0 + k, j0)).collect(),
-        AccessPattern::MainDiagonal => (0..n).map(|k| (i0 + k, j0 + k)).collect(),
-        AccessPattern::SecondaryDiagonal => (0..n).map(|k| (i0 + k, j0 - k)).collect(),
-    }
-}
-
-/// Check one (scheme, pattern, geometry) triple exhaustively over all
-/// `(p*q)²` origin residue classes, treating it as claimed conflict-free
-/// iff `claimed`. Findings (conflicts under a claim, judge divergence,
-/// conservatism) are appended; the numeric outcome is returned.
+/// Prove one (scheme, pattern, geometry) triple, treating it as claimed
+/// conflict-free iff `claimed`, and append its findings (conflicts under a
+/// claim, conservatism).
 ///
 /// `claimed` is a parameter — rather than read from the support matrix —
 /// so the `--inject` mutation mode can assert that a false claim is caught.
@@ -103,85 +40,23 @@ pub fn check_pair(
     pattern: AccessPattern,
     claimed: bool,
     findings: &mut Vec<Finding>,
-) -> PairResult {
-    let (scheme, p, q) = (maf.scheme(), maf.p(), maf.q());
+) -> PairProof {
+    let proof = prove_pair(maf, pattern, claimed);
+    let (scheme, p, q) = (proof.scheme, proof.p, proof.q);
     let n = p * q;
-    let aligned_only = scheme.requires_alignment(pattern);
-    let mut result = PairResult {
-        scheme,
-        pattern,
-        p,
-        q,
-        supported: claimed,
-        aligned_only,
-        classes: n * n,
-        admissible: 0,
-        conflict_classes: 0,
-        worst_cycles: 1,
-    };
-    let mut unaligned_conflicts = 0usize;
-    let mut load = vec![0usize; n];
-    for ri in 0..n {
-        for rj in 0..n {
-            // Class representative: shift the secondary diagonal's origin
-            // one period right so its leftward walk stays in `usize`
-            // (residues mod n, and alignment residues mod p/q, are
-            // preserved: p and q divide n).
-            let j0 = if pattern == AccessPattern::SecondaryDiagonal {
-                rj + n
-            } else {
-                rj
-            };
-            let coords = pattern_coords(pattern, ri, j0, p, q);
-
-            load.iter_mut().for_each(|c| *c = 0);
-            let mut cycles = 1usize;
-            for &(i, j) in &coords {
-                let b = maf.assign_linear(i, j);
-                load[b] += 1;
-                cycles = cycles.max(load[b]);
-            }
-
-            // Independent judge: the dynamic conflict profiler must agree.
-            let report = analyse(maf, &coords);
-            if report.cycles_needed != cycles {
-                findings.push(Finding::new(
-                    "schemes",
-                    Severity::Error,
-                    "analysis-divergence",
-                    format!("{scheme} {pattern} {p}x{q} class ({ri},{rj})"),
-                    format!(
-                        "static bank-multiplicity count says {cycles} cycle(s) but \
-                         analysis::analyse reports {}",
-                        report.cycles_needed
-                    ),
-                ));
-            }
-
-            result.worst_cycles = result.worst_cycles.max(cycles);
-            let admissible = !aligned_only || (ri % p == 0 && rj % q == 0);
-            if claimed && admissible {
-                result.admissible += 1;
-                if cycles > 1 {
-                    result.conflict_classes += 1;
-                    findings.push(Finding::new(
-                        "schemes",
-                        Severity::Error,
-                        "bank-conflict",
-                        format!("{scheme} {pattern} {p}x{q} class ({ri},{rj})"),
-                        format!(
-                            "claimed conflict-free but the {n} lanes need {cycles} \
-                             cycles (some bank is hit {cycles} times)"
-                        ),
-                    ));
-                }
-            } else if claimed && !admissible && cycles > 1 {
-                unaligned_conflicts += 1;
-            }
-        }
+    for &(ri, rj, cycles) in &proof.conflicts {
+        findings.push(Finding::new(
+            "schemes",
+            Severity::Error,
+            "bank-conflict",
+            format!("{scheme} {pattern} {p}x{q} class ({ri},{rj})"),
+            format!(
+                "claimed conflict-free but the {n} lanes need {cycles} \
+                 cycles (some bank is hit {cycles} times)"
+            ),
+        ));
     }
-
-    if claimed && aligned_only && unaligned_conflicts == 0 {
+    if claimed && proof.aligned_only && proof.unaligned_conflicts == 0 {
         findings.push(Finding::new(
             "schemes",
             Severity::Info,
@@ -191,7 +66,7 @@ pub fn check_pair(
              restriction could be lifted on this geometry",
         ));
     }
-    if !claimed && result.worst_cycles == 1 {
+    if !claimed && proof.worst_cycles == 1 {
         let degenerate = pattern == AccessPattern::TransposedRectangle && p == q;
         findings.push(Finding::new(
             "schemes",
@@ -210,61 +85,26 @@ pub fn check_pair(
                 format!(
                     "provably conflict-free at every one of the {} origin residue \
                      classes, but Table I does not claim it",
-                    n * n
+                    proof.classes
                 )
             },
         ));
     }
-    result
-}
-
-/// Cross-check the two independent Table I encodings (runtime
-/// [`AccessScheme::supported_patterns`] vs [`scheduler::support::table1`])
-/// on one geometry.
-pub fn check_support_tables(p: usize, q: usize, findings: &mut Vec<Finding>) {
-    for scheme in AccessScheme::ALL {
-        let mut runtime = scheme.supported_patterns(p, q);
-        let mut paper = scheduler::support::table1(scheme, p, q);
-        runtime.sort_by_key(|pat| pat.index());
-        paper.sort_by_key(|pat| pat.index());
-        if runtime != paper {
-            findings.push(Finding::new(
-                "schemes",
-                Severity::Error,
-                "support-matrix-divergence",
-                format!("{scheme} {p}x{q}"),
-                format!(
-                    "runtime support matrix claims {runtime:?} but the paper \
-                     transcription (scheduler::support) says {paper:?}"
-                ),
-            ));
-        }
-        for pat in &runtime {
-            if scheme.requires_alignment(*pat) != scheduler::support::aligned_only(scheme, *pat) {
-                findings.push(Finding::new(
-                    "schemes",
-                    Severity::Error,
-                    "support-matrix-divergence",
-                    format!("{scheme} {pat} {p}x{q}"),
-                    "the two Table I encodings disagree on the alignment restriction",
-                ));
-            }
-        }
-    }
+    proof
 }
 
 /// Run the full scheme verification over [`GEOMETRIES`].
-pub fn run(findings: &mut Vec<Finding>) -> Vec<PairResult> {
+pub fn run(findings: &mut Vec<Finding>) -> Vec<PairProof> {
     let mut pairs = Vec::new();
     for &(p, q) in GEOMETRIES {
-        check_support_tables(p, q, findings);
         for scheme in AccessScheme::ALL {
+            let claims = scheme.supported_patterns(p, q);
             let maf = match ModuleAssignment::try_new(scheme, p, q) {
                 Ok(maf) => maf,
                 Err(_) => {
                     // ReTr on a non-divisible grid: correctly unbuildable,
                     // and Table I must claim nothing for it.
-                    if !scheduler::support::table1(scheme, p, q).is_empty() {
+                    if !claims.is_empty() {
                         findings.push(Finding::new(
                             "schemes",
                             Severity::Error,
@@ -277,7 +117,6 @@ pub fn run(findings: &mut Vec<Finding>) -> Vec<PairResult> {
                     continue;
                 }
             };
-            let claims = scheme.supported_patterns(p, q);
             for pattern in AccessPattern::ALL {
                 pairs.push(check_pair(
                     &maf,
@@ -306,14 +145,14 @@ mod tests {
         assert!(errors.is_empty(), "unexpected errors: {errors:#?}");
         assert!(pairs
             .iter()
-            .filter(|r| r.supported)
-            .all(|r| r.conflict_classes == 0));
+            .filter(|r| r.claimed)
+            .all(|r| r.conflicts.is_empty()));
         // Unsupported pairs that genuinely conflict report a bound > 1.
         let reo_row = pairs
             .iter()
             .find(|r| r.scheme == AccessScheme::ReO && r.pattern == AccessPattern::Row && r.p == 2)
             .unwrap();
-        assert!(!reo_row.supported);
+        assert!(!reo_row.claimed);
         assert!(reo_row.worst_cycles > 1);
     }
 
@@ -324,7 +163,7 @@ mod tests {
         let maf = ModuleAssignment::try_new(AccessScheme::ReO, 2, 4).unwrap();
         let mut findings = Vec::new();
         let r = check_pair(&maf, AccessPattern::Row, true, &mut findings);
-        assert!(r.conflict_classes > 0);
+        assert!(!r.conflicts.is_empty());
         assert!(findings.iter().any(|f| f.code == "bank-conflict"));
     }
 
@@ -335,7 +174,7 @@ mod tests {
         let maf = ModuleAssignment::try_new(AccessScheme::RoCo, 2, 4).unwrap();
         let mut findings = Vec::new();
         let r = check_pair(&maf, AccessPattern::Rectangle, true, &mut findings);
-        assert_eq!(r.conflict_classes, 0);
+        assert!(r.conflicts.is_empty());
         assert!(!findings.iter().any(|f| f.code == "alignment-unneeded"));
     }
 
@@ -350,13 +189,5 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.code == "conservative-support" && f.severity == Severity::Info));
-    }
-
-    #[test]
-    fn secondary_diagonal_classes_all_reachable() {
-        let coords = pattern_coords(AccessPattern::SecondaryDiagonal, 0, 8, 2, 4);
-        assert_eq!(coords.len(), 8);
-        assert_eq!(coords[0], (0, 8));
-        assert_eq!(coords[7], (7, 1));
     }
 }
